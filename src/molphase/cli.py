@@ -80,11 +80,11 @@ def cmd_eig(args) -> int:
     return 0
 
 
-def _bit_table(result: ipea.IpeaResult, n: int, oracle_ph: float | None) -> str:
+def _bit_table(result: ipea.IpeaResult, n: int, oracle_ph: float | None, errbd: float) -> str:
     """Per-iteration bit strings, newest n bits bracketed."""
     lines = []
     for rec in result.records:
-        running = ipea.reconstruct(result.records[: rec.k + 1], n)
+        running = ipea.reconstruct(result.records[: rec.k + 1], n, phase_error_bound=errbd)
         digits = running.binary_digits
         lines.append(f"k={rec.k}  0.{digits[: n * rec.k]} [{digits[n * rec.k:]}]")
     if oracle_ph is not None:
@@ -113,7 +113,9 @@ def cmd_ipea(args) -> int:
         "ipea_trace.csv",
         ipea.trace_csv(result, args.bits, oracle_e, phase_error_bound=config.phase_error_bound),
     )
-    table_path = _write(args.out, "ipea_table.txt", _bit_table(result, args.bits, oracle_ph))
+    table_path = _write(
+        args.out, "ipea_table.txt", _bit_table(result, args.bits, oracle_ph, config.phase_error_bound)
+    )
     print(f"phase estimate: {result.phase.value:.17g}")
     print(f"energy: {result.energy.energy:.17g} hartree")
     if oracle_e is not None and oracle_ph is not None:

@@ -13,12 +13,27 @@ estimate by n bits and the recursive rebuild
 telescopes the per-iteration phases back into a single value whose error
 contracts to phi_errbd * 2^(-n (k-1)).
 
-Powers are taken by repeated squaring, never through eigenvectors, so a
-coherent error in U compounds exactly as it would under physical repeated
-application.
+The clip phases only ever multiply U by a scalar, so the loop carries
+U_k = exp(-i 2 pi a_k) P_k as two parts: the power P_k = U^(2^(n k)),
+which no measurement affects, and the offset a_{k+1} = 2^n (a_k + phi'_k)
+mod 1, a float. The probe coherence after controlled-U_k on |+> x |psi> is
+exp(-i 2 pi a_k) <psi|P_k|psi> / 2, so no controlled gate or joint state
+is built.
+
+P_k is held in the eigenbasis of the generator H (or H + eps V), where it
+is diagonal, and squared n times per round; one Newton-Schulz step then
+pulls it back onto the unitary group (``qcore.square_unitary``). Powers
+are never taken from eigenphases, so a coherent error in U compounds
+exactly as it would under physical repeated application. The basis keeps
+P_k an exact function of U: squared in the computational basis, rounding
+that does not commute with U grows with the power wherever U^(2^m) is
+proportional to the identity, as it is for every 2x2 system at the
+automatic tau.
 """
 from __future__ import annotations
 
+import cmath
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
@@ -46,7 +61,8 @@ class IterationConfig:
     """Operating point of the iteration: n bits per round, k_max rounds.
 
     ``phase_error_bound`` (fraction of a turn) is the guaranteed bound on
-    each phase measurement; admissibility 2^-n >= 2 * bound is enforced.
+    each phase measurement; admissibility 2^-n >= 2 * bound is enforced, and
+    n * k_max may not exceed the ``MAX_REPORT_BITS`` a float64 phase holds.
     """
 
     bits_per_iteration: int = 3
@@ -59,10 +75,18 @@ class IterationConfig:
             raise ValidationError(f"bits per iteration must be >= 1, got {self.bits_per_iteration}")
         if self.iterations < 1:
             raise ValidationError(f"iterations must be >= 1, got {self.iterations}")
-        if self.phase_error_bound < 0:
-            raise ValidationError(f"phase error bound must be >= 0, got {self.phase_error_bound}")
-        if not self.tau > 0:
-            raise ValidationError(f"tau must be positive, got {self.tau}")
+        bits = self.bits_per_iteration * self.iterations
+        if bits > MAX_REPORT_BITS:
+            raise ValidationError(
+                f"{self.bits_per_iteration} bits x {self.iterations} iterations = {bits} bits"
+                f" exceeds the {MAX_REPORT_BITS} a float64 phase holds"
+            )
+        if not (math.isfinite(self.phase_error_bound) and self.phase_error_bound >= 0):
+            raise ValidationError(
+                f"phase error bound must be finite and >= 0, got {self.phase_error_bound}"
+            )
+        if not (math.isfinite(self.tau) and self.tau > 0):
+            raise ValidationError(f"tau must be positive and finite, got {self.tau}")
         if 2.0 ** -self.bits_per_iteration < 2.0 * self.phase_error_bound:
             raise ValidationError(
                 f"inadmissible config: 2^-{self.bits_per_iteration} < "
@@ -115,7 +139,11 @@ def initial_operator(h: MolecularHamiltonian, tau: float) -> np.ndarray:
 
 
 def next_operator(u_k: np.ndarray, clipped_phase: float, n: int) -> np.ndarray:
-    """[exp(-i 2 pi phi') U_k]^(2^n) by n repeated squarings."""
+    """[exp(-i 2 pi phi') U_k]^(2^n) by n repeated squarings.
+
+    One round of the dense operator chain, with the clip phase folded into
+    the matrix; ``run_ipea`` carries the same chain as a scalar and a power.
+    """
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
     m = qcore.require_unitary(u_k, name="iteration operator")
@@ -125,14 +153,26 @@ def next_operator(u_k: np.ndarray, clipped_phase: float, n: int) -> np.ndarray:
     return m
 
 
-def clip_phase(measured: float, error_bound: float, fold_wrap: bool = False) -> float:
-    """max(measured - bound, 0), folding wrapped readings when allowed.
+def is_wrapped(measured: float, error_bound: float, n: int) -> bool:
+    """Whether a reading from the second iteration on is a wrapped small phase.
 
-    ``fold_wrap`` applies from the second iteration on, where the true
-    eigenphase is known to lie in [0, 2^n * 2 * bound]: a reading within
-    the bound of a full turn is then a wrapped small phase and clips to 0.
+    There the true eigenphase lies in [0, 2^n * 2 * bound], so a reading
+    lies within the bound of that window or of a full turn, where a small
+    phase pushed below zero wraps to. The test splits the gap between the
+    window's top and a full turn in half, which leaves the widest margin on
+    both sides for rounding: a residual that rounds below zero is not
+    clipped away, so its drift grows by 2^n per round.
     """
-    if fold_wrap and error_bound > 0.0 and measured > 1.0 - error_bound:
+    return measured > 0.5 * (1.0 + (2.0 ** (n + 1) + 1.0) * error_bound)
+
+
+def clip_phase(measured: float, error_bound: float, n: int | None = None) -> float:
+    """max(measured - bound, 0), folding wrapped readings when ``n`` is given.
+
+    Pass the bits per iteration ``n`` from the second iteration on, where a
+    wrapped reading (``is_wrapped``) clips to 0.
+    """
+    if n is not None and is_wrapped(measured, error_bound, n):
         return 0.0
     return max(measured - error_bound, 0.0)
 
@@ -142,7 +182,7 @@ def run_ipea(
     config: IterationConfig,
     prep: np.ndarray | None = None,
     noise: NoiseModel | None = None,
-    controlled_apply: Callable[[int, np.ndarray, np.ndarray], np.ndarray] | None = None,
+    backend: Callable[[int, np.ndarray, complex], complex] | None = None,
 ) -> IpeaResult:
     """Run the full estimation loop and rebuild the phase and energy.
 
@@ -150,8 +190,14 @@ def run_ipea(
     ground overlap below 0.999 warns, below 0.9 fails. With ``noise`` the
     operator is built from the perturbed Hamiltonian (when coherent_epsilon
     is nonzero) and each readout takes one jitter draw from a stream seeded
-    by the model. ``controlled_apply(k, u_k, state)`` substitutes a backend
-    for the exact controlled gate; it is called once per iteration in order.
+    by the model.
+
+    Iteration k uses U_k = scalar * power, with power = U^(2^(n k)) and
+    scalar = exp(-i 2 pi a_k) the accumulated clip phase. By default the
+    probe coherence of controlled-U_k on |+> x prep is computed exactly, as
+    scalar * <prep|power|prep> / 2. ``backend(k, power, scalar)`` replaces
+    that computation and returns the probe coherence; it is called once per
+    iteration, in order of k, with ``power`` in the computational basis.
     """
     spec = molham.spectrum(h)
     if prep is None:
@@ -159,6 +205,8 @@ def run_ipea(
     prep = qcore.require_pure_state(prep, "prepared state")
     if prep.size != h.dim:
         raise ValidationError(f"prepared state dim {prep.size} != Hamiltonian dim {h.dim}")
+    if 2 * h.dim > qcore.MAX_DIM:
+        raise ValidationError(f"system dimension {h.dim} too large for the probe register")
     overlap = qcore.state_fidelity(prep, spec.ground_state)
     if overlap < PREP_OVERLAP_FLOOR:
         raise ValidationError(
@@ -172,36 +220,39 @@ def run_ipea(
         )
 
     if noise is not None and noise.coherent_epsilon > 0.0:
-        u = probe.perturbed_u(h, config.tau, noise)
+        generator = probe.perturbed_hamiltonian(h, noise)
     else:
-        u = initial_operator(h, config.tau)
+        generator = h.matrix
+    dec = qcore.hermitian_eig(generator)
+    basis = dec.eigenvectors
+    power = np.diag(np.exp(-1j * config.tau * dec.eigenvalues))
+    state = basis.conj().T @ prep
     rng = noise.make_rng() if noise is not None else None
 
     n = config.bits_per_iteration
     errbd = config.phase_error_bound
-    plus = qcore.KET_PLUS
+    offset = 0.0
     records: list[IterationRecord] = []
     for k in range(config.iterations):
-        joint = np.kron(plus, prep)
-        if controlled_apply is not None:
-            final = controlled_apply(k, u, joint)
+        if k > 0:
+            power = qcore.square_unitary(power, n)
+        scalar = cmath.exp(-2j * math.pi * offset)
+        if backend is None:
+            coherence = scalar * complex(np.vdot(state, power @ state)) / 2.0
         else:
-            final = probe.controlled_u(u) @ joint
+            coherence = backend(k, basis @ power @ basis.conj().T, scalar)
         try:
-            if noise is not None:
-                reading = probe.noisy_readout(final, noise, rng)
-            else:
-                reading = probe.ideal_readout(final)
+            reading = probe.coherence_readout(coherence, noise, rng)
         except ReadoutError as exc:
             raise ReadoutError(f"iteration {k}: {exc}") from exc
         measured = reading.phase_fraction
-        clipped = clip_phase(measured, errbd, fold_wrap=k > 0)
+        clipped = clip_phase(measured, errbd, n if k > 0 else None)
         records.append(
             IterationRecord(
                 k=k, measured_phase=measured, clipped_phase=clipped, operator_power=2 ** (n * k)
             )
         )
-        u = next_operator(u, clipped, n)
+        offset = (2.0**n * (offset + clipped)) % 1.0
 
     estimate = reconstruct(records, n, phase_error_bound=errbd)
     energy = energy_from_phase(estimate, config.tau, oracle_energy=spec.ground_energy)
@@ -214,9 +265,8 @@ def reconstruct(
     """Rebuild the phase: phi_c[k] = phi_k, phi_c[i-1] = phi_c[i]/2^n + phi'[i-1].
 
     The recursion runs on the real line, seeded by the last measured phase.
-    From the second iteration on the true eigenphase lies in
-    [0, 2^n * 2 * bound], so a final reading within the bound of a full
-    turn is a wrapped near-zero phase and is unwound by one turn before
+    Given the bound, a wrapped final reading from the second iteration on
+    (``is_wrapped``) is a near-zero phase and is unwound by one turn before
     seeding; only the final value is reduced into [0, 1).
     """
     if not records:
@@ -226,10 +276,8 @@ def reconstruct(
         raise ValidationError(f"records must be contiguous from 0, got indices {ks}")
     scale = 2.0**-n
     seed = records[-1].measured_phase
-    if len(records) > 1:
-        fold_margin = max(phase_error_bound or 0.0, 1e-12)
-        if seed > 1.0 - fold_margin:
-            seed -= 1.0
+    if len(records) > 1 and phase_error_bound is not None and is_wrapped(seed, phase_error_bound, n):
+        seed -= 1.0
     trace = [seed]
     for rec in reversed(records[:-1]):
         trace.append(trace[-1] * scale + rec.clipped_phase)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import ipea, probe, qcore
+from . import ipea, molham, probe, qcore
 from .errors import CompilationError, ValidationError
 from .ipea import IpeaResult, IterationConfig
 from .molham import MolecularHamiltonian
@@ -232,38 +232,35 @@ def run_pulse_backend(
     """Phase estimation with every controlled gate realized in pulses.
 
     The base controlled-U is compiled once; iteration k applies its evolved
-    unitary 2^(n k) times (taken by repeated squaring, which compounds any
-    pulse imperfection exactly like physical repetition). The scalar clip
-    phase accumulated by the recursion is a receiver-frame rotation on the
-    probe, applied in software the way a spectrometer's receiver phase is,
-    so any injected pulse error acts on U alone and its phase error scales
-    with the operator power. Noiseless runs match the exact-gate engine to
-    well below 1e-8.
+    unitary 2^(n k) times, carried from round to round by n squarings
+    (which compound any pulse imperfection exactly like physical
+    repetition). The scalar clip phase accumulated by the recursion is a
+    receiver-frame rotation on the probe, applied in software the way a
+    spectrometer's receiver phase is, so any injected pulse error acts on U
+    alone and its phase error scales with the operator power. Noiseless
+    runs match the exact-gate engine to well below 1e-8.
     """
     if h.dim != 2:
         raise ValidationError(f"pulse backend handles 2x2 systems, got dim {h.dim}")
     spin_sys = sys if sys is not None else SpinSystem()
-    base = ipea.initial_operator(h, config.tau)
-    sequence = compile_controlled_u(base, spin_sys)
-    realized_base = evolve_sequence(sequence, spin_sys, over_rotation=over_rotation)
-    chain = {"exact_power": base.copy()}
+    state = molham.spectrum(h).ground_state if prep is None else prep
+    joint = np.kron(qcore.KET_PLUS, qcore.require_pure_state(state, "prepared state"))
+    sequence = compile_controlled_u(ipea.initial_operator(h, config.tau), spin_sys)
     n = config.bits_per_iteration
 
-    def apply(k: int, u_k: np.ndarray, joint: np.ndarray) -> np.ndarray:
-        # Scalar phase accumulated by the clip recursion: u_k = scalar * U^(2^(n k)).
-        power = chain["exact_power"]
-        i, j = np.unravel_index(np.argmax(np.abs(power)), power.shape)
-        scalar = u_k[i, j] / power[i, j]
-        scalar /= abs(scalar)
-        realized = realized_base
-        for _ in range(n * k):
-            realized = realized @ realized
-        correction = np.kron(np.diag([1.0 + 0j, scalar]), qcore.ID2)
-        for _ in range(n):
-            chain["exact_power"] = chain["exact_power"] @ chain["exact_power"]
-        return correction @ (realized @ joint)
+    def realized_powers():
+        realized = evolve_sequence(sequence, spin_sys, over_rotation=over_rotation)
+        while True:
+            yield realized
+            realized = qcore.square_unitary(realized, n)
 
-    return ipea.run_ipea(h, config, prep=prep, controlled_apply=apply)
+    powers = realized_powers()
+
+    def coherence(k: int, power: np.ndarray, scalar: complex) -> complex:
+        # the receiver phase multiplies the probe's down component by scalar
+        return scalar * probe.probe_coherence(next(powers) @ joint)
+
+    return ipea.run_ipea(h, config, prep=prep, backend=coherence)
 
 
 def sequence_text(seq: PulseSequence) -> str:

@@ -3,7 +3,10 @@
 The probe spin is tensor factor 0 with spin-up at index 0, prepared in
 |+> = (|up> + |down>)/sqrt(2). A controlled-U writes the system eigenphase
 onto the probe's relative phase; quadrature readout recovers it from the
-probe's off-diagonal coherence. Only the argument of the coherence carries
+probe's off-diagonal coherence. For controlled-U on |+> x |psi> that
+coherence is <psi|U|psi> / 2, which the estimation loop computes directly;
+``coherence_readout`` turns any coherence into a phase, and the joint-state
+readouts go through it. Only the argument of the coherence carries
 information, so readouts report a unit-magnitude expectation.
 
 Noise enters in two places: bounded jitter on the measured phase (uniform
@@ -13,6 +16,8 @@ under powering.
 """
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -54,10 +59,10 @@ class NoiseModel:
     jitter_law: str | Callable[[np.random.Generator, float], float] = "uniform"
 
     def __post_init__(self):
-        if self.phase_jitter_bound < 0:
-            raise ValidationError(f"jitter bound must be >= 0, got {self.phase_jitter_bound}")
-        if self.coherent_epsilon < 0:
-            raise ValidationError(f"coherent epsilon must be >= 0, got {self.coherent_epsilon}")
+        if not (math.isfinite(self.phase_jitter_bound) and self.phase_jitter_bound >= 0):
+            raise ValidationError(f"jitter bound must be finite and >= 0, got {self.phase_jitter_bound}")
+        if not (math.isfinite(self.coherent_epsilon) and self.coherent_epsilon >= 0):
+            raise ValidationError(f"coherent epsilon must be finite and >= 0, got {self.coherent_epsilon}")
         direction = qcore.require_hermitian(self.perturbation_direction, name="perturbation direction")
         peak = np.abs(direction).max()
         if abs(peak - 1.0) > 1e-9:
@@ -113,43 +118,58 @@ def coherence_from_density(rho) -> complex:
     return complex(reduced[1, 0])
 
 
+def coherence_readout(
+    z: complex, noise: NoiseModel | None = None, rng: np.random.Generator | None = None
+) -> ProbeReadout:
+    """Probe phase of coherence ``z``, plus one jitter draw when ``noise`` is given.
+
+    The system must retain coherence: |z| below ``COHERENCE_TOL`` leaves the
+    phase undefined. The jitter draw is deterministic given
+    ``noise.rng_seed`` and the draw index; pass a persistent ``rng`` to take
+    successive draws from one stream.
+    """
+    magnitude = abs(z)
+    if magnitude < COHERENCE_TOL:
+        raise ReadoutError(f"probe coherence {magnitude:.3e} below {COHERENCE_TOL:.1e}; phase undefined")
+    z_norm = z / magnitude
+    phase = (cmath.phase(z_norm) / (2.0 * math.pi)) % 1.0
+    if noise is None:
+        return ProbeReadout(expectation=complex(z_norm), phase_fraction=phase)
+    if rng is None:
+        rng = noise.make_rng()
+    phase = (phase + noise.draw_jitter(rng)) % 1.0
+    return ProbeReadout(expectation=cmath.exp(2j * math.pi * phase), phase_fraction=phase)
+
+
 def ideal_readout(state) -> ProbeReadout:
-    """Extract the probe phase; the system must retain coherence.
+    """Extract the probe phase of a joint state.
 
     For (|up> + e^{i 2 pi phi} |down>)/sqrt(2) x |psi> this returns
     exactly phi.
     """
-    z = probe_coherence(state)
-    if abs(z) < COHERENCE_TOL:
-        raise ReadoutError(f"probe coherence {abs(z):.3e} below {COHERENCE_TOL:.1e}; phase undefined")
-    z_norm = z / abs(z)
-    phase = (np.angle(z_norm) / (2.0 * np.pi)) % 1.0
-    return ProbeReadout(expectation=complex(z_norm), phase_fraction=float(phase))
+    return coherence_readout(probe_coherence(state))
 
 
 def noisy_readout(state, noise: NoiseModel, rng: np.random.Generator | None = None) -> ProbeReadout:
-    """Ideal readout plus one jitter draw, reduced mod 1.
+    """Ideal readout of a joint state plus one jitter draw, reduced mod 1."""
+    return coherence_readout(probe_coherence(state), noise, rng)
 
-    Deterministic given ``noise.rng_seed`` and the draw index; pass a
-    persistent ``rng`` to take successive draws from one stream.
-    """
-    clean = ideal_readout(state)
-    if rng is None:
-        rng = noise.make_rng()
-    phase = (clean.phase_fraction + noise.draw_jitter(rng)) % 1.0
-    return ProbeReadout(expectation=complex(np.exp(2j * np.pi * phase)), phase_fraction=float(phase))
+
+def perturbed_hamiltonian(h: MolecularHamiltonian, noise: NoiseModel) -> np.ndarray:
+    """H + eps V, the generator of the perturbed evolution."""
+    if noise.perturbation_direction.shape != h.matrix.shape:
+        raise ValidationError(
+            f"perturbation direction dim {noise.perturbation_direction.shape[0]} "
+            f"does not match Hamiltonian dim {h.dim}"
+        )
+    return h.matrix + noise.coherent_epsilon * noise.perturbation_direction
 
 
 def perturbed_u(h: MolecularHamiltonian, tau: float, noise: NoiseModel) -> np.ndarray:
     """exp(-i (H + eps V) tau); eps = 0 reproduces the ideal operator exactly."""
     if tau <= 0:
         raise ValidationError(f"tau must be positive, got {tau}")
-    if noise.perturbation_direction.shape != h.matrix.shape:
-        raise ValidationError(
-            f"perturbation direction dim {noise.perturbation_direction.shape[0]} "
-            f"does not match Hamiltonian dim {h.dim}"
-        )
-    return qcore.expm_herm(h.matrix + noise.coherent_epsilon * noise.perturbation_direction, tau)
+    return qcore.expm_herm(perturbed_hamiltonian(h, noise), tau)
 
 
 @dataclass(frozen=True)

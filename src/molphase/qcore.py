@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ComputationError, ValidationError
 
 MAX_DIM = 8
 
@@ -65,6 +65,31 @@ def require_unitary(a, tol: float = UNITARY_TOL, name: str = "matrix") -> np.nda
     if dev > tol:
         raise ValidationError(f"{name} is not unitary: max|U†U - I| = {dev:.3e} > {tol:.1e}")
     return m
+
+
+def square_unitary(u: np.ndarray, times: int) -> np.ndarray:
+    """u^(2^times) by repeated squaring, pulled back to the unitary group.
+
+    Each squaring doubles the drift D = u†u - I that rounding leaves, so a
+    long chain of squarings would leave the unitary group. One
+    Newton-Schulz step u (3I - u†u) / 2 = u (I - D/2) after the squarings
+    leaves the drift D^2 (D - 3I) / 4, about 3 D^2 / 4, and moves the
+    eigenphases only at second order, so a coherent error in u still
+    compounds as under physical repetition. Raises ``ComputationError``
+    when the drift left after the step exceeds ``UNITARY_TOL``.
+    """
+    m = u
+    for _ in range(times):
+        m = m @ m
+    eye = np.eye(m.shape[0])
+    drift = m.conj().T @ m - eye
+    left = np.abs(drift @ drift @ (drift - 3.0 * eye)).max() / 4.0
+    if not left <= UNITARY_TOL:
+        raise ComputationError(
+            f"operator power left the unitary group: max|U†U - I| = {np.abs(drift).max():.3e},"
+            f" {left:.3e} > {UNITARY_TOL:.1e} after one Newton-Schulz step"
+        )
+    return m @ (eye - 0.5 * drift)
 
 
 def require_pure_state(v, name: str = "state", tol: float = STATE_NORM_TOL) -> np.ndarray:

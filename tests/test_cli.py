@@ -96,6 +96,17 @@ class TestIpeaCommand:
         assert "inadmissible" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_eight_iterations(self, tmp_path, capsys):
+        assert cli.main(["ipea", "--iterations", "8", "--out", str(tmp_path)]) == 0
+        bits = int(capsys.readouterr().out.split("correct bits vs oracle: ")[1].split()[0])
+        assert bits >= 50
+
+    def test_more_bits_than_float64_holds_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert cli.main(["ipea", "--iterations", "18", "--out", str(out)]) == 2
+        assert "54 bits" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_explicit_tau(self, tmp_path, capsys):
         assert cli.main(["ipea", "--tau", "1.0", "--out", str(tmp_path)]) == 0
         out = capsys.readouterr().out

@@ -1,6 +1,10 @@
 """Iteration engine: clipping, reconstruction, noise behavior, oracles."""
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from molphase import ipea, molham, probe, qcore
 from molphase.errors import ValidationError
@@ -18,6 +22,15 @@ from conftest import (
 # 25-digit first-round readout from the reference hardware run, used as a
 # format fixture: a single-record rebuild must reproduce its bits exactly
 REFERENCE_BITSTRING_K0 = "0100011100100101100010010"
+
+# four-configuration model (hartree), run at tau 1.9
+MATRIX_4X4 = np.array([
+    [-1.85, 0.18, 0.06, 0.02],
+    [0.18, -1.25, 0.09, 0.04],
+    [0.06, 0.09, -0.90, 0.12],
+    [0.02, 0.04, 0.12, -0.25],
+])
+TAU_4X4 = 1.9
 
 
 def h2_config(**kwargs):
@@ -38,11 +51,25 @@ class TestIterationConfig:
             h2_config(phase_error_bound=0.1)
 
     @pytest.mark.parametrize(
-        "kwargs", [dict(bits_per_iteration=0), dict(iterations=0), dict(tau=0.0), dict(phase_error_bound=-0.01)]
+        "kwargs",
+        [
+            dict(bits_per_iteration=0),
+            dict(iterations=0),
+            dict(tau=0.0),
+            dict(phase_error_bound=-0.01),
+            dict(phase_error_bound=math.nan),
+            dict(tau=math.inf),
+            dict(tau=math.nan),
+        ],
     )
     def test_field_validation(self, kwargs):
         with pytest.raises(ValidationError):
             h2_config(**kwargs)
+
+    def test_bit_count_capped_at_float64_precision(self):
+        h2_config(bits_per_iteration=4, iterations=13)  # 52 bits: the cap itself
+        with pytest.raises(ValidationError, match="52"):
+            h2_config(bits_per_iteration=3, iterations=18)
 
 
 class TestOperators:
@@ -88,8 +115,8 @@ class TestClipPhase:
         assert ipea.clip_phase(0.005, ERRBD_5DEG) == 0.0
 
     def test_fold_wrapped_reading(self):
-        assert ipea.clip_phase(0.999, ERRBD_5DEG, fold_wrap=True) == 0.0
-        assert ipea.clip_phase(0.999, ERRBD_5DEG, fold_wrap=False) == pytest.approx(
+        assert ipea.clip_phase(0.999, ERRBD_5DEG, 3) == 0.0
+        assert ipea.clip_phase(0.999, ERRBD_5DEG) == pytest.approx(
             0.999 - ERRBD_5DEG
         )
 
@@ -119,6 +146,13 @@ class TestRunIdealReadout:
     def test_exact_for_any_iteration_count(self, h2, k_max):
         _, phase, _ = ipea.run_ipea(h2, h2_config(iterations=k_max))
         assert ipea.phase_distance(phase.value, H2_PHASE) <= 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_zero_bound_chain_is_exact(self, h2, n):
+        # readings of a zero residual round to just below a full turn
+        config = h2_config(bits_per_iteration=n, iterations=52 // n, phase_error_bound=0.0)
+        _, phase, _ = ipea.run_ipea(h2, config)
+        assert ipea.phase_distance(phase.value, H2_PHASE) <= 1e-15
 
     def test_measured_phases_match_clip_chain(self, h2):
         records, _, _ = ipea.run_ipea(h2, h2_config())
@@ -171,6 +205,120 @@ class TestRunBoundedJitter:
                 # the reference recursion amplifies rounding by 8^k, give it 1e-9
                 assert ipea.phase_distance(rec.measured_phase, ref) <= ERRBD_5DEG + 1e-9
             assert ipea.phase_distance(phase.value, H2_PHASE) <= JITTER_FINAL_BOUND + 1e-15
+
+
+def dense_chain_phases(h, config, noise=None):
+    """Measured phases of the dense chain: each round applies the 4x4
+    controlled gate to kron(|+>, ground state), and the clip phase is folded
+    into the operator before it is squared."""
+    prep = molham.spectrum(h).ground_state
+    if noise is not None and noise.coherent_epsilon > 0.0:
+        u = probe.perturbed_u(h, config.tau, noise)
+    else:
+        u = ipea.initial_operator(h, config.tau)
+    rng = noise.make_rng() if noise is not None else None
+    n = config.bits_per_iteration
+    phases = []
+    for k in range(config.iterations):
+        final = probe.controlled_u(u) @ np.kron(qcore.KET_PLUS, prep)
+        if noise is None:
+            measured = probe.ideal_readout(final).phase_fraction
+        else:
+            measured = probe.noisy_readout(final, noise, rng).phase_fraction
+        phases.append(measured)
+        clipped = ipea.clip_phase(measured, config.phase_error_bound, n if k > 0 else None)
+        u = ipea.next_operator(u, clipped, n)
+    return phases
+
+
+class TestScalarChainMatchesDenseChain:
+    @pytest.mark.parametrize(
+        "system, tau, epsilon",
+        [("h2", H2_TAU, 0.0), ("4x4", TAU_4X4, 0.0), ("h2", H2_TAU, 1e-4)],
+    )
+    def test_per_round_phases_over_seeds(self, h2, system, tau, epsilon):
+        h = h2 if system == "h2" else molham.MolecularHamiltonian(MATRIX_4X4, label="4x4")
+        config = h2_config(tau=tau)
+        worst = 0.0
+        for seed in range(200):
+            noise = probe.NoiseModel(
+                phase_jitter_bound=ERRBD_5DEG, coherent_epsilon=epsilon, rng_seed=seed
+            )
+            records, _, _ = ipea.run_ipea(h, config, noise=noise)
+            for rec, dense in zip(records, dense_chain_phases(h, config, noise)):
+                worst = max(worst, ipea.phase_distance(rec.measured_phase, dense))
+        assert worst <= 1e-12
+
+    def test_noiseless(self, h2):
+        records, _, _ = ipea.run_ipea(h2, h2_config())
+        dense = dense_chain_phases(h2, h2_config())
+        for rec, phase in zip(records, dense):
+            assert ipea.phase_distance(rec.measured_phase, phase) <= 1e-12
+
+    def test_backend_receives_power_and_scalar(self, h2):
+        g = molham.spectrum(h2).ground_state
+        u = ipea.initial_operator(h2, H2_TAU)
+        calls = []
+
+        def backend(k, power, scalar):
+            expected = np.linalg.matrix_power(u, 8**k)
+            assert np.abs(power - expected).max() <= 1e-9
+            assert abs(abs(scalar) - 1.0) <= 1e-15
+            calls.append(k)
+            return scalar * np.vdot(g, power @ g) / 2.0
+
+        hooked, _, _ = ipea.run_ipea(h2, h2_config(), backend=backend)
+        exact, _, _ = ipea.run_ipea(h2, h2_config())
+        assert calls == list(range(6))
+        for a, b in zip(hooked, exact):
+            assert ipea.phase_distance(a.measured_phase, b.measured_phase) <= 1e-12
+
+
+class TestLongRuns:
+    @pytest.mark.parametrize("n, k", [(1, 52), (2, 26), (3, 17), (4, 13), (5, 10)])
+    def test_runs_to_the_precision_cap(self, h2, n, k):
+        _, phase, _ = ipea.run_ipea(h2, h2_config(bits_per_iteration=n, iterations=k))
+        assert ipea.precision_report(phase, H2_PHASE) >= 50
+
+
+# Admissible at the 5 degree bound: 2^-n >= 2 * bound holds for n <= 5.
+ADMISSIBLE_BITS = [n for n in range(1, 53) if 2.0**-n >= 2.0 * ERRBD_5DEG]
+# Rounding floor of the final comparison: the oracle phase and the rebuilt
+# value each carry a few float64 ulps of a number below one.
+FLOAT_FLOOR = 8 * 2.0**-52
+
+
+@st.composite
+def admissible_runs(draw):
+    """(n, k, jitter fractions of the bound, system seed or None for H2)."""
+    n = draw(st.sampled_from(ADMISSIBLE_BITS))
+    k = draw(st.integers(1, ipea.MAX_REPORT_BITS // n))
+    fractions = draw(st.lists(st.floats(-1.0, 1.0), min_size=k, max_size=k))
+    system = draw(st.none() | st.integers(0, 2**32 - 1))
+    return n, k, fractions, system
+
+
+class TestJitterProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(admissible_runs())
+    def test_final_error_within_contracted_bound(self, run):
+        # any jitter sequence within the bound, on H2 or a random 2x2 system
+        # at the automatic tau, for every admissible (n, k) up to 52 bits
+        n, k, fractions, system = run
+        if system is None:
+            h = molham.build_h2()
+        else:
+            h = random_negative_hamiltonian(np.random.default_rng(system))
+        tau = molham.choose_tau(h)
+        draws = iter([f * ERRBD_5DEG for f in fractions])
+        noise = probe.NoiseModel(
+            phase_jitter_bound=ERRBD_5DEG, jitter_law=lambda rng, bound: next(draws)
+        )
+        config = h2_config(bits_per_iteration=n, iterations=k, tau=tau)
+        _, phase, _ = ipea.run_ipea(h, config, noise=noise)
+        limit = ERRBD_5DEG * 2.0 ** (-n * (k - 1))
+        error = ipea.phase_distance(phase.value, ipea.oracle_phase(h, tau))
+        assert error <= limit + FLOAT_FLOOR
 
 
 class TestOracleEquivalence:
@@ -379,13 +527,16 @@ class TestPreparedState:
         with pytest.raises(ValidationError, match="dim"):
             ipea.run_ipea(h2, h2_config(), prep=np.array([1, 0, 0, 0], dtype=complex) )
 
+    def test_system_dimension_capped_by_probe_register(self):
+        h = molham.MolecularHamiltonian(np.diag(np.arange(-8.0, 0.0)), label="d8")
+        with pytest.raises(ValidationError, match="too large"):
+            ipea.run_ipea(h, h2_config(tau=0.5))
+
     def test_readout_error_carries_iteration_index(self, h2):
         from molphase.errors import ReadoutError
 
-        g = molham.spectrum(h2).ground_state
-        dead = np.kron(qcore.KET_UP, g)  # no probe coherence
         with pytest.raises(ReadoutError, match="iteration 0"):
-            ipea.run_ipea(h2, h2_config(), controlled_apply=lambda k, u, s: dead)
+            ipea.run_ipea(h2, h2_config(), backend=lambda k, power, scalar: 0j)
 
 
 class TestTraceCsv:

@@ -167,7 +167,7 @@ class TestCompileControlledU:
 
 
 class TestRunPulseBackend:
-    @pytest.mark.parametrize("iterations", [3, 6])
+    @pytest.mark.parametrize("iterations", [3, 6, 8])
     def test_matches_ideal_engine(self, h2, iterations):
         config = ipea.IterationConfig(iterations=iterations, tau=H2_TAU)
         ideal = ipea.run_ipea(h2, config)

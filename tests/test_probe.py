@@ -42,6 +42,21 @@ class TestControlledU:
                 expected = (np.angle(vals[j]) / (2 * np.pi)) % 1.0
                 assert ipea.phase_distance(reading.phase_fraction, expected) <= 1e-10
 
+    def test_coherence_is_half_the_system_expectation(self):
+        # the identity the estimation loop relies on instead of the joint state
+        rng = np.random.default_rng(29)
+        for dim in (2, 4):
+            for _ in range(20):
+                u = random_unitary(rng, dim)
+                psi = random_unitary(rng, dim)[:, 0]
+                joint = probe.controlled_u(u) @ np.kron(qcore.KET_PLUS, psi)
+                z = np.vdot(psi, u @ psi) / 2.0
+                assert abs(probe.probe_coherence(joint) - z) <= 1e-15
+                assert ipea.phase_distance(
+                    probe.ideal_readout(joint).phase_fraction,
+                    probe.coherence_readout(z).phase_fraction,
+                ) <= 1e-15
+
     def test_rejects_oversized_system(self):
         with pytest.raises(ValidationError):
             probe.controlled_u(np.eye(8))
@@ -151,6 +166,19 @@ class TestNoiseModelValidation:
     def test_direction_must_be_hermitian(self):
         with pytest.raises(ValidationError, match="Hermitian"):
             probe.NoiseModel(perturbation_direction=np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(phase_jitter_bound=np.nan),
+            dict(phase_jitter_bound=np.inf),
+            dict(coherent_epsilon=np.nan),
+            dict(coherent_epsilon=np.inf),
+        ],
+    )
+    def test_non_finite_rejected(self, kwargs):
+        with pytest.raises(ValidationError, match="finite"):
+            probe.NoiseModel(**kwargs)
 
     def test_unknown_law(self):
         with pytest.raises(ValidationError, match="jitter law"):

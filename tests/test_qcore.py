@@ -3,10 +3,10 @@ import numpy as np
 import pytest
 
 from molphase import qcore
-from molphase.errors import ValidationError
+from molphase.errors import ComputationError, ValidationError
 from molphase.molham import H2_MATRIX
 
-from conftest import H2_GROUND_ENERGY, H2_TAU, random_hermitian
+from conftest import H2_GROUND_ENERGY, H2_TAU, random_hermitian, random_unitary
 
 
 class TestHermitianEig:
@@ -98,6 +98,35 @@ class TestExpmHerm:
     def test_rejects_nonfinite_time(self):
         with pytest.raises(ValidationError):
             qcore.expm_herm(H2_MATRIX, np.inf)
+
+
+class TestSquareUnitary:
+    def test_matches_repeated_multiplication(self):
+        rng = np.random.default_rng(13)
+        for dim in (2, 4):
+            u = random_unitary(rng, dim)
+            expected = np.linalg.matrix_power(u, 8)
+            assert np.abs(qcore.square_unitary(u, 3) - expected).max() <= 1e-13
+
+    def test_step_restores_unitarity_and_keeps_eigenphases(self):
+        rng = np.random.default_rng(17)
+        u = random_unitary(rng)
+        drifted = u * (1.0 + 1e-8)  # drift 2e-8, above UNITARY_TOL
+        m = qcore.square_unitary(drifted, 0)
+        assert np.abs(m.conj().T @ m - np.eye(2)).max() <= 1e-15
+        phases = np.sort(np.angle(np.linalg.eigvals(m)))
+        assert np.abs(phases - np.sort(np.angle(np.linalg.eigvals(u)))).max() <= 1e-15
+
+    def test_long_chain_stays_unitary(self):
+        m = qcore.expm_herm(H2_MATRIX, H2_TAU)
+        for _ in range(17):
+            m = qcore.square_unitary(m, 3)
+        assert np.abs(m.conj().T @ m - np.eye(2)).max() <= 1e-15
+
+    @pytest.mark.parametrize("m", [2.0 * np.eye(2), np.full((2, 2), np.nan)])
+    def test_irrecoverable_drift_is_a_computation_error(self, m):
+        with pytest.raises(ComputationError, match="unitary"):
+            qcore.square_unitary(m, 1)
 
 
 class TestTensor:
