@@ -25,7 +25,6 @@ from .ipea import (
     PhaseEstimate,
     energy_from_phase,
     initial_operator,
-    next_operator,
     oracle_phase,
     phase_distance,
     precision_report,
@@ -34,7 +33,6 @@ from .ipea import (
     to_binary,
 )
 from .molham import (
-    EnergySpectrum,
     MolecularHamiltonian,
     build_h2,
     choose_tau,
@@ -50,7 +48,6 @@ from .nmrpulse import (
     compile_controlled_u,
     evolve_sequence,
     nmr_hamiltonian,
-    prepare_pps,
     run_pulse_backend,
     sequence_text,
 )
@@ -58,20 +55,14 @@ from .probe import (
     NoiseModel,
     ProbeReadout,
     SpectrumTrace,
-    controlled_u,
     extract_phase_from_spectrum,
-    ideal_readout,
-    noisy_readout,
-    perturbed_u,
     synthesize_spectrum,
 )
 from .qcore import (
     EigenDecomposition,
     expm_herm,
     hermitian_eig,
-    partial_trace,
     state_fidelity,
-    tensor,
 )
 
 __version__ = "0.1.0"

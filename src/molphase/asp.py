@@ -103,7 +103,7 @@ def run_asp(schedule: AdiabaticSchedule) -> ASPResult:
 def _instantaneous_ground(target: MolecularHamiltonian, s: float) -> np.ndarray:
     h_s = interpolated_hamiltonian(target, s)
     dec = qcore.hermitian_eig(h_s)
-    gap = dec.eigenvalues[1] - dec.eigenvalues[0]
+    gap = dec.energies[1] - dec.energies[0]
     if gap <= molham.GAP_TOL:
         raise DegeneracyError(f"interpolated Hamiltonian is degenerate at s = {s:.6f} (gap {gap:.3e})")
     return dec.ground_state

@@ -68,13 +68,13 @@ def cmd_eig(args) -> int:
     dec = qcore.hermitian_eig(h.matrix)
     report = {
         "label": h.label,
-        "energies": [float(e) for e in dec.eigenvalues],
+        "energies": [float(e) for e in dec.energies],
         "ground_state_re": [float(x) for x in dec.ground_state.real],
         "ground_state_im": [float(x) for x in dec.ground_state.imag],
         "metadata": dict(h.metadata),
     }
     path = _write(args.out, "eig_report.json", json.dumps(report, indent=2, sort_keys=True) + "\n")
-    print(f"energies ({h.label}): " + ", ".join(f"{e:.6f}" for e in dec.eigenvalues))
+    print(f"energies ({h.label}): " + ", ".join(f"{e:.6f}" for e in dec.energies))
     print(f"ground energy: {dec.ground_energy:.4f} hartree")
     print(f"report: {path}")
     return 0

@@ -4,9 +4,12 @@ Starting from U0 = exp(-i H tau), each iteration measures the probe phase
 phi_k of the current operator on the prepared state, clips it by the
 measurement error bound, and advances to
 U_{k+1} = [exp(-i 2 pi phi'_k) U_k]^(2^n). As long as each measurement is
-within +-phi_errbd of the truth and 2^-n >= 2 phi_errbd, the residual
-eigenphase stays in [0, 2^n * 2 phi_errbd], so every iteration refines the
-estimate by n bits and the recursive rebuild
+within +-phi_errbd of the truth, the residual eigenphase stays in
+[0, 2^n * 2 phi_errbd]. Readings of it then fall in the window
+[0, (2^(n+1) + 1) phi_errbd] or, for a residual pushed below zero by the
+jitter, in the wrapped band [1 - phi_errbd, 1); the two stay apart when
+(2^(n+1) + 2) phi_errbd < 1. Every iteration then refines the estimate by
+n bits and the recursive rebuild
 
     phi_c[i-1] = phi_c[i] / 2^n + phi'[i-1]
 
@@ -17,8 +20,9 @@ The clip phases only ever multiply U by a scalar, so the loop carries
 U_k = exp(-i 2 pi a_k) P_k as two parts: the power P_k = U^(2^(n k)),
 which no measurement affects, and the offset a_{k+1} = 2^n (a_k + phi'_k)
 mod 1, a float. The probe coherence after controlled-U_k on |+> x |psi> is
-exp(-i 2 pi a_k) <psi|P_k|psi> / 2, so no controlled gate or joint state
-is built.
+exp(-i 2 pi a_k) c_k with c_k = <psi|P_k|psi> / 2, so no controlled gate
+or joint state is built. The seed-free c_k are the one input through which
+the exact and the pulse-level paths feed the loop.
 
 P_k is held in the eigenbasis of the generator H (or H + eps V), where it
 is diagonal, and squared n times per round; one Newton-Schulz step then
@@ -36,7 +40,7 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -61,8 +65,10 @@ class IterationConfig:
     """Operating point of the iteration: n bits per round, k_max rounds.
 
     ``phase_error_bound`` (fraction of a turn) is the guaranteed bound on
-    each phase measurement; admissibility 2^-n >= 2 * bound is enforced, and
-    n * k_max may not exceed the ``MAX_REPORT_BITS`` a float64 phase holds.
+    each phase measurement. Admissibility (2^(n+1) + 2) * bound < 1 keeps
+    the readings of a residual phase, [0, (2^(n+1) + 1) * bound], below the
+    band [1 - bound, 1) of wrapped readings (``is_wrapped``), and n * k_max
+    may not exceed the ``MAX_REPORT_BITS`` a float64 phase holds.
     """
 
     bits_per_iteration: int = 3
@@ -87,10 +93,12 @@ class IterationConfig:
             )
         if not (math.isfinite(self.tau) and self.tau > 0):
             raise ValidationError(f"tau must be positive and finite, got {self.tau}")
-        if 2.0 ** -self.bits_per_iteration < 2.0 * self.phase_error_bound:
+        n = self.bits_per_iteration
+        if not (2.0 ** (n + 1) + 2.0) * self.phase_error_bound < 1.0:
             raise ValidationError(
-                f"inadmissible config: 2^-{self.bits_per_iteration} < "
-                f"2 * {self.phase_error_bound} (bits per iteration too ambitious for the bound)"
+                f"inadmissible config: (2^{n + 1} + 2) * {self.phase_error_bound} >= 1"
+                " (the readings of a residual phase would reach the wrapped band;"
+                " bits per iteration too ambitious for the bound)"
             )
 
 
@@ -157,13 +165,14 @@ def is_wrapped(measured: float, error_bound: float, n: int) -> bool:
     """Whether a reading from the second iteration on is a wrapped small phase.
 
     There the true eigenphase lies in [0, 2^n * 2 * bound], so a reading
-    lies within the bound of that window or of a full turn, where a small
-    phase pushed below zero wraps to. The test splits the gap between the
-    window's top and a full turn in half, which leaves the widest margin on
-    both sides for rounding: a residual that rounds below zero is not
-    clipped away, so its drift grows by 2^n per round.
+    lies in the window [0, (2^(n+1) + 1) * bound] or, for a small phase
+    pushed below zero, in the wrapped band [1 - bound, 1). The test splits
+    at the midpoint of the gap between the two, 0.5 * (1 + 2^(n+1) * bound),
+    which leaves the widest margin on both sides for rounding: a residual
+    that rounds below zero is not clipped away, so its drift grows by 2^n
+    per round. ``IterationConfig`` admissibility keeps the gap open.
     """
-    return measured > 0.5 * (1.0 + (2.0 ** (n + 1) + 1.0) * error_bound)
+    return measured > 0.5 * (1.0 + 2.0 ** (n + 1) * error_bound)
 
 
 def clip_phase(measured: float, error_bound: float, n: int | None = None) -> float:
@@ -182,7 +191,7 @@ def run_ipea(
     config: IterationConfig,
     prep: np.ndarray | None = None,
     noise: NoiseModel | None = None,
-    backend: Callable[[int, np.ndarray, complex], complex] | None = None,
+    coherences: Sequence[complex] | None = None,
 ) -> IpeaResult:
     """Run the full estimation loop and rebuild the phase and energy.
 
@@ -192,12 +201,13 @@ def run_ipea(
     is nonzero) and each readout takes one jitter draw from a stream seeded
     by the model.
 
-    Iteration k uses U_k = scalar * power, with power = U^(2^(n k)) and
-    scalar = exp(-i 2 pi a_k) the accumulated clip phase. By default the
-    probe coherence of controlled-U_k on |+> x prep is computed exactly, as
-    scalar * <prep|power|prep> / 2. ``backend(k, power, scalar)`` replaces
-    that computation and returns the probe coherence; it is called once per
-    iteration, in order of k, with ``power`` in the computational basis.
+    Iteration k reads the probe coherence exp(-i 2 pi a_k) c_k, where a_k is
+    the accumulated clip phase and c_k = <prep|U^(2^(n k))|prep> / 2 the
+    seed-free coherence of the bare power. ``coherences`` supplies
+    c_0 .. c_{k_max - 1} in place of the exact ones (the pulse backend
+    passes those of its realized gate), and ``noise`` then adds only its
+    jitter; a list of another length is a ``ValidationError``. By default
+    the coherences are computed from the eigenbasis power chain.
     """
     spec = molham.spectrum(h)
     if prep is None:
@@ -219,30 +229,29 @@ def run_ipea(
             stacklevel=2,
         )
 
-    if noise is not None and noise.coherent_epsilon > 0.0:
-        generator = probe.perturbed_hamiltonian(h, noise)
-    else:
-        generator = h.matrix
-    dec = qcore.hermitian_eig(generator)
-    basis = dec.eigenvectors
-    power = np.diag(np.exp(-1j * config.tau * dec.eigenvalues))
-    state = basis.conj().T @ prep
-    rng = noise.make_rng() if noise is not None else None
-
     n = config.bits_per_iteration
+    if coherences is None:
+        dec = spec
+        if noise is not None and noise.coherent_epsilon > 0.0:
+            dec = qcore.hermitian_eig(probe.perturbed_hamiltonian(h, noise))
+        power = np.diag(np.exp(-1j * config.tau * dec.energies))
+        state = dec.eigenvectors.conj().T @ prep
+        coherences = []
+        for k in range(config.iterations):
+            if k > 0:
+                power = qcore.square_unitary(power, n)
+            coherences.append(complex(np.vdot(state, power @ state)) / 2.0)
+    elif len(coherences) != config.iterations:
+        raise ValidationError(f"{len(coherences)} coherences for {config.iterations} iterations")
+
+    rng = noise.make_rng() if noise is not None else None
     errbd = config.phase_error_bound
     offset = 0.0
     records: list[IterationRecord] = []
-    for k in range(config.iterations):
-        if k > 0:
-            power = qcore.square_unitary(power, n)
+    for k, coherence in enumerate(coherences):
         scalar = cmath.exp(-2j * math.pi * offset)
-        if backend is None:
-            coherence = scalar * complex(np.vdot(state, power @ state)) / 2.0
-        else:
-            coherence = backend(k, basis @ power @ basis.conj().T, scalar)
         try:
-            reading = probe.coherence_readout(coherence, noise, rng)
+            reading = probe.coherence_readout(scalar * coherence, noise, rng)
         except ReadoutError as exc:
             raise ReadoutError(f"iteration {k}: {exc}") from exc
         measured = reading.phase_fraction
@@ -316,13 +325,6 @@ def to_binary(value: float, digits: int) -> str:
         bits.append("1" if b else "0")
         v -= b
     return "".join(bits)
-
-
-def binary_to_phase(digits: str) -> float:
-    """Value of a most-significant-first binary fraction string."""
-    if not digits or any(c not in "01" for c in digits):
-        raise ValidationError(f"not a bit string: {digits!r}")
-    return sum(2.0 ** -(j + 1) for j, c in enumerate(digits) if c == "1")
 
 
 def energy_from_phase(

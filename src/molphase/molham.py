@@ -44,18 +44,6 @@ class MolecularHamiltonian:
         return self.matrix.shape[0]
 
 
-@dataclass(frozen=True)
-class EnergySpectrum:
-    """Ascending eigenenergies (hartree) and the normalized ground state."""
-
-    energies: np.ndarray
-    ground_state: np.ndarray
-
-    @property
-    def ground_energy(self) -> float:
-        return float(self.energies[0])
-
-
 def build_h2() -> MolecularHamiltonian:
     """The 2x2 hydrogen-molecule Hamiltonian (STO-3G, R = 1.4 a.u.)."""
     return MolecularHamiltonian(
@@ -65,15 +53,15 @@ def build_h2() -> MolecularHamiltonian:
     )
 
 
-def spectrum(h: MolecularHamiltonian) -> EnergySpectrum:
+def spectrum(h: MolecularHamiltonian) -> qcore.EigenDecomposition:
     """Exact diagonalization; fails if the ground state is degenerate."""
     dec = qcore.hermitian_eig(h.matrix)
-    if h.dim >= 2 and dec.eigenvalues[1] - dec.eigenvalues[0] <= GAP_TOL:
+    if h.dim >= 2 and dec.energies[1] - dec.energies[0] <= GAP_TOL:
         raise DegeneracyError(
             f"ground state of {h.label!r} is degenerate: gap "
-            f"{dec.eigenvalues[1] - dec.eigenvalues[0]:.3e} <= {GAP_TOL:.1e} hartree"
+            f"{dec.energies[1] - dec.energies[0]:.3e} <= {GAP_TOL:.1e} hartree"
         )
-    return EnergySpectrum(energies=dec.eigenvalues, ground_state=dec.ground_state)
+    return dec
 
 
 def choose_tau(h: MolecularHamiltonian) -> float:

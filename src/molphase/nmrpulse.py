@@ -27,18 +27,6 @@ AXIS_TOL = 1e-12
 ANGLE_TOL = 1e-12
 COMPILE_FIDELITY_FLOOR = 1.0 - 1e-9
 
-# Parameter set of the reference hardware's per-iteration three-pulse
-# template, kept for comparison only: the template's axes and ordering are
-# not fully specified, so the compiler verifies generic decompositions
-# against the exact gate instead of reproducing these numbers.
-HARDWARE_SEQUENCE_PARAMS = {
-    "theta": 0.226,
-    "gamma": 1.3458,
-    "beta0": (2.0233, -2.6629, -2.4539, -0.7814, 0.0322, 0.2575),
-    "first_iteration": {"alpha": np.pi / 2, "delay_fraction_of_j": 0.25},
-}
-
-
 @dataclass(frozen=True)
 class SpinSystem:
     """Rotating-frame offsets (rad/s) and the scalar J coupling (Hz)."""
@@ -119,19 +107,6 @@ def evolve_sequence(seq, sys: SpinSystem, over_rotation: float = 0.0) -> np.ndar
     for event in events:
         u = event_unitary(event, sys, over_rotation) @ u
     return u
-
-
-def prepare_pps(epsilon: float = 1.0) -> np.ndarray:
-    """Pseudo-pure state (1-eps)/4 I + eps |up,up><up,up|.
-
-    Only the traceless part transforms nontrivially, so probe readout does
-    not depend on the polarization epsilon.
-    """
-    if not 0.0 < epsilon <= 1.0:
-        raise ValidationError(f"polarization must lie in (0, 1], got {epsilon}")
-    rho = (1.0 - epsilon) / 4.0 * np.eye(4, dtype=complex)
-    rho[0, 0] += epsilon
-    return rho
 
 
 def gate_fidelity(intended: np.ndarray, realized: np.ndarray) -> float:
@@ -234,11 +209,13 @@ def run_pulse_backend(
     The base controlled-U is compiled once; iteration k applies its evolved
     unitary 2^(n k) times, carried from round to round by n squarings
     (which compound any pulse imperfection exactly like physical
-    repetition). The scalar clip phase accumulated by the recursion is a
-    receiver-frame rotation on the probe, applied in software the way a
-    spectrometer's receiver phase is, so any injected pulse error acts on U
-    alone and its phase error scales with the operator power. Noiseless
-    runs match the exact-gate engine to well below 1e-8.
+    repetition). The probe coherences of these realized powers on
+    |+> x prep are the ``coherences`` input of ``ipea.run_ipea``, whose
+    scalar clip phase acts as a receiver-frame rotation on the probe,
+    applied in software the way a spectrometer's receiver phase is. Any
+    injected pulse error therefore acts on U alone and its phase error
+    scales with the operator power. Noiseless runs match the exact-gate
+    engine to well below 1e-8.
     """
     if h.dim != 2:
         raise ValidationError(f"pulse backend handles 2x2 systems, got dim {h.dim}")
@@ -246,21 +223,13 @@ def run_pulse_backend(
     state = molham.spectrum(h).ground_state if prep is None else prep
     joint = np.kron(qcore.KET_PLUS, qcore.require_pure_state(state, "prepared state"))
     sequence = compile_controlled_u(ipea.initial_operator(h, config.tau), spin_sys)
-    n = config.bits_per_iteration
-
-    def realized_powers():
-        realized = evolve_sequence(sequence, spin_sys, over_rotation=over_rotation)
-        while True:
-            yield realized
-            realized = qcore.square_unitary(realized, n)
-
-    powers = realized_powers()
-
-    def coherence(k: int, power: np.ndarray, scalar: complex) -> complex:
-        # the receiver phase multiplies the probe's down component by scalar
-        return scalar * probe.probe_coherence(next(powers) @ joint)
-
-    return ipea.run_ipea(h, config, prep=prep, backend=coherence)
+    realized = evolve_sequence(sequence, spin_sys, over_rotation=over_rotation)
+    coherences = []
+    for k in range(config.iterations):
+        if k > 0:
+            realized = qcore.square_unitary(realized, config.bits_per_iteration)
+        coherences.append(probe.probe_coherence(realized @ joint))
+    return ipea.run_ipea(h, config, prep=state, coherences=coherences)
 
 
 def sequence_text(seq: PulseSequence) -> str:

@@ -12,7 +12,8 @@ information, so readouts report a unit-magnitude expectation.
 Noise enters in two places: bounded jitter on the measured phase (uniform
 law by default, the bound is the quantity of record) and a coherent
 Hermitian perturbation of the evolution operator whose effect compounds
-under powering.
+under powering. A noisy readout draws from a stream the caller passes, so
+successive readouts take successive draws.
 """
 from __future__ import annotations
 
@@ -28,10 +29,6 @@ from .errors import ReadoutError, ValidationError
 from .molham import MolecularHamiltonian
 
 COHERENCE_TOL = 1e-6
-
-JITTER_LAWS: dict[str, Callable[[np.random.Generator, float], float]] = {
-    "uniform": lambda rng, bound: rng.uniform(-bound, bound),
-}
 
 
 @dataclass(frozen=True)
@@ -49,14 +46,15 @@ class NoiseModel:
     ``phase_jitter_bound`` is in fractions of a turn (5 degrees = 5/360);
     ``coherent_epsilon`` is the perturbation strength in hartree along
     ``perturbation_direction`` (unit max-norm Hermitian, default sigma_z).
-    Both zero reproduces the ideal channel exactly.
+    Both zero reproduces the ideal channel exactly. ``jitter_law(rng,
+    bound)`` replaces the default uniform draw on [-bound, bound).
     """
 
     phase_jitter_bound: float = 0.0
     coherent_epsilon: float = 0.0
     perturbation_direction: np.ndarray = field(default_factory=lambda: qcore.SIGMA_Z.copy())
     rng_seed: int = 0
-    jitter_law: str | Callable[[np.random.Generator, float], float] = "uniform"
+    jitter_law: Callable[[np.random.Generator, float], float] | None = None
 
     def __post_init__(self):
         if not (math.isfinite(self.phase_jitter_bound) and self.phase_jitter_bound >= 0):
@@ -67,8 +65,6 @@ class NoiseModel:
         peak = np.abs(direction).max()
         if abs(peak - 1.0) > 1e-9:
             raise ValidationError(f"perturbation direction must have unit max-norm, got {peak:.6f}")
-        if isinstance(self.jitter_law, str) and self.jitter_law not in JITTER_LAWS:
-            raise ValidationError(f"unknown jitter law {self.jitter_law!r}")
         object.__setattr__(self, "perturbation_direction", direction)
 
     def make_rng(self) -> np.random.Generator:
@@ -76,14 +72,13 @@ class NoiseModel:
 
     def draw_jitter(self, rng: np.random.Generator) -> float:
         """One jitter draw; always within +-phase_jitter_bound."""
-        if self.phase_jitter_bound == 0.0:
+        bound = self.phase_jitter_bound
+        if bound == 0.0:
             return 0.0
-        law = JITTER_LAWS[self.jitter_law] if isinstance(self.jitter_law, str) else self.jitter_law
-        draw = float(law(rng, self.phase_jitter_bound))
-        if abs(draw) > self.phase_jitter_bound:
-            raise ValidationError(
-                f"jitter law produced {draw:.6e} outside +-{self.phase_jitter_bound:.6e}"
-            )
+        law = self.jitter_law
+        draw = float(rng.uniform(-bound, bound) if law is None else law(rng, bound))
+        if abs(draw) > bound:
+            raise ValidationError(f"jitter law produced {draw:.6e} outside +-{bound:.6e}")
         return draw
 
 
@@ -112,21 +107,15 @@ def probe_coherence(state) -> complex:
     return complex(np.vdot(s[:d], s[d:]))
 
 
-def coherence_from_density(rho) -> complex:
-    """Same coherence extracted from a two-qubit density matrix."""
-    reduced = qcore.partial_trace(rho, keep=0)
-    return complex(reduced[1, 0])
-
-
 def coherence_readout(
     z: complex, noise: NoiseModel | None = None, rng: np.random.Generator | None = None
 ) -> ProbeReadout:
     """Probe phase of coherence ``z``, plus one jitter draw when ``noise`` is given.
 
     The system must retain coherence: |z| below ``COHERENCE_TOL`` leaves the
-    phase undefined. The jitter draw is deterministic given
-    ``noise.rng_seed`` and the draw index; pass a persistent ``rng`` to take
-    successive draws from one stream.
+    phase undefined. A noisy readout takes its draw from ``rng``, which is
+    required: pass one stream (``noise.make_rng()``) to every readout of a
+    run, so successive readouts take successive draws.
     """
     magnitude = abs(z)
     if magnitude < COHERENCE_TOL:
@@ -136,7 +125,7 @@ def coherence_readout(
     if noise is None:
         return ProbeReadout(expectation=complex(z_norm), phase_fraction=phase)
     if rng is None:
-        rng = noise.make_rng()
+        raise ValidationError("a noisy readout needs a jitter stream: pass rng=noise.make_rng()")
     phase = (phase + noise.draw_jitter(rng)) % 1.0
     return ProbeReadout(expectation=cmath.exp(2j * math.pi * phase), phase_fraction=phase)
 
@@ -151,7 +140,7 @@ def ideal_readout(state) -> ProbeReadout:
 
 
 def noisy_readout(state, noise: NoiseModel, rng: np.random.Generator | None = None) -> ProbeReadout:
-    """Ideal readout of a joint state plus one jitter draw, reduced mod 1."""
+    """Ideal readout of a joint state plus one jitter draw from ``rng``, reduced mod 1."""
     return coherence_readout(probe_coherence(state), noise, rng)
 
 
@@ -178,7 +167,6 @@ class SpectrumTrace:
 
     frequencies: np.ndarray
     complex_amplitudes: np.ndarray
-    reference_phase: float = 0.0
 
     def __post_init__(self):
         f = np.asarray(self.frequencies, dtype=float)
@@ -234,7 +222,7 @@ def synthesize_spectrum(
     )
     amps = np.fft.fftshift(np.fft.fft(fid))
     freqs = np.fft.fftshift(np.fft.fftfreq(points, d=1.0 / spectral_width))
-    return SpectrumTrace(frequencies=freqs, complex_amplitudes=amps, reference_phase=0.0)
+    return SpectrumTrace(frequencies=freqs, complex_amplitudes=amps)
 
 
 def extract_phase_from_spectrum(trace: SpectrumTrace, reference: SpectrumTrace) -> float:

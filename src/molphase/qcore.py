@@ -105,28 +105,17 @@ def require_pure_state(v, name: str = "state", tol: float = STATE_NORM_TOL) -> n
     return s
 
 
-def require_density_matrix(a, name: str = "rho") -> np.ndarray:
-    """Validate a density matrix: Hermitian, unit trace, positive to 1e-10."""
-    m = require_hermitian(a, name=name)
-    tr_err = abs(np.trace(m).real - 1.0)
-    if tr_err > 1e-12 or abs(np.trace(m).imag) > 1e-12:
-        raise ValidationError(f"{name} trace deviates from 1 by {tr_err:.3e}")
-    lo = np.linalg.eigvalsh(m)[0]
-    if lo < -1e-10:
-        raise ValidationError(f"{name} has negative eigenvalue {lo:.3e}")
-    return m
-
-
 @dataclass(frozen=True)
 class EigenDecomposition:
-    """Ascending eigenvalues and the unitary whose columns are eigenvectors."""
+    """Ascending eigenvalues (``energies``, hartree for a Hamiltonian) and the
+    unitary whose columns are the eigenvectors."""
 
-    eigenvalues: np.ndarray
+    energies: np.ndarray
     eigenvectors: np.ndarray
 
     @property
     def ground_energy(self) -> float:
-        return float(self.eigenvalues[0])
+        return float(self.energies[0])
 
     @property
     def ground_state(self) -> np.ndarray:
@@ -135,7 +124,7 @@ class EigenDecomposition:
     def reconstruct(self) -> np.ndarray:
         """V diag(lambda) V†, for residual checks against the input."""
         v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
+        return (v * self.energies) @ v.conj().T
 
 
 def hermitian_eig(h) -> EigenDecomposition:
@@ -153,33 +142,7 @@ def expm_herm(h, t: float) -> np.ndarray:
         raise ValidationError(f"evolution time must be finite, got {t}")
     dec = hermitian_eig(h)
     v = dec.eigenvectors
-    return (v * np.exp(-1j * dec.eigenvalues * t)) @ v.conj().T
-
-
-def tensor(a, b) -> np.ndarray:
-    """Kronecker product; joint dimension must stay within three qubits."""
-    ma = as_complex_matrix(a, "left factor")
-    mb = as_complex_matrix(b, "right factor")
-    dim = ma.shape[0] * mb.shape[0]
-    if dim > MAX_DIM:
-        raise ValidationError(f"tensor dimension {dim} exceeds {MAX_DIM}")
-    return np.kron(ma, mb)
-
-
-def partial_trace(rho, keep: int) -> np.ndarray:
-    """Reduced 2x2 density matrix of one qubit of a two-qubit state.
-
-    ``keep=0`` keeps the first tensor factor, ``keep=1`` the second.
-    """
-    m = require_density_matrix(rho)
-    if m.shape[0] != 4:
-        raise ValidationError(f"partial_trace expects a two-qubit matrix, got dim {m.shape[0]}")
-    if keep not in (0, 1):
-        raise ValidationError(f"subsystem index must be 0 or 1, got {keep}")
-    r = m.reshape(2, 2, 2, 2)
-    if keep == 0:
-        return np.einsum("ijkj->ik", r)
-    return np.einsum("jijk->ik", r)
+    return (v * np.exp(-1j * dec.energies * t)) @ v.conj().T
 
 
 def state_fidelity(a, b) -> float:

@@ -96,6 +96,12 @@ class TestIpeaCommand:
         assert "inadmissible" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_overlapping_reading_windows_exit_2(self, tmp_path, capsys):
+        # 2^-2 >= 2 * 0.12, but the window of readings reaches the wrapped band
+        args = ["ipea", "--bits", "2", "--errbd", "0.12", "--jitter", "0.12", "--seed", "4"]
+        assert cli.main(args + ["--out", str(tmp_path)]) == 2
+        assert "inadmissible" in capsys.readouterr().err
+
     def test_eight_iterations(self, tmp_path, capsys):
         assert cli.main(["ipea", "--iterations", "8", "--out", str(tmp_path)]) == 0
         bits = int(capsys.readouterr().out.split("correct bits vs oracle: ")[1].split()[0])

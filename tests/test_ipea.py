@@ -1,9 +1,10 @@
 """Iteration engine: clipping, reconstruction, noise behavior, oracles."""
+import cmath
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from molphase import ipea, molham, probe, qcore
@@ -46,9 +47,16 @@ class TestIterationConfig:
         assert cfg.iterations == 6
 
     def test_admissibility_enforced(self):
-        # 2^-3 = 0.125 < 2 * 0.1
+        # (2^4 + 2) * 0.1 >= 1
         with pytest.raises(ValidationError, match="inadmissible"):
             h2_config(phase_error_bound=0.1)
+
+    @pytest.mark.parametrize("n, bound", [(1, 0.25), (2, 0.125)])
+    def test_overlapping_windows_rejected(self, n, bound):
+        # 2^-n = 2 * bound, but the window of readings of a residual,
+        # [0, (2^(n+1) + 1) bound], reaches the wrapped band [1 - bound, 1)
+        with pytest.raises(ValidationError, match="inadmissible"):
+            h2_config(bits_per_iteration=n, phase_error_bound=bound)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -256,22 +264,29 @@ class TestScalarChainMatchesDenseChain:
             assert ipea.phase_distance(rec.measured_phase, phase) <= 1e-12
 
     def test_backend_receives_power_and_scalar(self, h2):
+        # round k reads exp(-i 2 pi a_k) c_k, a_k the accumulated clip phase;
+        # here c_k comes from the dense power U^(8^k)
         g = molham.spectrum(h2).ground_state
         u = ipea.initial_operator(h2, H2_TAU)
-        calls = []
-
-        def backend(k, power, scalar):
-            expected = np.linalg.matrix_power(u, 8**k)
-            assert np.abs(power - expected).max() <= 1e-9
-            assert abs(abs(scalar) - 1.0) <= 1e-15
-            calls.append(k)
-            return scalar * np.vdot(g, power @ g) / 2.0
-
-        hooked, _, _ = ipea.run_ipea(h2, h2_config(), backend=backend)
+        coherences = [np.vdot(g, np.linalg.matrix_power(u, 8**k) @ g) / 2.0 for k in range(6)]
+        hooked, _, _ = ipea.run_ipea(h2, h2_config(), coherences=coherences)
         exact, _, _ = ipea.run_ipea(h2, h2_config())
-        assert calls == list(range(6))
+        assert [rec.k for rec in hooked] == list(range(6))
+        offset = 0.0
+        for rec, z in zip(hooked, coherences):
+            scalar = cmath.exp(-2j * math.pi * offset)
+            assert abs(abs(scalar) - 1.0) <= 1e-15
+            read = (cmath.phase(scalar * z) / (2.0 * math.pi)) % 1.0
+            assert ipea.phase_distance(rec.measured_phase, read) <= 1e-15
+            offset = (8.0 * (offset + rec.clipped_phase)) % 1.0
+        # the exact engine's own coherences are those of U^(8^k)
         for a, b in zip(hooked, exact):
             assert ipea.phase_distance(a.measured_phase, b.measured_phase) <= 1e-12
+
+    @pytest.mark.parametrize("count", [0, 5, 7])
+    def test_coherence_count_must_match_iterations(self, h2, count):
+        with pytest.raises(ValidationError, match="coherences"):
+            ipea.run_ipea(h2, h2_config(), coherences=[0.5] * count)
 
 
 class TestLongRuns:
@@ -281,8 +296,6 @@ class TestLongRuns:
         assert ipea.precision_report(phase, H2_PHASE) >= 50
 
 
-# Admissible at the 5 degree bound: 2^-n >= 2 * bound holds for n <= 5.
-ADMISSIBLE_BITS = [n for n in range(1, 53) if 2.0**-n >= 2.0 * ERRBD_5DEG]
 # Rounding floor of the final comparison: the oracle phase and the rebuilt
 # value each carry a few float64 ulps of a number below one.
 FLOAT_FLOOR = 8 * 2.0**-52
@@ -290,12 +303,19 @@ FLOAT_FLOOR = 8 * 2.0**-52
 
 @st.composite
 def admissible_runs(draw):
-    """(n, k, jitter fractions of the bound, system seed or None for H2)."""
-    n = draw(st.sampled_from(ADMISSIBLE_BITS))
+    """(n, k, bound, jitter fractions of the bound, system seed or None for H2).
+
+    The bound is drawn up to 0.9 of the admissibility edge
+    1 / (2^(n+1) + 2). Small n, bounds at 0.9 of the edge and jitter at
+    +-bound, where the windows of readings come closest, are drawn often.
+    """
+    n = draw(st.integers(1, 5) | st.integers(1, ipea.MAX_REPORT_BITS))
     k = draw(st.integers(1, ipea.MAX_REPORT_BITS // n))
-    fractions = draw(st.lists(st.floats(-1.0, 1.0), min_size=k, max_size=k))
+    bound = draw(st.just(0.9) | st.floats(0.0, 0.9)) / (2.0 ** (n + 1) + 2.0)
+    jitter = st.sampled_from([-1.0, 1.0]) | st.floats(-1.0, 1.0)
+    fractions = draw(st.lists(jitter, min_size=k, max_size=k))
     system = draw(st.none() | st.integers(0, 2**32 - 1))
-    return n, k, fractions, system
+    return n, k, bound, fractions, system
 
 
 class TestJitterProperty:
@@ -303,21 +323,22 @@ class TestJitterProperty:
     @given(admissible_runs())
     def test_final_error_within_contracted_bound(self, run):
         # any jitter sequence within the bound, on H2 or a random 2x2 system
-        # at the automatic tau, for every admissible (n, k) up to 52 bits
-        n, k, fractions, system = run
+        # at the automatic tau whose phase keeps the first reading inside
+        # one turn, for every admissible (n, k, bound) up to 52 bits
+        n, k, bound, fractions, system = run
         if system is None:
             h = molham.build_h2()
         else:
             h = random_negative_hamiltonian(np.random.default_rng(system))
         tau = molham.choose_tau(h)
-        draws = iter([f * ERRBD_5DEG for f in fractions])
-        noise = probe.NoiseModel(
-            phase_jitter_bound=ERRBD_5DEG, jitter_law=lambda rng, bound: next(draws)
-        )
-        config = h2_config(bits_per_iteration=n, iterations=k, tau=tau)
+        theta = ipea.oracle_phase(h, tau)
+        assume(bound <= theta <= 1.0 - bound)
+        draws = iter([f * bound for f in fractions])
+        noise = probe.NoiseModel(phase_jitter_bound=bound, jitter_law=lambda rng, b: next(draws))
+        config = h2_config(bits_per_iteration=n, iterations=k, phase_error_bound=bound, tau=tau)
         _, phase, _ = ipea.run_ipea(h, config, noise=noise)
-        limit = ERRBD_5DEG * 2.0 ** (-n * (k - 1))
-        error = ipea.phase_distance(phase.value, ipea.oracle_phase(h, tau))
+        limit = bound * 2.0 ** (-n * (k - 1))
+        error = ipea.phase_distance(phase.value, theta)
         assert error <= limit + FLOAT_FLOOR
 
 
@@ -410,7 +431,7 @@ class TestReconstruct:
             assert ipea.phase_distance(estimate.value, theta0) <= 1e-12
 
     def test_reference_bitstring_round_trip(self):
-        phi0 = ipea.binary_to_phase(REFERENCE_BITSTRING_K0)
+        phi0 = int(REFERENCE_BITSTRING_K0, 2) * 2.0 ** -len(REFERENCE_BITSTRING_K0)
         rec = ipea.IterationRecord(0, phi0, max(phi0 - ERRBD_5DEG, 0.0), 1)
         estimate = ipea.reconstruct([rec], 3)
         assert ipea.to_binary(estimate.value, 25) == REFERENCE_BITSTRING_K0
@@ -460,7 +481,7 @@ class TestToBinary:
             value = rng.uniform(0.0, 1.0)
             digits = int(rng.integers(1, 30))
             bits = ipea.to_binary(value, digits)
-            assert abs(value - ipea.binary_to_phase(bits)) < 2.0**-digits
+            assert abs(value - int(bits, 2) * 2.0 ** -len(bits)) < 2.0**-digits
 
     def test_validation(self):
         with pytest.raises(ValidationError):
@@ -536,7 +557,7 @@ class TestPreparedState:
         from molphase.errors import ReadoutError
 
         with pytest.raises(ReadoutError, match="iteration 0"):
-            ipea.run_ipea(h2, h2_config(), backend=lambda k, power, scalar: 0j)
+            ipea.run_ipea(h2, h2_config(), coherences=[0j] * 6)
 
 
 class TestTraceCsv:

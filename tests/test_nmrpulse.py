@@ -78,34 +78,6 @@ class TestEvolveSequence:
             nmrpulse.DelayEvent(-1e-3)
 
 
-class TestPreparePPS:
-    def test_full_polarization_is_pure(self):
-        rho = nmrpulse.prepare_pps(1.0)
-        expected = np.zeros((4, 4), dtype=complex)
-        expected[0, 0] = 1.0
-        np.testing.assert_allclose(rho, expected, atol=0)
-
-    def test_half_polarization_eigenvalues(self):
-        vals = np.linalg.eigvalsh(nmrpulse.prepare_pps(0.5))
-        np.testing.assert_allclose(sorted(vals), [0.125, 0.125, 0.125, 0.625], atol=1e-14)
-
-    def test_readout_phase_independent_of_polarization(self):
-        rng = np.random.default_rng(29)
-        u = random_unitary(rng, 4)
-        phases = []
-        for eps in (1.0, 0.5, 1e-5):
-            rho = u @ nmrpulse.prepare_pps(eps) @ u.conj().T
-            z = probe.coherence_from_density(rho)
-            phases.append((np.angle(z) / (2 * np.pi)) % 1.0)
-        assert ipea.phase_distance(phases[0], phases[1]) <= 1e-12
-        assert ipea.phase_distance(phases[0], phases[2]) <= 1e-12
-
-    @pytest.mark.parametrize("eps", [0.0, -0.2, 1.5])
-    def test_polarization_range(self, eps):
-        with pytest.raises(ValidationError):
-            nmrpulse.prepare_pps(eps)
-
-
 class TestCompileControlledU:
     def test_identity_compiles_to_nothing(self):
         seq = nmrpulse.compile_controlled_u(qcore.ID2, on_resonance())

@@ -100,16 +100,15 @@ class TestNoisyReadout:
     def test_zero_bound_matches_ideal(self):
         state = kickback_state(0.3)
         noise = probe.NoiseModel(phase_jitter_bound=0.0, rng_seed=42)
-        assert probe.noisy_readout(state, noise).phase_fraction == probe.ideal_readout(
-            state
-        ).phase_fraction
+        noisy = probe.noisy_readout(state, noise, noise.make_rng())
+        assert noisy.phase_fraction == probe.ideal_readout(state).phase_fraction
 
     def test_deviation_within_bound_for_many_seeds(self):
         state = kickback_state(0.42)
         clean = probe.ideal_readout(state).phase_fraction
         for seed in range(200):
             noise = probe.NoiseModel(phase_jitter_bound=ERRBD_5DEG, rng_seed=seed)
-            noisy = probe.noisy_readout(state, noise).phase_fraction
+            noisy = probe.noisy_readout(state, noise, noise.make_rng()).phase_fraction
             assert ipea.phase_distance(noisy, clean) <= ERRBD_5DEG
 
     def test_uniform_law_statistics(self):
@@ -126,12 +125,27 @@ class TestNoisyReadout:
         assert abs(draws.mean()) <= 3.0 * bound / np.sqrt(3.0 * draws.size)
 
     def test_deterministic_given_seed(self):
+        # two streams from one seed agree; successive draws from one stream differ
         state = kickback_state(0.1)
-        a = [
-            probe.noisy_readout(state, probe.NoiseModel(phase_jitter_bound=0.01, rng_seed=5)).phase_fraction
-            for _ in range(3)
-        ]
-        assert a[0] == a[1] == a[2]
+        noise = probe.NoiseModel(phase_jitter_bound=0.01, rng_seed=5)
+        a, b = noise.make_rng(), noise.make_rng()
+        first = [probe.noisy_readout(state, noise, a).phase_fraction for _ in range(3)]
+        second = [probe.noisy_readout(state, noise, b).phase_fraction for _ in range(3)]
+        assert first == second
+        assert len(set(first)) == 3
+
+    @pytest.mark.parametrize("seed", [0, 7, 123])
+    def test_uniform_draws_pinned_to_seed(self, seed):
+        noise = probe.NoiseModel(phase_jitter_bound=ERRBD_5DEG, rng_seed=seed)
+        rng = noise.make_rng()
+        draws = [noise.draw_jitter(rng) for _ in range(6)]
+        expected = np.random.default_rng(seed).uniform(-ERRBD_5DEG, ERRBD_5DEG, size=6)
+        assert draws == expected.tolist()
+
+    def test_stream_required(self):
+        noise = probe.NoiseModel(phase_jitter_bound=0.01)
+        with pytest.raises(ValidationError, match="jitter stream"):
+            probe.noisy_readout(kickback_state(0.1), noise)
 
     def test_custom_jitter_law(self):
         state = kickback_state(0.2)
@@ -139,15 +153,14 @@ class TestNoisyReadout:
         noise = probe.NoiseModel(
             phase_jitter_bound=0.01, jitter_law=lambda rng, b: b
         )
-        assert probe.noisy_readout(state, noise).phase_fraction == pytest.approx(
-            clean + 0.01, abs=1e-15
-        )
+        noisy = probe.noisy_readout(state, noise, noise.make_rng())
+        assert noisy.phase_fraction == pytest.approx(clean + 0.01, abs=1e-15)
 
     def test_out_of_bound_law_rejected(self):
         state = kickback_state(0.2)
         noise = probe.NoiseModel(phase_jitter_bound=0.01, jitter_law=lambda rng, b: 2 * b)
         with pytest.raises(ValidationError, match="outside"):
-            probe.noisy_readout(state, noise)
+            probe.noisy_readout(state, noise, noise.make_rng())
 
 
 class TestNoiseModelValidation:
@@ -179,10 +192,6 @@ class TestNoiseModelValidation:
     def test_non_finite_rejected(self, kwargs):
         with pytest.raises(ValidationError, match="finite"):
             probe.NoiseModel(**kwargs)
-
-    def test_unknown_law(self):
-        with pytest.raises(ValidationError, match="jitter law"):
-            probe.NoiseModel(jitter_law="cauchy")
 
 
 class TestPerturbedU:

@@ -1,4 +1,4 @@
-"""Linear-algebra core: eigensolver, matrix exponential, tensor algebra."""
+"""Linear-algebra core: eigensolver, matrix exponential, unitary squaring, states."""
 import numpy as np
 import pytest
 
@@ -18,15 +18,15 @@ class TestHermitianEig:
         dec = qcore.hermitian_eig(H2_MATRIX)
         mean = (H2_MATRIX[0, 0] + H2_MATRIX[1, 1]).real / 2.0
         r = np.hypot((H2_MATRIX[0, 0] - H2_MATRIX[1, 1]).real / 2.0, H2_MATRIX[0, 1].real)
-        np.testing.assert_allclose(dec.eigenvalues, [mean - r, mean + r], atol=1e-12)
+        np.testing.assert_allclose(dec.energies, [mean - r, mean + r], atol=1e-12)
 
     def test_identity_eigenvalues(self):
         dec = qcore.hermitian_eig(np.eye(2))
-        np.testing.assert_allclose(dec.eigenvalues, [1.0, 1.0], atol=1e-14)
+        np.testing.assert_allclose(dec.energies, [1.0, 1.0], atol=1e-14)
 
     def test_sigma_x_spectrum_and_ground_state(self):
         dec = qcore.hermitian_eig(qcore.SIGMA_X)
-        np.testing.assert_allclose(dec.eigenvalues, [-1.0, 1.0], atol=1e-14)
+        np.testing.assert_allclose(dec.energies, [-1.0, 1.0], atol=1e-14)
         overlap = abs(np.vdot(dec.ground_state, qcore.KET_MINUS))
         assert overlap == pytest.approx(1.0, abs=1e-12)
 
@@ -37,7 +37,7 @@ class TestHermitianEig:
             h = random_hermitian(rng, dim)
             dec = qcore.hermitian_eig(h)
             assert np.abs(dec.reconstruct() - h).max() <= 1e-11
-            assert np.all(np.diff(dec.eigenvalues) >= -1e-14)
+            assert np.all(np.diff(dec.energies) >= -1e-14)
             gram = dec.eigenvectors.conj().T @ dec.eigenvectors
             assert np.abs(gram - np.eye(dim)).max() <= 1e-11
 
@@ -46,7 +46,7 @@ class TestHermitianEig:
         h = random_hermitian(rng, 4)
         a = qcore.hermitian_eig(h)
         b = qcore.hermitian_eig(h.copy())
-        assert np.array_equal(a.eigenvalues, b.eigenvalues)
+        assert np.array_equal(a.energies, b.energies)
         assert np.array_equal(a.eigenvectors, b.eigenvectors)
 
     def test_rejects_non_hermitian(self):
@@ -129,60 +129,6 @@ class TestSquareUnitary:
             qcore.square_unitary(m, 1)
 
 
-class TestTensor:
-    def test_identity_product(self):
-        np.testing.assert_allclose(qcore.tensor(qcore.ID2, qcore.ID2), np.eye(4), atol=0)
-
-    def test_controlled_identity_is_identity(self):
-        up = np.outer(qcore.KET_UP, qcore.KET_UP.conj())
-        down = np.outer(qcore.KET_DOWN, qcore.KET_DOWN.conj())
-        gate = qcore.tensor(up, qcore.ID2) + qcore.tensor(down, qcore.ID2)
-        np.testing.assert_allclose(gate, np.eye(4), atol=0)
-
-    def test_sigma_z_pair(self):
-        np.testing.assert_allclose(
-            qcore.tensor(qcore.SIGMA_Z, qcore.SIGMA_Z), np.diag([1, -1, -1, 1]), atol=0
-        )
-
-    def test_dimension_overflow(self):
-        with pytest.raises(ValidationError, match="exceeds"):
-            qcore.tensor(np.eye(4), np.eye(4))
-
-
-class TestPartialTrace:
-    def test_product_state_factors_exactly(self):
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            a = _random_density(rng)
-            b = _random_density(rng)
-            joint = np.kron(a, b)
-            assert np.abs(qcore.partial_trace(joint, 0) - a).max() <= 1e-12
-            assert np.abs(qcore.partial_trace(joint, 1) - b).max() <= 1e-12
-
-    def test_bell_state_reduces_to_maximally_mixed(self):
-        bell = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
-        rho = np.outer(bell, bell.conj())
-        for keep in (0, 1):
-            np.testing.assert_allclose(qcore.partial_trace(rho, keep), np.eye(2) / 2, atol=1e-14)
-
-    def test_probe_coherence_element(self):
-        theta = 2.0 * np.pi * 0.3125
-        g = qcore.hermitian_eig(H2_MATRIX).ground_state
-        probe_state = (qcore.KET_UP + np.exp(1j * theta) * qcore.KET_DOWN) / np.sqrt(2)
-        psi = np.kron(probe_state, g)
-        reduced = qcore.partial_trace(np.outer(psi, psi.conj()), 0)
-        assert reduced[0, 1] == pytest.approx(np.exp(-1j * theta) / 2.0, abs=1e-12)
-
-    def test_invalid_subsystem(self):
-        rho = np.eye(4) / 4
-        with pytest.raises(ValidationError, match="subsystem"):
-            qcore.partial_trace(rho, 2)
-
-    def test_requires_two_qubits(self):
-        with pytest.raises(ValidationError):
-            qcore.partial_trace(np.eye(2) / 2, 0)
-
-
 class TestStateFidelity:
     def test_self_fidelity(self):
         assert qcore.state_fidelity(qcore.KET_PLUS, qcore.KET_PLUS) == pytest.approx(1.0)
@@ -205,8 +151,3 @@ class TestStateFidelity:
         with pytest.raises(ValidationError, match="differ"):
             qcore.state_fidelity(qcore.KET_UP, np.array([1, 0, 0, 0]))
 
-
-def _random_density(rng):
-    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    rho = a @ a.conj().T
-    return rho / np.trace(rho).real
