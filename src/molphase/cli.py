@@ -137,6 +137,8 @@ def cmd_asp(args) -> int:
             start, stop, step = (float(p) for p in parts)
         except ValueError:
             raise ValidationError(f"scan bounds must be numbers, got {args.scan!r}") from None
+        if not np.all(np.isfinite([start, stop, step])):
+            raise ValidationError(f"scan bounds must be finite, got {args.scan!r}")
         if step <= 0 or stop < start:
             raise ValidationError(f"scan range is empty or descending: {args.scan!r}")
         grid = np.arange(start, stop + 1e-12, step)

@@ -220,9 +220,10 @@ def run_pulse_backend(
     if h.dim != 2:
         raise ValidationError(f"pulse backend handles 2x2 systems, got dim {h.dim}")
     spin_sys = sys if sys is not None else SpinSystem()
-    state = molham.spectrum(h).ground_state if prep is None else prep
+    spec = molham.spectrum(h)
+    state = spec.ground_state if prep is None else prep
     joint = np.kron(qcore.KET_PLUS, qcore.require_pure_state(state, "prepared state"))
-    sequence = compile_controlled_u(ipea.initial_operator(h, config.tau), spin_sys)
+    sequence = compile_controlled_u(spec.propagator(config.tau), spin_sys)
     realized = evolve_sequence(sequence, spin_sys, over_rotation=over_rotation)
     coherences = []
     for k in range(config.iterations):

@@ -126,6 +126,17 @@ class EigenDecomposition:
         v = self.eigenvectors
         return (v * self.energies) @ v.conj().T
 
+    def propagator(self, t) -> np.ndarray:
+        """exp(-i h t) = V diag(exp(-i lambda t)) V† for the decomposed h.
+
+        An array of times gives the stack of propagators, one per time; each
+        is computed with the same operations, in the same order, as for a
+        single time.
+        """
+        v = self.eigenvectors
+        phases = np.exp(-1j * self.energies * np.asarray(t)[..., None])
+        return (v * phases[..., None, :]) @ v.conj().T
+
 
 def hermitian_eig(h) -> EigenDecomposition:
     """Eigendecomposition of a Hermitian matrix, deterministic for fixed input."""
@@ -140,9 +151,7 @@ def expm_herm(h, t: float) -> np.ndarray:
     """exp(-i h t) for Hermitian h, via eigendecomposition (exactly unitary)."""
     if not np.isfinite(t):
         raise ValidationError(f"evolution time must be finite, got {t}")
-    dec = hermitian_eig(h)
-    v = dec.eigenvectors
-    return (v * np.exp(-1j * dec.energies * t)) @ v.conj().T
+    return hermitian_eig(h).propagator(t)
 
 
 def state_fidelity(a, b) -> float:

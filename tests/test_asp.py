@@ -10,6 +10,28 @@ def sigma_x_target():
     return molham.MolecularHamiltonian(qcore.SIGMA_X, label="sigma_x")
 
 
+def h2_like_targets(count, seed=2026):
+    """The built-in H2 and ``count`` real 2x2 systems of the same sign pattern."""
+    rng = np.random.default_rng(seed)
+    targets = [molham.build_h2()]
+    for _ in range(count):
+        h11, h22, h12 = rng.uniform(-2.2, -1.4), rng.uniform(-0.6, 0.0), rng.uniform(0.05, 0.4)
+        targets.append(molham.MolecularHamiltonian(np.array([[h11, h12], [h12, h22]]), label="H2-like"))
+    return targets
+
+
+def reference_sweep(target, steps, total_time):
+    """Per-time loop: one ``trotter_step`` per slice, fidelities from ``np.vdot``."""
+    schedule = asp.AdiabaticSchedule(steps=steps, total_time=total_time, target=target)
+    state = qcore.KET_MINUS.copy()
+    fidelities = []
+    for s_m in schedule.s_values():
+        state = asp.trotter_step(target, s_m, schedule.step_duration) @ state
+        ground = qcore.hermitian_eig(asp.interpolated_hamiltonian(target, s_m)).ground_state
+        fidelities.append(abs(np.vdot(ground, state)) ** 2)
+    return state, np.array(fidelities)
+
+
 class TestInterpolatedHamiltonian:
     def test_endpoints(self, h2):
         np.testing.assert_allclose(asp.interpolated_hamiltonian(h2, 0.0), qcore.SIGMA_X, atol=0)
@@ -53,6 +75,15 @@ class TestTrotterStep:
             asp.trotter_step(h2, 0.5, 0.0)
         with pytest.raises(ValidationError):
             asp.trotter_step(h2, 1.5, 0.1)
+        for delta in (np.nan, np.inf):
+            with pytest.raises(ValidationError, match="finite"):
+                asp.trotter_step(h2, 0.5, delta)
+
+    @pytest.mark.parametrize("s_m,delta", [(0.0, 0.7), (0.3, 1.7), (0.5, 0.1), (1.0, 2.5)])
+    def test_equals_product_of_exponentials(self, h2, s_m, delta):
+        half = qcore.expm_herm(qcore.SIGMA_X, 0.5 * delta * (1.0 - s_m))
+        middle = qcore.expm_herm(h2.matrix, s_m * delta)
+        assert np.array_equal(asp.trotter_step(h2, s_m, delta), half @ middle @ half)
 
 
 class TestRunASP:
@@ -118,6 +149,19 @@ class TestRunASP:
             asp.AdiabaticSchedule(steps=0, total_time=1.0, target=h2)
         with pytest.raises(ValidationError):
             asp.AdiabaticSchedule(steps=5, total_time=0.0, target=h2)
+        for total_time in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValidationError, match="finite"):
+                asp.AdiabaticSchedule(steps=5, total_time=total_time, target=h2)
+
+    def test_results_own_their_arrays(self, h2):
+        schedule = asp.AdiabaticSchedule(steps=6, total_time=9.5, target=h2)
+        first, second = asp.run_asp(schedule), asp.run_asp(schedule)
+        state, fidelities = second.final_state.copy(), second.per_step_fidelities.copy()
+        first.final_state[:] = 0.0
+        first.per_step_fidelities[:] = -1.0
+        assert np.array_equal(second.final_state, state)
+        assert np.array_equal(second.per_step_fidelities, fidelities)
+        assert second.final_state.flags.owndata and second.per_step_fidelities.flags.owndata
 
 
 class TestScanTotalTime:
@@ -142,3 +186,38 @@ class TestScanTotalTime:
             asp.scan_total_time(h2, 6, [-1.0, 2.0])
         with pytest.raises(ValidationError):
             asp.scan_total_time(h2, 6, [2.0, 1.0])
+        with pytest.raises(ValidationError, match="one-dimensional"):
+            asp.scan_total_time(h2, 6, [[1.0, 2.0]])
+        with pytest.raises(ValidationError):
+            asp.scan_total_time(h2, 0, [1.0, 2.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_grid_rejected(self, h2, bad):
+        with pytest.raises(ValidationError, match="finite"):
+            asp.scan_total_time(h2, 6, [1.0, bad, 3.0])
+
+    def test_degenerate_path_rejected(self):
+        target = molham.MolecularHamiltonian(-qcore.SIGMA_X, label="minus_sx")
+        with pytest.raises(DegeneracyError, match="s = 0.5"):
+            asp.scan_total_time(target, 3, [1.0, 3.0, 5.0])
+
+    @pytest.mark.parametrize(
+        "steps,grid",
+        [
+            (1, [0.3, 1.0, 9.5, 12.3, 50.0]),
+            (6, [0.3, 1.0, 9.5, 12.3, 50.0]),
+            (17, [0.3, 1.0, 9.5, 12.3, 50.0]),
+            (200, [1.0, 50.0]),  # two times keep the 200-slice reference loop short
+        ],
+    )
+    def test_sweep_equals_per_time_reference(self, steps, grid):
+        # exact equality: the sweep does the reference's arithmetic, stacked over times
+        for target in h2_like_targets(20):
+            scan = asp.scan_total_time(target, steps, grid)
+            for (t, fidelity), total_time in zip(scan, grid):
+                state, fidelities = reference_sweep(target, steps, total_time)
+                result = asp.run_asp(asp.AdiabaticSchedule(steps, total_time, target))
+                assert t == total_time
+                assert fidelity == fidelities[-1]
+                assert np.array_equal(result.final_state, state)
+                assert np.array_equal(result.per_step_fidelities, fidelities)

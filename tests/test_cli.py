@@ -154,6 +154,12 @@ class TestAspCommand:
     def test_bad_scan_spec(self, tmp_path):
         assert cli.main(["asp", "--scan", "30:1:0.5", "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize(
+        "args", [["--scan", "1:inf:0.5"], ["--scan", "nan:3:0.5"], ["--scan", "1:3:nan"], ["--total-time", "inf"]]
+    )
+    def test_non_finite_times_are_bad_input(self, tmp_path, args):
+        assert cli.main(["asp", *args, "--out", str(tmp_path)]) == 2
+
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         args = ["asp", "--steps", "6", "--scan", "2:12:2"]
