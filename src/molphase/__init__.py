@@ -24,7 +24,6 @@ from .ipea import (
     IterationRecord,
     PhaseEstimate,
     energy_from_phase,
-    initial_operator,
     oracle_phase,
     phase_distance,
     precision_report,

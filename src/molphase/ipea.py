@@ -139,13 +139,6 @@ class IpeaResult(NamedTuple):
     energy: EnergyResult
 
 
-def initial_operator(h: MolecularHamiltonian, tau: float) -> np.ndarray:
-    """U0 = exp(-i H tau)."""
-    if not tau > 0:
-        raise ValidationError(f"tau must be positive, got {tau}")
-    return qcore.expm_herm(h.matrix, tau)
-
-
 def next_operator(u_k: np.ndarray, clipped_phase: float, n: int) -> np.ndarray:
     """[exp(-i 2 pi phi') U_k]^(2^n) by n repeated squarings.
 

@@ -5,14 +5,19 @@ The natural two-spin Hamiltonian is diagonal in the doubly rotating frame,
     H = (w_p/2) sz x I + (w_s/2) I x sz + (pi J / 2) sz x sz   [rad/s],
 
 with both offsets zero by default (on resonance), so free evolution is a
-pure J coupling. Pulses are instantaneous rotations about any transverse
-axis; z rotations are composed from two pi pulses. The compiler reduces an
-arbitrary controlled-U to single-spin pulses plus J-coupling delays of at
-most 1/(2J) per entangling block and verifies the result against the exact
-gate, up to global phase, before returning it.
+pure J coupling: a delay is the phase diagonal exp(-i E t) of H's diagonal
+E. Pulses are instantaneous rotations about any transverse axis; z
+rotations are composed from two pi pulses. Every event's 4x4 unitary is
+built from its 2x2 rotation or that diagonal, with no eigendecomposition.
+The compiler reduces an arbitrary controlled-U to single-spin pulses plus
+J-coupling delays of at most 1/(2J) per entangling block and verifies the
+result against the exact gate, up to global phase, before returning it
+with the realized unitary it checked; a run without over-rotation reuses
+that unitary instead of evolving the sequence again.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +32,17 @@ AXIS_TOL = 1e-12
 ANGLE_TOL = 1e-12
 COMPILE_FIDELITY_FLOOR = 1.0 - 1e-9
 
+# Diagonals of sz x I, I x sz and sz x sz.
+_SZ_PROBE = np.array([1.0, 1.0, -1.0, -1.0])
+_SZ_SYSTEM = np.array([1.0, -1.0, 1.0, -1.0])
+_SZ_SZ = _SZ_PROBE * _SZ_SYSTEM
+
+
+def _require_finite(name: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise ValidationError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class SpinSystem:
     """Rotating-frame offsets (rad/s) and the scalar J coupling (Hz)."""
@@ -34,6 +50,11 @@ class SpinSystem:
     omega_probe: float = 0.0
     omega_system: float = 0.0
     j_coupling: float = 214.6
+
+    def __post_init__(self):
+        _require_finite("omega_probe", self.omega_probe)
+        _require_finite("omega_system", self.omega_system)
+        _require_finite("j_coupling", self.j_coupling)
 
 
 @dataclass(frozen=True)
@@ -48,6 +69,8 @@ class PulseEvent:
     def __post_init__(self):
         if self.spin not in SPINS:
             raise ValidationError(f"spin must be one of {SPINS}, got {self.spin!r}")
+        _require_finite("pulse phase", self.phase)
+        _require_finite("pulse angle", self.angle)
 
 
 @dataclass(frozen=True)
@@ -57,46 +80,69 @@ class DelayEvent:
     duration: float
 
     def __post_init__(self):
-        if self.duration < 0:
-            raise ValidationError(f"delay must be >= 0, got {self.duration}")
+        if not (math.isfinite(self.duration) and self.duration >= 0):
+            raise ValidationError(f"delay duration must be finite and >= 0, got {self.duration}")
 
 
 @dataclass(frozen=True)
 class PulseSequence:
-    """Ordered events realizing ``intended_unitary`` to ``achieved_fidelity``."""
+    """Ordered events realizing ``intended_unitary`` to ``achieved_fidelity``.
+
+    ``realized_unitary`` (read-only) is the product of the event unitaries
+    without over-rotation, as the compiler evolved it to check the
+    fidelity; ``run_pulse_backend`` reuses it when over-rotation is zero.
+    """
 
     events: tuple
     intended_unitary: np.ndarray
     achieved_fidelity: float
+    realized_unitary: np.ndarray
+
+
+def _nmr_energies(sys: SpinSystem) -> np.ndarray:
+    """Diagonal of ``nmr_hamiltonian(sys)`` as a real vector."""
+    return (
+        0.5 * sys.omega_probe * _SZ_PROBE
+        + 0.5 * sys.omega_system * _SZ_SYSTEM
+        + 0.5 * np.pi * sys.j_coupling * _SZ_SZ
+    )
 
 
 def nmr_hamiltonian(sys: SpinSystem) -> np.ndarray:
     """The diagonal 4x4 two-spin Hamiltonian in rad/s."""
-    zz = np.kron(qcore.SIGMA_Z, qcore.SIGMA_Z)
-    return (
-        0.5 * sys.omega_probe * np.kron(qcore.SIGMA_Z, qcore.ID2)
-        + 0.5 * sys.omega_system * np.kron(qcore.ID2, qcore.SIGMA_Z)
-        + 0.5 * np.pi * sys.j_coupling * zz
-    )
+    return np.diag(_nmr_energies(sys).astype(complex))
 
 
 def transverse_rotation(phase: float, angle: float) -> np.ndarray:
     """Single-spin rotation about the transverse axis at azimuth ``phase``."""
-    axis = np.cos(phase) * qcore.SIGMA_X + np.sin(phase) * qcore.SIGMA_Y
-    return np.cos(angle / 2.0) * qcore.ID2 - 1j * np.sin(angle / 2.0) * axis
+    _require_finite("rotation phase", phase)
+    _require_finite("rotation angle", angle)
+    c, s = math.cos(phase), math.sin(phase)
+    ch, sh = math.cos(angle / 2.0), math.sin(angle / 2.0)
+    return np.array([[ch, complex(-sh * s, -sh * c)], [complex(sh * s, -sh * c), ch]], dtype=complex)
+
+
+def _kron2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of two 2x2 matrices: the same element products a[i,k] b[j,l]."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)
 
 
 def event_unitary(event, sys: SpinSystem, over_rotation: float = 0.0) -> np.ndarray:
-    """4x4 unitary of a single event; ``over_rotation`` scales pulse angles."""
+    """4x4 unitary of a single event; ``over_rotation`` scales pulse angles.
+
+    A delay is diag(exp(-i E duration)) for the Hamiltonian's diagonal E
+    and a pulse the Kronecker product of 2x2 rotations; neither takes an
+    eigendecomposition.
+    """
     if isinstance(event, DelayEvent):
-        return qcore.expm_herm(nmr_hamiltonian(sys), event.duration)
+        return np.diag(np.exp(-1j * _nmr_energies(sys) * event.duration))
     if isinstance(event, PulseEvent):
         r = transverse_rotation(event.phase, event.angle * (1.0 + over_rotation))
         if event.spin == "probe":
-            return np.kron(r, qcore.ID2)
+            return _kron2(r, qcore.ID2)
         if event.spin == "system":
-            return np.kron(qcore.ID2, r)
-        return np.kron(r, r)
+            return _kron2(qcore.ID2, r)
+        return _kron2(r, r)
     raise ValidationError(f"unknown event type {type(event).__name__}")
 
 
@@ -194,7 +240,10 @@ def compile_controlled_u(u, sys: SpinSystem) -> PulseSequence:
             f"compiled sequence fidelity {fidelity:.12f} < {COMPILE_FIDELITY_FLOOR}"
             f" (max residual {residual:.3e})"
         )
-    return PulseSequence(events=tuple(events), intended_unitary=intended, achieved_fidelity=fidelity)
+    realized.flags.writeable = False
+    return PulseSequence(
+        events=tuple(events), intended_unitary=intended, achieved_fidelity=fidelity, realized_unitary=realized
+    )
 
 
 def run_pulse_backend(
@@ -207,9 +256,10 @@ def run_pulse_backend(
     """Phase estimation with every controlled gate realized in pulses.
 
     The base controlled-U is compiled once; iteration k applies its evolved
-    unitary 2^(n k) times, carried from round to round by n squarings
-    (which compound any pulse imperfection exactly like physical
-    repetition). The probe coherences of these realized powers on
+    unitary (the compiler's ``realized_unitary`` when ``over_rotation`` is
+    zero, else the sequence evolved again with scaled angles) 2^(n k)
+    times, carried from round to round by n squarings (which compound any
+    pulse imperfection exactly like physical repetition). The probe coherences of these realized powers on
     |+> x prep are the ``coherences`` input of ``ipea.run_ipea``, whose
     scalar clip phase acts as a receiver-frame rotation on the probe,
     applied in software the way a spectrometer's receiver phase is. Any
@@ -219,12 +269,16 @@ def run_pulse_backend(
     """
     if h.dim != 2:
         raise ValidationError(f"pulse backend handles 2x2 systems, got dim {h.dim}")
+    _require_finite("over_rotation", over_rotation)
     spin_sys = sys if sys is not None else SpinSystem()
     spec = molham.spectrum(h)
     state = spec.ground_state if prep is None else prep
-    joint = np.kron(qcore.KET_PLUS, qcore.require_pure_state(state, "prepared state"))
+    joint = np.outer(qcore.KET_PLUS, qcore.require_pure_state(state, "prepared state")).ravel()
     sequence = compile_controlled_u(spec.propagator(config.tau), spin_sys)
-    realized = evolve_sequence(sequence, spin_sys, over_rotation=over_rotation)
+    if over_rotation == 0.0:
+        realized = sequence.realized_unitary
+    else:
+        realized = evolve_sequence(sequence, spin_sys, over_rotation=over_rotation)
     coherences = []
     for k in range(config.iterations):
         if k > 0:

@@ -88,9 +88,10 @@ def controlled_u(u) -> np.ndarray:
     d = m.shape[0]
     if 2 * d > qcore.MAX_DIM:
         raise ValidationError(f"system dimension {d} too large for a controlled gate")
-    up = np.outer(qcore.KET_UP, qcore.KET_UP.conj())
-    down = np.outer(qcore.KET_DOWN, qcore.KET_DOWN.conj())
-    return np.kron(up, np.eye(d, dtype=complex)) + np.kron(down, m)
+    gate = np.zeros((2 * d, 2 * d), dtype=complex)
+    gate[:d, :d] = np.eye(d)
+    gate[d:, d:] = m
+    return gate
 
 
 def probe_coherence(state) -> complex:

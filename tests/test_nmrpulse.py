@@ -12,6 +12,33 @@ def on_resonance(j=214.6):
     return nmrpulse.SpinSystem(j_coupling=j)
 
 
+OFF_RESONANCE = nmrpulse.SpinSystem(omega_probe=231.7, omega_system=-71.9, j_coupling=140.3)
+
+
+def random_spin_systems(seed, count):
+    rng = np.random.default_rng(seed)
+    return [
+        nmrpulse.SpinSystem(*(float(x) for x in rng.uniform([-500, -500, 50], [500, 500, 300])))
+        for _ in range(count)
+    ]
+
+
+def kron_hamiltonian(sys):
+    """The two-spin Hamiltonian summed from Kronecker products of Paulis."""
+    zz = np.kron(qcore.SIGMA_Z, qcore.SIGMA_Z)
+    return (
+        0.5 * sys.omega_probe * np.kron(qcore.SIGMA_Z, qcore.ID2)
+        + 0.5 * sys.omega_system * np.kron(qcore.ID2, qcore.SIGMA_Z)
+        + 0.5 * np.pi * sys.j_coupling * zz
+    )
+
+
+def pauli_rotation(phase, angle):
+    """cos(angle/2) I - i sin(angle/2) (cos(phase) sx + sin(phase) sy)."""
+    axis = np.cos(phase) * qcore.SIGMA_X + np.sin(phase) * qcore.SIGMA_Y
+    return np.cos(angle / 2.0) * qcore.ID2 - 1j * np.sin(angle / 2.0) * axis
+
+
 class TestNmrHamiltonian:
     def test_pure_j_coupling(self):
         h = nmrpulse.nmr_hamiltonian(on_resonance(214.6))
@@ -28,6 +55,41 @@ class TestNmrHamiltonian:
         omega = 2.0 * np.pi * 50.0
         h = nmrpulse.nmr_hamiltonian(nmrpulse.SpinSystem(omega_probe=omega, j_coupling=0.0))
         np.testing.assert_allclose(h, 0.5 * omega * np.kron(qcore.SIGMA_Z, qcore.ID2), atol=1e-12)
+
+    def test_matches_kron_reference(self):
+        for sys in [on_resonance(), OFF_RESONANCE, *random_spin_systems(61, 50)]:
+            assert (nmrpulse.nmr_hamiltonian(sys) == kron_hamiltonian(sys)).all()
+
+
+class TestEventUnitary:
+    @pytest.mark.parametrize("over_rotation", [0.0, 1e-3])
+    def test_pulse_matches_kron_reference(self, over_rotation):
+        rng = np.random.default_rng(53)
+        for _ in range(20):
+            phase, angle = float(rng.uniform(0, 2 * np.pi)), float(rng.uniform(-np.pi, np.pi))
+            r = pauli_rotation(phase, angle * (1.0 + over_rotation))
+            references = {
+                "probe": np.kron(r, qcore.ID2),
+                "system": np.kron(qcore.ID2, r),
+                "both": np.kron(r, r),
+            }
+            for spin, reference in references.items():
+                event = nmrpulse.PulseEvent(spin, phase, angle)
+                got = nmrpulse.event_unitary(event, on_resonance(), over_rotation)
+                assert (got == reference).all()
+
+    def test_delay_matches_expm_herm(self):
+        rng = np.random.default_rng(59)
+        for sys in [on_resonance(), OFF_RESONANCE, *random_spin_systems(67, 20)]:
+            for duration in [0.0, 1.0 / (2.0 * 214.6), *rng.uniform(0, 5e-3, size=5)]:
+                got = nmrpulse.event_unitary(nmrpulse.DelayEvent(float(duration)), sys)
+                assert (got == qcore.expm_herm(nmrpulse.nmr_hamiltonian(sys), duration)).all()
+
+    def test_non_finite_rotation_rejected(self):
+        event = nmrpulse.PulseEvent("probe", 0.0, np.pi)
+        for over_rotation in (np.nan, np.inf, 1e308):
+            with pytest.raises(ValidationError, match="rotation angle must be finite"):
+                nmrpulse.evolve_sequence([event], on_resonance(), over_rotation=over_rotation)
 
 
 class TestEvolveSequence:
@@ -77,6 +139,21 @@ class TestEvolveSequence:
         with pytest.raises(ValidationError):
             nmrpulse.DelayEvent(-1e-3)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_events_rejected(self, value):
+        with pytest.raises(ValidationError, match="delay duration must be finite"):
+            nmrpulse.DelayEvent(value)
+        with pytest.raises(ValidationError, match="pulse phase must be finite"):
+            nmrpulse.PulseEvent("probe", value, 1.0)
+        with pytest.raises(ValidationError, match="pulse angle must be finite"):
+            nmrpulse.PulseEvent("both", 0.0, value)
+
+    @pytest.mark.parametrize("field", ["omega_probe", "omega_system", "j_coupling"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_spin_system_rejected(self, field, value):
+        with pytest.raises(ValidationError, match=f"{field} must be finite"):
+            nmrpulse.SpinSystem(**{field: value})
+
 
 class TestCompileControlledU:
     def test_identity_compiles_to_nothing(self):
@@ -93,7 +170,7 @@ class TestCompileControlledU:
         assert seq.achieved_fidelity >= 1.0 - 1e-9
 
     def test_h2_initial_operator_within_budget(self, h2):
-        u0 = ipea.initial_operator(h2, H2_TAU)
+        u0 = qcore.expm_herm(h2.matrix, H2_TAU)
         seq = nmrpulse.compile_controlled_u(u0, on_resonance())
         assert seq.achieved_fidelity >= 1.0 - 1e-9
         assert len(seq.events) <= 12
@@ -128,6 +205,15 @@ class TestCompileControlledU:
             seq.intended_unitary, nmrpulse.evolve_sequence(seq, sys)
         )
         assert abs(seq.achieved_fidelity - recomputed) <= 1e-12
+
+    def test_realized_unitary_is_the_evolved_product(self):
+        rng = np.random.default_rng(41)
+        sys = on_resonance()
+        for _ in range(20):
+            seq = nmrpulse.compile_controlled_u(random_unitary(rng), sys)
+            evolved = nmrpulse.evolve_sequence(seq, sys)
+            assert seq.realized_unitary.tobytes() == evolved.tobytes()
+            assert not seq.realized_unitary.flags.writeable
 
     def test_requires_positive_coupling(self):
         with pytest.raises(ValidationError, match="coupling"):
@@ -168,6 +254,28 @@ class TestRunPulseBackend:
         fitted = (window[-1] / window[0]) ** (1.0 / (len(window) - 1))
         assert 4.0 <= fitted <= 16.0
 
+    @pytest.mark.parametrize("over_rotation, evolves", [(0.0, 1), (1e-3, 2)])
+    def test_evolves_sequence_again_only_when_over_rotated(self, h2, monkeypatch, over_rotation, evolves):
+        calls = []
+        evolve = nmrpulse.evolve_sequence
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return evolve(*args, **kwargs)
+
+        monkeypatch.setattr(nmrpulse, "evolve_sequence", counted)
+        nmrpulse.run_pulse_backend(h2, ipea.IterationConfig(iterations=4, tau=H2_TAU), over_rotation=over_rotation)
+        assert len(calls) == evolves
+
+    @pytest.mark.parametrize("over_rotation", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_over_rotation(self, h2, monkeypatch, over_rotation):
+        def no_compile(*args, **kwargs):
+            raise AssertionError("compiled before the over-rotation was checked")
+
+        monkeypatch.setattr(nmrpulse, "compile_controlled_u", no_compile)
+        with pytest.raises(ValidationError, match="over_rotation must be finite"):
+            nmrpulse.run_pulse_backend(h2, ipea.IterationConfig(tau=H2_TAU), over_rotation=over_rotation)
+
     def test_rejects_larger_systems(self):
         h = molham.MolecularHamiltonian(np.diag([-2.0, -1.5, -1.0, -0.5]), label="d4")
         with pytest.raises(ValidationError, match="2x2"):
@@ -176,7 +284,7 @@ class TestRunPulseBackend:
 
 class TestSequenceText:
     def test_format(self, h2):
-        u0 = ipea.initial_operator(h2, H2_TAU)
+        u0 = qcore.expm_herm(h2.matrix, H2_TAU)
         seq = nmrpulse.compile_controlled_u(u0, on_resonance())
         text = nmrpulse.sequence_text(seq)
         lines = text.strip().split("\n")

@@ -24,7 +24,7 @@ class TestControlledU:
         np.testing.assert_allclose(gate, np.diag([1, 1, 1, np.exp(1j * theta)]), atol=1e-15)
 
     def test_phase_kickback_on_ground_state(self, h2):
-        u = ipea.initial_operator(h2, H2_TAU)
+        u = qcore.expm_herm(h2.matrix, H2_TAU)
         g = molham.spectrum(h2).ground_state
         psi_in = np.kron(qcore.KET_PLUS, g)
         psi_f = probe.controlled_u(u) @ psi_in
@@ -57,6 +57,17 @@ class TestControlledU:
                     probe.coherence_readout(z).phase_fraction,
                 ) <= 1e-15
 
+    @pytest.mark.parametrize("dim", [1, 2, 4])
+    def test_matches_kron_reference(self, dim):
+        # the gate as a sum of two Kronecker products, equal to the last bit
+        rng = np.random.default_rng(31 + dim)
+        up = np.outer(qcore.KET_UP, qcore.KET_UP.conj())
+        down = np.outer(qcore.KET_DOWN, qcore.KET_DOWN.conj())
+        for _ in range(10):
+            u = random_unitary(rng, dim)
+            reference = np.kron(up, np.eye(dim, dtype=complex)) + np.kron(down, u)
+            assert (probe.controlled_u(u) == reference).all()
+
     def test_rejects_oversized_system(self):
         with pytest.raises(ValidationError):
             probe.controlled_u(np.eye(8))
@@ -78,7 +89,7 @@ class TestIdealReadout:
         assert reading.phase_fraction == pytest.approx(0.25, abs=1e-12)
 
     def test_h2_ground_phase_expectation(self, h2):
-        u = ipea.initial_operator(h2, H2_TAU)
+        u = qcore.expm_herm(h2.matrix, H2_TAU)
         g = molham.spectrum(h2).ground_state
         state = probe.controlled_u(u) @ np.kron(qcore.KET_PLUS, g)
         reading = probe.ideal_readout(state)
