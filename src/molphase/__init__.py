@@ -36,7 +36,6 @@ from .molham import (
     build_h2,
     choose_tau,
     load_hamiltonian,
-    serialize_hamiltonian,
     spectrum,
 )
 from .nmrpulse import (
@@ -48,11 +47,9 @@ from .nmrpulse import (
     evolve_sequence,
     nmr_hamiltonian,
     run_pulse_backend,
-    sequence_text,
 )
 from .probe import (
     NoiseModel,
-    ProbeReadout,
     SpectrumTrace,
     extract_phase_from_spectrum,
     synthesize_spectrum,

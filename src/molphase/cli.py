@@ -55,6 +55,24 @@ def resolve_tau(text: str, h: molham.MolecularHamiltonian) -> float:
     return tau
 
 
+def _iteration_config(args, h: molham.MolecularHamiltonian) -> ipea.IterationConfig:
+    """The operating point from --bits, --iterations, --errbd and --tau."""
+    tau = resolve_tau(args.tau, h)
+    return ipea.IterationConfig(
+        bits_per_iteration=args.bits,
+        iterations=args.iterations,
+        phase_error_bound=parse_angle(args.errbd),
+        tau=tau,
+    )
+
+
+def _jitter_noise(args) -> probe.NoiseModel | None:
+    """Readout jitter from --jitter, seeded by --seed; None without --jitter."""
+    if args.jitter is None:
+        return None
+    return probe.NoiseModel(phase_jitter_bound=parse_angle(args.jitter), rng_seed=args.seed)
+
+
 def _write(out_dir: str, name: str, text: str) -> Path:
     directory = Path(out_dir)
     directory.mkdir(parents=True, exist_ok=True)
@@ -80,48 +98,30 @@ def cmd_eig(args) -> int:
     return 0
 
 
-def _bit_table(result: ipea.IpeaResult, n: int, oracle_ph: float | None, errbd: float) -> str:
+def _bit_table(result: ipea.IpeaResult, n: int, oracle_ph: float, errbd: float) -> str:
     """Per-iteration bit strings, newest n bits bracketed."""
     lines = []
-    for rec in result.records:
-        running = ipea.reconstruct(result.records[: rec.k + 1], n, phase_error_bound=errbd)
+    for k, running in enumerate(ipea.running_estimates(result.records, n, errbd)):
         digits = running.binary_digits
-        lines.append(f"k={rec.k}  0.{digits[: n * rec.k]} [{digits[n * rec.k:]}]")
-    if oracle_ph is not None:
-        lines.append(f"oracle 0.{ipea.to_binary(oracle_ph, n * len(result.records))}")
+        lines.append(f"k={k}  0.{digits[: n * k]} [{digits[n * k:]}]")
+    lines.append(f"oracle 0.{ipea.to_binary(oracle_ph, n * len(result.records))}")
     return "\n".join(lines) + "\n"
 
 
 def cmd_ipea(args) -> int:
     h = load_source(args.hamiltonian)
-    tau = resolve_tau(args.tau, h)
-    config = ipea.IterationConfig(
-        bits_per_iteration=args.bits,
-        iterations=args.iterations,
-        phase_error_bound=parse_angle(args.errbd),
-        tau=tau,
-    )
-    noise = None
-    if args.jitter is not None:
-        noise = probe.NoiseModel(phase_jitter_bound=parse_angle(args.jitter), rng_seed=args.seed)
-    result = ipea.run_ipea(h, config, noise=noise)
+    config = _iteration_config(args, h)
+    result = ipea.run_ipea(h, config, noise=_jitter_noise(args))
     oracle_e = result.energy.oracle_energy
-    oracle_ph = (-oracle_e * tau / (2.0 * np.pi)) % 1.0 if oracle_e is not None else None
+    oracle_ph = ipea.energy_phase(oracle_e, config.tau)
+    errbd = config.phase_error_bound
 
-    trace_path = _write(
-        args.out,
-        "ipea_trace.csv",
-        ipea.trace_csv(result, args.bits, oracle_e, phase_error_bound=config.phase_error_bound),
-    )
-    table_path = _write(
-        args.out, "ipea_table.txt", _bit_table(result, args.bits, oracle_ph, config.phase_error_bound)
-    )
+    trace_path = _write(args.out, "ipea_trace.csv", ipea.trace_csv(result, args.bits, errbd))
+    table_path = _write(args.out, "ipea_table.txt", _bit_table(result, args.bits, oracle_ph, errbd))
     print(f"phase estimate: {result.phase.value:.17g}")
     print(f"energy: {result.energy.energy:.17g} hartree")
-    if oracle_e is not None and oracle_ph is not None:
-        bits = ipea.precision_report(result.phase, oracle_ph)
-        print(f"oracle energy: {oracle_e:.17g} hartree (|dE| = {result.energy.abs_error:.3e})")
-        print(f"correct bits vs oracle: {bits}")
+    print(f"oracle energy: {oracle_e:.17g} hartree (|dE| = {result.energy.abs_error:.3e})")
+    print(f"correct bits vs oracle: {ipea.precision_report(result.phase, oracle_ph)}")
     print(f"trace: {trace_path}")
     print(f"table: {table_path}")
     return 0
@@ -158,20 +158,14 @@ def cmd_asp(args) -> int:
 
 def cmd_noise_sweep(args) -> int:
     h = load_source(args.hamiltonian)
-    tau = resolve_tau(args.tau, h)
-    config = ipea.IterationConfig(
-        bits_per_iteration=args.bits,
-        iterations=args.iterations,
-        phase_error_bound=parse_angle(args.errbd),
-        tau=tau,
-    )
+    config = _iteration_config(args, h)
     try:
         eps_values = [float(tok) for tok in args.epsilons.split(",") if tok.strip()]
     except ValueError:
         raise ValidationError(f"cannot parse epsilon grid {args.epsilons!r}") from None
     if not eps_values or any(e < 0 for e in eps_values):
         raise ValidationError(f"epsilon grid must be nonempty and nonnegative: {args.epsilons!r}")
-    theta0 = ipea.oracle_phase(h, tau)
+    theta0 = ipea.oracle_phase(h, config.tau)
 
     rows = []
     summaries = []
@@ -205,17 +199,7 @@ def fit_growth_ratio(errors, error_bound: float) -> float | None:
 
 def cmd_spectra(args) -> int:
     h = load_source(args.hamiltonian)
-    tau = resolve_tau(args.tau, h)
-    config = ipea.IterationConfig(
-        bits_per_iteration=args.bits,
-        iterations=args.iterations,
-        phase_error_bound=parse_angle(args.errbd),
-        tau=tau,
-    )
-    noise = None
-    if args.jitter is not None:
-        noise = probe.NoiseModel(phase_jitter_bound=parse_angle(args.jitter), rng_seed=args.seed)
-    result = ipea.run_ipea(h, config, noise=noise)
+    result = ipea.run_ipea(h, _iteration_config(args, h), noise=_jitter_noise(args))
 
     reference = probe.synthesize_spectrum(0.0)
     traces = [("spectrum_k-1.csv", -1, reference, 0.0)]

@@ -244,10 +244,9 @@ def run_ipea(
     for k, coherence in enumerate(coherences):
         scalar = cmath.exp(-2j * math.pi * offset)
         try:
-            reading = probe.coherence_readout(scalar * coherence, noise, rng)
+            measured = probe.coherence_readout(scalar * coherence, noise, rng)
         except ReadoutError as exc:
             raise ReadoutError(f"iteration {k}: {exc}") from exc
-        measured = reading.phase_fraction
         clipped = clip_phase(measured, errbd, n if k > 0 else None)
         records.append(
             IterationRecord(
@@ -304,6 +303,13 @@ def reconstruct(
     )
 
 
+def running_estimates(
+    records: Sequence[IterationRecord], n: int, phase_error_bound: float
+) -> list[PhaseEstimate]:
+    """The estimate rebuilt from iterations 0..k, for each k in turn."""
+    return [reconstruct(records[: k + 1], n, phase_error_bound) for k in range(len(records))]
+
+
 def to_binary(value: float, digits: int) -> str:
     """Truncated binary expansion of a phase in [0, 1), most significant first."""
     if digits < 1:
@@ -329,8 +335,7 @@ def energy_from_phase(
     energy = -2.0 * np.pi * phase.value / tau
     abs_error = None
     if oracle_energy is not None:
-        oracle_phase = (-oracle_energy * tau / (2.0 * np.pi)) % 1.0
-        abs_error = phase_distance(phase.value, oracle_phase) * 2.0 * np.pi / tau
+        abs_error = phase_distance(phase.value, energy_phase(oracle_energy, tau)) * 2.0 * np.pi / tau
     return EnergyResult(
         energy=float(energy),
         phase=phase,
@@ -351,9 +356,14 @@ def precision_report(estimate: PhaseEstimate, oracle_phase: float) -> int:
     return bits
 
 
+def energy_phase(energy: float, tau: float) -> float:
+    """Phase fraction -E tau / 2 pi of an energy in hartree, reduced mod 1."""
+    return (-energy * tau / (2.0 * np.pi)) % 1.0
+
+
 def oracle_phase(h: MolecularHamiltonian, tau: float) -> float:
     """Exact ground-state phase fraction -E0 tau / 2 pi reduced mod 1."""
-    return (-molham.spectrum(h).ground_energy * tau / (2.0 * np.pi)) % 1.0
+    return energy_phase(molham.spectrum(h).ground_energy, tau)
 
 
 def reference_chain_phases(
@@ -380,45 +390,34 @@ def iteration_phase_errors(
     return [phase_distance(rec.measured_phase, ref) for rec, ref in zip(records, refs)]
 
 
-def trace_csv(
-    result: IpeaResult,
-    n: int,
-    oracle_energy: float | None = None,
-    phase_error_bound: float | None = None,
-) -> str:
+def trace_csv(result: IpeaResult, n: int, phase_error_bound: float) -> str:
     """Iteration trace as CSV, one row per iteration plus a summary row.
 
-    ``energy_estimate`` on row k is the energy rebuilt from iterations
-    0..k, so the column shows the estimate converging.
+    Row k reports the estimate rebuilt from iterations 0..k under the run's
+    ``phase_error_bound`` (``running_estimates``): its digits, its energy
+    and that energy's distance from ``result.energy.oracle_energy``. The
+    rows show the estimate converging, and the last one reads as the
+    ``final`` row.
     """
     records = result.records
     tau = result.energy.tau
-    oracle_ph = None
-    if oracle_energy is not None:
-        oracle_ph = (-oracle_energy * tau / (2.0 * np.pi)) % 1.0
+    oracle_energy = result.energy.oracle_energy
     header = (
         "k,measured_phase,clipped_phase,operator_power,phi_c,"
         "cumulative_bits,energy_estimate,abs_error_vs_oracle"
     )
     lines = [header]
     trace = result.phase.reconstruction_trace
-    for rec in records:
-        running = reconstruct(records[: rec.k + 1], n, phase_error_bound=phase_error_bound)
-        e_run = -2.0 * np.pi * running.value / tau
-        if oracle_ph is None:
-            err_txt = ""
-        else:
-            err = phase_distance(running.value, oracle_ph) * 2.0 * np.pi / tau
-            err_txt = f"{err:.17g}"
+    for rec, running in zip(records, running_estimates(records, n, phase_error_bound)):
+        energy = energy_from_phase(running, tau, oracle_energy)
         phi_c = trace[len(records) - 1 - rec.k]
         lines.append(
             f"{rec.k},{rec.measured_phase:.17g},{rec.clipped_phase:.17g},"
             f"{rec.operator_power},{phi_c:.17g},{running.binary_digits},"
-            f"{e_run:.17g},{err_txt}"
+            f"{energy.energy:.17g},{energy.abs_error:.17g}"
         )
-    err_txt = "" if result.energy.abs_error is None else f"{result.energy.abs_error:.17g}"
     lines.append(
         f"final,,,,{result.phase.value:.17g},{result.phase.binary_digits},"
-        f"{result.energy.energy:.17g},{err_txt}"
+        f"{result.energy.energy:.17g},{result.energy.abs_error:.17g}"
     )
     return "\n".join(lines) + "\n"

@@ -137,14 +137,3 @@ def _parse_rows(doc: dict, key: str, dim: int, required: bool) -> np.ndarray:
                 raise ParseError(f"field {key!r} entry [{i}][{j}] is not a number: {x!r}")
     return np.array(rows, dtype=float)
 
-
-def serialize_hamiltonian(h: MolecularHamiltonian) -> str:
-    """Inverse of ``load_hamiltonian``; round-trips valid Hamiltonians."""
-    doc = {
-        "label": h.label,
-        "dim": h.dim,
-        "matrix_re": h.matrix.real.tolist(),
-        "matrix_im": h.matrix.imag.tolist(),
-        "metadata": dict(h.metadata),
-    }
-    return json.dumps(doc, indent=2)

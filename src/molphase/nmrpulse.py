@@ -207,13 +207,15 @@ def compile_controlled_u(u, sys: SpinSystem) -> PulseSequence:
     becomes a probe z rotation. Raises if the verified fidelity falls
     below 1 - 1e-9.
     """
-    m = qcore.require_unitary(u, name="target gate")
-    if m.shape[0] != 2:
-        raise ValidationError(f"pulse compiler targets single-qubit gates, got dim {m.shape[0]}")
+    intended = probe.controlled_u(u)
+    if intended.shape != (4, 4):
+        raise ValidationError(
+            f"pulse compiler targets single-qubit gates, got dim {intended.shape[0] // 2}"
+        )
     if not sys.j_coupling > 0:
         raise ValidationError(f"compilation needs a positive J coupling, got {sys.j_coupling}")
 
-    alpha, theta, axis = _su2_factor(m)
+    alpha, theta, axis = _su2_factor(intended[2:, 2:])
     events: list = []
     if theta > ANGLE_TOL:
         nx, ny, nz = axis
@@ -231,7 +233,6 @@ def compile_controlled_u(u, sys: SpinSystem) -> PulseSequence:
             events.append(PulseEvent("system", azimuth, tilt))
     events += _z_rotation_events("probe", alpha)
 
-    intended = probe.controlled_u(m)
     realized = evolve_sequence(events, sys)
     fidelity = gate_fidelity(intended, realized)
     if fidelity < COMPILE_FIDELITY_FLOOR:
@@ -283,17 +284,7 @@ def run_pulse_backend(
     for k in range(config.iterations):
         if k > 0:
             realized = qcore.square_unitary(realized, config.bits_per_iteration)
-        coherences.append(probe.probe_coherence(realized @ joint))
+        s = realized @ joint
+        coherences.append(complex(np.vdot(s[:2], s[2:])))
     return ipea.run_ipea(h, config, prep=state, coherences=coherences)
 
-
-def sequence_text(seq: PulseSequence) -> str:
-    """Line-oriented export: PULSE/DELAY events plus a trailing fidelity."""
-    lines = []
-    for event in seq.events:
-        if isinstance(event, PulseEvent):
-            lines.append(f"PULSE {event.spin} {event.phase:.17g} {event.angle:.17g}")
-        else:
-            lines.append(f"DELAY {event.duration:.17g}")
-    lines.append(f"FIDELITY {seq.achieved_fidelity:.17g}")
-    return "\n".join(lines) + "\n"

@@ -7,7 +7,7 @@ probe's off-diagonal coherence. For controlled-U on |+> x |psi> that
 coherence is <psi|U|psi> / 2, which the estimation loop computes directly;
 ``coherence_readout`` turns any coherence into a phase, and the joint-state
 readouts go through it. Only the argument of the coherence carries
-information, so readouts report a unit-magnitude expectation.
+information, so every readout returns that phase as a fraction of a turn.
 
 Noise enters in two places: bounded jitter on the measured phase (uniform
 law by default, the bound is the quantity of record) and a coherent
@@ -29,14 +29,6 @@ from .errors import ReadoutError, ValidationError
 from .molham import MolecularHamiltonian
 
 COHERENCE_TOL = 1e-6
-
-
-@dataclass(frozen=True)
-class ProbeReadout:
-    """Unit-magnitude probe coherence and its phase as a fraction of a turn."""
-
-    expectation: complex
-    phase_fraction: float
 
 
 @dataclass(frozen=True)
@@ -110,8 +102,8 @@ def probe_coherence(state) -> complex:
 
 def coherence_readout(
     z: complex, noise: NoiseModel | None = None, rng: np.random.Generator | None = None
-) -> ProbeReadout:
-    """Probe phase of coherence ``z``, plus one jitter draw when ``noise`` is given.
+) -> float:
+    """Phase of coherence ``z`` in [0, 1) turns, plus one jitter draw when ``noise`` is given.
 
     The system must retain coherence: |z| below ``COHERENCE_TOL`` leaves the
     phase undefined. A noisy readout takes its draw from ``rng``, which is
@@ -121,17 +113,15 @@ def coherence_readout(
     magnitude = abs(z)
     if magnitude < COHERENCE_TOL:
         raise ReadoutError(f"probe coherence {magnitude:.3e} below {COHERENCE_TOL:.1e}; phase undefined")
-    z_norm = z / magnitude
-    phase = (cmath.phase(z_norm) / (2.0 * math.pi)) % 1.0
+    phase = (cmath.phase(z / magnitude) / (2.0 * math.pi)) % 1.0
     if noise is None:
-        return ProbeReadout(expectation=complex(z_norm), phase_fraction=phase)
+        return phase
     if rng is None:
         raise ValidationError("a noisy readout needs a jitter stream: pass rng=noise.make_rng()")
-    phase = (phase + noise.draw_jitter(rng)) % 1.0
-    return ProbeReadout(expectation=cmath.exp(2j * math.pi * phase), phase_fraction=phase)
+    return (phase + noise.draw_jitter(rng)) % 1.0
 
 
-def ideal_readout(state) -> ProbeReadout:
+def ideal_readout(state) -> float:
     """Extract the probe phase of a joint state.
 
     For (|up> + e^{i 2 pi phi} |down>)/sqrt(2) x |psi> this returns
@@ -140,7 +130,7 @@ def ideal_readout(state) -> ProbeReadout:
     return coherence_readout(probe_coherence(state))
 
 
-def noisy_readout(state, noise: NoiseModel, rng: np.random.Generator | None = None) -> ProbeReadout:
+def noisy_readout(state, noise: NoiseModel, rng: np.random.Generator | None = None) -> float:
     """Ideal readout of a joint state plus one jitter draw from ``rng``, reduced mod 1."""
     return coherence_readout(probe_coherence(state), noise, rng)
 
@@ -153,13 +143,6 @@ def perturbed_hamiltonian(h: MolecularHamiltonian, noise: NoiseModel) -> np.ndar
             f"does not match Hamiltonian dim {h.dim}"
         )
     return h.matrix + noise.coherent_epsilon * noise.perturbation_direction
-
-
-def perturbed_u(h: MolecularHamiltonian, tau: float, noise: NoiseModel) -> np.ndarray:
-    """exp(-i (H + eps V) tau); eps = 0 reproduces the ideal operator exactly."""
-    if tau <= 0:
-        raise ValidationError(f"tau must be positive, got {tau}")
-    return qcore.expm_herm(perturbed_hamiltonian(h, noise), tau)
 
 
 @dataclass(frozen=True)

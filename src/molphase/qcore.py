@@ -121,11 +121,6 @@ class EigenDecomposition:
     def ground_state(self) -> np.ndarray:
         return self.eigenvectors[:, 0].copy()
 
-    def reconstruct(self) -> np.ndarray:
-        """V diag(lambda) V†, for residual checks against the input."""
-        v = self.eigenvectors
-        return (v * self.energies) @ v.conj().T
-
     def propagator(self, t) -> np.ndarray:
         """exp(-i h t) = V diag(exp(-i lambda t)) V† for the decomposed h.
 

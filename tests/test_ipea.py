@@ -221,7 +221,7 @@ def dense_chain_phases(h, config, noise=None):
     into the operator before it is squared."""
     prep = molham.spectrum(h).ground_state
     if noise is not None and noise.coherent_epsilon > 0.0:
-        u = probe.perturbed_u(h, config.tau, noise)
+        u = qcore.expm_herm(probe.perturbed_hamiltonian(h, noise), config.tau)
     else:
         u = qcore.expm_herm(h.matrix, config.tau)
     rng = noise.make_rng() if noise is not None else None
@@ -230,9 +230,9 @@ def dense_chain_phases(h, config, noise=None):
     for k in range(config.iterations):
         final = probe.controlled_u(u) @ np.kron(qcore.KET_PLUS, prep)
         if noise is None:
-            measured = probe.ideal_readout(final).phase_fraction
+            measured = probe.ideal_readout(final)
         else:
-            measured = probe.noisy_readout(final, noise, rng).phase_fraction
+            measured = probe.noisy_readout(final, noise, rng)
         phases.append(measured)
         clipped = ipea.clip_phase(measured, config.phase_error_bound, n if k > 0 else None)
         u = ipea.next_operator(u, clipped, n)
@@ -563,7 +563,7 @@ class TestPreparedState:
 class TestTraceCsv:
     def test_shape_and_summary(self, h2):
         result = ipea.run_ipea(h2, h2_config())
-        text = ipea.trace_csv(result, 3, oracle_energy=result.energy.oracle_energy)
+        text = ipea.trace_csv(result, 3, ERRBD_5DEG)
         lines = text.strip().split("\n")
         assert lines[0].startswith("k,measured_phase,clipped_phase,operator_power,phi_c")
         assert len(lines) == 1 + 6 + 1
@@ -574,12 +574,25 @@ class TestTraceCsv:
 
     def test_determinism(self, h2):
         noise = probe.NoiseModel(phase_jitter_bound=ERRBD_5DEG, rng_seed=9)
-        a = ipea.trace_csv(ipea.run_ipea(h2, h2_config(), noise=noise), 3)
-        b = ipea.trace_csv(ipea.run_ipea(h2, h2_config(), noise=noise), 3)
+        a = ipea.trace_csv(ipea.run_ipea(h2, h2_config(), noise=noise), 3, ERRBD_5DEG)
+        b = ipea.trace_csv(ipea.run_ipea(h2, h2_config(), noise=noise), 3, ERRBD_5DEG)
         assert a == b
 
     def test_operator_power_column(self, h2):
         result = ipea.run_ipea(h2, h2_config())
-        rows = ipea.trace_csv(result, 3).strip().split("\n")[1:-1]
+        rows = ipea.trace_csv(result, 3, ERRBD_5DEG).strip().split("\n")[1:-1]
         powers = [int(r.split(",")[3]) for r in rows]
         assert powers == [8**k for k in range(6)]
+
+    def test_last_row_reads_as_final_when_the_last_reading_wraps(self, h2):
+        # seed 106 leaves a wrapped last reading; the last row's rebuild must
+        # unwind it the way the final row's does
+        noise = probe.NoiseModel(phase_jitter_bound=ERRBD_5DEG, rng_seed=106)
+        result = ipea.run_ipea(h2, h2_config(), noise=noise)
+        assert ipea.is_wrapped(result.records[-1].measured_phase, ERRBD_5DEG, 3)
+        rows = ipea.trace_csv(result, 3, ERRBD_5DEG).strip().split("\n")
+        last, final = (row.split(",") for row in rows[-2:])
+        assert final[0] == "final"
+        assert last[5:] == final[5:]
+        assert float(final[7]) == result.energy.abs_error
+        assert result.energy.abs_error <= JITTER_FINAL_BOUND * 2 * np.pi / H2_TAU

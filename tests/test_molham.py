@@ -151,7 +151,14 @@ class TestLoadHamiltonian:
                 )
             )
         for h in cases:
-            again = molham.load_hamiltonian(molham.serialize_hamiltonian(h))
+            document = json.dumps({
+                "label": h.label,
+                "dim": h.dim,
+                "matrix_re": h.matrix.real.tolist(),
+                "matrix_im": h.matrix.imag.tolist(),
+                "metadata": h.metadata,
+            })
+            again = molham.load_hamiltonian(document)
             assert again.label == h.label
             assert again.metadata == h.metadata
             np.testing.assert_allclose(again.matrix, h.matrix, atol=0)

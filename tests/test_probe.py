@@ -38,9 +38,8 @@ class TestControlledU:
             for j in range(2):
                 v = vecs[:, j] / np.linalg.norm(vecs[:, j])
                 state = probe.controlled_u(u) @ np.kron(qcore.KET_PLUS, v)
-                reading = probe.ideal_readout(state)
                 expected = (np.angle(vals[j]) / (2 * np.pi)) % 1.0
-                assert ipea.phase_distance(reading.phase_fraction, expected) <= 1e-10
+                assert ipea.phase_distance(probe.ideal_readout(state), expected) <= 1e-10
 
     def test_coherence_is_half_the_system_expectation(self):
         # the identity the estimation loop relies on instead of the joint state
@@ -53,8 +52,7 @@ class TestControlledU:
                 z = np.vdot(psi, u @ psi) / 2.0
                 assert abs(probe.probe_coherence(joint) - z) <= 1e-15
                 assert ipea.phase_distance(
-                    probe.ideal_readout(joint).phase_fraction,
-                    probe.coherence_readout(z).phase_fraction,
+                    probe.ideal_readout(joint), probe.coherence_readout(z)
                 ) <= 1e-15
 
     @pytest.mark.parametrize("dim", [1, 2, 4])
@@ -78,28 +76,25 @@ class TestControlledU:
 
 
 class TestIdealReadout:
+    # the coherence of a kickback state is e^{i 2 pi phi} / 2
     def test_reference_state(self):
-        reading = probe.ideal_readout(kickback_state(0.0))
-        assert reading.expectation == pytest.approx(1.0 + 0.0j, abs=1e-12)
-        assert reading.phase_fraction == pytest.approx(0.0, abs=1e-12)
+        state = kickback_state(0.0)
+        assert 2.0 * probe.probe_coherence(state) == pytest.approx(1.0 + 0.0j, abs=1e-12)
+        assert probe.ideal_readout(state) == pytest.approx(0.0, abs=1e-12)
 
     def test_quarter_turn(self):
-        reading = probe.ideal_readout(kickback_state(0.25))
-        assert reading.expectation == pytest.approx(1j, abs=1e-12)
-        assert reading.phase_fraction == pytest.approx(0.25, abs=1e-12)
+        state = kickback_state(0.25)
+        assert 2.0 * probe.probe_coherence(state) == pytest.approx(1j, abs=1e-12)
+        assert probe.ideal_readout(state) == pytest.approx(0.25, abs=1e-12)
 
     def test_h2_ground_phase_expectation(self, h2):
         u = qcore.expm_herm(h2.matrix, H2_TAU)
         g = molham.spectrum(h2).ground_state
         state = probe.controlled_u(u) @ np.kron(qcore.KET_PLUS, g)
-        reading = probe.ideal_readout(state)
-        assert reading.expectation.real == pytest.approx(-0.8993, abs=1e-3)
-        assert reading.expectation.imag == pytest.approx(-0.4372, abs=1e-3)
-        assert reading.phase_fraction == pytest.approx(H2_PHASE, abs=1e-12)
-
-    def test_unit_magnitude(self):
-        reading = probe.ideal_readout(kickback_state(0.7))
-        assert abs(reading.expectation) == pytest.approx(1.0, abs=1e-9)
+        expectation = 2.0 * probe.probe_coherence(state)
+        assert expectation.real == pytest.approx(-0.8993, abs=1e-3)
+        assert expectation.imag == pytest.approx(-0.4372, abs=1e-3)
+        assert probe.ideal_readout(state) == pytest.approx(H2_PHASE, abs=1e-12)
 
     def test_vanishing_coherence(self, h2):
         g = molham.spectrum(h2).ground_state
@@ -112,24 +107,24 @@ class TestNoisyReadout:
         state = kickback_state(0.3)
         noise = probe.NoiseModel(phase_jitter_bound=0.0, rng_seed=42)
         noisy = probe.noisy_readout(state, noise, noise.make_rng())
-        assert noisy.phase_fraction == probe.ideal_readout(state).phase_fraction
+        assert noisy == probe.ideal_readout(state)
 
     def test_deviation_within_bound_for_many_seeds(self):
         state = kickback_state(0.42)
-        clean = probe.ideal_readout(state).phase_fraction
+        clean = probe.ideal_readout(state)
         for seed in range(200):
             noise = probe.NoiseModel(phase_jitter_bound=ERRBD_5DEG, rng_seed=seed)
-            noisy = probe.noisy_readout(state, noise, noise.make_rng()).phase_fraction
+            noisy = probe.noisy_readout(state, noise, noise.make_rng())
             assert ipea.phase_distance(noisy, clean) <= ERRBD_5DEG
 
     def test_uniform_law_statistics(self):
         state = kickback_state(0.5)
-        clean = probe.ideal_readout(state).phase_fraction
+        clean = probe.ideal_readout(state)
         bound = 0.01
         noise = probe.NoiseModel(phase_jitter_bound=bound, rng_seed=8)
         rng = noise.make_rng()
         draws = np.array(
-            [probe.noisy_readout(state, noise, rng).phase_fraction - clean for _ in range(10_000)]
+            [probe.noisy_readout(state, noise, rng) - clean for _ in range(10_000)]
         )
         assert np.abs(draws).max() <= bound
         # mean of UN(-b, b): sigma_mean = b / sqrt(3 N)
@@ -140,8 +135,8 @@ class TestNoisyReadout:
         state = kickback_state(0.1)
         noise = probe.NoiseModel(phase_jitter_bound=0.01, rng_seed=5)
         a, b = noise.make_rng(), noise.make_rng()
-        first = [probe.noisy_readout(state, noise, a).phase_fraction for _ in range(3)]
-        second = [probe.noisy_readout(state, noise, b).phase_fraction for _ in range(3)]
+        first = [probe.noisy_readout(state, noise, a) for _ in range(3)]
+        second = [probe.noisy_readout(state, noise, b) for _ in range(3)]
         assert first == second
         assert len(set(first)) == 3
 
@@ -160,12 +155,12 @@ class TestNoisyReadout:
 
     def test_custom_jitter_law(self):
         state = kickback_state(0.2)
-        clean = probe.ideal_readout(state).phase_fraction
+        clean = probe.ideal_readout(state)
         noise = probe.NoiseModel(
             phase_jitter_bound=0.01, jitter_law=lambda rng, b: b
         )
         noisy = probe.noisy_readout(state, noise, noise.make_rng())
-        assert noisy.phase_fraction == pytest.approx(clean + 0.01, abs=1e-15)
+        assert noisy == pytest.approx(clean + 0.01, abs=1e-15)
 
     def test_out_of_bound_law_rejected(self):
         state = kickback_state(0.2)
@@ -209,23 +204,20 @@ class TestPerturbedU:
     def test_epsilon_zero_bit_for_bit(self, h2):
         noise = probe.NoiseModel(coherent_epsilon=0.0)
         ideal = qcore.expm_herm(h2.matrix, H2_TAU)
-        assert np.array_equal(probe.perturbed_u(h2, H2_TAU, noise), ideal)
+        perturbed = qcore.expm_herm(probe.perturbed_hamiltonian(h2, noise), H2_TAU)
+        assert np.array_equal(perturbed, ideal)
 
     def test_first_order_eigenphase_shift(self, h2):
         eps = 1e-4
         noise = probe.NoiseModel(coherent_epsilon=eps)
         spec = molham.spectrum(h2)
         g = spec.ground_state
-        u = probe.perturbed_u(h2, H2_TAU, noise)
+        u = qcore.expm_herm(probe.perturbed_hamiltonian(h2, noise), H2_TAU)
         shifted = (np.angle(np.vdot(g, u @ g)) / (2 * np.pi)) % 1.0
         shift = ipea.phase_distance(shifted, H2_PHASE)
         prediction = eps * H2_TAU * abs(np.vdot(g, qcore.SIGMA_Z @ g)) / (2 * np.pi)
         assert shift == pytest.approx(prediction, rel=1e-2)
         assert shift <= eps * H2_TAU
-
-    def test_tau_validation(self, h2):
-        with pytest.raises(ValidationError):
-            probe.perturbed_u(h2, 0.0, probe.NoiseModel())
 
 
 class TestSpectra:
