@@ -42,10 +42,8 @@ from .nmrpulse import (
     DelayEvent,
     PulseEvent,
     PulseSequence,
-    SpinSystem,
     compile_controlled_u,
     evolve_sequence,
-    nmr_hamiltonian,
     run_pulse_backend,
 )
 from .probe import (
@@ -58,7 +56,6 @@ from .qcore import (
     EigenDecomposition,
     expm_herm,
     hermitian_eig,
-    state_fidelity,
 )
 
 __version__ = "0.1.0"

@@ -124,13 +124,13 @@ class PhaseEstimate:
 
 @dataclass(frozen=True)
 class EnergyResult:
-    """Energy E = -2 pi phi / tau in hartree, with the oracle gap if known."""
+    """Energy E = -2 pi phi / tau in hartree, with its gap to the oracle."""
 
     energy: float
     phase: PhaseEstimate
     tau: float
-    oracle_energy: float | None = None
-    abs_error: float | None = None
+    oracle_energy: float
+    abs_error: float
 
 
 class IpeaResult(NamedTuple):
@@ -210,7 +210,7 @@ def run_ipea(
         raise ValidationError(f"prepared state dim {prep.size} != Hamiltonian dim {h.dim}")
     if 2 * h.dim > qcore.MAX_DIM:
         raise ValidationError(f"system dimension {h.dim} too large for the probe register")
-    overlap = qcore.state_fidelity(prep, spec.ground_state)
+    overlap = float(abs(np.vdot(prep, spec.ground_state)) ** 2)
     if overlap < PREP_OVERLAP_FLOOR:
         raise ValidationError(
             f"prepared state overlaps ground state by {overlap:.4f} < {PREP_OVERLAP_FLOOR}"
@@ -256,7 +256,7 @@ def run_ipea(
         offset = (2.0**n * (offset + clipped)) % 1.0
 
     estimate = reconstruct(records, n, phase_error_bound=errbd)
-    energy = energy_from_phase(estimate, config.tau, oracle_energy=spec.ground_energy)
+    energy = energy_from_phase(estimate, config.tau, spec.ground_energy)
     return IpeaResult(records=tuple(records), phase=estimate, energy=energy)
 
 
@@ -288,19 +288,22 @@ def reconstruct(
     bound = 0.0
     if phase_error_bound is not None:
         bound = phase_error_bound * 2.0 ** (-n * (len(records) - 1))
-    guaranteed = MAX_REPORT_BITS
-    if bound > 0.0:
-        guaranteed = 0
-        while guaranteed < MAX_REPORT_BITS and bound < 2.0 ** -(guaranteed + 1):
-            guaranteed += 1
-    guaranteed = min(guaranteed, digits)
 
     return PhaseEstimate(
         value=value,
         reconstruction_trace=np.array(trace),
         binary_digits=to_binary(value, digits),
-        guaranteed_bits=guaranteed,
+        guaranteed_bits=min(_leading_bits(bound), digits),
     )
+
+
+def _leading_bits(distance: float) -> int:
+    """Leading binary digits a phase within ``distance`` of the truth gets
+    right: the largest b <= ``MAX_REPORT_BITS`` with distance < 2^-b."""
+    bits = 0
+    while bits < MAX_REPORT_BITS and distance < 2.0 ** -(bits + 1):
+        bits += 1
+    return bits
 
 
 def running_estimates(
@@ -326,16 +329,12 @@ def to_binary(value: float, digits: int) -> str:
     return "".join(bits)
 
 
-def energy_from_phase(
-    phase: PhaseEstimate, tau: float, oracle_energy: float | None = None
-) -> EnergyResult:
-    """E = -2 pi phi / tau, with absolute error attached when an oracle is given."""
+def energy_from_phase(phase: PhaseEstimate, tau: float, oracle_energy: float) -> EnergyResult:
+    """E = -2 pi phi / tau, with its absolute error against ``oracle_energy``."""
     if not tau > 0:
         raise ValidationError(f"tau must be positive, got {tau}")
     energy = -2.0 * np.pi * phase.value / tau
-    abs_error = None
-    if oracle_energy is not None:
-        abs_error = phase_distance(phase.value, energy_phase(oracle_energy, tau)) * 2.0 * np.pi / tau
+    abs_error = phase_distance(phase.value, energy_phase(oracle_energy, tau)) * 2.0 * np.pi / tau
     return EnergyResult(
         energy=float(energy),
         phase=phase,
@@ -349,11 +348,7 @@ def precision_report(estimate: PhaseEstimate, oracle_phase: float) -> int:
     """Count of leading binary digits within the oracle, by mod-1 distance."""
     if not 0.0 <= oracle_phase < 1.0:
         raise ValidationError(f"oracle phase must lie in [0, 1), got {oracle_phase}")
-    d = phase_distance(estimate.value, oracle_phase)
-    bits = 0
-    while bits < MAX_REPORT_BITS and d < 2.0 ** -(bits + 1):
-        bits += 1
-    return bits
+    return _leading_bits(phase_distance(estimate.value, oracle_phase))
 
 
 def energy_phase(energy: float, tau: float) -> float:

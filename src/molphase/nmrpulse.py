@@ -1,14 +1,14 @@
 """Pulse-level two-spin backend.
 
-The natural two-spin Hamiltonian is diagonal in the doubly rotating frame,
+Both spins are on resonance, so in the doubly rotating frame the natural
+two-spin Hamiltonian is the J coupling alone,
 
-    H = (w_p/2) sz x I + (w_s/2) I x sz + (pi J / 2) sz x sz   [rad/s],
+    H = (pi J / 2) sz x sz   [rad/s],   J = probe.J_COUPLING_HZ,
 
-with both offsets zero by default (on resonance), so free evolution is a
-pure J coupling: a delay is the phase diagonal exp(-i E t) of H's diagonal
-E. Pulses are instantaneous rotations about any transverse axis; z
-rotations are composed from two pi pulses. Every event's 4x4 unitary is
-built from its 2x2 rotation or that diagonal, with no eigendecomposition.
+and a delay is the phase diagonal exp(-i E t) of H's diagonal E. Pulses
+are instantaneous rotations about any transverse axis; z rotations are
+composed from two pi pulses. Every event's 4x4 unitary is built from its
+2x2 rotation or that diagonal, with no eigendecomposition.
 The compiler reduces an arbitrary controlled-U to single-spin pulses plus
 J-coupling delays of at most 1/(2J) per entangling block and verifies the
 result against the exact gate, up to global phase, before returning it
@@ -27,15 +27,13 @@ from .errors import CompilationError, ValidationError
 from .ipea import IpeaResult, IterationConfig
 from .molham import MolecularHamiltonian
 
-SPINS = ("probe", "system", "both")
+SPINS = ("probe", "system")
 AXIS_TOL = 1e-12
 ANGLE_TOL = 1e-12
 COMPILE_FIDELITY_FLOOR = 1.0 - 1e-9
 
-# Diagonals of sz x I, I x sz and sz x sz.
-_SZ_PROBE = np.array([1.0, 1.0, -1.0, -1.0])
-_SZ_SYSTEM = np.array([1.0, -1.0, 1.0, -1.0])
-_SZ_SZ = _SZ_PROBE * _SZ_SYSTEM
+# Diagonal of the Hamiltonian (pi J / 2) sz x sz.
+_ZZ_ENERGIES = 0.5 * np.pi * probe.J_COUPLING_HZ * np.array([1.0, -1.0, -1.0, 1.0])
 
 
 def _require_finite(name: str, value: float) -> None:
@@ -44,23 +42,9 @@ def _require_finite(name: str, value: float) -> None:
 
 
 @dataclass(frozen=True)
-class SpinSystem:
-    """Rotating-frame offsets (rad/s) and the scalar J coupling (Hz)."""
-
-    omega_probe: float = 0.0
-    omega_system: float = 0.0
-    j_coupling: float = 214.6
-
-    def __post_init__(self):
-        _require_finite("omega_probe", self.omega_probe)
-        _require_finite("omega_system", self.omega_system)
-        _require_finite("j_coupling", self.j_coupling)
-
-
-@dataclass(frozen=True)
 class PulseEvent:
     """Instantaneous rotation exp(-i (angle/2) (cos(phase) sx + sin(phase) sy))
-    on the addressed spin(s); ``phase`` picks the transverse axis."""
+    on the addressed spin; ``phase`` picks the transverse axis."""
 
     spin: str
     phase: float
@@ -99,20 +83,6 @@ class PulseSequence:
     realized_unitary: np.ndarray
 
 
-def _nmr_energies(sys: SpinSystem) -> np.ndarray:
-    """Diagonal of ``nmr_hamiltonian(sys)`` as a real vector."""
-    return (
-        0.5 * sys.omega_probe * _SZ_PROBE
-        + 0.5 * sys.omega_system * _SZ_SYSTEM
-        + 0.5 * np.pi * sys.j_coupling * _SZ_SZ
-    )
-
-
-def nmr_hamiltonian(sys: SpinSystem) -> np.ndarray:
-    """The diagonal 4x4 two-spin Hamiltonian in rad/s."""
-    return np.diag(_nmr_energies(sys).astype(complex))
-
-
 def transverse_rotation(phase: float, angle: float) -> np.ndarray:
     """Single-spin rotation about the transverse axis at azimuth ``phase``."""
     _require_finite("rotation phase", phase)
@@ -127,31 +97,28 @@ def _kron2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)
 
 
-def event_unitary(event, sys: SpinSystem, over_rotation: float = 0.0) -> np.ndarray:
+def event_unitary(event, over_rotation: float = 0.0) -> np.ndarray:
     """4x4 unitary of a single event; ``over_rotation`` scales pulse angles.
 
     A delay is diag(exp(-i E duration)) for the Hamiltonian's diagonal E
-    and a pulse the Kronecker product of 2x2 rotations; neither takes an
-    eigendecomposition.
+    and a pulse the Kronecker product of a 2x2 rotation and the identity;
+    neither takes an eigendecomposition.
     """
     if isinstance(event, DelayEvent):
-        return np.diag(np.exp(-1j * _nmr_energies(sys) * event.duration))
+        return np.diag(np.exp(-1j * _ZZ_ENERGIES * event.duration))
     if isinstance(event, PulseEvent):
         r = transverse_rotation(event.phase, event.angle * (1.0 + over_rotation))
         if event.spin == "probe":
             return _kron2(r, qcore.ID2)
-        if event.spin == "system":
-            return _kron2(qcore.ID2, r)
-        return _kron2(r, r)
+        return _kron2(qcore.ID2, r)
     raise ValidationError(f"unknown event type {type(event).__name__}")
 
 
-def evolve_sequence(seq, sys: SpinSystem, over_rotation: float = 0.0) -> np.ndarray:
+def evolve_sequence(events, over_rotation: float = 0.0) -> np.ndarray:
     """Ordered product of event unitaries (first event acts first)."""
-    events = seq.events if isinstance(seq, PulseSequence) else tuple(seq)
     u = np.eye(4, dtype=complex)
     for event in events:
-        u = event_unitary(event, sys, over_rotation) @ u
+        u = event_unitary(event, over_rotation) @ u
     return u
 
 
@@ -172,12 +139,12 @@ def _z_rotation_events(spin: str, angle: float) -> list:
     return [PulseEvent(spin, 0.0, np.pi), PulseEvent(spin, a / 2.0, np.pi)]
 
 
-def _zz_block(zeta: float, j_coupling: float) -> list:
+def _zz_block(zeta: float) -> list:
     """Events for exp(-i zeta sz x sz); negative zeta is sign-flipped by a
     pi-pulse sandwich on the probe. |zeta| <= pi/4 keeps the delay <= 1/(2J)."""
     if abs(zeta) < ANGLE_TOL:
         return []
-    delay = DelayEvent(2.0 * abs(zeta) / (np.pi * j_coupling))
+    delay = DelayEvent(2.0 * abs(zeta) / (np.pi * probe.J_COUPLING_HZ))
     if zeta >= 0.0:
         return [delay]
     return [PulseEvent("probe", 0.0, np.pi), delay, PulseEvent("probe", 0.0, np.pi)]
@@ -199,7 +166,7 @@ def _su2_factor(u: np.ndarray) -> tuple[float, float, np.ndarray]:
     return alpha, theta, axis
 
 
-def compile_controlled_u(u, sys: SpinSystem) -> PulseSequence:
+def compile_controlled_u(u) -> PulseSequence:
     """Compile |up><up| x I + |down><down| x u into pulses and delays.
 
     The rotation part of u is conjugated onto the z axis, its controlled
@@ -212,8 +179,6 @@ def compile_controlled_u(u, sys: SpinSystem) -> PulseSequence:
         raise ValidationError(
             f"pulse compiler targets single-qubit gates, got dim {intended.shape[0] // 2}"
         )
-    if not sys.j_coupling > 0:
-        raise ValidationError(f"compilation needs a positive J coupling, got {sys.j_coupling}")
 
     alpha, theta, axis = _su2_factor(intended[2:, 2:])
     events: list = []
@@ -222,18 +187,18 @@ def compile_controlled_u(u, sys: SpinSystem) -> PulseSequence:
         if abs(nx) < AXIS_TOL and abs(ny) < AXIS_TOL:
             # z-axis rotation: the coupling block alone does the controlled half
             sign = 1.0 if nz > 0 else -1.0
-            events += _zz_block(-sign * theta / 4.0, sys.j_coupling)
+            events += _zz_block(-sign * theta / 4.0)
             events += _z_rotation_events("system", sign * theta / 2.0)
         else:
             tilt = np.arccos(np.clip(nz, -1.0, 1.0))
             azimuth = np.arctan2(nx, -ny)
             events.append(PulseEvent("system", azimuth, -tilt))
-            events += _zz_block(-theta / 4.0, sys.j_coupling)
+            events += _zz_block(-theta / 4.0)
             events += _z_rotation_events("system", theta / 2.0)
             events.append(PulseEvent("system", azimuth, tilt))
     events += _z_rotation_events("probe", alpha)
 
-    realized = evolve_sequence(events, sys)
+    realized = evolve_sequence(events)
     fidelity = gate_fidelity(intended, realized)
     if fidelity < COMPILE_FIDELITY_FLOOR:
         residual = np.abs(realized - intended).max()
@@ -250,8 +215,6 @@ def compile_controlled_u(u, sys: SpinSystem) -> PulseSequence:
 def run_pulse_backend(
     h: MolecularHamiltonian,
     config: IterationConfig,
-    prep: np.ndarray | None = None,
-    sys: SpinSystem | None = None,
     over_rotation: float = 0.0,
 ) -> IpeaResult:
     """Phase estimation with every controlled gate realized in pulses.
@@ -260,10 +223,11 @@ def run_pulse_backend(
     unitary (the compiler's ``realized_unitary`` when ``over_rotation`` is
     zero, else the sequence evolved again with scaled angles) 2^(n k)
     times, carried from round to round by n squarings (which compound any
-    pulse imperfection exactly like physical repetition). The probe coherences of these realized powers on
-    |+> x prep are the ``coherences`` input of ``ipea.run_ipea``, whose
-    scalar clip phase acts as a receiver-frame rotation on the probe,
-    applied in software the way a spectrometer's receiver phase is. Any
+    pulse imperfection exactly like physical repetition). The probe
+    coherences of these realized powers on |+> x |ground> are the
+    ``coherences`` input of ``ipea.run_ipea``, whose scalar clip phase acts
+    as a receiver-frame rotation on the probe, applied in software the way
+    a spectrometer's receiver phase is. Any
     injected pulse error therefore acts on U alone and its phase error
     scales with the operator power. Noiseless runs match the exact-gate
     engine to well below 1e-8.
@@ -271,20 +235,18 @@ def run_pulse_backend(
     if h.dim != 2:
         raise ValidationError(f"pulse backend handles 2x2 systems, got dim {h.dim}")
     _require_finite("over_rotation", over_rotation)
-    spin_sys = sys if sys is not None else SpinSystem()
     spec = molham.spectrum(h)
-    state = spec.ground_state if prep is None else prep
-    joint = np.outer(qcore.KET_PLUS, qcore.require_pure_state(state, "prepared state")).ravel()
-    sequence = compile_controlled_u(spec.propagator(config.tau), spin_sys)
+    joint = np.outer(qcore.KET_PLUS, spec.ground_state).ravel()
+    sequence = compile_controlled_u(spec.propagator(config.tau))
     if over_rotation == 0.0:
         realized = sequence.realized_unitary
     else:
-        realized = evolve_sequence(sequence, spin_sys, over_rotation=over_rotation)
+        realized = evolve_sequence(sequence.events, over_rotation=over_rotation)
     coherences = []
     for k in range(config.iterations):
         if k > 0:
             realized = qcore.square_unitary(realized, config.bits_per_iteration)
         s = realized @ joint
         coherences.append(complex(np.vdot(s[:2], s[2:])))
-    return ipea.run_ipea(h, config, prep=state, coherences=coherences)
+    return ipea.run_ipea(h, config, coherences=coherences)
 

@@ -10,16 +10,21 @@ readouts go through it. Only the argument of the coherence carries
 information, so every readout returns that phase as a fraction of a turn.
 
 Noise enters in two places: bounded jitter on the measured phase (uniform
-law by default, the bound is the quantity of record) and a coherent
-Hermitian perturbation of the evolution operator whose effect compounds
-under powering. A noisy readout draws from a stream the caller passes, so
-successive readouts take successive draws.
+law by default, the bound is the quantity of record) and, on a 2x2
+system, a coherent perturbation eps sz of the Hamiltonian whose effect on
+the evolution operator compounds under powering. A noisy readout draws
+from a stream the caller passes, so successive readouts take successive
+draws.
+
+The probe and system spins of the NMR sample are coupled by
+(pi J / 2) sz x sz with J = ``J_COUPLING_HZ``, so the probe's spectrum is
+a doublet at +-J/2 Hz, which ``synthesize_spectrum`` draws.
 """
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -29,6 +34,10 @@ from .errors import ReadoutError, ValidationError
 from .molham import MolecularHamiltonian
 
 COHERENCE_TOL = 1e-6
+J_COUPLING_HZ = 214.6
+LINE_WIDTH_HZ = 2.0
+SPECTRUM_POINTS = 4096
+SPECTRAL_WIDTH_HZ = 2000.0
 
 
 @dataclass(frozen=True)
@@ -36,15 +45,14 @@ class NoiseModel:
     """Bounded measurement jitter plus a coherent operator perturbation.
 
     ``phase_jitter_bound`` is in fractions of a turn (5 degrees = 5/360);
-    ``coherent_epsilon`` is the perturbation strength in hartree along
-    ``perturbation_direction`` (unit max-norm Hermitian, default sigma_z).
-    Both zero reproduces the ideal channel exactly. ``jitter_law(rng,
-    bound)`` replaces the default uniform draw on [-bound, bound).
+    ``coherent_epsilon`` is the strength in hartree of a perturbation along
+    sigma_z, defined on 2x2 systems. Both zero reproduces the ideal channel
+    exactly. ``jitter_law(rng, bound)`` replaces the default uniform draw on
+    [-bound, bound).
     """
 
     phase_jitter_bound: float = 0.0
     coherent_epsilon: float = 0.0
-    perturbation_direction: np.ndarray = field(default_factory=lambda: qcore.SIGMA_Z.copy())
     rng_seed: int = 0
     jitter_law: Callable[[np.random.Generator, float], float] | None = None
 
@@ -53,11 +61,6 @@ class NoiseModel:
             raise ValidationError(f"jitter bound must be finite and >= 0, got {self.phase_jitter_bound}")
         if not (math.isfinite(self.coherent_epsilon) and self.coherent_epsilon >= 0):
             raise ValidationError(f"coherent epsilon must be finite and >= 0, got {self.coherent_epsilon}")
-        direction = qcore.require_hermitian(self.perturbation_direction, name="perturbation direction")
-        peak = np.abs(direction).max()
-        if abs(peak - 1.0) > 1e-9:
-            raise ValidationError(f"perturbation direction must have unit max-norm, got {peak:.6f}")
-        object.__setattr__(self, "perturbation_direction", direction)
 
     def make_rng(self) -> np.random.Generator:
         return np.random.default_rng(self.rng_seed)
@@ -136,13 +139,10 @@ def noisy_readout(state, noise: NoiseModel, rng: np.random.Generator | None = No
 
 
 def perturbed_hamiltonian(h: MolecularHamiltonian, noise: NoiseModel) -> np.ndarray:
-    """H + eps V, the generator of the perturbed evolution."""
-    if noise.perturbation_direction.shape != h.matrix.shape:
-        raise ValidationError(
-            f"perturbation direction dim {noise.perturbation_direction.shape[0]} "
-            f"does not match Hamiltonian dim {h.dim}"
-        )
-    return h.matrix + noise.coherent_epsilon * noise.perturbation_direction
+    """H + eps sz, the generator of the perturbed evolution of a 2x2 system."""
+    if h.dim != 2:
+        raise ValidationError(f"coherent error is defined on 2x2 systems, got dim {h.dim}")
+    return h.matrix + noise.coherent_epsilon * qcore.SIGMA_Z
 
 
 @dataclass(frozen=True)
@@ -177,35 +177,22 @@ class SpectrumTrace:
         return "\n".join(lines) + "\n"
 
 
-def synthesize_spectrum(
-    phase_fraction: float,
-    line_width: float = 2.0,
-    j_coupling: float = 214.6,
-    points: int = 4096,
-    spectral_width: float = 2000.0,
-) -> SpectrumTrace:
+def synthesize_spectrum(phase_fraction: float) -> SpectrumTrace:
     """Two-line doublet at +-J/2 Hz whose common phase is 2 pi phi.
 
     A decaying quadrature oscillation is Fourier-transformed so the complex
     line integral's argument recovers 2 pi phi; phi = 0 gives pure
-    absorption, phi = 0.25 pure dispersion.
+    absorption, phi = 0.25 pure dispersion. The grid is ``SPECTRUM_POINTS``
+    points over ``SPECTRAL_WIDTH_HZ`` and each line is ``LINE_WIDTH_HZ`` wide.
     """
-    if points < 256 or points & (points - 1) != 0:
-        raise ValidationError(f"points must be a power of two >= 256, got {points}")
-    if line_width <= 0:
-        raise ValidationError(f"line width must be positive, got {line_width}")
-    if spectral_width <= j_coupling:
-        raise ValidationError(
-            f"spectral width {spectral_width} Hz must exceed the J coupling {j_coupling} Hz"
-        )
-    t = np.arange(points) / spectral_width
+    t = np.arange(SPECTRUM_POINTS) / SPECTRAL_WIDTH_HZ
     fid = (
         np.exp(2j * np.pi * phase_fraction)
-        * (np.exp(1j * np.pi * j_coupling * t) + np.exp(-1j * np.pi * j_coupling * t))
-        * np.exp(-np.pi * line_width * t)
+        * (np.exp(1j * np.pi * J_COUPLING_HZ * t) + np.exp(-1j * np.pi * J_COUPLING_HZ * t))
+        * np.exp(-np.pi * LINE_WIDTH_HZ * t)
     )
     amps = np.fft.fftshift(np.fft.fft(fid))
-    freqs = np.fft.fftshift(np.fft.fftfreq(points, d=1.0 / spectral_width))
+    freqs = np.fft.fftshift(np.fft.fftfreq(SPECTRUM_POINTS, d=1.0 / SPECTRAL_WIDTH_HZ))
     return SpectrumTrace(frequencies=freqs, complex_amplitudes=amps)
 
 

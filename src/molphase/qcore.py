@@ -45,25 +45,26 @@ def as_complex_matrix(a, name: str = "matrix") -> np.ndarray:
     return m
 
 
-def require_hermitian(a, tol: float = HERMITIAN_TOL, name: str = "matrix") -> np.ndarray:
-    """Validate Hermiticity to ``tol`` (max-norm), naming the worst entry pair."""
+def require_hermitian(a, name: str) -> np.ndarray:
+    """Validate Hermiticity to ``HERMITIAN_TOL`` (max-norm), naming the worst entry pair."""
     m = as_complex_matrix(a, name)
     dev = np.abs(m - m.conj().T)
     worst = np.unravel_index(np.argmax(dev), dev.shape)
-    if dev[worst] > tol:
+    if dev[worst] > HERMITIAN_TOL:
         i, j = worst
         raise ValidationError(
-            f"{name} is not Hermitian: |A[{i}][{j}] - conj(A[{j}][{i}])| = {dev[worst]:.3e} > {tol:.1e}"
+            f"{name} is not Hermitian: |A[{i}][{j}] - conj(A[{j}][{i}])| = {dev[worst]:.3e}"
+            f" > {HERMITIAN_TOL:.1e}"
         )
     return m
 
 
-def require_unitary(a, tol: float = UNITARY_TOL, name: str = "matrix") -> np.ndarray:
-    """Validate unitarity, max-norm of U†U - I below ``tol``."""
+def require_unitary(a, name: str) -> np.ndarray:
+    """Validate unitarity, max-norm of U†U - I below ``UNITARY_TOL``."""
     m = as_complex_matrix(a, name)
     dev = np.abs(m.conj().T @ m - np.eye(m.shape[0])).max()
-    if dev > tol:
-        raise ValidationError(f"{name} is not unitary: max|U†U - I| = {dev:.3e} > {tol:.1e}")
+    if dev > UNITARY_TOL:
+        raise ValidationError(f"{name} is not unitary: max|U†U - I| = {dev:.3e} > {UNITARY_TOL:.1e}")
     return m
 
 
@@ -135,7 +136,7 @@ class EigenDecomposition:
 
 def hermitian_eig(h) -> EigenDecomposition:
     """Eigendecomposition of a Hermitian matrix, deterministic for fixed input."""
-    m = require_hermitian(h)
+    m = require_hermitian(h, "matrix")
     vals, vecs = np.linalg.eigh(m)
     vals.flags.writeable = False
     vecs.flags.writeable = False
@@ -147,12 +148,3 @@ def expm_herm(h, t: float) -> np.ndarray:
     if not np.isfinite(t):
         raise ValidationError(f"evolution time must be finite, got {t}")
     return hermitian_eig(h).propagator(t)
-
-
-def state_fidelity(a, b) -> float:
-    """|<a|b>|^2 between two pure states of equal dimension."""
-    sa = require_pure_state(a, "first state")
-    sb = require_pure_state(b, "second state")
-    if sa.size != sb.size:
-        raise ValidationError(f"state dimensions differ: {sa.size} vs {sb.size}")
-    return float(abs(np.vdot(sa, sb)) ** 2)

@@ -153,9 +153,8 @@ def test_criterion_8_pulse_backend_equivalence(h2):
         for a, b in zip(ideal.records, pulsed.records)
     )
     rng = np.random.default_rng(1234)
-    sys = nmrpulse.SpinSystem()
     worst_fidelity = min(
-        nmrpulse.compile_controlled_u(random_unitary(rng), sys).achieved_fidelity
+        nmrpulse.compile_controlled_u(random_unitary(rng)).achieved_fidelity
         for _ in range(100)
     )
     elapsed = time.perf_counter() - t0

@@ -189,6 +189,18 @@ class TestNoiseSweepCommand:
         assert cli.main(["noise-sweep", "--epsilons", "1e-4,x", "--out", str(tmp_path)]) == 2
         assert cli.main(["noise-sweep", "--epsilons=-1e-4", "--out", str(tmp_path)]) == 2
 
+    def test_coherent_error_needs_a_2x2_system(self, tmp_path, capsys):
+        doc = tmp_path / "diag4.json"
+        doc.write_text(
+            json.dumps({"label": "diag4", "dim": 4,
+                        "matrix_re": np.diag([-4.0, -2.5, -1.0, -0.5]).tolist()})
+        )
+        out = tmp_path / "out"
+        args = ["noise-sweep", "--hamiltonian", str(doc), "--tau", "1.9", "--epsilons", "0,1e-4"]
+        assert cli.main(args + ["--out", str(out)]) == 2
+        assert "2x2" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         args = ["noise-sweep", "--epsilons", "0,1e-4", "--seed", "3"]

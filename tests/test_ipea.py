@@ -493,11 +493,13 @@ class TestToBinary:
 class TestEnergyFromPhase:
     def test_zero_phase(self):
         estimate = ipea.reconstruct([ipea.IterationRecord(0, 0.0, 0.0, 1)], 3)
-        assert ipea.energy_from_phase(estimate, 2.0).energy == 0.0
+        result = ipea.energy_from_phase(estimate, 2.0, 0.0)
+        assert result.energy == 0.0
+        assert result.abs_error == 0.0
 
     def test_h2_arithmetic(self):
         estimate = ipea.reconstruct([ipea.IterationRecord(0, H2_PHASE, 0.0, 1)], 3)
-        result = ipea.energy_from_phase(estimate, H2_TAU, oracle_energy=H2_GROUND_ENERGY)
+        result = ipea.energy_from_phase(estimate, H2_TAU, H2_GROUND_ENERGY)
         assert result.energy == pytest.approx(-1.851571, abs=1e-5)
         assert result.abs_error <= 1e-12
 
@@ -510,7 +512,7 @@ class TestEnergyFromPhase:
     def test_tau_validation(self):
         estimate = ipea.reconstruct([ipea.IterationRecord(0, 0.1, 0.0, 1)], 3)
         with pytest.raises(ValidationError):
-            ipea.energy_from_phase(estimate, 0.0)
+            ipea.energy_from_phase(estimate, 0.0, H2_GROUND_ENERGY)
 
 
 class TestPrecisionReport:

@@ -1,4 +1,4 @@
-"""Pulse backend: spin Hamiltonian, sequence evolution, compiler, IPEA parity."""
+"""Pulse backend: J-coupling Hamiltonian, sequence evolution, compiler, IPEA parity."""
 import numpy as np
 import pytest
 
@@ -8,29 +8,9 @@ from molphase.errors import CompilationError, ValidationError
 from conftest import ERRBD_5DEG, H2_TAU, random_negative_hamiltonian, random_unitary
 
 
-def on_resonance(j=214.6):
-    return nmrpulse.SpinSystem(j_coupling=j)
-
-
-OFF_RESONANCE = nmrpulse.SpinSystem(omega_probe=231.7, omega_system=-71.9, j_coupling=140.3)
-
-
-def random_spin_systems(seed, count):
-    rng = np.random.default_rng(seed)
-    return [
-        nmrpulse.SpinSystem(*(float(x) for x in rng.uniform([-500, -500, 50], [500, 500, 300])))
-        for _ in range(count)
-    ]
-
-
-def kron_hamiltonian(sys):
-    """The two-spin Hamiltonian summed from Kronecker products of Paulis."""
-    zz = np.kron(qcore.SIGMA_Z, qcore.SIGMA_Z)
-    return (
-        0.5 * sys.omega_probe * np.kron(qcore.SIGMA_Z, qcore.ID2)
-        + 0.5 * sys.omega_system * np.kron(qcore.ID2, qcore.SIGMA_Z)
-        + 0.5 * np.pi * sys.j_coupling * zz
-    )
+J = probe.J_COUPLING_HZ
+# (pi J / 2) sz x sz from the Kronecker product of Paulis.
+KRON_HAMILTONIAN = 0.5 * np.pi * J * np.kron(qcore.SIGMA_Z, qcore.SIGMA_Z)
 
 
 def pauli_rotation(phase, angle):
@@ -41,24 +21,13 @@ def pauli_rotation(phase, angle):
 
 class TestNmrHamiltonian:
     def test_pure_j_coupling(self):
-        h = nmrpulse.nmr_hamiltonian(on_resonance(214.6))
         half_pi_j = 0.5 * np.pi * 214.6
         np.testing.assert_allclose(
-            h, np.diag([half_pi_j, -half_pi_j, -half_pi_j, half_pi_j]), atol=1e-12
+            nmrpulse._ZZ_ENERGIES, [half_pi_j, -half_pi_j, -half_pi_j, half_pi_j], atol=1e-12
         )
 
-    def test_zero_coupling_zero_offsets(self):
-        h = nmrpulse.nmr_hamiltonian(nmrpulse.SpinSystem(j_coupling=0.0))
-        np.testing.assert_allclose(h, np.zeros((4, 4)), atol=0)
-
-    def test_single_spin_offset(self):
-        omega = 2.0 * np.pi * 50.0
-        h = nmrpulse.nmr_hamiltonian(nmrpulse.SpinSystem(omega_probe=omega, j_coupling=0.0))
-        np.testing.assert_allclose(h, 0.5 * omega * np.kron(qcore.SIGMA_Z, qcore.ID2), atol=1e-12)
-
     def test_matches_kron_reference(self):
-        for sys in [on_resonance(), OFF_RESONANCE, *random_spin_systems(61, 50)]:
-            assert (nmrpulse.nmr_hamiltonian(sys) == kron_hamiltonian(sys)).all()
+        assert (np.diag(nmrpulse._ZZ_ENERGIES) == KRON_HAMILTONIAN).all()
 
 
 class TestEventUnitary:
@@ -71,51 +40,44 @@ class TestEventUnitary:
             references = {
                 "probe": np.kron(r, qcore.ID2),
                 "system": np.kron(qcore.ID2, r),
-                "both": np.kron(r, r),
             }
             for spin, reference in references.items():
                 event = nmrpulse.PulseEvent(spin, phase, angle)
-                got = nmrpulse.event_unitary(event, on_resonance(), over_rotation)
+                got = nmrpulse.event_unitary(event, over_rotation)
                 assert (got == reference).all()
 
     def test_delay_matches_expm_herm(self):
         rng = np.random.default_rng(59)
-        for sys in [on_resonance(), OFF_RESONANCE, *random_spin_systems(67, 20)]:
-            for duration in [0.0, 1.0 / (2.0 * 214.6), *rng.uniform(0, 5e-3, size=5)]:
-                got = nmrpulse.event_unitary(nmrpulse.DelayEvent(float(duration)), sys)
-                assert (got == qcore.expm_herm(nmrpulse.nmr_hamiltonian(sys), duration)).all()
+        for duration in [0.0, 1.0 / (2.0 * J), *rng.uniform(0, 5e-3, size=100)]:
+            got = nmrpulse.event_unitary(nmrpulse.DelayEvent(float(duration)))
+            assert (got == qcore.expm_herm(KRON_HAMILTONIAN, duration)).all()
 
     def test_non_finite_rotation_rejected(self):
         event = nmrpulse.PulseEvent("probe", 0.0, np.pi)
         for over_rotation in (np.nan, np.inf, 1e308):
             with pytest.raises(ValidationError, match="rotation angle must be finite"):
-                nmrpulse.evolve_sequence([event], on_resonance(), over_rotation=over_rotation)
+                nmrpulse.evolve_sequence([event], over_rotation=over_rotation)
 
 
 class TestEvolveSequence:
     def test_empty_sequence(self):
-        np.testing.assert_allclose(
-            nmrpulse.evolve_sequence([], on_resonance()), np.eye(4), atol=0
-        )
+        np.testing.assert_allclose(nmrpulse.evolve_sequence([]), np.eye(4), atol=0)
 
     def test_half_j_delay_gives_quarter_turn_coupling(self):
-        j = 214.6
-        got = nmrpulse.evolve_sequence([nmrpulse.DelayEvent(1.0 / (2.0 * j))], on_resonance(j))
+        got = nmrpulse.evolve_sequence([nmrpulse.DelayEvent(1.0 / (2.0 * 214.6))])
         zz = np.kron(qcore.SIGMA_Z, qcore.SIGMA_Z)
         expected = qcore.expm_herm((np.pi / 4.0) * zz, 1.0)
         np.testing.assert_allclose(got, expected, atol=1e-12)
 
     def test_pi_pulse_on_probe(self):
-        got = nmrpulse.evolve_sequence(
-            [nmrpulse.PulseEvent("probe", 0.0, np.pi)], on_resonance()
-        )
+        got = nmrpulse.evolve_sequence([nmrpulse.PulseEvent("probe", 0.0, np.pi)])
         np.testing.assert_allclose(got, np.kron(-1j * qcore.SIGMA_X, qcore.ID2), atol=1e-12)
 
     def test_event_order_matters(self):
         events = [nmrpulse.PulseEvent("probe", 0.0, np.pi / 2),
                   nmrpulse.PulseEvent("probe", np.pi / 2, np.pi / 2)]
-        forward = nmrpulse.evolve_sequence(events, on_resonance())
-        backward = nmrpulse.evolve_sequence(events[::-1], on_resonance())
+        forward = nmrpulse.evolve_sequence(events)
+        backward = nmrpulse.evolve_sequence(events[::-1])
         assert np.abs(forward - backward).max() > 0.1
 
     def test_long_random_sequence_stays_unitary(self):
@@ -125,17 +87,18 @@ class TestEvolveSequence:
             if rng.random() < 0.5:
                 events.append(nmrpulse.DelayEvent(float(rng.uniform(0, 2e-3))))
             else:
-                spin = ("probe", "system", "both")[int(rng.integers(3))]
+                spin = nmrpulse.SPINS[int(rng.integers(2))]
                 events.append(
                     nmrpulse.PulseEvent(spin, float(rng.uniform(0, 2 * np.pi)),
                                         float(rng.uniform(-np.pi, np.pi)))
                 )
-        u = nmrpulse.evolve_sequence(events, on_resonance())
+        u = nmrpulse.evolve_sequence(events)
         assert np.abs(u.conj().T @ u - np.eye(4)).max() <= 1e-9
 
     def test_event_validation(self):
-        with pytest.raises(ValidationError):
-            nmrpulse.PulseEvent("electron", 0.0, 1.0)
+        for spin in ("electron", "both"):
+            with pytest.raises(ValidationError, match="spin must be one of"):
+                nmrpulse.PulseEvent(spin, 0.0, 1.0)
         with pytest.raises(ValidationError):
             nmrpulse.DelayEvent(-1e-3)
 
@@ -146,24 +109,18 @@ class TestEvolveSequence:
         with pytest.raises(ValidationError, match="pulse phase must be finite"):
             nmrpulse.PulseEvent("probe", value, 1.0)
         with pytest.raises(ValidationError, match="pulse angle must be finite"):
-            nmrpulse.PulseEvent("both", 0.0, value)
-
-    @pytest.mark.parametrize("field", ["omega_probe", "omega_system", "j_coupling"])
-    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-    def test_non_finite_spin_system_rejected(self, field, value):
-        with pytest.raises(ValidationError, match=f"{field} must be finite"):
-            nmrpulse.SpinSystem(**{field: value})
+            nmrpulse.PulseEvent("system", 0.0, value)
 
 
 class TestCompileControlledU:
     def test_identity_compiles_to_nothing(self):
-        seq = nmrpulse.compile_controlled_u(qcore.ID2, on_resonance())
+        seq = nmrpulse.compile_controlled_u(qcore.ID2)
         assert seq.events == ()
         assert seq.achieved_fidelity == pytest.approx(1.0, abs=1e-12)
 
     def test_diagonal_gate_uses_one_short_delay(self):
         theta = 1.1
-        seq = nmrpulse.compile_controlled_u(np.diag([1.0, np.exp(1j * theta)]), on_resonance())
+        seq = nmrpulse.compile_controlled_u(np.diag([1.0, np.exp(1j * theta)]))
         delays = [e for e in seq.events if isinstance(e, nmrpulse.DelayEvent)]
         assert len(delays) == 1
         assert delays[0].duration <= 1.0 / (2.0 * 214.6) + 1e-15
@@ -171,7 +128,7 @@ class TestCompileControlledU:
 
     def test_h2_initial_operator_within_budget(self, h2):
         u0 = qcore.expm_herm(h2.matrix, H2_TAU)
-        seq = nmrpulse.compile_controlled_u(u0, on_resonance())
+        seq = nmrpulse.compile_controlled_u(u0)
         assert seq.achieved_fidelity >= 1.0 - 1e-9
         assert len(seq.events) <= 12
         delays = [e for e in seq.events if isinstance(e, nmrpulse.DelayEvent)]
@@ -179,18 +136,16 @@ class TestCompileControlledU:
 
     def test_hundred_random_unitaries(self):
         rng = np.random.default_rng(37)
-        sys = on_resonance()
         for _ in range(100):
-            seq = nmrpulse.compile_controlled_u(random_unitary(rng), sys)
+            seq = nmrpulse.compile_controlled_u(random_unitary(rng))
             assert seq.achieved_fidelity >= 1.0 - 1e-9
 
     def test_realized_matches_exact_gate(self):
         rng = np.random.default_rng(43)
-        sys = on_resonance()
         for _ in range(10):
             u = random_unitary(rng)
-            seq = nmrpulse.compile_controlled_u(u, sys)
-            realized = nmrpulse.evolve_sequence(seq, sys)
+            seq = nmrpulse.compile_controlled_u(u)
+            realized = nmrpulse.evolve_sequence(seq.events)
             intended = probe.controlled_u(u)
             np.testing.assert_allclose(seq.intended_unitary, intended, atol=1e-12)
             # equal up to global phase
@@ -199,29 +154,21 @@ class TestCompileControlledU:
 
     def test_stored_fidelity_matches_recomputation(self):
         rng = np.random.default_rng(47)
-        sys = on_resonance()
-        seq = nmrpulse.compile_controlled_u(random_unitary(rng), sys)
-        recomputed = nmrpulse.gate_fidelity(
-            seq.intended_unitary, nmrpulse.evolve_sequence(seq, sys)
-        )
+        seq = nmrpulse.compile_controlled_u(random_unitary(rng))
+        recomputed = nmrpulse.gate_fidelity(seq.intended_unitary, nmrpulse.evolve_sequence(seq.events))
         assert abs(seq.achieved_fidelity - recomputed) <= 1e-12
 
     def test_realized_unitary_is_the_evolved_product(self):
         rng = np.random.default_rng(41)
-        sys = on_resonance()
         for _ in range(20):
-            seq = nmrpulse.compile_controlled_u(random_unitary(rng), sys)
-            evolved = nmrpulse.evolve_sequence(seq, sys)
+            seq = nmrpulse.compile_controlled_u(random_unitary(rng))
+            evolved = nmrpulse.evolve_sequence(seq.events)
             assert seq.realized_unitary.tobytes() == evolved.tobytes()
             assert not seq.realized_unitary.flags.writeable
 
-    def test_requires_positive_coupling(self):
-        with pytest.raises(ValidationError, match="coupling"):
-            nmrpulse.compile_controlled_u(qcore.SIGMA_X, nmrpulse.SpinSystem(j_coupling=0.0))
-
     def test_rejects_non_unitary(self):
         with pytest.raises(ValidationError):
-            nmrpulse.compile_controlled_u(np.array([[1.0, 1.0], [0.0, 1.0]]), on_resonance())
+            nmrpulse.compile_controlled_u(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
 class TestRunPulseBackend:

@@ -139,27 +139,3 @@ class TestSquareUnitary:
     def test_irrecoverable_drift_is_a_computation_error(self, m):
         with pytest.raises(ComputationError, match="unitary"):
             qcore.square_unitary(m, 1)
-
-
-class TestStateFidelity:
-    def test_self_fidelity(self):
-        assert qcore.state_fidelity(qcore.KET_PLUS, qcore.KET_PLUS) == pytest.approx(1.0)
-
-    def test_orthogonal(self):
-        assert qcore.state_fidelity(qcore.KET_UP, qcore.KET_DOWN) == 0.0
-
-    def test_plus_up_half(self):
-        assert qcore.state_fidelity(qcore.KET_PLUS, qcore.KET_UP) == pytest.approx(0.5, abs=1e-12)
-
-    def test_symmetric(self):
-        rng = np.random.default_rng(9)
-        a = rng.normal(size=4) + 1j * rng.normal(size=4)
-        a /= np.linalg.norm(a)
-        b = rng.normal(size=4) + 1j * rng.normal(size=4)
-        b /= np.linalg.norm(b)
-        assert qcore.state_fidelity(a, b) == pytest.approx(qcore.state_fidelity(b, a), abs=1e-14)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValidationError, match="differ"):
-            qcore.state_fidelity(qcore.KET_UP, np.array([1, 0, 0, 0]))
-
