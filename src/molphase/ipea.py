@@ -25,14 +25,15 @@ or joint state is built. The seed-free c_k are the one input through which
 the exact and the pulse-level paths feed the loop.
 
 P_k is held in the eigenbasis of the generator H (or H + eps V), where it
-is diagonal, and squared n times per round; one Newton-Schulz step then
-pulls it back onto the unitary group (``qcore.square_unitary``). Powers
-are never taken from eigenphases, so a coherent error in U compounds
-exactly as it would under physical repeated application. The basis keeps
-P_k an exact function of U: squared in the computational basis, rounding
-that does not commute with U grows with the power wherever U^(2^m) is
-proportional to the identity, as it is for every 2x2 system at the
-automatic tau.
+is diagonal, as the vector of its eigenphase factors; ``qcore.power_chain``
+squares that vector n times per round and pulls it back onto the unitary
+group with one Newton-Schulz step. Powers are never taken from
+eigenphases as exp(-i 2^m theta): every power is a repeated square of the
+factors of U, so a coherent error in U compounds exactly as it would
+under physical repeated application. The basis keeps P_k an exact
+function of U: squared in the computational basis, rounding that does
+not commute with U grows with the power wherever U^(2^m) is proportional
+to the identity, as it is for every 2x2 system at the automatic tau.
 """
 from __future__ import annotations
 
@@ -227,13 +228,9 @@ def run_ipea(
         dec = spec
         if noise is not None and noise.coherent_epsilon > 0.0:
             dec = qcore.hermitian_eig(probe.perturbed_hamiltonian(h, noise))
-        power = np.diag(np.exp(-1j * config.tau * dec.energies))
+        powers = qcore.power_chain(np.exp(-1j * config.tau * dec.energies), n, config.iterations)
         state = dec.eigenvectors.conj().T @ prep
-        coherences = []
-        for k in range(config.iterations):
-            if k > 0:
-                power = qcore.square_unitary(power, n)
-            coherences.append(complex(np.vdot(state, power @ state)) / 2.0)
+        coherences = [complex(np.vdot(state, row)) / 2.0 for row in powers * state]
     elif len(coherences) != config.iterations:
         raise ValidationError(f"{len(coherences)} coherences for {config.iterations} iterations")
 

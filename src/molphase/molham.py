@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -26,7 +27,9 @@ class MolecularHamiltonian:
 
     Hermiticity is enforced at construction. A nondegenerate ground state
     is additionally required by ``spectrum`` and the preparation/estimation
-    pipelines, which raise ``DegeneracyError`` when the gap closes.
+    pipelines, which raise ``DegeneracyError`` when the gap closes. The
+    matrix is read-only, so ``spectrum`` decomposes it once and keeps the
+    result on the instance.
     """
 
     matrix: np.ndarray
@@ -43,6 +46,11 @@ class MolecularHamiltonian:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
+    @cached_property
+    def _eigen(self) -> qcore.EigenDecomposition:
+        # written to the instance __dict__, so the frozen dataclass keeps it
+        return qcore.hermitian_eig(self.matrix)
+
 
 def build_h2() -> MolecularHamiltonian:
     """The 2x2 hydrogen-molecule Hamiltonian (STO-3G, R = 1.4 a.u.)."""
@@ -54,8 +62,9 @@ def build_h2() -> MolecularHamiltonian:
 
 
 def spectrum(h: MolecularHamiltonian) -> qcore.EigenDecomposition:
-    """Exact diagonalization; fails if the ground state is degenerate."""
-    dec = qcore.hermitian_eig(h.matrix)
+    """Exact diagonalization, computed once per Hamiltonian; fails, on every
+    call, if the ground state is degenerate."""
+    dec = h._eigen
     if h.dim >= 2 and dec.energies[1] - dec.energies[0] <= GAP_TOL:
         raise DegeneracyError(
             f"ground state of {h.label!r} is degenerate: gap "

@@ -222,9 +222,10 @@ def run_pulse_backend(
     The base controlled-U is compiled once; iteration k applies its evolved
     unitary (the compiler's ``realized_unitary`` when ``over_rotation`` is
     zero, else the sequence evolved again with scaled angles) 2^(n k)
-    times, carried from round to round by n squarings (which compound any
-    pulse imperfection exactly like physical repetition). The probe
-    coherences of these realized powers on |+> x |ground> are the
+    times, carried from round to round by n squarings in
+    ``qcore.power_chain`` (which compound any pulse imperfection exactly
+    like physical repetition). The probe coherences of these realized
+    powers on |+> x |ground> are the
     ``coherences`` input of ``ipea.run_ipea``, whose scalar clip phase acts
     as a receiver-frame rotation on the probe, applied in software the way
     a spectrometer's receiver phase is. Any
@@ -243,10 +244,8 @@ def run_pulse_backend(
     else:
         realized = evolve_sequence(sequence.events, over_rotation=over_rotation)
     coherences = []
-    for k in range(config.iterations):
-        if k > 0:
-            realized = qcore.square_unitary(realized, config.bits_per_iteration)
-        s = realized @ joint
+    for power in qcore.power_chain(realized, config.bits_per_iteration, config.iterations):
+        s = power @ joint
         coherences.append(complex(np.vdot(s[:2], s[2:])))
     return ipea.run_ipea(h, config, coherences=coherences)
 

@@ -68,29 +68,47 @@ def require_unitary(a, name: str) -> np.ndarray:
     return m
 
 
-def square_unitary(u: np.ndarray, times: int) -> np.ndarray:
-    """u^(2^times) by repeated squaring, pulled back to the unitary group.
+def power_chain(u: np.ndarray, times: int, count: int) -> np.ndarray:
+    """The stack u^(2^(times r)) for r = 0 .. count - 1, by repeated squaring.
 
-    Each squaring doubles the drift D = u†u - I that rounding leaves, so a
-    long chain of squarings would leave the unitary group. One
-    Newton-Schulz step u (3I - u†u) / 2 = u (I - D/2) after the squarings
-    leaves the drift D^2 (D - 3I) / 4, about 3 D^2 / 4, and moves the
-    eigenphases only at second order, so a coherent error in u still
-    compounds as under physical repetition. Raises ``ComputationError``
-    when the drift left after the step exceeds ``UNITARY_TOL``.
+    A 2-D ``u`` is a matrix. A 1-D ``u`` is the diagonal of a diagonal
+    unitary and is squared elementwise, which on a 2x2 diagonal rounds
+    exactly as the matrix product does.
+
+    Each round squares the previous power ``times`` times. Each squaring
+    doubles the drift D = u†u - I that rounding leaves, so a long chain of
+    squarings would leave the unitary group. One Newton-Schulz step
+    u (3I - u†u) / 2 = u (I - D/2) after the squarings leaves the drift
+    D^2 (D - 3I) / 4, about 3 D^2 / 4, and moves the eigenphases only at
+    second order, so a coherent error in u still compounds as under
+    physical repetition. The drift left by every round's step is checked
+    once the chain is done; raises ``ComputationError``, naming the first
+    round, when it exceeds ``UNITARY_TOL``.
     """
+    if u.ndim == 1:
+        mul, adjoint, eye = np.multiply, np.conj, 1.0
+    else:
+        mul, adjoint, eye = np.matmul, lambda m: m.conj().T, np.eye(u.shape[0])
     m = u
-    for _ in range(times):
-        m = m @ m
-    eye = np.eye(m.shape[0])
-    drift = m.conj().T @ m - eye
-    left = np.abs(drift @ drift @ (drift - 3.0 * eye)).max() / 4.0
-    if not left <= UNITARY_TOL:
+    powers, drifts = [u], []
+    for _ in range(1, count):
+        for _ in range(times):
+            m = mul(m, m)
+        drifts.append(mul(adjoint(m), m) - eye)
+        m = mul(m, eye - 0.5 * drifts[-1])
+        powers.append(m)
+    drifts = np.reshape(drifts, (count - 1,) + u.shape)
+    axes = tuple(range(1, drifts.ndim))
+    left = np.abs(mul(mul(drifts, drifts), drifts - 3.0 * eye)).max(axis=axes) / 4.0
+    failed = np.flatnonzero(~(left <= UNITARY_TOL))
+    if failed.size:
+        r = failed[0]
         raise ComputationError(
-            f"operator power left the unitary group: max|U†U - I| = {np.abs(drift).max():.3e},"
-            f" {left:.3e} > {UNITARY_TOL:.1e} after one Newton-Schulz step"
+            f"operator power of round {r + 1} left the unitary group:"
+            f" max|U†U - I| = {np.abs(drifts[r]).max():.3e},"
+            f" {left[r]:.3e} > {UNITARY_TOL:.1e} after one Newton-Schulz step"
         )
-    return m @ (eye - 0.5 * drift)
+    return np.array(powers)
 
 
 def require_pure_state(v, name: str = "state", tol: float = STATE_NORM_TOL) -> np.ndarray:

@@ -19,6 +19,15 @@ H2_CLIPPED_PHASE_0 = 0.5581338005254003  # phase - 5/360
 ERRBD_5DEG = 5.0 / 360.0
 JITTER_FINAL_BOUND = ERRBD_5DEG * 8.0**-5  # ~4.2386e-7
 
+# four-configuration model (hartree), run at tau 1.9
+MATRIX_4X4 = np.array([
+    [-1.85, 0.18, 0.06, 0.02],
+    [0.18, -1.25, 0.09, 0.04],
+    [0.06, 0.09, -0.90, 0.12],
+    [0.02, 0.04, 0.12, -0.25],
+])
+TAU_4X4 = 1.9
+
 
 @pytest.fixture
 def h2():
@@ -49,3 +58,13 @@ def random_negative_hamiltonian(rng):
             return molham.MolecularHamiltonian(
                 m - (vals[1] + 0.2) * np.eye(2), label="random"
             )
+
+
+def h2_like_targets(count, seed=2026):
+    """The built-in H2 and ``count`` real 2x2 systems of the same sign pattern."""
+    rng = np.random.default_rng(seed)
+    targets = [molham.build_h2()]
+    for _ in range(count):
+        h11, h22, h12 = rng.uniform(-2.2, -1.4), rng.uniform(-0.6, 0.0), rng.uniform(0.05, 0.4)
+        targets.append(molham.MolecularHamiltonian(np.array([[h11, h12], [h12, h22]]), label="H2-like"))
+    return targets

@@ -5,19 +5,11 @@ import pytest
 from molphase import asp, molham, qcore
 from molphase.errors import DegeneracyError, ValidationError
 
+from conftest import h2_like_targets
+
 
 def sigma_x_target():
     return molham.MolecularHamiltonian(qcore.SIGMA_X, label="sigma_x")
-
-
-def h2_like_targets(count, seed=2026):
-    """The built-in H2 and ``count`` real 2x2 systems of the same sign pattern."""
-    rng = np.random.default_rng(seed)
-    targets = [molham.build_h2()]
-    for _ in range(count):
-        h11, h22, h12 = rng.uniform(-2.2, -1.4), rng.uniform(-0.6, 0.0), rng.uniform(0.05, 0.4)
-        targets.append(molham.MolecularHamiltonian(np.array([[h11, h12], [h12, h22]]), label="H2-like"))
-    return targets
 
 
 def reference_sweep(target, steps, total_time):

@@ -17,21 +17,14 @@ from conftest import (
     H2_PHASE,
     H2_TAU,
     JITTER_FINAL_BOUND,
+    MATRIX_4X4,
+    TAU_4X4,
     random_negative_hamiltonian,
 )
 
 # 25-digit first-round readout from the reference hardware run, used as a
 # format fixture: a single-record rebuild must reproduce its bits exactly
 REFERENCE_BITSTRING_K0 = "0100011100100101100010010"
-
-# four-configuration model (hartree), run at tau 1.9
-MATRIX_4X4 = np.array([
-    [-1.85, 0.18, 0.06, 0.02],
-    [0.18, -1.25, 0.09, 0.04],
-    [0.06, 0.09, -0.90, 0.12],
-    [0.02, 0.04, 0.12, -0.25],
-])
-TAU_4X4 = 1.9
 
 
 def h2_config(**kwargs):

@@ -50,8 +50,14 @@ class TestSpectrum:
         np.testing.assert_allclose(np.abs(spec.ground_state), [1.0, 0.0], atol=1e-14)
 
     def test_degenerate_ground_state_rejected(self):
-        with pytest.raises(DegeneracyError, match="degenerate"):
-            molham.spectrum(molham.MolecularHamiltonian(np.eye(2), label="id"))
+        h = molham.MolecularHamiltonian(np.eye(2), label="id")
+        for _ in range(2):  # the decomposition is kept, the failure is not
+            with pytest.raises(DegeneracyError, match="degenerate"):
+                molham.spectrum(h)
+
+    def test_decomposes_once_per_hamiltonian(self, h2):
+        assert molham.spectrum(h2) is molham.spectrum(h2)
+        assert molham.spectrum(molham.build_h2()) is not molham.spectrum(h2)
 
 
 class TestChooseTau:

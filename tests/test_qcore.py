@@ -1,12 +1,20 @@
-"""Linear-algebra core: eigensolver, matrix exponential, unitary squaring, states."""
+"""Linear-algebra core: eigensolver, matrix exponential, power chain, states."""
 import numpy as np
 import pytest
 
-from molphase import qcore
+from molphase import molham, qcore
 from molphase.errors import ComputationError, ValidationError
 from molphase.molham import H2_MATRIX
 
-from conftest import H2_GROUND_ENERGY, H2_TAU, random_hermitian, random_unitary
+from conftest import (
+    H2_GROUND_ENERGY,
+    H2_TAU,
+    MATRIX_4X4,
+    TAU_4X4,
+    h2_like_targets,
+    random_hermitian,
+    random_unitary,
+)
 
 
 class TestHermitianEig:
@@ -112,30 +120,80 @@ class TestExpmHerm:
                 assert np.array_equal(u, qcore.expm_herm(h, t))
 
 
-class TestSquareUnitary:
-    def test_matches_repeated_multiplication(self):
+# The chain's two forms: a matrix, and the diagonal of a diagonal matrix.
+FORMS = {"matrix": lambda m: m, "diagonal": np.diagonal}
+
+
+def unitarity_error(m):
+    if m.ndim == 1:
+        return np.abs(m.conj() * m - 1.0).max()
+    return np.abs(m.conj().T @ m - np.eye(m.shape[0])).max()
+
+
+def form_unitary(rng, form, dim=2):
+    """A random unitary; for the diagonal form, a diagonal one."""
+    if form == "diagonal":
+        return np.diag(np.exp(2j * np.pi * rng.uniform(size=dim)))
+    return random_unitary(rng, dim)
+
+
+class TestPowerChain:
+    @pytest.mark.parametrize("form", FORMS)
+    def test_matches_repeated_multiplication(self, form):
         rng = np.random.default_rng(13)
         for dim in (2, 4):
-            u = random_unitary(rng, dim)
-            expected = np.linalg.matrix_power(u, 8)
-            assert np.abs(qcore.square_unitary(u, 3) - expected).max() <= 1e-13
+            u = form_unitary(rng, form, dim)
+            chain = qcore.power_chain(FORMS[form](u), 3, 3)
+            assert chain.shape == (3,) + FORMS[form](u).shape
+            assert np.array_equal(chain[0], FORMS[form](u))
+            for r in (1, 2):
+                expected = FORMS[form](np.linalg.matrix_power(u, 8**r))
+                assert np.abs(chain[r] - expected).max() <= 1e-13
 
-    def test_step_restores_unitarity_and_keeps_eigenphases(self):
+    @pytest.mark.parametrize("form", FORMS)
+    def test_step_restores_unitarity_and_keeps_eigenphases(self, form):
         rng = np.random.default_rng(17)
-        u = random_unitary(rng)
-        drifted = u * (1.0 + 1e-8)  # drift 2e-8, above UNITARY_TOL
-        m = qcore.square_unitary(drifted, 0)
-        assert np.abs(m.conj().T @ m - np.eye(2)).max() <= 1e-15
-        phases = np.sort(np.angle(np.linalg.eigvals(m)))
+        u = form_unitary(rng, form)
+        drifted = FORMS[form](u) * (1.0 + 1e-8)  # drift 2e-8, above UNITARY_TOL
+        m = qcore.power_chain(drifted, 0, 2)[1]
+        assert unitarity_error(m) <= 1e-15
+        eigenvalues = m if m.ndim == 1 else np.linalg.eigvals(m)
+        phases = np.sort(np.angle(eigenvalues))
         assert np.abs(phases - np.sort(np.angle(np.linalg.eigvals(u)))).max() <= 1e-15
 
-    def test_long_chain_stays_unitary(self):
-        m = qcore.expm_herm(H2_MATRIX, H2_TAU)
-        for _ in range(17):
-            m = qcore.square_unitary(m, 3)
-        assert np.abs(m.conj().T @ m - np.eye(2)).max() <= 1e-15
+    @pytest.mark.parametrize("form", FORMS)
+    def test_long_chain_stays_unitary(self, form):
+        if form == "matrix":
+            u = qcore.expm_herm(H2_MATRIX, H2_TAU)
+        else:
+            u = np.exp(-1j * H2_TAU * qcore.hermitian_eig(H2_MATRIX).energies)
+        chain = qcore.power_chain(u, 3, 18)
+        assert max(unitarity_error(m) for m in chain) <= 1e-15
 
+    @pytest.mark.parametrize("form", FORMS)
     @pytest.mark.parametrize("m", [2.0 * np.eye(2), np.full((2, 2), np.nan)])
-    def test_irrecoverable_drift_is_a_computation_error(self, m):
-        with pytest.raises(ComputationError, match="unitary"):
-            qcore.square_unitary(m, 1)
+    def test_irrecoverable_drift_is_a_computation_error(self, form, m):
+        with pytest.raises(ComputationError, match="round 1 left the unitary group"):
+            qcore.power_chain(FORMS[form](m), 1, 2)
+
+    @pytest.mark.parametrize("n, k", [(3, 17), (1, 52)])
+    def test_diagonal_chain_equals_the_matrix_chain(self, n, k):
+        # on 2x2 systems the elementwise square rounds exactly like the matrix
+        # product, which keeps every output of the eigenbasis chain unchanged
+        for h in h2_like_targets(20, seed=71):
+            factors = np.exp(-1j * molham.choose_tau(h) * molham.spectrum(h).energies)
+            matrices = qcore.power_chain(np.diag(factors), n, k)
+            diagonal = np.diagonal(matrices, axis1=1, axis2=2)
+            assert np.array_equal(qcore.power_chain(factors, n, k), diagonal)
+            assert not np.any(matrices * (1.0 - np.eye(2)))
+
+    @pytest.mark.parametrize("n, k", [(3, 17), (1, 52)])
+    def test_diagonal_chain_matches_the_matrix_chain_on_4x4(self, n, k):
+        # 4x4 matrix products round differently from the elementwise square,
+        # and round r multiplies that difference by 2^(n r); the phase of U
+        # that each power implies must still agree to rounding
+        factors = np.exp(-1j * TAU_4X4 * qcore.hermitian_eig(MATRIX_4X4).energies)
+        matrices = qcore.power_chain(np.diag(factors), n, k)
+        diagonal = np.diagonal(matrices, axis1=1, axis2=2)
+        gap = np.angle(qcore.power_chain(factors, n, k) * diagonal.conj()) / (2.0 * np.pi)
+        assert np.abs(gap / 2.0 ** (n * np.arange(k)[:, None])).max() <= 1e-15
