@@ -11,11 +11,13 @@ whose per-step error is O(d^3). A schedule of M = ``steps`` slices
 samples s_m = m/(M-1) for m = 0..M-1 (one slice jumps to s = 1), so the
 sweep starts exactly at sigma_x and ends exactly at H.
 
-One sweep evolves the states of many total times together: sigma_x and H
-are diagonalised once, and each H(s_m) once for its ground state and gap,
-which do not depend on the total time. A sweep therefore makes 2 + M
-eigendecompositions however many times it covers; ``run_asp`` is the sweep
-over one time and ``scan_total_time`` the sweep over a grid.
+One sweep evolves the states of many total times together. Sigma_x is
+diagonalised once per process and the target once per Hamiltonian (the
+decomposition ``molham.spectrum`` keeps); each H(s_m) is diagonalised once
+per sweep for its ground state and gap, which do not depend on the total
+time. A sweep therefore makes M eigendecompositions however many times it
+covers; ``run_asp`` is the sweep over one time and ``scan_total_time`` the
+sweep over a grid.
 
 Times are in inverse hartree; the hardware's millisecond clock is a
 rescaling of the same dimensionless schedule, and ``scan_total_time``
@@ -24,7 +26,9 @@ locates the few-step high-fidelity regime directly.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -91,9 +95,13 @@ def trotter_step(target: MolecularHamiltonian, s_m: float, delta: float) -> np.n
         raise ValidationError(f"step duration must be finite and positive, got {delta}")
     if not 0.0 <= s_m <= 1.0:
         raise ValidationError(f"interpolation parameter must lie in [0, 1], got {s_m}")
-    x_dec = qcore.hermitian_eig(qcore.SIGMA_X)
-    h_dec = qcore.hermitian_eig(target.matrix)
-    return _slices(x_dec, h_dec, s_m, np.array([delta]))[0]
+    return _slices(_sigma_x_eig(), target._eigen, s_m, np.array([delta]))[0]
+
+
+@cache
+def _sigma_x_eig() -> qcore.EigenDecomposition:
+    # computed on first use, so importing the package makes no LAPACK call
+    return qcore.hermitian_eig(qcore.SIGMA_X)
 
 
 def _slices(x_dec, h_dec, s_m: float, deltas: np.ndarray) -> np.ndarray:
@@ -109,39 +117,37 @@ def _slices(x_dec, h_dec, s_m: float, deltas: np.ndarray) -> np.ndarray:
 
 def _sweep(
     target: MolecularHamiltonian, s_values: np.ndarray, total_times: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Evolve |-> through the slices at ``s_values`` for every total time at once.
 
-    Returns the final states, shape (T, 2, 1), and the fidelity after each
-    slice, shape (T, M). Each fidelity is read with ``np.vdot`` on one
-    state (other contractions round differently in the last bit), so every
-    number equals that of a sweep over its time alone.
+    After each slice yields the instantaneous ground state of H(s_m) and the
+    states of every total time, shape (T, 2, 1); nothing is kept between
+    slices, so a caller reads only the fidelities it returns. Read each with
+    ``np.vdot`` on one state (other contractions round differently in the
+    last bit), so every number equals that of a sweep over its time alone.
     """
-    x_dec = qcore.hermitian_eig(qcore.SIGMA_X)
-    h_dec = qcore.hermitian_eig(target.matrix)
+    x_dec, h_dec = _sigma_x_eig(), target._eigen
     deltas = total_times / len(s_values)
     states = np.tile(qcore.KET_MINUS[:, None], (len(total_times), 1, 1))
-    fidelities = np.empty((len(total_times), len(s_values)))
-    for m, s_m in enumerate(s_values):
+    for s_m in s_values:
         states = _slices(x_dec, h_dec, s_m, deltas) @ states
-        ground = _instantaneous_ground(target, s_m)
-        fidelities[:, m] = [abs(np.vdot(ground, state)) ** 2 for state in states]
-    return states, fidelities
+        yield _instantaneous_ground(target, s_m), states
 
 
 def run_asp(schedule: AdiabaticSchedule) -> ASPResult:
     """Evolve |-> through the discrete sweep, tracking instantaneous fidelity.
 
     This is the sweep of ``scan_total_time`` over the one total time of the
-    schedule: 2 + M eigendecompositions for M = ``steps`` slices.
+    schedule: M eigendecompositions for M = ``steps`` slices.
     """
-    states, fidelities = _sweep(
-        schedule.target, schedule.s_values(), np.array([schedule.total_time])
-    )
+    fidelities = []
+    sweep = _sweep(schedule.target, schedule.s_values(), np.array([schedule.total_time]))
+    for ground, states in sweep:
+        fidelities.append(abs(np.vdot(ground, states[0])) ** 2)
     return ASPResult(
         final_state=states[0, :, 0].copy(),
-        fidelity=float(fidelities[0, -1]),
-        per_step_fidelities=fidelities[0].copy(),
+        fidelity=float(fidelities[-1]),
+        per_step_fidelities=np.array(fidelities),
         schedule=schedule,
     )
 
@@ -161,8 +167,9 @@ def scan_total_time(
     """Fidelity of the ``steps``-slice sweep at each total time in the grid.
 
     One sweep evolves the states of every total time together, so a scan
-    makes 2 + M eigendecompositions for M = ``steps`` slices, whatever the
-    grid's length. Each fidelity equals ``run_asp``'s at that time.
+    makes M eigendecompositions for M = ``steps`` slices, whatever the
+    grid's length, and reads the fidelities after the last slice only.
+    Each fidelity equals ``run_asp``'s at that time.
     """
     grid = np.asarray(t_grid, dtype=float)
     if grid.ndim != 1:
@@ -177,5 +184,6 @@ def scan_total_time(
         raise ValidationError("time grid must be strictly ascending")
     # the schedule validates steps and the target's dimension
     schedule = AdiabaticSchedule(steps=steps, total_time=float(grid[0]), target=target)
-    _, fidelities = _sweep(target, schedule.s_values(), grid)
-    return [(float(t), float(f)) for t, f in zip(grid, fidelities[:, -1])]
+    for ground, states in _sweep(target, schedule.s_values(), grid):
+        pass  # every slice still checks its gap
+    return [(float(t), float(abs(np.vdot(ground, state)) ** 2)) for t, state in zip(grid, states)]

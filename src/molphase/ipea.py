@@ -204,24 +204,29 @@ def run_ipea(
     the coherences are computed from the eigenbasis power chain.
     """
     spec = molham.spectrum(h)
-    if prep is None:
-        prep = spec.ground_state
-    prep = qcore.require_pure_state(prep, "prepared state")
-    if prep.size != h.dim:
-        raise ValidationError(f"prepared state dim {prep.size} != Hamiltonian dim {h.dim}")
     if 2 * h.dim > qcore.MAX_DIM:
         raise ValidationError(f"system dimension {h.dim} too large for the probe register")
-    overlap = float(abs(np.vdot(prep, spec.ground_state)) ** 2)
-    if overlap < PREP_OVERLAP_FLOOR:
-        raise ValidationError(
-            f"prepared state overlaps ground state by {overlap:.4f} < {PREP_OVERLAP_FLOOR}"
-        )
-    if overlap < PREP_OVERLAP_WARN:
-        warnings.warn(
-            f"prepared state overlaps ground state by {overlap:.6f} < {PREP_OVERLAP_WARN};"
-            " phase estimates inherit the preparation error",
-            stacklevel=2,
-        )
+    if prep is None:
+        # the kept decomposition's own eigenvector is normalized and has
+        # ground overlap 1; only its size is checked
+        if h.dim < 2:
+            raise ValidationError(f"prepared state dimension {h.dim} outside 2..{qcore.MAX_DIM}")
+        prep = spec.ground_state
+    else:
+        prep = qcore.require_pure_state(prep, "prepared state")
+        if prep.size != h.dim:
+            raise ValidationError(f"prepared state dim {prep.size} != Hamiltonian dim {h.dim}")
+        overlap = float(abs(np.vdot(prep, spec.ground_state)) ** 2)
+        if overlap < PREP_OVERLAP_FLOOR:
+            raise ValidationError(
+                f"prepared state overlaps ground state by {overlap:.4f} < {PREP_OVERLAP_FLOOR}"
+            )
+        if overlap < PREP_OVERLAP_WARN:
+            warnings.warn(
+                f"prepared state overlaps ground state by {overlap:.6f} < {PREP_OVERLAP_WARN};"
+                " phase estimates inherit the preparation error",
+                stacklevel=2,
+            )
 
     n = config.bits_per_iteration
     if coherences is None:

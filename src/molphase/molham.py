@@ -28,8 +28,9 @@ class MolecularHamiltonian:
     Hermiticity is enforced at construction. A nondegenerate ground state
     is additionally required by ``spectrum`` and the preparation/estimation
     pipelines, which raise ``DegeneracyError`` when the gap closes. The
-    matrix is read-only, so ``spectrum`` decomposes it once and keeps the
-    result on the instance.
+    matrix is read-only, so it is decomposed once and the result kept on
+    the instance (``_eigen``), which ``spectrum``, ``choose_tau`` and the
+    adiabatic sweep share.
     """
 
     matrix: np.ndarray
@@ -87,7 +88,8 @@ def choose_tau(h: MolecularHamiltonian) -> float:
     if spread == 0.0:
         raise TauRangeError("degenerate 2x2 matrix: supply tau explicitly")
     tau = float(np.pi / spread)
-    e0 = float(np.linalg.eigvalsh(h.matrix)[0])
+    # the kept decomposition, not ``spectrum``: a near-degenerate system still gets its tau
+    e0 = float(h._eigen.energies[0])
     if abs(e0) * tau >= 2.0 * np.pi:
         raise TauRangeError(
             f"|E0|*tau = {abs(e0) * tau:.6f} >= 2pi; phase would wrap, supply tau explicitly"

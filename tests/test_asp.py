@@ -1,4 +1,6 @@
 """Adiabatic preparation: interpolation family, split steps, sweep fidelity."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -192,6 +194,19 @@ class TestScanTotalTime:
         target = molham.MolecularHamiltonian(-qcore.SIGMA_X, label="minus_sx")
         with pytest.raises(DegeneracyError, match="s = 0.5"):
             asp.scan_total_time(target, 3, [1.0, 3.0, 5.0])
+
+    def test_memory_does_not_grow_with_steps(self, h2):
+        grid = np.linspace(1.0, 30.0, 2000)
+        asp.scan_total_time(h2, 1, grid[:1])  # keeps the decompositions before tracing
+        peaks = []
+        for steps in (10, 100):
+            tracemalloc.start()
+            try:
+                asp.scan_total_time(h2, steps, grid)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) <= 0.1 * max(peaks)
 
     @pytest.mark.parametrize(
         "steps,grid",

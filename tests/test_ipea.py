@@ -543,6 +543,26 @@ class TestPreparedState:
         with pytest.raises(ValidationError, match="dim"):
             ipea.run_ipea(h2, h2_config(), prep=np.array([1, 0, 0, 0], dtype=complex) )
 
+    def test_default_prep_skips_the_state_checks(self, h2, monkeypatch):
+        calls = []
+        check = qcore.require_pure_state
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return check(*args, **kwargs)
+
+        monkeypatch.setattr(qcore, "require_pure_state", counted)
+        default = ipea.run_ipea(h2, h2_config())
+        assert calls == []
+        supplied = ipea.run_ipea(h2, h2_config(), prep=molham.spectrum(h2).ground_state)
+        assert len(calls) == 1
+        assert supplied.records == default.records
+
+    def test_one_dimensional_system_rejected(self):
+        h = molham.MolecularHamiltonian(np.array([[-1.0]]), label="d1")
+        with pytest.raises(ValidationError, match="dimension 1"):
+            ipea.run_ipea(h, h2_config(tau=0.5))
+
     def test_system_dimension_capped_by_probe_register(self):
         h = molham.MolecularHamiltonian(np.diag(np.arange(-8.0, 0.0)), label="d8")
         with pytest.raises(ValidationError, match="too large"):

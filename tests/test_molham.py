@@ -92,6 +92,13 @@ class TestChooseTau:
                 except TauRangeError:
                     pass  # the range validation may differ under the shift
 
+    def test_near_degenerate_system_gets_its_tau(self):
+        # gap 5e-10 <= GAP_TOL: spectrum() refuses the system, choose_tau does not
+        h = molham.MolecularHamiltonian(np.array([[0.0, 2.5e-10], [2.5e-10, 0.0]]), label="near")
+        assert molham.choose_tau(h) == np.pi / 5e-10
+        with pytest.raises(DegeneracyError):
+            molham.spectrum(h)
+
     def test_phase_range_validation(self):
         h = molham.MolecularHamiltonian(np.diag([-10.0, -10.0 + np.pi]), label="deep")
         with pytest.raises(TauRangeError, match="supply tau"):
