@@ -74,7 +74,6 @@ class ASPResult:
     final_state: np.ndarray
     fidelity: float
     per_step_fidelities: np.ndarray
-    schedule: AdiabaticSchedule
 
 
 def interpolated_hamiltonian(target: MolecularHamiltonian, s: float) -> np.ndarray:
@@ -148,7 +147,6 @@ def run_asp(schedule: AdiabaticSchedule) -> ASPResult:
         final_state=states[0, :, 0].copy(),
         fidelity=float(fidelities[-1]),
         per_step_fidelities=np.array(fidelities),
-        schedule=schedule,
     )
 
 

@@ -1,6 +1,13 @@
 """Command-line front end.
 
 Subcommands: ``eig``, ``ipea``, ``asp``, ``noise-sweep``, ``spectra``.
+Each declares only the flags it reads. Every subcommand takes
+``--hamiltonian`` and ``--out``; ``ipea``, ``noise-sweep`` and ``spectra``
+add the iteration flags ``--tau``, ``--bits``, ``--iterations`` and
+``--errbd``; ``ipea`` and ``spectra`` add the readout jitter ``--jitter``
+and its ``--seed``; ``asp`` adds ``--steps``, ``--total-time`` and
+``--scan``, and ``noise-sweep`` adds ``--epsilons``.
+
 Angles accept a ``deg`` suffix (``5deg`` = 5/360 of a turn); bare numbers
 are fractions of a turn. All validation happens before any computation and
 no output file is written until a command has fully succeeded, so a given
@@ -47,12 +54,9 @@ def resolve_tau(text: str, h: molham.MolecularHamiltonian) -> float:
     if text == "auto":
         return molham.choose_tau(h)
     try:
-        tau = float(text)
+        return float(text)
     except ValueError:
         raise ValidationError(f"cannot parse tau {text!r} (number or 'auto')") from None
-    if not tau > 0:
-        raise ValidationError(f"tau must be positive, got {tau}")
-    return tau
 
 
 def _iteration_config(args, h: molham.MolecularHamiltonian) -> ipea.IterationConfig:
@@ -163,14 +167,14 @@ def cmd_noise_sweep(args) -> int:
         eps_values = [float(tok) for tok in args.epsilons.split(",") if tok.strip()]
     except ValueError:
         raise ValidationError(f"cannot parse epsilon grid {args.epsilons!r}") from None
-    if not eps_values or any(e < 0 for e in eps_values):
-        raise ValidationError(f"epsilon grid must be nonempty and nonnegative: {args.epsilons!r}")
+    if not eps_values:
+        raise ValidationError(f"epsilon grid is empty: {args.epsilons!r}")
+    noises = [probe.NoiseModel(coherent_epsilon=eps) for eps in eps_values]
     theta0 = ipea.oracle_phase(h, config.tau)
 
     rows = []
     summaries = []
-    for eps in eps_values:
-        noise = probe.NoiseModel(coherent_epsilon=eps, rng_seed=args.seed)
+    for eps, noise in zip(eps_values, noises):
         result = ipea.run_ipea(h, config, noise=noise)
         errors = ipea.iteration_phase_errors(result.records, theta0, args.bits)
         bits = ipea.precision_report(result.phase, theta0)
@@ -227,20 +231,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--hamiltonian", default="h2", help="built-in 'h2' or JSON document path")
-    common.add_argument("--tau", default="auto", help="evolution time in a.u., or 'auto'")
     common.add_argument("--out", default=".", help="output directory")
-    common.add_argument("--seed", type=int, default=0, help="noise RNG seed")
 
     iteration = argparse.ArgumentParser(add_help=False)
+    iteration.add_argument("--tau", default="auto", help="evolution time in a.u., or 'auto'")
     iteration.add_argument("--bits", type=int, default=3, help="bits per iteration (n)")
     iteration.add_argument("--iterations", type=int, default=6, help="iteration count (k_max)")
     iteration.add_argument("--errbd", default="5deg", help="phase error bound (turns or Ndeg)")
 
+    jitter = argparse.ArgumentParser(add_help=False)
+    jitter.add_argument("--jitter", default=None, help="measurement jitter bound (turns or Ndeg)")
+    jitter.add_argument("--seed", type=int, default=0, help="jitter RNG seed")
+
     p = sub.add_parser("eig", parents=[common], help="exact diagonalization report")
     p.set_defaults(func=cmd_eig)
 
-    p = sub.add_parser("ipea", parents=[common, iteration], help="iterative phase estimation")
-    p.add_argument("--jitter", default=None, help="measurement jitter bound (turns or Ndeg)")
+    p = sub.add_parser("ipea", parents=[common, iteration, jitter], help="iterative phase estimation")
     p.set_defaults(func=cmd_ipea)
 
     p = sub.add_parser("asp", parents=[common], help="adiabatic preparation fidelity scan")
@@ -255,9 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated perturbation strengths (hartree)")
     p.set_defaults(func=cmd_noise_sweep)
 
-    p = sub.add_parser("spectra", parents=[common, iteration],
+    p = sub.add_parser("spectra", parents=[common, iteration, jitter],
                        help="synthesize per-iteration spectra plus reference")
-    p.add_argument("--jitter", default=None, help="measurement jitter bound (turns or Ndeg)")
     p.set_defaults(func=cmd_spectra)
     return parser
 

@@ -200,9 +200,16 @@ def run_ipea(
     seed-free coherence of the bare power. ``coherences`` supplies
     c_0 .. c_{k_max - 1} in place of the exact ones (the pulse backend
     passes those of its realized gate), and ``noise`` then adds only its
-    jitter; a list of another length is a ``ValidationError``. By default
-    the coherences are computed from the eigenbasis power chain.
+    jitter; a list of another length, a ``prep`` or a coherent error
+    alongside it is a ``ValidationError``, since the list already fixes
+    the state and the operator. By default the coherences are computed
+    from the eigenbasis power chain.
     """
+    if coherences is not None:
+        if prep is not None:
+            raise ValidationError("prep has no effect when coherences are supplied")
+        if noise is not None and noise.coherent_epsilon > 0.0:
+            raise ValidationError("a coherent error has no effect when coherences are supplied")
     spec = molham.spectrum(h)
     if 2 * h.dim > qcore.MAX_DIM:
         raise ValidationError(f"system dimension {h.dim} too large for the probe register")

@@ -189,6 +189,21 @@ class TestNoiseSweepCommand:
         assert cli.main(["noise-sweep", "--epsilons", "1e-4,x", "--out", str(tmp_path)]) == 2
         assert cli.main(["noise-sweep", "--epsilons=-1e-4", "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("grid", ["0,1e-4,nan", "0,inf", "0,1e-4,-1e-3", ","])
+    def test_bad_epsilon_fails_before_any_run(self, tmp_path, monkeypatch, grid):
+        calls = []
+        run = ipea.run_ipea
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(ipea, "run_ipea", counted)
+        out = tmp_path / "out"
+        assert cli.main(["noise-sweep", f"--epsilons={grid}", "--out", str(out)]) == 2
+        assert calls == []
+        assert not out.exists()
+
     def test_coherent_error_needs_a_2x2_system(self, tmp_path, capsys):
         doc = tmp_path / "diag4.json"
         doc.write_text(
@@ -203,7 +218,7 @@ class TestNoiseSweepCommand:
 
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
-        args = ["noise-sweep", "--epsilons", "0,1e-4", "--seed", "3"]
+        args = ["noise-sweep", "--epsilons", "0,1e-4"]
         assert cli.main(args + ["--out", str(a)]) == 0
         assert cli.main(args + ["--out", str(b)]) == 0
         assert (a / "noise_sweep.csv").read_bytes() == (b / "noise_sweep.csv").read_bytes()
@@ -238,6 +253,34 @@ class TestSpectraCommand:
         assert cli.main(args + ["--out", str(b)]) == 0
         for name in ("spectrum_k-1.csv", "spectrum_k0.csv", "spectra_manifest.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+class TestFlags:
+    @pytest.mark.parametrize(
+        "command, flag, read",
+        [
+            ("eig", "--tau", False),
+            ("eig", "--seed", False),
+            ("asp", "--tau", False),
+            ("asp", "--seed", False),
+            ("noise-sweep", "--seed", False),
+            ("ipea", "--tau", True),
+            ("noise-sweep", "--tau", True),
+            ("spectra", "--tau", True),
+            ("ipea", "--seed", True),
+            ("spectra", "--seed", True),
+        ],
+    )
+    def test_each_command_takes_only_the_flags_it_reads(self, command, flag, read, capsys):
+        parser = cli.build_parser()
+        argv = [command, flag, "3"]
+        if read:
+            assert str(getattr(parser.parse_args(argv), flag[2:])) == "3"
+        else:
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args(argv)
+            assert exc.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestGeneralHamiltonianDocuments:

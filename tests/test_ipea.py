@@ -281,6 +281,24 @@ class TestScalarChainMatchesDenseChain:
         with pytest.raises(ValidationError, match="coherences"):
             ipea.run_ipea(h2, h2_config(), coherences=[0.5] * count)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"prep": np.array([1.0, 0.0])},
+            {"noise": probe.NoiseModel(coherent_epsilon=1e-4)},
+            {"noise": probe.NoiseModel(phase_jitter_bound=ERRBD_5DEG, coherent_epsilon=1e-4)},
+        ],
+        ids=["prep", "coherent", "coherent-with-jitter"],
+    )
+    def test_inputs_the_coherences_override_are_rejected(self, h2, kwargs):
+        with pytest.raises(ValidationError, match="coherences are supplied"):
+            ipea.run_ipea(h2, h2_config(), coherences=[0.5] * 6, **kwargs)
+
+    def test_jitter_applies_to_supplied_coherences(self, h2):
+        noise = probe.NoiseModel(phase_jitter_bound=ERRBD_5DEG, rng_seed=3)
+        records, _, _ = ipea.run_ipea(h2, h2_config(), noise=noise, coherences=[0.5] * 6)
+        assert records[0].measured_phase == noise.draw_jitter(noise.make_rng()) % 1.0
+
 
 class TestLongRuns:
     @pytest.mark.parametrize("n, k", [(1, 52), (2, 26), (3, 17), (4, 13), (5, 10)])
