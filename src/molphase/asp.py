@@ -11,13 +11,17 @@ whose per-step error is O(d^3). A schedule of M = ``steps`` slices
 samples s_m = m/(M-1) for m = 0..M-1 (one slice jumps to s = 1), so the
 sweep starts exactly at sigma_x and ends exactly at H.
 
-One sweep evolves the states of many total times together. Sigma_x is
-diagonalised once per process and the target once per Hamiltonian (the
-decomposition ``molham.spectrum`` keeps); each H(s_m) is diagonalised once
-per sweep for its ground state and gap, which do not depend on the total
-time. A sweep therefore makes M eigendecompositions however many times it
-covers; ``run_asp`` is the sweep over one time and ``scan_total_time`` the
-sweep over a grid.
+One sweep evolves the states of many total times together, as a (2, T)
+array in sigma_x's eigenbasis. There each sigma_x half is the elementwise
+phase exp(-i E_x d (1-s)/2), and the middle factor is
+B† diag(exp(-i E_H s d)) B with B = V_H† V_x fixed for the sweep; every
+2x2 product is written out elementwise, so a column rounds the same way
+whatever the batch. Sigma_x is diagonalised once per process and the
+target once per Hamiltonian (the decomposition ``molham.spectrum``
+keeps); the M interpolated H(s_m), whose ground states and gaps do not
+depend on the total time, are decomposed in one batched call per sweep.
+``run_asp`` is the sweep over one time, ``scan_total_time`` the sweep
+over a grid, and ``trotter_step`` the slice kernel on its own.
 
 Times are in inverse hartree; the hardware's millisecond clock is a
 rescaling of the same dimensionless schedule, and ``scan_total_time``
@@ -88,13 +92,17 @@ def interpolated_hamiltonian(target: MolecularHamiltonian, s: float) -> np.ndarr
 def trotter_step(target: MolecularHamiltonian, s_m: float, delta: float) -> np.ndarray:
     """One symmetric-split slice of duration ``delta`` at parameter ``s_m``.
 
-    The one-duration case of the slice kernel the sweep applies.
+    The sweep's slice kernel applied to the columns of V_x† (the
+    computational basis, written in sigma_x's eigenbasis), then rotated
+    back with V_x.
     """
     if not (math.isfinite(delta) and delta > 0):
         raise ValidationError(f"step duration must be finite and positive, got {delta}")
     if not 0.0 <= s_m <= 1.0:
         raise ValidationError(f"interpolation parameter must lie in [0, 1], got {s_m}")
-    return _slices(_sigma_x_eig(), target._eigen, s_m, np.array([delta]))[0]
+    rates, b, b_adj = _slice_inputs(target, np.array([s_m]))
+    vx = _sigma_x_eig().eigenvectors
+    return _mix(vx, _slice(vx.conj().T, rates[0], delta, b, b_adj))
 
 
 @cache
@@ -103,60 +111,105 @@ def _sigma_x_eig() -> qcore.EigenDecomposition:
     return qcore.hermitian_eig(qcore.SIGMA_X)
 
 
-def _slices(x_dec, h_dec, s_m: float, deltas: np.ndarray) -> np.ndarray:
-    """Stack of split slices at ``s_m``, one per step duration in ``deltas``.
+def _slice_inputs(target: MolecularHamiltonian, s_values: np.ndarray):
+    """Phase rates of every slice, shape (M, 4, 1), and B = V_H† V_x with B†.
 
-    ``x_dec`` and ``h_dec`` decompose sigma_x and the target; every slice
-    is half @ middle @ half, with each factor V diag(exp(-i E t)) V†.
+    Slice m's rates are -i (E_x (1-s_m)/2, E_H s_m): a slice of duration d
+    has the sigma_x half phases exp(rates[:2] d) and the middle phases
+    exp(rates[2:] d).
     """
-    half = x_dec.propagator(0.5 * deltas * (1.0 - s_m))
-    middle = h_dec.propagator(s_m * deltas)
-    return half @ middle @ half
+    x_dec, h_dec = _sigma_x_eig(), target._eigen
+    s = s_values[:, None]
+    rates = -1j * np.concatenate([0.5 * (1.0 - s) * x_dec.energies, s * h_dec.energies], axis=1)
+    b = h_dec.eigenvectors.conj().T @ x_dec.eigenvectors
+    return rates[:, :, None], b, b.conj().T
+
+
+def _mix(m: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """``m @ states`` for a 2x2 ``m``, elementwise, so a column rounds alike in any batch."""
+    return m[:, :1] * states[0] + m[:, 1:] * states[1]
+
+
+def _slice(states: np.ndarray, rates: np.ndarray, deltas, b, b_adj) -> np.ndarray:
+    """Apply one split slice to ``states``, with one step duration per column
+    in ``deltas`` or one for all.
+
+    ``states`` has shape (2, T) and holds its columns in sigma_x's
+    eigenbasis. There each sigma_x half is the phase exp(-i E_x d (1-s)/2),
+    and the middle factor is B† diag(exp(-i E_H s d)) B.
+    """
+    phases = np.exp(rates * deltas)
+    half, middle = phases[:2], phases[2:]
+    return half * _mix(b_adj, middle * _mix(b, half * states))
+
+
+def _ground_states(target: MolecularHamiltonian, s_values: np.ndarray) -> np.ndarray:
+    """The ground state of each H(s_m), shape (M, 2).
+
+    The M interpolated Hamiltonians are decomposed in one batched call and
+    their gaps checked together. (1-s) sigma_x + s H needs no validation of
+    its own: both terms already passed it.
+    """
+    s = s_values[:, None, None]
+    energies, vectors = np.linalg.eigh((1.0 - s) * qcore.SIGMA_X + s * target.matrix)
+    gaps = energies[:, 1] - energies[:, 0]
+    degenerate = np.flatnonzero(gaps <= molham.GAP_TOL)
+    if degenerate.size:
+        m = degenerate[0]
+        raise DegeneracyError(
+            f"interpolated Hamiltonian is degenerate at s = {s_values[m]:.6f} (gap {gaps[m]:.3e})"
+        )
+    return vectors[:, :, 0]
 
 
 def _sweep(
     target: MolecularHamiltonian, s_values: np.ndarray, total_times: np.ndarray
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+) -> Iterator[np.ndarray]:
     """Evolve |-> through the slices at ``s_values`` for every total time at once.
 
-    After each slice yields the instantaneous ground state of H(s_m) and the
-    states of every total time, shape (T, 2, 1); nothing is kept between
-    slices, so a caller reads only the fidelities it returns. Read each with
-    ``np.vdot`` on one state (other contractions round differently in the
-    last bit), so every number equals that of a sweep over its time alone.
+    Yields the states after each slice, shape (2, T), in sigma_x's
+    eigenbasis; nothing is kept between slices, so a caller keeps only what
+    it reads. Callers take the slices' ground states from
+    ``_ground_states`` first, so every gap is checked before the first
+    slice, and read fidelities with ``_fidelities``.
     """
-    x_dec, h_dec = _sigma_x_eig(), target._eigen
+    rates, b, b_adj = _slice_inputs(target, s_values)
     deltas = total_times / len(s_values)
-    states = np.tile(qcore.KET_MINUS[:, None], (len(total_times), 1, 1))
-    for s_m in s_values:
-        states = _slices(x_dec, h_dec, s_m, deltas) @ states
-        yield _instantaneous_ground(target, s_m), states
+    start = _sigma_x_eig().eigenvectors.conj().T @ qcore.KET_MINUS
+    states = np.repeat(start[:, None], len(total_times), axis=1)
+    for slice_rates in rates:
+        states = _slice(states, slice_rates, deltas, b, b_adj)
+        yield states
+
+
+def _fidelities(grounds: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """|<g|psi>|^2 = |sum conj(V_x† g) psi|^2 per column, for states in sigma_x's eigenbasis.
+
+    ``grounds`` holds one ground state per row, for one column of ``states``
+    each or for all of them. Like the slice kernel this works column by
+    column, so every number equals that of a sweep over its time alone.
+    """
+    weights = _mix(_sigma_x_eig().eigenvectors.conj().T, grounds.T).conj()
+    return np.abs(weights[0] * states[0] + weights[1] * states[1]) ** 2
 
 
 def run_asp(schedule: AdiabaticSchedule) -> ASPResult:
     """Evolve |-> through the discrete sweep, tracking instantaneous fidelity.
 
     This is the sweep of ``scan_total_time`` over the one total time of the
-    schedule: M eigendecompositions for M = ``steps`` slices.
+    schedule, with one batched decomposition of its M = ``steps`` slices;
+    the final state is rotated back from sigma_x's eigenbasis with V_x.
     """
-    fidelities = []
-    sweep = _sweep(schedule.target, schedule.s_values(), np.array([schedule.total_time]))
-    for ground, states in sweep:
-        fidelities.append(abs(np.vdot(ground, states[0])) ** 2)
+    s_values = schedule.s_values()
+    grounds = _ground_states(schedule.target, s_values)
+    sweep = _sweep(schedule.target, s_values, np.array([schedule.total_time]))
+    states = np.concatenate(list(sweep), axis=1)  # (2, M): the state after each slice
+    fidelities = _fidelities(grounds, states)
     return ASPResult(
-        final_state=states[0, :, 0].copy(),
+        final_state=_mix(_sigma_x_eig().eigenvectors, states[:, -1:])[:, 0].copy(),
         fidelity=float(fidelities[-1]),
-        per_step_fidelities=np.array(fidelities),
+        per_step_fidelities=fidelities,
     )
-
-
-def _instantaneous_ground(target: MolecularHamiltonian, s: float) -> np.ndarray:
-    h_s = interpolated_hamiltonian(target, s)
-    dec = qcore.hermitian_eig(h_s)
-    gap = dec.energies[1] - dec.energies[0]
-    if gap <= molham.GAP_TOL:
-        raise DegeneracyError(f"interpolated Hamiltonian is degenerate at s = {s:.6f} (gap {gap:.3e})")
-    return dec.ground_state
 
 
 def scan_total_time(
@@ -165,8 +218,8 @@ def scan_total_time(
     """Fidelity of the ``steps``-slice sweep at each total time in the grid.
 
     One sweep evolves the states of every total time together, so a scan
-    makes M eigendecompositions for M = ``steps`` slices, whatever the
-    grid's length, and reads the fidelities after the last slice only.
+    makes one batched decomposition of its M = ``steps`` slices, whatever
+    the grid's length, and reads the fidelities after the last slice only.
     Each fidelity equals ``run_asp``'s at that time.
     """
     grid = np.asarray(t_grid, dtype=float)
@@ -182,6 +235,8 @@ def scan_total_time(
         raise ValidationError("time grid must be strictly ascending")
     # the schedule validates steps and the target's dimension
     schedule = AdiabaticSchedule(steps=steps, total_time=float(grid[0]), target=target)
-    for ground, states in _sweep(target, schedule.s_values(), grid):
-        pass  # every slice still checks its gap
-    return [(float(t), float(abs(np.vdot(ground, state)) ** 2)) for t, state in zip(grid, states)]
+    s_values = schedule.s_values()
+    grounds = _ground_states(target, s_values)
+    for states in _sweep(target, s_values, grid):
+        pass
+    return [(float(t), float(f)) for t, f in zip(grid, _fidelities(grounds[-1:], states))]

@@ -170,6 +170,9 @@ def cmd_noise_sweep(args) -> int:
     if not eps_values:
         raise ValidationError(f"epsilon grid is empty: {args.epsilons!r}")
     noises = [probe.NoiseModel(coherent_epsilon=eps) for eps in eps_values]
+    for noise in noises:
+        if noise.coherent_epsilon > 0.0:
+            probe.perturbed_hamiltonian(h, noise)  # rejects a system that is not 2x2
     theta0 = ipea.oracle_phase(h, config.tau)
 
     rows = []

@@ -140,16 +140,10 @@ class EigenDecomposition:
     def ground_state(self) -> np.ndarray:
         return self.eigenvectors[:, 0].copy()
 
-    def propagator(self, t) -> np.ndarray:
-        """exp(-i h t) = V diag(exp(-i lambda t)) V† for the decomposed h.
-
-        An array of times gives the stack of propagators, one per time; each
-        is computed with the same operations, in the same order, as for a
-        single time.
-        """
+    def propagator(self, t: float) -> np.ndarray:
+        """exp(-i h t) = V diag(exp(-i lambda t)) V† for the decomposed h."""
         v = self.eigenvectors
-        phases = np.exp(-1j * self.energies * np.asarray(t)[..., None])
-        return (v * phases[..., None, :]) @ v.conj().T
+        return (v * np.exp(-1j * self.energies * t)) @ v.conj().T
 
 
 def hermitian_eig(h) -> EigenDecomposition:

@@ -60,11 +60,18 @@ def random_negative_hamiltonian(rng):
             )
 
 
-def h2_like_targets(count, seed=2026):
-    """The built-in H2 and ``count`` real 2x2 systems of the same sign pattern."""
+def h2_like_targets(count, seed=2026, complex_coupling=False):
+    """The built-in H2 and ``count`` 2x2 systems of the same sign pattern.
+
+    The systems are real, unless ``complex_coupling`` gives each H12 a
+    random phase.
+    """
     rng = np.random.default_rng(seed)
     targets = [molham.build_h2()]
     for _ in range(count):
         h11, h22, h12 = rng.uniform(-2.2, -1.4), rng.uniform(-0.6, 0.0), rng.uniform(0.05, 0.4)
-        targets.append(molham.MolecularHamiltonian(np.array([[h11, h12], [h12, h22]]), label="H2-like"))
+        if complex_coupling:
+            h12 = h12 * np.exp(2j * np.pi * rng.uniform())
+        matrix = np.array([[h11, h12], [np.conj(h12), h22]])
+        targets.append(molham.MolecularHamiltonian(matrix, label="H2-like"))
     return targets

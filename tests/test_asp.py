@@ -75,9 +75,11 @@ class TestTrotterStep:
 
     @pytest.mark.parametrize("s_m,delta", [(0.0, 0.7), (0.3, 1.7), (0.5, 0.1), (1.0, 2.5)])
     def test_equals_product_of_exponentials(self, h2, s_m, delta):
+        # the step works in sigma_x's eigenbasis, so it matches the matrix product to a few ulps
         half = qcore.expm_herm(qcore.SIGMA_X, 0.5 * delta * (1.0 - s_m))
         middle = qcore.expm_herm(h2.matrix, s_m * delta)
-        assert np.array_equal(asp.trotter_step(h2, s_m, delta), half @ middle @ half)
+        got = asp.trotter_step(h2, s_m, delta)
+        assert np.abs(got - half @ middle @ half).max() <= 4 * np.finfo(float).eps
 
 
 class TestRunASP:
@@ -218,13 +220,48 @@ class TestScanTotalTime:
         ],
     )
     def test_sweep_equals_per_time_reference(self, steps, grid):
-        # exact equality: the sweep does the reference's arithmetic, stacked over times
-        for target in h2_like_targets(20):
-            scan = asp.scan_total_time(target, steps, grid)
-            for (t, fidelity), total_time in zip(scan, grid):
-                state, fidelities = reference_sweep(target, steps, total_time)
-                result = asp.run_asp(asp.AdiabaticSchedule(steps, total_time, target))
-                assert t == total_time
-                assert fidelity == fidelities[-1]
-                assert np.array_equal(result.final_state, state)
-                assert np.array_equal(result.per_step_fidelities, fidelities)
+        assert_sweep_matches_reference(h2_like_targets(20), steps, grid)
+
+
+def assert_sweep_matches_reference(targets, steps, grid):
+    """The scan equals ``run_asp`` exactly at every time; both are within
+    1e-12 of the per-time ``trotter_step`` product, which multiplies
+    matrices where the sweep works elementwise in sigma_x's eigenbasis."""
+    for target in targets:
+        scan = asp.scan_total_time(target, steps, grid)
+        for (t, fidelity), total_time in zip(scan, grid):
+            state, fidelities = reference_sweep(target, steps, total_time)
+            result = asp.run_asp(asp.AdiabaticSchedule(steps, total_time, target))
+            assert t == total_time
+            assert fidelity == result.fidelity
+            assert abs(fidelity - fidelities[-1]) <= 1e-12
+            assert np.abs(result.final_state - state).max() <= 1e-12
+            assert np.abs(result.per_step_fidelities - fidelities).max() <= 1e-12
+
+
+class TestComplexTargets:
+    """Targets whose H12 carries a phase, so a conjugate dropped from the
+    basis change shows (every real target is its own conjugate)."""
+
+    @pytest.mark.parametrize(
+        "steps,grid",
+        [(6, [0.3, 1.0, 9.5, 12.3, 50.0]), (17, [0.3, 1.0, 9.5, 12.3, 50.0]), (200, [1.0, 50.0])],
+    )
+    def test_sweep_equals_per_time_reference(self, steps, grid):
+        assert_sweep_matches_reference(h2_like_targets(20, complex_coupling=True), steps, grid)
+
+    def test_step_equals_product_of_exponentials(self):
+        rng = np.random.default_rng(7)
+        for target in h2_like_targets(20, complex_coupling=True):
+            s_m, delta = rng.uniform(0.0, 1.0), rng.uniform(0.05, 3.0)
+            half = qcore.expm_herm(qcore.SIGMA_X, 0.5 * delta * (1.0 - s_m))
+            middle = qcore.expm_herm(target.matrix, s_m * delta)
+            got = asp.trotter_step(target, s_m, delta)
+            assert np.abs(got - half @ middle @ half).max() <= 4 * np.finfo(float).eps
+
+    def test_stacked_ground_states_equal_single_ones(self):
+        for target in h2_like_targets(20, complex_coupling=True):
+            s_values = asp.AdiabaticSchedule(steps=12, total_time=1.0, target=target).s_values()
+            for s, ground in zip(s_values, asp._ground_states(target, s_values)):
+                single = qcore.hermitian_eig(asp.interpolated_hamiltonian(target, s)).ground_state
+                assert np.array_equal(ground, single)

@@ -216,6 +216,26 @@ class TestNoiseSweepCommand:
         assert "2x2" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_coherent_error_on_a_larger_system_fails_before_any_run(self, tmp_path, monkeypatch):
+        calls = []
+        run = ipea.run_ipea
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(ipea, "run_ipea", counted)
+        doc = tmp_path / "diag4.json"
+        doc.write_text(
+            json.dumps({"label": "diag4", "dim": 4,
+                        "matrix_re": np.diag([-4.0, -2.5, -1.0, -0.5]).tolist()})
+        )
+        out = tmp_path / "out"
+        args = ["noise-sweep", "--hamiltonian", str(doc), "--tau", "1.9", "--epsilons", "0,0,1e-4"]
+        assert cli.main(args + ["--out", str(out)]) == 2
+        assert calls == []
+        assert not out.exists()
+
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         args = ["noise-sweep", "--epsilons", "0,1e-4"]

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from molphase import asp, ipea, molham, probe, qcore
+from molphase import asp, ipea, molham, probe
 
 from conftest import ERRBD_5DEG, H2_PHASE, H2_TAU, JITTER_FINAL_BOUND
 
@@ -79,13 +79,13 @@ def test_pipeline_spectra_round_trip(h2_module, prepared):
 def test_prepared_chain_diagonalizes_the_target_once(monkeypatch, times):
     asp.scan_total_time(molham.build_h2(), 1, [1.0])  # sigma_x is decomposed once per process
     calls = []
-    eig = qcore.hermitian_eig
+    eigh = np.linalg.eigh
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return eig(*args, **kwargs)
+        return eigh(*args, **kwargs)
 
-    monkeypatch.setattr(qcore, "hermitian_eig", counted)
+    monkeypatch.setattr(np.linalg, "eigh", counted)
     h = molham.MolecularHamiltonian(np.array([[-1.9, 0.2], [0.2, -0.3]]), label="H2-like")
     tau = molham.choose_tau(h)
     scan = asp.scan_total_time(h, 6, np.arange(1.0, 30.0 + 1e-9, 0.5)[:times])
@@ -94,5 +94,5 @@ def test_prepared_chain_diagonalizes_the_target_once(monkeypatch, times):
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "prepared state overlaps", UserWarning)
         ipea.run_ipea(h, ipea.IterationConfig(tau=tau), prep=prepared.final_state)
-    # the target once, then each of the 6 slices once per sweep (scan and run_asp)
-    assert len(calls) == 1 + 2 * 6
+    # the target once, then one batched call per sweep (scan and run_asp)
+    assert len(calls) == 1 + 2

@@ -108,17 +108,6 @@ class TestExpmHerm:
         with pytest.raises(ValidationError):
             qcore.expm_herm(H2_MATRIX, np.inf)
 
-    def test_stacked_propagators_equal_single_ones(self):
-        # a stack over times must round exactly like one time at a time
-        rng = np.random.default_rng(29)
-        for dim in (2, 4, 8):
-            h = random_hermitian(rng, dim)
-            times = rng.uniform(-30, 30, size=7)
-            stack = qcore.hermitian_eig(h).propagator(times)
-            assert stack.shape == (7, dim, dim)
-            for t, u in zip(times, stack):
-                assert np.array_equal(u, qcore.expm_herm(h, t))
-
 
 # The chain's two forms: a matrix, and the diagonal of a diagonal matrix.
 FORMS = {"matrix": lambda m: m, "diagonal": np.diagonal}
