@@ -80,10 +80,12 @@ class ASPResult:
     per_step_fidelities: np.ndarray
 
 
-def interpolated_hamiltonian(target: MolecularHamiltonian, s: float) -> np.ndarray:
-    """(1-s) sigma_x + s H."""
-    if not 0.0 <= s <= 1.0:
-        raise ValidationError(f"interpolation parameter must lie in [0, 1], got {s}")
+def interpolated_hamiltonian(target: MolecularHamiltonian, s) -> np.ndarray:
+    """(1-s) sigma_x + s H for a scalar s, or stacked, shape (M, 2, 2), for an array of M."""
+    s = np.asarray(s, dtype=float)[..., None, None]
+    outside = s[~((0.0 <= s) & (s <= 1.0))]
+    if outside.size:
+        raise ValidationError(f"interpolation parameter must lie in [0, 1], got {outside[0]}")
     if target.dim != 2:
         raise ValidationError(f"interpolation targets 2x2 systems, got dim {target.dim}")
     return (1.0 - s) * qcore.SIGMA_X + s * target.matrix
@@ -147,11 +149,10 @@ def _ground_states(target: MolecularHamiltonian, s_values: np.ndarray) -> np.nda
     """The ground state of each H(s_m), shape (M, 2).
 
     The M interpolated Hamiltonians are decomposed in one batched call and
-    their gaps checked together. (1-s) sigma_x + s H needs no validation of
-    its own: both terms already passed it.
+    their gaps checked together. They need no Hermiticity check of their
+    own: both terms already passed it.
     """
-    s = s_values[:, None, None]
-    energies, vectors = np.linalg.eigh((1.0 - s) * qcore.SIGMA_X + s * target.matrix)
+    energies, vectors = np.linalg.eigh(interpolated_hamiltonian(target, s_values))
     gaps = energies[:, 1] - energies[:, 0]
     degenerate = np.flatnonzero(gaps <= molham.GAP_TOL)
     if degenerate.size:

@@ -2,10 +2,10 @@
 
 Starting from U0 = exp(-i H tau), each iteration measures the probe phase
 phi_k of the current operator on the prepared state, clips it by the
-measurement error bound, and advances to
-U_{k+1} = [exp(-i 2 pi phi'_k) U_k]^(2^n). As long as each measurement is
-within +-phi_errbd of the truth, the residual eigenphase stays in
-[0, 2^n * 2 phi_errbd]. Readings of it then fall in the window
+measurement error bound with a sign (``clip_phase``), and advances to
+U_{k+1} = [exp(-i 2 pi phi'_k) U_k]^(2^n). A reading off by j_k leaves the
+residual eigenphase 2^n (phi_errbd - j_k), so while |j_k| <= phi_errbd it
+stays in [0, 2^n * 2 phi_errbd]. Readings of it then fall in the window
 [0, (2^(n+1) + 1) phi_errbd] or, for a residual pushed below zero by the
 jitter, in the wrapped band [1 - phi_errbd, 1); the two stay apart when
 (2^(n+1) + 2) phi_errbd < 1. Every iteration then refines the estimate by
@@ -105,7 +105,11 @@ class IterationConfig:
 
 @dataclass(frozen=True)
 class IterationRecord:
-    """One measured/clipped phase pair; U_k holds U to the power 2^(n k)."""
+    """One measured/clipped phase pair; U_k holds U to the power 2^(n k).
+
+    ``clipped_phase`` is the signed clip of ``clip_phase``, negative for a
+    reading below the bound or a wrapped one.
+    """
 
     k: int
     measured_phase: float
@@ -162,22 +166,21 @@ def is_wrapped(measured: float, error_bound: float, n: int) -> bool:
     lies in the window [0, (2^(n+1) + 1) * bound] or, for a small phase
     pushed below zero, in the wrapped band [1 - bound, 1). The test splits
     at the midpoint of the gap between the two, 0.5 * (1 + 2^(n+1) * bound),
-    which leaves the widest margin on both sides for rounding: a residual
-    that rounds below zero is not clipped away, so its drift grows by 2^n
-    per round. ``IterationConfig`` admissibility keeps the gap open.
+    which leaves the widest margin on both sides for rounding.
+    ``IterationConfig`` admissibility keeps the gap open.
     """
     return measured > 0.5 * (1.0 + 2.0 ** (n + 1) * error_bound)
 
 
 def clip_phase(measured: float, error_bound: float, n: int | None = None) -> float:
-    """max(measured - bound, 0), folding wrapped readings when ``n`` is given.
-
-    Pass the bits per iteration ``n`` from the second iteration on, where a
-    wrapped reading (``is_wrapped``) clips to 0.
+    """Signed clip: measured - bound, or measured - 1 - bound for a reading
+    wrapped (``is_wrapped``) from the second iteration on, where ``n`` is
+    passed. With no clamp at zero the next residual is 2^n (bound - jitter),
+    so a residual below zero is removed rather than carried on.
     """
     if n is not None and is_wrapped(measured, error_bound, n):
-        return 0.0
-    return max(measured - error_bound, 0.0)
+        return measured - 1.0 - error_bound
+    return measured - error_bound
 
 
 def run_ipea(
@@ -291,7 +294,7 @@ def reconstruct(
     trace = [seed]
     for rec in reversed(records[:-1]):
         trace.append(trace[-1] * scale + rec.clipped_phase)
-    value = trace[-1] % 1.0
+    value = trace[-1] % 1.0 % 1.0  # a value just below 0 reduces to 1.0, then to 0.0
 
     digits = n * len(records)
     bound = 0.0

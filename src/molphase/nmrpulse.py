@@ -7,8 +7,10 @@ two-spin Hamiltonian is the J coupling alone,
 
 and a delay is the phase diagonal exp(-i E t) of H's diagonal E. Pulses
 are instantaneous rotations about any transverse axis; z rotations are
-composed from two pi pulses. Every event's 4x4 unitary is built from its
-2x2 rotation or that diagonal, with no eigendecomposition.
+composed from two pi pulses. Each event acts on the running 4x4 product
+of a sequence: a delay scales its rows by those phases, a pulse applies
+its 2x2 rotation along its spin's axis, and no per-event 4x4 gate,
+Kronecker product or eigendecomposition is built.
 The compiler reduces an arbitrary controlled-U to single-spin pulses plus
 J-coupling delays of at most 1/(2J) per entangling block and verifies the
 result against the exact gate, up to global phase, before returning it
@@ -92,40 +94,32 @@ def transverse_rotation(phase: float, angle: float) -> np.ndarray:
     return np.array([[ch, complex(-sh * s, -sh * c)], [complex(sh * s, -sh * c), ch]], dtype=complex)
 
 
-def _kron2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.kron of two 2x2 matrices: the same element products a[i,k] b[j,l]."""
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)
-
-
-def event_unitary(event, over_rotation: float = 0.0) -> np.ndarray:
-    """4x4 unitary of a single event; ``over_rotation`` scales pulse angles.
-
-    A delay is diag(exp(-i E duration)) for the Hamiltonian's diagonal E
-    and a pulse the Kronecker product of a 2x2 rotation and the identity;
-    neither takes an eigendecomposition.
-    """
-    if isinstance(event, DelayEvent):
-        return np.diag(np.exp(-1j * _ZZ_ENERGIES * event.duration))
-    if isinstance(event, PulseEvent):
-        r = transverse_rotation(event.phase, event.angle * (1.0 + over_rotation))
-        if event.spin == "probe":
-            return _kron2(r, qcore.ID2)
-        return _kron2(qcore.ID2, r)
-    raise ValidationError(f"unknown event type {type(event).__name__}")
-
-
 def evolve_sequence(events, over_rotation: float = 0.0) -> np.ndarray:
-    """Ordered product of event unitaries (first event acts first)."""
+    """Ordered product of event unitaries (first event acts first).
+
+    A delay scales the rows of the running product u by exp(-i E duration);
+    a pulse's rotation (angle scaled by 1 + ``over_rotation``) multiplies u
+    along the probe axis, as (2, 8), or the system axis, as (2, 2, 4).
+    """
     u = np.eye(4, dtype=complex)
     for event in events:
-        u = event_unitary(event, over_rotation) @ u
+        if isinstance(event, DelayEvent):
+            u = np.exp(-1j * _ZZ_ENERGIES * event.duration)[:, None] * u
+        elif isinstance(event, PulseEvent):
+            r = transverse_rotation(event.phase, event.angle * (1.0 + over_rotation))
+            if event.spin == "probe":
+                u = (r @ u.reshape(2, 8)).reshape(4, 4)
+            else:
+                u = (r @ u.reshape(2, 2, 4)).reshape(4, 4)
+        else:
+            raise ValidationError(f"unknown event type {type(event).__name__}")
     return u
 
 
 def gate_fidelity(intended: np.ndarray, realized: np.ndarray) -> float:
-    """|Tr(A† B)| / dim, insensitive to global phase."""
+    """|Tr(A† B)| / dim = |sum conj(A) B| / dim, insensitive to global phase."""
     dim = intended.shape[0]
-    return float(abs(np.trace(intended.conj().T @ realized)) / dim)
+    return float(abs(np.vdot(intended, realized)) / dim)
 
 
 def _z_rotation_events(spin: str, angle: float) -> list:

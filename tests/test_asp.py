@@ -35,10 +35,17 @@ class TestInterpolatedHamiltonian:
         expected = np.array([[-0.9155, 0.59065], [0.59065, -0.12685]])
         np.testing.assert_allclose(asp.interpolated_hamiltonian(h2, 0.5), expected, atol=1e-15)
 
-    @pytest.mark.parametrize("s", [-0.1, 1.1])
+    @pytest.mark.parametrize("s", [-0.1, 1.1, np.array([0.0, 0.5, 1.5]), np.array([0.5, np.nan])])
     def test_range_validation(self, h2, s):
         with pytest.raises(ValidationError):
             asp.interpolated_hamiltonian(h2, s)
+
+    def test_stacked_equals_single(self, h2):
+        s_values = np.linspace(0.0, 1.0, 7)
+        stacked = asp.interpolated_hamiltonian(h2, s_values)
+        assert stacked.shape == (7, 2, 2)
+        for s, m in zip(s_values, stacked):
+            assert np.array_equal(m, asp.interpolated_hamiltonian(h2, float(s)))
 
 
 class TestTrotterStep:

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from molphase import ipea, molham, probe, qcore
@@ -112,14 +112,14 @@ class TestClipPhase:
     def test_plain_clip(self):
         assert ipea.clip_phase(0.572022, ERRBD_5DEG) == pytest.approx(0.558133, abs=1e-6)
 
-    def test_floor_at_zero(self):
-        assert ipea.clip_phase(0.005, ERRBD_5DEG) == 0.0
+    def test_no_floor_at_zero(self):
+        # a reading below the bound clips to a negative phase
+        assert ipea.clip_phase(0.005, ERRBD_5DEG) == 0.005 - ERRBD_5DEG
 
     def test_fold_wrapped_reading(self):
-        assert ipea.clip_phase(0.999, ERRBD_5DEG, 3) == 0.0
-        assert ipea.clip_phase(0.999, ERRBD_5DEG) == pytest.approx(
-            0.999 - ERRBD_5DEG
-        )
+        # from the second iteration on a wrapped reading is unwound by a turn
+        assert ipea.clip_phase(0.999, ERRBD_5DEG, 3) == 0.999 - 1.0 - ERRBD_5DEG
+        assert ipea.clip_phase(0.999, ERRBD_5DEG) == 0.999 - ERRBD_5DEG
 
 
 class TestRunIdealReadout:
@@ -312,20 +312,30 @@ class TestLongRuns:
 FLOAT_FLOOR = 8 * 2.0**-52
 
 
+# Largest fraction of the admissibility edge 1 / (2^(n+1) + 2) drawn.
+EDGE_FRACTION = 1.0 - 2.0**-20
+
+
 @st.composite
 def admissible_runs(draw):
-    """(n, k, bound, jitter fractions of the bound, system seed or None for H2).
+    """(n, k, bound, jitter fractions of the bound, system).
 
-    The bound is drawn up to 0.9 of the admissibility edge
-    1 / (2^(n+1) + 2). Small n, bounds at 0.9 of the edge and jitter at
-    +-bound, where the windows of readings come closest, are drawn often.
+    The bound is drawn up to ``EDGE_FRACTION`` of the admissibility edge.
+    The system is None for H2, an int seeding a random 2x2 system, or a
+    float theta0 in [0, 1) for diag(-2 theta0, 1 - 2 theta0), whose ground
+    phase at the automatic tau is theta0, so the ground phase can lie
+    anywhere in the turn. Small n, bounds at the edge, jitter at +-bound
+    and ground phases next to a full turn, where the windows of readings
+    come closest, are drawn often.
     """
     n = draw(st.integers(1, 5) | st.integers(1, ipea.MAX_REPORT_BITS))
     k = draw(st.integers(1, ipea.MAX_REPORT_BITS // n))
-    bound = draw(st.just(0.9) | st.floats(0.0, 0.9)) / (2.0 ** (n + 1) + 2.0)
+    edge_fraction = st.sampled_from([0.9, 0.9999, EDGE_FRACTION]) | st.floats(0.0, EDGE_FRACTION)
+    bound = draw(edge_fraction) / (2.0 ** (n + 1) + 2.0)
     jitter = st.sampled_from([-1.0, 1.0]) | st.floats(-1.0, 1.0)
     fractions = draw(st.lists(jitter, min_size=k, max_size=k))
-    system = draw(st.none() | st.integers(0, 2**32 - 1))
+    theta0 = st.sampled_from([0.0, 0.001, 0.995, 0.999]) | st.floats(0.0, 1.0, exclude_max=True)
+    system = draw(st.none() | st.integers(0, 2**32 - 1) | theta0)
     return n, k, bound, fractions, system
 
 
@@ -333,17 +343,18 @@ class TestJitterProperty:
     @settings(max_examples=150, deadline=None)
     @given(admissible_runs())
     def test_final_error_within_contracted_bound(self, run):
-        # any jitter sequence within the bound, on H2 or a random 2x2 system
-        # at the automatic tau whose phase keeps the first reading inside
-        # one turn, for every admissible (n, k, bound) up to 52 bits
+        # any jitter sequence within the bound, on H2 or a 2x2 system at the
+        # automatic tau with its ground phase anywhere in the turn, for every
+        # admissible (n, k, bound) up to 52 bits
         n, k, bound, fractions, system = run
         if system is None:
             h = molham.build_h2()
-        else:
+        elif isinstance(system, int):
             h = random_negative_hamiltonian(np.random.default_rng(system))
+        else:
+            h = molham.MolecularHamiltonian(np.diag([-2.0 * system, 1.0 - 2.0 * system]), label="diag")
         tau = molham.choose_tau(h)
         theta = ipea.oracle_phase(h, tau)
-        assume(bound <= theta <= 1.0 - bound)
         draws = iter([f * bound for f in fractions])
         noise = probe.NoiseModel(phase_jitter_bound=bound, jitter_law=lambda rng, b: next(draws))
         config = h2_config(bits_per_iteration=n, iterations=k, phase_error_bound=bound, tau=tau)
@@ -351,6 +362,53 @@ class TestJitterProperty:
         limit = bound * 2.0 ** (-n * (k - 1))
         error = ipea.phase_distance(phase.value, theta)
         assert error <= limit + FLOAT_FLOOR
+
+
+class TestResidualBelowZero:
+    """Runs whose residual goes below zero. With the clip clamped at zero
+    the first two missed their contracted bound; the last must still
+    rebuild a phase in [0, 1)."""
+
+    def test_ground_phase_just_below_a_full_turn(self):
+        # theta0 = 0.995 at the paper's operating point; the clamped clip
+        # missed the bound in 319 of these runs, by up to 1.99 hartree
+        h = molham.MolecularHamiltonian(np.diag([-1.99, -0.99]), label="theta0 0.995")
+        tau = molham.choose_tau(h)
+        theta = ipea.oracle_phase(h, tau)
+        assert theta == pytest.approx(0.995, abs=1e-12)
+        limit = JITTER_FINAL_BOUND + FLOAT_FLOOR
+        for seed in range(1000):
+            noise = probe.NoiseModel(phase_jitter_bound=ERRBD_5DEG, rng_seed=seed)
+            _, phase, energy = ipea.run_ipea(h, h2_config(tau=tau), noise=noise)
+            assert ipea.phase_distance(phase.value, theta) <= limit
+            assert abs(energy.energy - energy.oracle_energy) <= 2.0 * np.pi * limit / tau
+
+    @pytest.mark.parametrize("n, k", [(1, 52), (2, 26), (3, 17)])
+    def test_h2_near_the_admissibility_edge(self, h2, n, k):
+        # bound at 0.9999 of the edge, jitter drawn from {-bound, 0, +bound}
+        bound = 0.9999 / (2.0 ** (n + 1) + 2.0)
+        config = h2_config(bits_per_iteration=n, iterations=k, phase_error_bound=bound)
+        limit = bound * 2.0 ** (-n * (k - 1)) + FLOAT_FLOOR
+        for seed in range(300):
+            noise = probe.NoiseModel(
+                phase_jitter_bound=bound,
+                rng_seed=seed,
+                jitter_law=lambda rng, b: b * float(rng.integers(-1, 2)),
+            )
+            _, phase, _ = ipea.run_ipea(h2, config, noise=noise)
+            assert ipea.phase_distance(phase.value, H2_PHASE) <= limit
+
+    def test_rebuilt_value_just_below_zero(self):
+        # theta0 = 0 and a negative first clip: the rebuild rounds to just
+        # below zero, which must reduce to a phase in [0, 1), not to 1.0
+        h = molham.MolecularHamiltonian(np.diag([0.0, 1.0]), label="theta0 0")
+        bound = 0.16665
+        draws = iter([0.5 * bound, 0.0])
+        noise = probe.NoiseModel(phase_jitter_bound=bound, jitter_law=lambda rng, b: next(draws))
+        config = h2_config(bits_per_iteration=1, iterations=2, phase_error_bound=bound, tau=np.pi)
+        _, phase, _ = ipea.run_ipea(h, config, noise=noise)
+        assert 0.0 <= phase.value < 1.0
+        assert ipea.phase_distance(phase.value, 0.0) <= bound / 2.0 + FLOAT_FLOOR
 
 
 class TestOracleEquivalence:

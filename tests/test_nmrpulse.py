@@ -19,6 +19,21 @@ def pauli_rotation(phase, angle):
     return np.cos(angle / 2.0) * qcore.ID2 - 1j * np.sin(angle / 2.0) * axis
 
 
+def random_events(rng, count):
+    """``count`` events, each a delay or a pulse on a random spin with equal odds."""
+    events = []
+    for _ in range(count):
+        if rng.random() < 0.5:
+            events.append(nmrpulse.DelayEvent(float(rng.uniform(0, 2e-3))))
+        else:
+            spin = nmrpulse.SPINS[int(rng.integers(2))]
+            events.append(
+                nmrpulse.PulseEvent(spin, float(rng.uniform(0, 2 * np.pi)),
+                                    float(rng.uniform(-np.pi, np.pi)))
+            )
+    return events
+
+
 class TestNmrHamiltonian:
     def test_pure_j_coupling(self):
         half_pi_j = 0.5 * np.pi * 214.6
@@ -43,13 +58,13 @@ class TestEventUnitary:
             }
             for spin, reference in references.items():
                 event = nmrpulse.PulseEvent(spin, phase, angle)
-                got = nmrpulse.event_unitary(event, over_rotation)
+                got = nmrpulse.evolve_sequence([event], over_rotation)
                 assert (got == reference).all()
 
     def test_delay_matches_expm_herm(self):
         rng = np.random.default_rng(59)
         for duration in [0.0, 1.0 / (2.0 * J), *rng.uniform(0, 5e-3, size=100)]:
-            got = nmrpulse.event_unitary(nmrpulse.DelayEvent(float(duration)))
+            got = nmrpulse.evolve_sequence([nmrpulse.DelayEvent(float(duration))])
             assert (got == qcore.expm_herm(KRON_HAMILTONIAN, duration)).all()
 
     def test_non_finite_rotation_rejected(self):
@@ -80,19 +95,30 @@ class TestEvolveSequence:
         backward = nmrpulse.evolve_sequence(events[::-1])
         assert np.abs(forward - backward).max() > 0.1
 
+    @pytest.mark.parametrize("over_rotation", [0.0, 1e-3])
+    def test_mixed_sequence_matches_kron_product(self, over_rotation):
+        # each event's gate as np.kron(r, I), np.kron(I, r) or expm_herm,
+        # multiplied in order; swapping the probe and system axes fails this
+        rng = np.random.default_rng(67)
+        for _ in range(5):
+            events = random_events(rng, 240)
+            reference = np.eye(4, dtype=complex)
+            for event in events:
+                if isinstance(event, nmrpulse.DelayEvent):
+                    gate = qcore.expm_herm(KRON_HAMILTONIAN, event.duration)
+                else:
+                    r = pauli_rotation(event.phase, event.angle * (1.0 + over_rotation))
+                    gate = np.kron(r, qcore.ID2) if event.spin == "probe" else np.kron(qcore.ID2, r)
+                reference = gate @ reference
+            got = nmrpulse.evolve_sequence(events, over_rotation)
+            assert np.abs(got - reference).max() <= 1e-13
+
+    def test_unknown_event_rejected(self):
+        with pytest.raises(ValidationError, match="unknown event type"):
+            nmrpulse.evolve_sequence([nmrpulse.DelayEvent(1e-3), "pulse"])
+
     def test_long_random_sequence_stays_unitary(self):
-        rng = np.random.default_rng(19)
-        events = []
-        for _ in range(10_000):
-            if rng.random() < 0.5:
-                events.append(nmrpulse.DelayEvent(float(rng.uniform(0, 2e-3))))
-            else:
-                spin = nmrpulse.SPINS[int(rng.integers(2))]
-                events.append(
-                    nmrpulse.PulseEvent(spin, float(rng.uniform(0, 2 * np.pi)),
-                                        float(rng.uniform(-np.pi, np.pi)))
-                )
-        u = nmrpulse.evolve_sequence(events)
+        u = nmrpulse.evolve_sequence(random_events(np.random.default_rng(19), 10_000))
         assert np.abs(u.conj().T @ u - np.eye(4)).max() <= 1e-9
 
     def test_event_validation(self):
