@@ -102,13 +102,13 @@ def cmd_eig(args) -> int:
     return 0
 
 
-def _bit_table(result: ipea.IpeaResult, n: int, oracle_ph: float, errbd: float) -> str:
-    """Per-iteration bit strings, newest n bits bracketed."""
+def _bit_table(running: list[ipea.PhaseEstimate], n: int, oracle_ph: float) -> str:
+    """Per-iteration bit strings of the prefix estimates, newest n bits bracketed."""
     lines = []
-    for k, running in enumerate(ipea.running_estimates(result.records, n, errbd)):
-        digits = running.binary_digits
+    for k, prefix in enumerate(running):
+        digits = prefix.binary_digits
         lines.append(f"k={k}  0.{digits[: n * k]} [{digits[n * k:]}]")
-    lines.append(f"oracle 0.{ipea.to_binary(oracle_ph, n * len(result.records))}")
+    lines.append(f"oracle 0.{ipea.to_binary(oracle_ph, n * len(running))}")
     return "\n".join(lines) + "\n"
 
 
@@ -118,10 +118,10 @@ def cmd_ipea(args) -> int:
     result = ipea.run_ipea(h, config, noise=_jitter_noise(args))
     oracle_e = result.energy.oracle_energy
     oracle_ph = ipea.energy_phase(oracle_e, config.tau)
-    errbd = config.phase_error_bound
+    running = ipea.running_estimates(result.records, args.bits, config.phase_error_bound)
 
-    trace_path = _write(args.out, "ipea_trace.csv", ipea.trace_csv(result, args.bits, errbd))
-    table_path = _write(args.out, "ipea_table.txt", _bit_table(result, args.bits, oracle_ph, errbd))
+    trace_path = _write(args.out, "ipea_trace.csv", ipea.trace_csv(result, running))
+    table_path = _write(args.out, "ipea_table.txt", _bit_table(running, args.bits, oracle_ph))
     print(f"phase estimate: {result.phase.value:.17g}")
     print(f"energy: {result.energy.energy:.17g} hartree")
     print(f"oracle energy: {oracle_e:.17g} hartree (|dE| = {result.energy.abs_error:.3e})")

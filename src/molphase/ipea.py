@@ -21,8 +21,10 @@ U_k = exp(-i 2 pi a_k) P_k as two parts: the power P_k = U^(2^(n k)),
 which no measurement affects, and the offset a_{k+1} = 2^n (a_k + phi'_k)
 mod 1, a float. The probe coherence after controlled-U_k on |+> x |psi> is
 exp(-i 2 pi a_k) c_k with c_k = <psi|P_k|psi> / 2, so no controlled gate
-or joint state is built. The seed-free c_k are the one input through which
-the exact and the pulse-level paths feed the loop.
+or joint state is built. ``estimate``, the one loop, takes plain numbers:
+the seed-free c_k and one jitter draw per reading. ``run_ipea`` feeds it
+exact coherences and the noise model's draws, the pulse backend those of
+its realized gate and zero draws.
 
 P_k is held in the eigenbasis of the generator H (or H + eps V), where it
 is diagonal, as the vector of its eigenphase factors; ``qcore.power_chain``
@@ -188,31 +190,16 @@ def run_ipea(
     config: IterationConfig,
     prep: np.ndarray | None = None,
     noise: NoiseModel | None = None,
-    coherences: Sequence[complex] | None = None,
 ) -> IpeaResult:
     """Run the full estimation loop and rebuild the phase and energy.
 
     ``prep`` defaults to the exact ground state; supplying a state with
     ground overlap below 0.999 warns, below 0.9 fails. With ``noise`` the
     operator is built from the perturbed Hamiltonian (when coherent_epsilon
-    is nonzero) and each readout takes one jitter draw from a stream seeded
-    by the model.
-
-    Iteration k reads the probe coherence exp(-i 2 pi a_k) c_k, where a_k is
-    the accumulated clip phase and c_k = <prep|U^(2^(n k))|prep> / 2 the
-    seed-free coherence of the bare power. ``coherences`` supplies
-    c_0 .. c_{k_max - 1} in place of the exact ones (the pulse backend
-    passes those of its realized gate), and ``noise`` then adds only its
-    jitter; a list of another length, a ``prep`` or a coherent error
-    alongside it is a ``ValidationError``, since the list already fixes
-    the state and the operator. By default the coherences are computed
-    from the eigenbasis power chain.
+    is nonzero) and each readout takes one draw of ``noise.jitter_draws``.
+    The coherences c_k = <prep|U^(2^(n k))|prep> / 2 come from the
+    eigenbasis power chain.
     """
-    if coherences is not None:
-        if prep is not None:
-            raise ValidationError("prep has no effect when coherences are supplied")
-        if noise is not None and noise.coherent_epsilon > 0.0:
-            raise ValidationError("a coherent error has no effect when coherences are supplied")
     spec = molham.spectrum(h)
     if 2 * h.dim > qcore.MAX_DIM:
         raise ValidationError(f"system dimension {h.dim} too large for the probe register")
@@ -238,27 +225,39 @@ def run_ipea(
                 stacklevel=2,
             )
 
-    n = config.bits_per_iteration
-    if coherences is None:
-        dec = spec
-        if noise is not None and noise.coherent_epsilon > 0.0:
-            dec = qcore.hermitian_eig(probe.perturbed_hamiltonian(h, noise))
-        powers = qcore.power_chain(np.exp(-1j * config.tau * dec.energies), n, config.iterations)
-        state = dec.eigenvectors.conj().T @ prep
-        coherences = [complex(np.vdot(state, row)) / 2.0 for row in powers * state]
-    elif len(coherences) != config.iterations:
-        raise ValidationError(f"{len(coherences)} coherences for {config.iterations} iterations")
+    k = config.iterations
+    dec = spec
+    if noise is not None and noise.coherent_epsilon > 0.0:
+        dec = qcore.hermitian_eig(probe.perturbed_hamiltonian(h, noise))
+    powers = qcore.power_chain(np.exp(-1j * config.tau * dec.energies), config.bits_per_iteration, k)
+    state = dec.eigenvectors.conj().T @ prep
+    coherences = [complex(np.vdot(state, row)) / 2.0 for row in powers * state]
+    jitter = noise.jitter_draws(k) if noise is not None else [0.0] * k
+    return estimate(coherences, jitter, config, spec.ground_energy)
 
-    rng = noise.make_rng() if noise is not None else None
+
+def estimate(
+    coherences: Sequence[complex], jitter: Sequence[float], config: IterationConfig, oracle_energy: float
+) -> IpeaResult:
+    """Read, clip and advance once per coherence, then rebuild the phase and energy.
+
+    Iteration k reads the phase of exp(-i 2 pi a_k) ``coherences[k]``, a_k
+    the accumulated clip phase, plus ``jitter[k]``, reduced into [0, 1).
+    """
+    k_max = config.iterations
+    if not len(coherences) == len(jitter) == k_max:
+        raise ValidationError(f"{len(coherences)} coherences and {len(jitter)} draws for {k_max} iterations")
+    n = config.bits_per_iteration
     errbd = config.phase_error_bound
     offset = 0.0
     records: list[IterationRecord] = []
-    for k, coherence in enumerate(coherences):
+    for k, (coherence, draw) in enumerate(zip(coherences, jitter)):
         scalar = cmath.exp(-2j * math.pi * offset)
         try:
-            measured = probe.coherence_readout(scalar * coherence, noise, rng)
+            phase = probe.coherence_readout(scalar * coherence)
         except ReadoutError as exc:
             raise ReadoutError(f"iteration {k}: {exc}") from exc
+        measured = probe.reduce_phase(phase + draw)
         clipped = clip_phase(measured, errbd, n if k > 0 else None)
         records.append(
             IterationRecord(
@@ -267,9 +266,9 @@ def run_ipea(
         )
         offset = (2.0**n * (offset + clipped)) % 1.0
 
-    estimate = reconstruct(records, n, phase_error_bound=errbd)
-    energy = energy_from_phase(estimate, config.tau, spec.ground_energy)
-    return IpeaResult(records=tuple(records), phase=estimate, energy=energy)
+    phase_estimate = reconstruct(records, n, phase_error_bound=errbd)
+    energy = energy_from_phase(phase_estimate, config.tau, oracle_energy)
+    return IpeaResult(records=tuple(records), phase=phase_estimate, energy=energy)
 
 
 def reconstruct(
@@ -294,7 +293,7 @@ def reconstruct(
     trace = [seed]
     for rec in reversed(records[:-1]):
         trace.append(trace[-1] * scale + rec.clipped_phase)
-    value = trace[-1] % 1.0 % 1.0  # a value just below 0 reduces to 1.0, then to 0.0
+    value = probe.reduce_phase(trace[-1])
 
     digits = n * len(records)
     bound = 0.0
@@ -365,7 +364,7 @@ def precision_report(estimate: PhaseEstimate, oracle_phase: float) -> int:
 
 def energy_phase(energy: float, tau: float) -> float:
     """Phase fraction -E tau / 2 pi of an energy in hartree, reduced mod 1."""
-    return (-energy * tau / (2.0 * np.pi)) % 1.0
+    return probe.reduce_phase(-energy * tau / (2.0 * np.pi))
 
 
 def oracle_phase(h: MolecularHamiltonian, tau: float) -> float:
@@ -397,13 +396,13 @@ def iteration_phase_errors(
     return [phase_distance(rec.measured_phase, ref) for rec, ref in zip(records, refs)]
 
 
-def trace_csv(result: IpeaResult, n: int, phase_error_bound: float) -> str:
+def trace_csv(result: IpeaResult, running: Sequence[PhaseEstimate]) -> str:
     """Iteration trace as CSV, one row per iteration plus a summary row.
 
-    Row k reports the estimate rebuilt from iterations 0..k under the run's
-    ``phase_error_bound`` (``running_estimates``): its digits, its energy
-    and that energy's distance from ``result.energy.oracle_energy``. The
-    rows show the estimate converging, and the last one reads as the
+    Row k reports ``running[k]``, the estimate rebuilt from iterations
+    0..k (``running_estimates`` under the run's bound): its digits, its
+    energy and that energy's distance from ``result.energy.oracle_energy``.
+    The rows show the estimate converging, and the last one reads as the
     ``final`` row.
     """
     records = result.records
@@ -415,12 +414,12 @@ def trace_csv(result: IpeaResult, n: int, phase_error_bound: float) -> str:
     )
     lines = [header]
     trace = result.phase.reconstruction_trace
-    for rec, running in zip(records, running_estimates(records, n, phase_error_bound)):
-        energy = energy_from_phase(running, tau, oracle_energy)
+    for rec, prefix in zip(records, running):
+        energy = energy_from_phase(prefix, tau, oracle_energy)
         phi_c = trace[len(records) - 1 - rec.k]
         lines.append(
             f"{rec.k},{rec.measured_phase:.17g},{rec.clipped_phase:.17g},"
-            f"{rec.operator_power},{phi_c:.17g},{running.binary_digits},"
+            f"{rec.operator_power},{phi_c:.17g},{prefix.binary_digits},"
             f"{energy.energy:.17g},{energy.abs_error:.17g}"
         )
     lines.append(

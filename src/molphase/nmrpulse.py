@@ -219,13 +219,12 @@ def run_pulse_backend(
     times, carried from round to round by n squarings in
     ``qcore.power_chain`` (which compound any pulse imperfection exactly
     like physical repetition). The probe coherences of these realized
-    powers on |+> x |ground> are the
-    ``coherences`` input of ``ipea.run_ipea``, whose scalar clip phase acts
-    as a receiver-frame rotation on the probe, applied in software the way
-    a spectrometer's receiver phase is. Any
-    injected pulse error therefore acts on U alone and its phase error
-    scales with the operator power. Noiseless runs match the exact-gate
-    engine to well below 1e-8.
+    powers on |+> x |ground> go, with zero jitter draws, straight to
+    ``ipea.estimate``, whose scalar clip phase acts as a receiver-frame
+    rotation on the probe, applied in software the way a spectrometer's
+    receiver phase is. Any injected pulse error therefore acts on U alone
+    and its phase error scales with the operator power. Noiseless runs
+    match the exact-gate engine to well below 1e-8.
     """
     if h.dim != 2:
         raise ValidationError(f"pulse backend handles 2x2 systems, got dim {h.dim}")
@@ -241,5 +240,5 @@ def run_pulse_backend(
     for power in qcore.power_chain(realized, config.bits_per_iteration, config.iterations):
         s = power @ joint
         coherences.append(complex(np.vdot(s[:2], s[2:])))
-    return ipea.run_ipea(h, config, coherences=coherences)
+    return ipea.estimate(coherences, [0.0] * config.iterations, config, spec.ground_energy)
 

@@ -5,16 +5,16 @@ The probe spin is tensor factor 0 with spin-up at index 0, prepared in
 onto the probe's relative phase; quadrature readout recovers it from the
 probe's off-diagonal coherence. For controlled-U on |+> x |psi> that
 coherence is <psi|U|psi> / 2, which the estimation loop computes directly;
-``coherence_readout`` turns any coherence into a phase, and the joint-state
-readouts go through it. Only the argument of the coherence carries
-information, so every readout returns that phase as a fraction of a turn.
+``coherence_readout``, a pure function, turns any coherence into a phase,
+and the joint-state readouts go through it. Only the argument of the
+coherence carries information, so every readout returns that phase as a
+fraction of a turn.
 
 Noise enters in two places: bounded jitter on the measured phase (uniform
 law by default, the bound is the quantity of record) and, on a 2x2
 system, a coherent perturbation eps sz of the Hamiltonian whose effect on
-the evolution operator compounds under powering. A noisy readout draws
-from a stream the caller passes, so successive readouts take successive
-draws.
+the evolution operator compounds under powering. A run takes its jitter
+as data, one seeded stream's draws (``NoiseModel.jitter_draws``).
 
 The probe and system spins of the NMR sample are coupled by
 (pi J / 2) sz x sz with J = ``J_COUPLING_HZ``, so the probe's spectrum is
@@ -76,6 +76,16 @@ class NoiseModel:
             raise ValidationError(f"jitter law produced {draw:.6e} outside +-{bound:.6e}")
         return draw
 
+    def jitter_draws(self, count: int) -> list[float]:
+        """``count`` successive ``draw_jitter`` draws from one ``make_rng`` stream."""
+        rng = self.make_rng()
+        return [self.draw_jitter(rng) for _ in range(count)]
+
+
+def reduce_phase(x: float) -> float:
+    """``x`` in [0, 1) turns; a tiny negative ``x`` goes to 1.0 and then to 0.0."""
+    return x % 1.0 % 1.0
+
 
 def controlled_u(u) -> np.ndarray:
     """|up><up| x I + |down><down| x U with the probe as the first factor."""
@@ -103,25 +113,12 @@ def probe_coherence(state) -> complex:
     return complex(np.vdot(s[:d], s[d:]))
 
 
-def coherence_readout(
-    z: complex, noise: NoiseModel | None = None, rng: np.random.Generator | None = None
-) -> float:
-    """Phase of coherence ``z`` in [0, 1) turns, plus one jitter draw when ``noise`` is given.
-
-    The system must retain coherence: |z| below ``COHERENCE_TOL`` leaves the
-    phase undefined. A noisy readout takes its draw from ``rng``, which is
-    required: pass one stream (``noise.make_rng()``) to every readout of a
-    run, so successive readouts take successive draws.
-    """
+def coherence_readout(z: complex) -> float:
+    """Phase of coherence ``z`` in [0, 1) turns; |z| below ``COHERENCE_TOL`` has none."""
     magnitude = abs(z)
     if magnitude < COHERENCE_TOL:
         raise ReadoutError(f"probe coherence {magnitude:.3e} below {COHERENCE_TOL:.1e}; phase undefined")
-    phase = (cmath.phase(z / magnitude) / (2.0 * math.pi)) % 1.0
-    if noise is None:
-        return phase
-    if rng is None:
-        raise ValidationError("a noisy readout needs a jitter stream: pass rng=noise.make_rng()")
-    return (phase + noise.draw_jitter(rng)) % 1.0
+    return reduce_phase(cmath.phase(z / magnitude) / (2.0 * math.pi))
 
 
 def ideal_readout(state) -> float:
@@ -133,9 +130,9 @@ def ideal_readout(state) -> float:
     return coherence_readout(probe_coherence(state))
 
 
-def noisy_readout(state, noise: NoiseModel, rng: np.random.Generator | None = None) -> float:
-    """Ideal readout of a joint state plus one jitter draw from ``rng``, reduced mod 1."""
-    return coherence_readout(probe_coherence(state), noise, rng)
+def noisy_readout(state, noise: NoiseModel, rng: np.random.Generator) -> float:
+    """Ideal readout of a joint state plus one jitter draw from ``rng``, reduced into [0, 1)."""
+    return reduce_phase(coherence_readout(probe_coherence(state)) + noise.draw_jitter(rng))
 
 
 def perturbed_hamiltonian(h: MolecularHamiltonian, noise: NoiseModel) -> np.ndarray:
@@ -206,4 +203,4 @@ def extract_phase_from_spectrum(trace: SpectrumTrace, reference: SpectrumTrace) 
     if abs(ref) < 1e-9:
         raise ReadoutError(f"reference line integral {abs(ref):.3e} below 1e-9")
     ratio = trace.line_integral() / ref
-    return float((np.angle(ratio) / (2.0 * np.pi)) % 1.0)
+    return float(reduce_phase(np.angle(ratio) / (2.0 * np.pi)))

@@ -75,6 +75,21 @@ class TestIpeaCommand:
         bits = int(capsys.readouterr().out.split("correct bits vs oracle: ")[1].split()[0])
         assert bits >= 17
 
+    def test_each_prefix_estimate_is_built_once(self, tmp_path, monkeypatch):
+        # one rebuild per prefix, shared by the trace and the bit table,
+        # plus the run's own final rebuild
+        calls = []
+        rebuild = ipea.reconstruct
+
+        def counted(records, *args, **kwargs):
+            calls.append(len(records))
+            return rebuild(records, *args, **kwargs)
+
+        monkeypatch.setattr(ipea, "reconstruct", counted)
+        args = ["ipea", "--jitter", "5deg", "--seed", "7", "--out", str(tmp_path)]
+        assert cli.main(args) == 0
+        assert sorted(calls) == [1, 2, 3, 4, 5, 6, 6]
+
     def test_single_iteration_trace(self, tmp_path):
         assert cli.main(["ipea", "--iterations", "1", "--out", str(tmp_path)]) == 0
         _, rows = read_csv(tmp_path / "ipea_trace.csv")

@@ -262,7 +262,7 @@ class TestScalarChainMatchesDenseChain:
         g = molham.spectrum(h2).ground_state
         u = qcore.expm_herm(h2.matrix, H2_TAU)
         coherences = [np.vdot(g, np.linalg.matrix_power(u, 8**k) @ g) / 2.0 for k in range(6)]
-        hooked, _, _ = ipea.run_ipea(h2, h2_config(), coherences=coherences)
+        hooked, _, _ = ipea.estimate(coherences, [0.0] * 6, h2_config(), H2_GROUND_ENERGY)
         exact, _, _ = ipea.run_ipea(h2, h2_config())
         assert [rec.k for rec in hooked] == list(range(6))
         offset = 0.0
@@ -277,27 +277,38 @@ class TestScalarChainMatchesDenseChain:
             assert ipea.phase_distance(a.measured_phase, b.measured_phase) <= 1e-12
 
     @pytest.mark.parametrize("count", [0, 5, 7])
-    def test_coherence_count_must_match_iterations(self, h2, count):
-        with pytest.raises(ValidationError, match="coherences"):
-            ipea.run_ipea(h2, h2_config(), coherences=[0.5] * count)
+    def test_coherence_count_must_match_iterations(self, count):
+        with pytest.raises(ValidationError, match="coherences and 6 draws for 6 iterations"):
+            ipea.estimate([0.5] * count, [0.0] * 6, h2_config(), H2_GROUND_ENERGY)
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"prep": np.array([1.0, 0.0])},
-            {"noise": probe.NoiseModel(coherent_epsilon=1e-4)},
-            {"noise": probe.NoiseModel(phase_jitter_bound=ERRBD_5DEG, coherent_epsilon=1e-4)},
-        ],
-        ids=["prep", "coherent", "coherent-with-jitter"],
-    )
-    def test_inputs_the_coherences_override_are_rejected(self, h2, kwargs):
-        with pytest.raises(ValidationError, match="coherences are supplied"):
-            ipea.run_ipea(h2, h2_config(), coherences=[0.5] * 6, **kwargs)
+    @pytest.mark.parametrize("count", [0, 5, 7])
+    def test_draw_count_must_match_iterations(self, count):
+        with pytest.raises(ValidationError, match=f"6 coherences and {count} draws"):
+            ipea.estimate([0.5] * 6, [0.0] * count, h2_config(), H2_GROUND_ENERGY)
 
-    def test_jitter_applies_to_supplied_coherences(self, h2):
+    def test_jitter_applies_to_supplied_coherences(self):
         noise = probe.NoiseModel(phase_jitter_bound=ERRBD_5DEG, rng_seed=3)
-        records, _, _ = ipea.run_ipea(h2, h2_config(), noise=noise, coherences=[0.5] * 6)
+        records, _, _ = ipea.estimate([0.5] * 6, noise.jitter_draws(6), h2_config(), H2_GROUND_ENERGY)
         assert records[0].measured_phase == noise.draw_jitter(noise.make_rng()) % 1.0
+
+    def test_tiny_negative_reading_reduces_to_zero(self):
+        # coherence 0.5 reads 0 turns; -1e-300 % 1.0 rounds up to exactly 1.0
+        records, _, _ = ipea.estimate([0.5], [-1e-300], h2_config(iterations=1), H2_GROUND_ENERGY)
+        assert records[0].measured_phase == 0.0
+
+    def test_out_of_bound_law_fails_before_any_readout(self, h2, monkeypatch):
+        calls = []
+        original = probe.coherence_readout
+
+        def counted(z):
+            calls.append(z)
+            return original(z)
+
+        monkeypatch.setattr(probe, "coherence_readout", counted)
+        noise = probe.NoiseModel(phase_jitter_bound=0.01, jitter_law=lambda rng, b: 2 * b)
+        with pytest.raises(ValidationError, match="outside"):
+            ipea.run_ipea(h2, h2_config(), noise=noise)
+        assert calls == []
 
 
 class TestLongRuns:
@@ -583,6 +594,10 @@ class TestEnergyFromPhase:
         with pytest.raises(ValidationError):
             ipea.energy_from_phase(estimate, 0.0, H2_GROUND_ENERGY)
 
+    def test_energy_phase_of_a_tiny_positive_energy(self):
+        # -1e-18 / 2pi % 1.0 rounds up to exactly 1.0, outside [0, 1)
+        assert ipea.energy_phase(1e-18, 1.0) == 0.0
+
 
 class TestPrecisionReport:
     def test_exact_match_hits_cap(self):
@@ -648,13 +663,17 @@ class TestPreparedState:
         from molphase.errors import ReadoutError
 
         with pytest.raises(ReadoutError, match="iteration 0"):
-            ipea.run_ipea(h2, h2_config(), coherences=[0j] * 6)
+            ipea.estimate([0j] * 6, [0.0] * 6, h2_config(), H2_GROUND_ENERGY)
+
+
+def prefixes(result):
+    return ipea.running_estimates(result.records, 3, ERRBD_5DEG)
 
 
 class TestTraceCsv:
     def test_shape_and_summary(self, h2):
         result = ipea.run_ipea(h2, h2_config())
-        text = ipea.trace_csv(result, 3, ERRBD_5DEG)
+        text = ipea.trace_csv(result, prefixes(result))
         lines = text.strip().split("\n")
         assert lines[0].startswith("k,measured_phase,clipped_phase,operator_power,phi_c")
         assert len(lines) == 1 + 6 + 1
@@ -665,13 +684,12 @@ class TestTraceCsv:
 
     def test_determinism(self, h2):
         noise = probe.NoiseModel(phase_jitter_bound=ERRBD_5DEG, rng_seed=9)
-        a = ipea.trace_csv(ipea.run_ipea(h2, h2_config(), noise=noise), 3, ERRBD_5DEG)
-        b = ipea.trace_csv(ipea.run_ipea(h2, h2_config(), noise=noise), 3, ERRBD_5DEG)
-        assert a == b
+        a, b = (ipea.run_ipea(h2, h2_config(), noise=noise) for _ in range(2))
+        assert ipea.trace_csv(a, prefixes(a)) == ipea.trace_csv(b, prefixes(b))
 
     def test_operator_power_column(self, h2):
         result = ipea.run_ipea(h2, h2_config())
-        rows = ipea.trace_csv(result, 3, ERRBD_5DEG).strip().split("\n")[1:-1]
+        rows = ipea.trace_csv(result, prefixes(result)).strip().split("\n")[1:-1]
         powers = [int(r.split(",")[3]) for r in rows]
         assert powers == [8**k for k in range(6)]
 
@@ -681,7 +699,7 @@ class TestTraceCsv:
         noise = probe.NoiseModel(phase_jitter_bound=ERRBD_5DEG, rng_seed=106)
         result = ipea.run_ipea(h2, h2_config(), noise=noise)
         assert ipea.is_wrapped(result.records[-1].measured_phase, ERRBD_5DEG, 3)
-        rows = ipea.trace_csv(result, 3, ERRBD_5DEG).strip().split("\n")
+        rows = ipea.trace_csv(result, prefixes(result)).strip().split("\n")
         last, final = (row.split(",") for row in rows[-2:])
         assert final[0] == "final"
         assert last[5:] == final[5:]

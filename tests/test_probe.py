@@ -101,6 +101,10 @@ class TestIdealReadout:
         with pytest.raises(ReadoutError, match="coherence"):
             probe.ideal_readout(np.kron(qcore.KET_UP, g))
 
+    def test_tiny_negative_phase_reduces_to_zero(self):
+        # -1e-300 / 2pi % 1.0 rounds up to exactly 1.0, outside [0, 1)
+        assert probe.coherence_readout(complex(1.0, -1e-300)) == 0.0
+
 
 class TestNoisyReadout:
     def test_zero_bound_matches_ideal(self):
@@ -148,10 +152,14 @@ class TestNoisyReadout:
         expected = np.random.default_rng(seed).uniform(-ERRBD_5DEG, ERRBD_5DEG, size=6)
         assert draws == expected.tolist()
 
-    def test_stream_required(self):
-        noise = probe.NoiseModel(phase_jitter_bound=0.01)
-        with pytest.raises(ValidationError, match="jitter stream"):
-            probe.noisy_readout(kickback_state(0.1), noise)
+    @pytest.mark.parametrize("seed", [0, 7, 123])
+    def test_jitter_draws_are_successive_draws_of_one_stream(self, seed):
+        noise = probe.NoiseModel(phase_jitter_bound=ERRBD_5DEG, rng_seed=seed)
+        rng = noise.make_rng()
+        draws = noise.jitter_draws(6)
+        assert draws == [noise.draw_jitter(rng) for _ in range(6)]
+        expected = np.random.default_rng(seed).uniform(-ERRBD_5DEG, ERRBD_5DEG, size=6)
+        assert draws == expected.tolist()
 
     def test_custom_jitter_law(self):
         state = kickback_state(0.2)
@@ -252,6 +260,12 @@ class TestSpectra:
     def test_extract_self_is_zero(self):
         trace = probe.synthesize_spectrum(0.37)
         assert probe.extract_phase_from_spectrum(trace, trace) == pytest.approx(0.0, abs=1e-12)
+
+    def test_tiny_negative_phase_reduces_to_zero(self):
+        grid = np.array([0.0, 1.0])
+        trace = probe.SpectrumTrace(grid, np.array([1.0, 0.0]))
+        reference = probe.SpectrumTrace(grid, np.array([complex(1.0, 1e-300), 0.0]))
+        assert probe.extract_phase_from_spectrum(trace, reference) == 0.0
 
     def test_grid_mismatch(self):
         a = probe.synthesize_spectrum(0.1)
