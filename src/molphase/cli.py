@@ -9,12 +9,14 @@ and its ``--seed``; ``asp`` adds ``--steps``, ``--total-time`` and
 ``--scan``, and ``noise-sweep`` adds ``--epsilons``.
 
 Angles accept a ``deg`` suffix (``5deg`` = 5/360 of a turn); bare numbers
-are fractions of a turn. All validation happens before any computation and
-no output file is written until a command has fully succeeded, so a given
-configuration and seed always produce byte-identical outputs.
+are fractions of a turn. Every input is checked before the first probe
+reading and no output file is written until a command has fully
+succeeded, so a given configuration and seed always produce
+byte-identical outputs.
 
 Exit codes: 0 success, 1 computation failure, 2 configuration or
-validation failure.
+validation failure, including a tau at which the phase cannot name the
+ground energy (``errors.TauRangeError``).
 """
 from __future__ import annotations
 
@@ -118,7 +120,9 @@ def cmd_ipea(args) -> int:
     result = ipea.run_ipea(h, config, noise=_jitter_noise(args))
     oracle_e = result.energy.oracle_energy
     oracle_ph = ipea.energy_phase(oracle_e, config.tau)
-    running = ipea.running_estimates(result.records, args.bits, config.phase_error_bound)
+    # the last prefix is the whole run, already rebuilt
+    running = ipea.running_estimates(result.records[:-1], args.bits, config.phase_error_bound)
+    running.append(result.phase)
 
     trace_path = _write(args.out, "ipea_trace.csv", ipea.trace_csv(result, running))
     table_path = _write(args.out, "ipea_table.txt", _bit_table(running, args.bits, oracle_ph))

@@ -19,7 +19,10 @@ class ParseError(ValidationError):
 
 
 class TauRangeError(ValidationError):
-    """The automatic evolution-time formula produced a phase outside [0, 1)."""
+    """The ground phase -E0 tau / 2 pi lies outside the window in which a
+    phase estimate names E0: ``molham.choose_tau`` found no tau for it, or
+    ``ipea.estimate`` was given a tau that puts it within the error bound
+    of a whole turn, or past one."""
 
 
 class ComputationError(MolphaseError):

@@ -21,10 +21,13 @@ U_k = exp(-i 2 pi a_k) P_k as two parts: the power P_k = U^(2^(n k)),
 which no measurement affects, and the offset a_{k+1} = 2^n (a_k + phi'_k)
 mod 1, a float. The probe coherence after controlled-U_k on |+> x |psi> is
 exp(-i 2 pi a_k) c_k with c_k = <psi|P_k|psi> / 2, so no controlled gate
-or joint state is built. ``estimate``, the one loop, takes plain numbers:
-the seed-free c_k and one jitter draw per reading. ``run_ipea`` feeds it
-exact coherences and the noise model's draws, the pulse backend those of
-its realized gate and zero draws.
+or joint state is built, and its phase is arg(c_k) / 2 pi - a_k: the
+offset is a receiver phase, subtracted from the reading of c_k.
+``estimate``, the one loop, takes plain numbers: the seed-free c_k and one
+jitter draw per reading, and after reading each c_k's phase once it runs
+on floats alone. ``run_ipea`` feeds it exact coherences and the noise
+model's draws, the pulse backend those of its realized gate and zero
+draws.
 
 P_k is held in the eigenbasis of the generator H (or H + eps V), where it
 is diagonal, as the vector of its eigenphase factors; ``qcore.power_chain``
@@ -39,7 +42,6 @@ to the identity, as it is for every 2x2 system at the automatic tau.
 """
 from __future__ import annotations
 
-import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -48,13 +50,17 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import molham, probe, qcore
-from .errors import ReadoutError, ValidationError
+from .errors import ReadoutError, TauRangeError, ValidationError
 from .molham import MolecularHamiltonian
 from .probe import NoiseModel
 
 PREP_OVERLAP_FLOOR = 0.9
 PREP_OVERLAP_WARN = 0.999
 MAX_REPORT_BITS = 52
+# float64 rounding allowance, in turns, of a rebuilt phase: it widens the
+# error bound behind ``guaranteed_bits`` and keeps the ground phase that far
+# inside the window ``estimate`` checks
+PHASE_FLOOR = 2.0**-49
 
 
 def phase_distance(a: float, b: float) -> float:
@@ -71,7 +77,11 @@ class IterationConfig:
     each phase measurement. Admissibility (2^(n+1) + 2) * bound < 1 keeps
     the readings of a residual phase, [0, (2^(n+1) + 1) * bound], below the
     band [1 - bound, 1) of wrapped readings (``is_wrapped``), and n * k_max
-    may not exceed the ``MAX_REPORT_BITS`` a float64 phase holds.
+    may not exceed the ``MAX_REPORT_BITS`` a float64 phase holds. From the
+    second iteration on, a reading also carries up to about 2^(n-51) turns
+    of rounding (the n squarings of the power, the offset scaled by 2^n),
+    so with more than one iteration the gap below 1 must exceed 2^(n-48),
+    four times what the two sides of the ``is_wrapped`` split need.
     """
 
     bits_per_iteration: int = 3
@@ -97,11 +107,12 @@ class IterationConfig:
         if not (math.isfinite(self.tau) and self.tau > 0):
             raise ValidationError(f"tau must be positive and finite, got {self.tau}")
         n = self.bits_per_iteration
-        if not (2.0 ** (n + 1) + 2.0) * self.phase_error_bound < 1.0:
+        limit = 1.0 - (2.0 ** (n - 48) if self.iterations > 1 else 0.0)
+        if not (2.0 ** (n + 1) + 2.0) * self.phase_error_bound < limit:
             raise ValidationError(
-                f"inadmissible config: (2^{n + 1} + 2) * {self.phase_error_bound} >= 1"
-                " (the readings of a residual phase would reach the wrapped band;"
-                " bits per iteration too ambitious for the bound)"
+                f"inadmissible config: (2^{n + 1} + 2) * {self.phase_error_bound} >= {limit!r}"
+                " (the readings of a residual phase, rounding included, would reach the"
+                " wrapped band; bits per iteration too ambitious for the bound)"
             )
 
 
@@ -131,10 +142,9 @@ class PhaseEstimate:
 
 @dataclass(frozen=True)
 class EnergyResult:
-    """Energy E = -2 pi phi / tau in hartree, with its gap to the oracle."""
+    """Energy E = -2 pi phi / tau in hartree, with its distance |E - E0| from the oracle."""
 
     energy: float
-    phase: PhaseEstimate
     tau: float
     oracle_energy: float
     abs_error: float
@@ -241,23 +251,39 @@ def estimate(
 ) -> IpeaResult:
     """Read, clip and advance once per coherence, then rebuild the phase and energy.
 
-    Iteration k reads the phase of exp(-i 2 pi a_k) ``coherences[k]``, a_k
-    the accumulated clip phase, plus ``jitter[k]``, reduced into [0, 1).
+    Iteration k reads arg(``coherences[k]``) / 2 pi - a_k + ``jitter[k]``,
+    reduced into [0, 1), where a_k is the accumulated clip phase, the
+    receiver phase of round k. The arithmetic after each coherence's one
+    phase readout is real.
+
+    A phase estimate names the energy E = -2 pi phi / tau in (-2 pi / tau, 0],
+    and lands within g = bound * 2^(-n (k-1)) of the ground phase
+    -E0 tau / 2 pi. Before the first reading, that ground phase must
+    therefore lie in [g, 1 - g], each end moved inward by ``PHASE_FLOOR``,
+    or ``TauRangeError`` is raised: outside it the estimate can alias by a
+    whole turn and report a wrong energy.
     """
     k_max = config.iterations
     if not len(coherences) == len(jitter) == k_max:
         raise ValidationError(f"{len(coherences)} coherences and {len(jitter)} draws for {k_max} iterations")
     n = config.bits_per_iteration
     errbd = config.phase_error_bound
+    margin = errbd * 2.0 ** (-n * (k_max - 1)) + PHASE_FLOOR
+    theta0 = -oracle_energy * config.tau / (2.0 * math.pi)
+    if not margin <= theta0 <= 1.0 - margin:
+        raise TauRangeError(
+            f"ground phase -E0*tau/2pi = {theta0:.17g} (E0 = {oracle_energy:.17g}, tau = {config.tau:.17g})"
+            f" lies outside the window [{margin:.6g}, 1 - {margin:.6g}] in which a phase names E0;"
+            " it needs E0 < 0 and a tau that keeps it inside"
+        )
     offset = 0.0
     records: list[IterationRecord] = []
     for k, (coherence, draw) in enumerate(zip(coherences, jitter)):
-        scalar = cmath.exp(-2j * math.pi * offset)
         try:
-            phase = probe.coherence_readout(scalar * coherence)
+            phase = probe.coherence_readout(coherence)
         except ReadoutError as exc:
             raise ReadoutError(f"iteration {k}: {exc}") from exc
-        measured = probe.reduce_phase(phase + draw)
+        measured = probe.reduce_phase(phase - offset + draw)
         clipped = clip_phase(measured, errbd, n if k > 0 else None)
         records.append(
             IterationRecord(
@@ -280,6 +306,10 @@ def reconstruct(
     Given the bound, a wrapped final reading from the second iteration on
     (``is_wrapped``) is a near-zero phase and is unwound by one turn before
     seeding; only the final value is reduced into [0, 1).
+
+    ``guaranteed_bits`` are the leading digits that hold within the
+    contracted bound (zero without one) plus ``PHASE_FLOOR``, so rounding
+    caps them at 48.
     """
     if not records:
         raise ValidationError("no iteration records to reconstruct from")
@@ -296,9 +326,9 @@ def reconstruct(
     value = probe.reduce_phase(trace[-1])
 
     digits = n * len(records)
-    bound = 0.0
+    bound = PHASE_FLOOR
     if phase_error_bound is not None:
-        bound = phase_error_bound * 2.0 ** (-n * (len(records) - 1))
+        bound += phase_error_bound * 2.0 ** (-n * (len(records) - 1))
 
     return PhaseEstimate(
         value=value,
@@ -341,17 +371,16 @@ def to_binary(value: float, digits: int) -> str:
 
 
 def energy_from_phase(phase: PhaseEstimate, tau: float, oracle_energy: float) -> EnergyResult:
-    """E = -2 pi phi / tau, with its absolute error against ``oracle_energy``."""
+    """E = -2 pi phi / tau, with its absolute error |E - ``oracle_energy``|.
+
+    The error is a difference of energies, not of phases, so an estimate a
+    whole turn away from the oracle's phase shows as 2 pi / tau.
+    """
     if not tau > 0:
         raise ValidationError(f"tau must be positive, got {tau}")
-    energy = -2.0 * np.pi * phase.value / tau
-    abs_error = phase_distance(phase.value, energy_phase(oracle_energy, tau)) * 2.0 * np.pi / tau
+    energy = float(-2.0 * np.pi * phase.value / tau)
     return EnergyResult(
-        energy=float(energy),
-        phase=phase,
-        tau=float(tau),
-        oracle_energy=oracle_energy,
-        abs_error=abs_error,
+        energy=energy, tau=float(tau), oracle_energy=oracle_energy, abs_error=abs(energy - oracle_energy)
     )
 
 

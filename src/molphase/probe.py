@@ -8,7 +8,8 @@ coherence is <psi|U|psi> / 2, which the estimation loop computes directly;
 ``coherence_readout``, a pure function, turns any coherence into a phase,
 and the joint-state readouts go through it. Only the argument of the
 coherence carries information, so every readout returns that phase as a
-fraction of a turn.
+fraction of a turn. The estimation loop reads each coherence once this way
+and subtracts its receiver phase from the reading.
 
 Noise enters in two places: bounded jitter on the measured phase (uniform
 law by default, the bound is the quantity of record) and, on a 2x2
@@ -114,11 +115,11 @@ def probe_coherence(state) -> complex:
 
 
 def coherence_readout(z: complex) -> float:
-    """Phase of coherence ``z`` in [0, 1) turns; |z| below ``COHERENCE_TOL`` has none."""
-    magnitude = abs(z)
-    if magnitude < COHERENCE_TOL:
-        raise ReadoutError(f"probe coherence {magnitude:.3e} below {COHERENCE_TOL:.1e}; phase undefined")
-    return reduce_phase(cmath.phase(z / magnitude) / (2.0 * math.pi))
+    """Phase arg(z) / 2 pi of coherence ``z`` in [0, 1) turns; |z| below
+    ``COHERENCE_TOL`` has none."""
+    if abs(z) < COHERENCE_TOL:
+        raise ReadoutError(f"probe coherence {abs(z):.3e} below {COHERENCE_TOL:.1e}; phase undefined")
+    return reduce_phase(cmath.phase(z) / (2.0 * math.pi))
 
 
 def ideal_readout(state) -> float:

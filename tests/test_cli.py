@@ -76,8 +76,8 @@ class TestIpeaCommand:
         assert bits >= 17
 
     def test_each_prefix_estimate_is_built_once(self, tmp_path, monkeypatch):
-        # one rebuild per prefix, shared by the trace and the bit table,
-        # plus the run's own final rebuild
+        # one rebuild per prefix, shared by the trace and the bit table;
+        # the last prefix is the run's own final rebuild
         calls = []
         rebuild = ipea.reconstruct
 
@@ -88,7 +88,7 @@ class TestIpeaCommand:
         monkeypatch.setattr(ipea, "reconstruct", counted)
         args = ["ipea", "--jitter", "5deg", "--seed", "7", "--out", str(tmp_path)]
         assert cli.main(args) == 0
-        assert sorted(calls) == [1, 2, 3, 4, 5, 6, 6]
+        assert sorted(calls) == [1, 2, 3, 4, 5, 6]
 
     def test_single_iteration_trace(self, tmp_path):
         assert cli.main(["ipea", "--iterations", "1", "--out", str(tmp_path)]) == 0
@@ -109,6 +109,25 @@ class TestIpeaCommand:
         out = tmp_path / "o"
         assert cli.main(["ipea", "--errbd", "0.2", "--out", str(out)]) == 2
         assert "inadmissible" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "diagonal, tau",
+        [
+            # E0 = 0.01 > 0 at the automatic tau: reported -1.99 against 0.01
+            ([0.01, 1.01], "auto"),
+            # -E0 tau / 2 pi = 1.51 is past a whole turn: reported -1.693 against -5
+            ([-5.0, -3.0, -1.0, -0.5], "1.9"),
+        ],
+    )
+    def test_ground_phase_outside_the_window_exits_2(self, tmp_path, capsys, diagonal, tau):
+        doc = tmp_path / "diag.json"
+        doc.write_text(json.dumps({"label": "diag", "dim": len(diagonal), "matrix_re": np.diag(diagonal).tolist()}))
+        out = tmp_path / "out"
+        assert cli.main(["ipea", "--hamiltonian", str(doc), "--tau", tau, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "outside the window" in err
+        assert "phase names E0" in err
         assert not out.exists()
 
     def test_overlapping_reading_windows_exit_2(self, tmp_path, capsys):

@@ -1,5 +1,4 @@
 """Iteration engine: clipping, reconstruction, noise behavior, oracles."""
-import cmath
 import math
 
 import numpy as np
@@ -8,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from molphase import ipea, molham, probe, qcore
-from molphase.errors import ValidationError
+from molphase.errors import TauRangeError, ValidationError
 
 from conftest import (
     ERRBD_5DEG,
@@ -66,6 +65,24 @@ class TestIterationConfig:
     def test_field_validation(self, kwargs):
         with pytest.raises(ValidationError):
             h2_config(**kwargs)
+
+    @pytest.mark.parametrize(
+        "n, bound",
+        [
+            # (2^2 + 2) * bound = 1 - 2^-52: H2 at the automatic tau with
+            # draws -bound, +bound read its second phase as wrapped and
+            # reported -0.503 against -1.852 hartree
+            (1, 0.16666666666666663),
+            # within 2^-30 of the edge, 99 of 420 n = 26 runs on seven systems
+            # with +-bound draws missed their bound; rounding there is ~2^-25 turns
+            (26, (1.0 - 2.0**-30) / (2.0**27 + 2.0)),
+        ],
+    )
+    def test_rounding_margin_below_the_edge(self, n, bound):
+        with pytest.raises(ValidationError, match="inadmissible"):
+            h2_config(bits_per_iteration=n, iterations=2, phase_error_bound=bound)
+        # a single reading is never split into wrapped or not
+        h2_config(bits_per_iteration=n, iterations=1, phase_error_bound=bound)
 
     def test_bit_count_capped_at_float64_precision(self):
         h2_config(bits_per_iteration=4, iterations=13)  # 52 bits: the cap itself
@@ -257,8 +274,8 @@ class TestScalarChainMatchesDenseChain:
             assert ipea.phase_distance(rec.measured_phase, phase) <= 1e-12
 
     def test_backend_receives_power_and_scalar(self, h2):
-        # round k reads exp(-i 2 pi a_k) c_k, a_k the accumulated clip phase;
-        # here c_k comes from the dense power U^(8^k)
+        # round k reads the phase of c_k less a_k, the accumulated clip
+        # phase; here c_k comes from the dense power U^(8^k)
         g = molham.spectrum(h2).ground_state
         u = qcore.expm_herm(h2.matrix, H2_TAU)
         coherences = [np.vdot(g, np.linalg.matrix_power(u, 8**k) @ g) / 2.0 for k in range(6)]
@@ -267,10 +284,7 @@ class TestScalarChainMatchesDenseChain:
         assert [rec.k for rec in hooked] == list(range(6))
         offset = 0.0
         for rec, z in zip(hooked, coherences):
-            scalar = cmath.exp(-2j * math.pi * offset)
-            assert abs(abs(scalar) - 1.0) <= 1e-15
-            read = (cmath.phase(scalar * z) / (2.0 * math.pi)) % 1.0
-            assert ipea.phase_distance(rec.measured_phase, read) <= 1e-15
+            assert rec.measured_phase == probe.reduce_phase(probe.coherence_readout(z) - offset)
             offset = (8.0 * (offset + rec.clipped_phase)) % 1.0
         # the exact engine's own coherences are those of U^(8^k)
         for a, b in zip(hooked, exact):
@@ -309,6 +323,68 @@ class TestScalarChainMatchesDenseChain:
         with pytest.raises(ValidationError, match="outside"):
             ipea.run_ipea(h2, h2_config(), noise=noise)
         assert calls == []
+
+
+def batched_rounds(coherences, draws, n, bound):
+    """Measured and clipped phases of every seed at once: the per-round
+    recursion of ``ipea.estimate`` on a (seeds,) offset, with ``np.where``
+    for the wrap fold. ``draws`` is (seeds, rounds)."""
+    offset = np.zeros(draws.shape[0])
+    measured, clipped = [], []
+    for k, (z, draw) in enumerate(zip(coherences, draws.T)):
+        reading = (probe.coherence_readout(z) - offset + draw) % 1.0 % 1.0
+        clip = reading - bound
+        if k > 0:
+            wrapped = reading > 0.5 * (1.0 + 2.0 ** (n + 1) * bound)
+            clip = np.where(wrapped, reading - 1.0 - bound, clip)
+        offset = (2.0**n * (offset + clip)) % 1.0
+        measured.append(reading)
+        clipped.append(clip)
+    return np.array(measured).T, np.array(clipped).T
+
+
+def sign_law(rng, bound):
+    return bound if rng.random() < 0.5 else -bound
+
+
+def edge_bound(n):
+    return 0.9999 / (2.0 ** (n + 1) + 2.0)
+
+
+class TestSeedBatch:
+    """The engine's rounds are real arithmetic, which numpy rounds the way
+    Python does, so a seed-batched loop reproduces ``run_ipea`` exactly."""
+
+    @pytest.mark.parametrize(
+        "system, n, k, bound, law, seeds",
+        [
+            ("h2", 3, 6, ERRBD_5DEG, None, 1000),
+            ("4x4", 3, 6, ERRBD_5DEG, None, 1000),
+            ("h2", 1, 52, edge_bound(1), sign_law, 300),
+            ("h2", 2, 26, edge_bound(2), sign_law, 300),
+            ("h2", 3, 17, edge_bound(3), sign_law, 300),
+        ],
+    )
+    def test_matches_run_ipea_bit_for_bit(self, h2, monkeypatch, system, n, k, bound, law, seeds):
+        h, tau = (h2, H2_TAU) if system == "h2" else (molham.MolecularHamiltonian(MATRIX_4X4), TAU_4X4)
+        config = h2_config(bits_per_iteration=n, iterations=k, phase_error_bound=bound, tau=tau)
+        inputs = []
+        engine = ipea.estimate
+
+        def recorded(coherences, jitter, *args):
+            inputs.append((coherences, jitter))
+            return engine(coherences, jitter, *args)
+
+        monkeypatch.setattr(ipea, "estimate", recorded)
+        runs = [
+            ipea.run_ipea(h, config, noise=probe.NoiseModel(phase_jitter_bound=bound, rng_seed=s, jitter_law=law))
+            for s in range(seeds)
+        ]
+        coherences = inputs[0][0]
+        assert all(c == coherences for c, _ in inputs)  # seed-free
+        measured, clipped = batched_rounds(coherences, np.array([j for _, j in inputs]), n, bound)
+        assert measured.tolist() == [[r.measured_phase for r in run.records] for run in runs]
+        assert clipped.tolist() == [[r.clipped_phase for r in run.records] for run in runs]
 
 
 class TestLongRuns:
@@ -369,8 +445,16 @@ class TestJitterProperty:
         draws = iter([f * bound for f in fractions])
         noise = probe.NoiseModel(phase_jitter_bound=bound, jitter_law=lambda rng, b: next(draws))
         config = h2_config(bits_per_iteration=n, iterations=k, phase_error_bound=bound, tau=tau)
-        _, phase, _ = ipea.run_ipea(h, config, noise=noise)
         limit = bound * 2.0 ** (-n * (k - 1))
+        # the ground phase must keep the contracted bound, plus a rounding
+        # allowance, from a whole turn, or the run is rejected
+        margin = limit + ipea.PHASE_FLOOR
+        theta0 = -molham.spectrum(h).ground_energy * tau / (2.0 * np.pi)
+        if not margin <= theta0 <= 1.0 - margin:
+            with pytest.raises(TauRangeError, match="window"):
+                ipea.run_ipea(h, config, noise=noise)
+            return
+        _, phase, _ = ipea.run_ipea(h, config, noise=noise)
         error = ipea.phase_distance(phase.value, theta)
         assert error <= limit + FLOAT_FLOOR
 
@@ -411,15 +495,22 @@ class TestResidualBelowZero:
 
     def test_rebuilt_value_just_below_zero(self):
         # theta0 = 0 and a negative first clip: the rebuild rounds to just
-        # below zero, which must reduce to a phase in [0, 1), not to 1.0
+        # below zero, which must reduce to a phase in [0, 1), not to 1.0.
+        # The records are those this run produced before theta0 = 0, at the
+        # edge of a whole turn, was rejected.
         h = molham.MolecularHamiltonian(np.diag([0.0, 1.0]), label="theta0 0")
         bound = 0.16665
-        draws = iter([0.5 * bound, 0.0])
-        noise = probe.NoiseModel(phase_jitter_bound=bound, jitter_law=lambda rng, b: next(draws))
         config = h2_config(bits_per_iteration=1, iterations=2, phase_error_bound=bound, tau=np.pi)
-        _, phase, _ = ipea.run_ipea(h, config, noise=noise)
-        assert 0.0 <= phase.value < 1.0
-        assert ipea.phase_distance(phase.value, 0.0) <= bound / 2.0 + FLOAT_FLOOR
+        with pytest.raises(TauRangeError, match="window"):
+            ipea.run_ipea(h, config, noise=probe.NoiseModel(phase_jitter_bound=bound))
+        records = [
+            ipea.IterationRecord(0, float.fromhex("0x1.554c985f06f69p-4"), float.fromhex("-0x1.554c985f06f69p-4"), 1),
+            ipea.IterationRecord(1, float.fromhex("0x1.554c985f06f68p-3"), float.fromhex("-0x1.0p-55"), 2),
+        ]
+        phase = ipea.reconstruct(records, 1, phase_error_bound=bound)
+        assert phase.reconstruction_trace[-1] < 0.0
+        assert phase.value == 0.0
+        assert phase.binary_digits == "00"
 
 
 class TestOracleEquivalence:
@@ -539,6 +630,16 @@ class TestReconstruct:
         _, phase, _ = ipea.run_ipea(h2, h2_config())
         assert phase.guaranteed_bits == 18  # n * k_max, bound well below 2^-18
         assert phase.guaranteed_bits <= len(phase.binary_digits)
+
+    def test_guaranteed_bits_count_rounding(self, h2):
+        # a bound below half an ulp of the phase: the reading H2_PHASE - bound
+        # rounds to 1.6e-16 off, so 51 digits are right, where 52 were claimed
+        bound = 1.1101120023226938e-16
+        noise = probe.NoiseModel(phase_jitter_bound=bound, jitter_law=lambda rng, b: -b)
+        config = h2_config(bits_per_iteration=52, iterations=1, phase_error_bound=bound)
+        _, phase, _ = ipea.run_ipea(h2, config, noise=noise)
+        assert ipea.precision_report(phase, H2_PHASE) == 51
+        assert phase.guaranteed_bits == 48
 
 
 class TestToBinary:

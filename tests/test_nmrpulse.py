@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from molphase import ipea, molham, nmrpulse, probe, qcore
-from molphase.errors import CompilationError, ValidationError
+from molphase.errors import CompilationError, TauRangeError, ValidationError
 
 from conftest import ERRBD_5DEG, H2_TAU, random_negative_hamiltonian, random_unitary
 
@@ -266,6 +266,21 @@ class TestRunPulseBackend:
         h = molham.MolecularHamiltonian(np.diag([-2.0, -1.5, -1.0, -0.5]), label="d4")
         with pytest.raises(ValidationError, match="2x2"):
             nmrpulse.run_pulse_backend(h, ipea.IterationConfig(tau=1.0))
+
+    def test_keeps_sub_picoradian_angles(self):
+        # E0 + E1 = 3e-13 makes the probe's z rotation -1.5e-13 rad; dropped,
+        # it moved the eigenphase by 2.4e-14 turns, and 45 bits were correct
+        h = molham.MolecularHamiltonian(np.array([[-1.0, 0.3], [0.3, 1.0 + 3e-13]]), label="near traceless")
+        config = ipea.IterationConfig(bits_per_iteration=1, iterations=52, phase_error_bound=0.1, tau=1.0)
+        phase = nmrpulse.run_pulse_backend(h, config).phase
+        assert ipea.precision_report(phase, ipea.oracle_phase(h, config.tau)) == 52
+
+    def test_rejects_a_positive_ground_energy(self):
+        # E0 = 0.01 has ground phase -0.005: a phase of [0, 1) names only
+        # E in (-2 pi / tau, 0], so the run would report -1.99 hartree
+        h = molham.MolecularHamiltonian(np.diag([0.01, 1.01]), label="E0 > 0")
+        with pytest.raises(TauRangeError, match="window"):
+            nmrpulse.run_pulse_backend(h, ipea.IterationConfig(tau=molham.choose_tau(h)))
 
 
 class TestLongRuns:

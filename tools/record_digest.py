@@ -7,11 +7,14 @@ enter as ``float.hex``, so a digest moves with any change in any bit.
 
 Families: the exact engine; jittered runs under the uniform law and
 under a law of +-bound draws, on H2 and a 4x4 model; coherent operator
-errors; runs from an adiabatically prepared state; and the pulse backend
-up to 17 iterations. The script calls only ``run_ipea``,
-``run_pulse_backend``, ``run_asp`` and the model builders, so it runs
-unchanged against an older source tree; comparing its output between
-two trees shows whether a change moved any estimate:
+errors; runs from an adiabatically prepared state; 2x2 systems whose
+ground phase lies 2g from a whole turn, g = bound * 2^(-n (k-1)) being
+the final error bound, the runs closest to the check that the phase can
+name the ground energy; and the pulse backend up to 17 iterations. The
+script calls only ``run_ipea``, ``run_pulse_backend``, ``run_asp`` and
+the model builders, so it runs unchanged against an older source tree;
+comparing its output between two trees shows whether a change moved any
+estimate:
 
     PYTHONPATH=src python -W error tools/record_digest.py
 """
@@ -31,6 +34,7 @@ MATRIX_4X4 = np.array([
     [0.02, 0.04, 0.12, -0.25],
 ])
 TAU_4X4 = 1.9
+G_5DEG = BOUND_5DEG * 2.0 ** (-3 * 5)  # final error bound at n = 3, k = 6
 
 
 def sign_law(rng, bound):
@@ -41,6 +45,11 @@ def sign_law(rng, bound):
 def edge_bound(n):
     """A bound just inside the admissibility edge (2^(n+1) + 2) * bound < 1."""
     return 0.9999 / (2.0 ** (n + 1) + 2.0)
+
+
+def ground_phase_system(theta0):
+    """diag(-2 theta0, 1 - 2 theta0), whose ground phase at the automatic tau is theta0."""
+    return molham.MolecularHamiltonian(np.diag([-2.0 * theta0, 1.0 - 2.0 * theta0]), label="window edge")
 
 
 def run_text(result):
@@ -102,6 +111,11 @@ def families():
             ipea.run_ipea(h2, config(), prep=prepared, noise=probe.NoiseModel(phase_jitter_bound=BOUND_5DEG, rng_seed=s))
             for s in range(100)
         ]
+    yield "window-edge", [
+        ipea.run_ipea(h, config(tau=molham.choose_tau(h)), noise=probe.NoiseModel(phase_jitter_bound=BOUND_5DEG, rng_seed=s))
+        for h in (ground_phase_system(2.0 * G_5DEG), ground_phase_system(1.0 - 2.0 * G_5DEG))
+        for s in range(100)
+    ]
     yield "pulse", [
         nmrpulse.run_pulse_backend(h2, config(k=k), over_rotation=rot)
         for rot in (0.0, 1e-4, 1e-3)
