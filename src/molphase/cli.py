@@ -72,10 +72,8 @@ def _iteration_config(args, h: molham.MolecularHamiltonian) -> ipea.IterationCon
     )
 
 
-def _jitter_noise(args) -> probe.NoiseModel | None:
-    """Readout jitter from --jitter, seeded by --seed; None without --jitter."""
-    if args.jitter is None:
-        return None
+def _jitter_noise(args) -> probe.NoiseModel:
+    """Readout jitter from --jitter, seeded by --seed."""
     return probe.NoiseModel(phase_jitter_bound=parse_angle(args.jitter), rng_seed=args.seed)
 
 
@@ -185,7 +183,8 @@ def cmd_noise_sweep(args) -> int:
         result = ipea.run_ipea(h, config, noise=noise)
         errors = ipea.iteration_phase_errors(result.records, theta0, args.bits)
         bits = ipea.precision_report(result.phase, theta0)
-        ratio = fit_growth_ratio(errors, config.phase_error_bound)
+        # at eps = 0 the errors are the reference chain's own rounding, whose growth measures nothing
+        ratio = fit_growth_ratio(errors, config.phase_error_bound) if eps > 0.0 else None
         ratio_txt = f"{ratio:.17g}" if ratio is not None else ""
         for k, err in enumerate(errors):
             rows.append(f"{eps:.17g},{k},{err:.17g},{ratio_txt},{bits}")
@@ -247,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     iteration.add_argument("--errbd", default="5deg", help="phase error bound (turns or Ndeg)")
 
     jitter = argparse.ArgumentParser(add_help=False)
-    jitter.add_argument("--jitter", default=None, help="measurement jitter bound (turns or Ndeg)")
+    jitter.add_argument("--jitter", default="0", help="measurement jitter bound (turns or Ndeg)")
     jitter.add_argument("--seed", type=int, default=0, help="jitter RNG seed")
 
     p = sub.add_parser("eig", parents=[common], help="exact diagonalization report")

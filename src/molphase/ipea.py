@@ -26,8 +26,8 @@ offset is a receiver phase, subtracted from the reading of c_k.
 ``estimate``, the one loop, takes plain numbers: the seed-free c_k and one
 jitter draw per reading, and after reading each c_k's phase once it runs
 on floats alone. ``run_ipea`` feeds it exact coherences and the noise
-model's draws, the pulse backend those of its realized gate and zero
-draws.
+model's draws (zeros from the noiseless default ``NoiseModel()``), the
+pulse backend those of its realized gate and zero draws.
 
 P_k is held in the eigenbasis of the generator H (or H + eps V), where it
 is diagonal, as the vector of its eigenphase factors; ``qcore.power_chain``
@@ -199,14 +199,15 @@ def run_ipea(
     h: MolecularHamiltonian,
     config: IterationConfig,
     prep: np.ndarray | None = None,
-    noise: NoiseModel | None = None,
+    noise: NoiseModel = NoiseModel(),
 ) -> IpeaResult:
     """Run the full estimation loop and rebuild the phase and energy.
 
     ``prep`` defaults to the exact ground state; supplying a state with
-    ground overlap below 0.999 warns, below 0.9 fails. With ``noise`` the
-    operator is built from the perturbed Hamiltonian (when coherent_epsilon
-    is nonzero) and each readout takes one draw of ``noise.jitter_draws``.
+    ground overlap below 0.999 warns, below 0.9 fails. ``noise`` defaults
+    to the noiseless channel; the operator is built from the perturbed
+    Hamiltonian when its coherent_epsilon is nonzero, and each readout takes
+    one draw of ``noise.jitter_draws``.
     The coherences c_k = <prep|U^(2^(n k))|prep> / 2 come from the
     eigenbasis power chain.
     """
@@ -237,13 +238,12 @@ def run_ipea(
 
     k = config.iterations
     dec = spec
-    if noise is not None and noise.coherent_epsilon > 0.0:
+    if noise.coherent_epsilon > 0.0:
         dec = qcore.hermitian_eig(probe.perturbed_hamiltonian(h, noise))
     powers = qcore.power_chain(np.exp(-1j * config.tau * dec.energies), config.bits_per_iteration, k)
     state = dec.eigenvectors.conj().T @ prep
     coherences = [complex(np.vdot(state, row)) / 2.0 for row in powers * state]
-    jitter = noise.jitter_draws(k) if noise is not None else [0.0] * k
-    return estimate(coherences, jitter, config, spec.ground_energy)
+    return estimate(coherences, noise.jitter_draws(k), config, spec.ground_energy)
 
 
 def estimate(

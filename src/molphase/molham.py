@@ -78,8 +78,10 @@ def choose_tau(h: MolecularHamiltonian) -> float:
     """Evolution time pi / sqrt((2 H12)^2 + (H11 - H22)^2) for a 2x2 system.
 
     The denominator is the spectral spread, so the resulting ground-state
-    phase -E0*tau/2pi lands inside one turn. Validated: if |E0|*tau >= 2pi
-    the caller must supply tau explicitly.
+    phase -E0*tau/2pi lands inside one turn when E0 < 0. Validated: a ground
+    phase outside (0, 1) raises ``TauRangeError``; past a whole turn
+    (|E0|*tau >= 2pi) the caller must supply tau explicitly, and E0 >= 0
+    has no tau at which a phase names it.
     """
     if h.dim != 2:
         raise ValidationError(f"automatic tau is defined for 2x2 systems only, got dim {h.dim}")
@@ -90,9 +92,12 @@ def choose_tau(h: MolecularHamiltonian) -> float:
     tau = float(np.pi / spread)
     # the kept decomposition, not ``spectrum``: a near-degenerate system still gets its tau
     e0 = float(h._eigen.energies[0])
-    if abs(e0) * tau >= 2.0 * np.pi:
+    theta0 = -e0 * tau / (2.0 * np.pi)
+    if not 0.0 < theta0 < 1.0:
+        remedy = "supply tau explicitly" if theta0 >= 1.0 else "it needs E0 < 0"
         raise TauRangeError(
-            f"|E0|*tau = {abs(e0) * tau:.6f} >= 2pi; phase would wrap, supply tau explicitly"
+            f"ground phase -E0*tau/2pi = {theta0:.6f} (E0 = {e0:.6g}, tau = {tau:.6f}) lies outside"
+            f" the window (0, 1) in which a phase names E0; {remedy}"
         )
     return tau
 

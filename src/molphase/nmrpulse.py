@@ -226,7 +226,13 @@ def run_pulse_backend(
     phase read off each coherence, the way a spectrometer's receiver phase
     is subtracted from its signal. Any injected pulse error therefore acts
     on U alone and its phase error scales with the operator power.
-    Noiseless runs match the exact-gate engine to well below 1e-8.
+
+    Without over-rotation the realized gate equals the exact one to float64
+    rounding, and at n = 3 its readings match the exact-gate engine's to
+    about 1e-14 turns up to 12 iterations. Later rounds read powers up to
+    2^(n (k-1)) that amplify this rounding: on H2-like 2x2 systems the
+    readings differ by up to about 1e-5 turns at (n, k) = (3, 17) and 1e-3
+    at (1, 52), while the rebuilt phase still holds its guaranteed bits.
     """
     if h.dim != 2:
         raise ValidationError(f"pulse backend handles 2x2 systems, got dim {h.dim}")

@@ -11,11 +11,12 @@ coherence carries information, so every readout returns that phase as a
 fraction of a turn. The estimation loop reads each coherence once this way
 and subtracts its receiver phase from the reading.
 
-Noise enters in two places: bounded jitter on the measured phase (uniform
-law by default, the bound is the quantity of record) and, on a 2x2
-system, a coherent perturbation eps sz of the Hamiltonian whose effect on
-the evolution operator compounds under powering. A run takes its jitter
-as data, one seeded stream's draws (``NoiseModel.jitter_draws``).
+Noise enters in two places: bounded jitter on the measured phase, drawn
+uniformly on [-bound, bound) (the bound is the quantity of record), and,
+on a 2x2 system, a coherent perturbation eps sz of the Hamiltonian whose
+effect on the evolution operator compounds under powering. A run takes
+its jitter as data, one seeded stream's draws
+(``NoiseModel.jitter_draws``); ``NoiseModel()`` is the noiseless channel.
 
 The probe and system spins of the NMR sample are coupled by
 (pi J / 2) sz x sz with J = ``J_COUPLING_HZ``, so the probe's spectrum is
@@ -26,7 +27,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -47,15 +47,13 @@ class NoiseModel:
 
     ``phase_jitter_bound`` is in fractions of a turn (5 degrees = 5/360);
     ``coherent_epsilon`` is the strength in hartree of a perturbation along
-    sigma_z, defined on 2x2 systems. Both zero reproduces the ideal channel
-    exactly. ``jitter_law(rng, bound)`` replaces the default uniform draw on
-    [-bound, bound).
+    sigma_z, defined on 2x2 systems. Both zero, the default, reproduces the
+    ideal channel exactly.
     """
 
     phase_jitter_bound: float = 0.0
     coherent_epsilon: float = 0.0
     rng_seed: int = 0
-    jitter_law: Callable[[np.random.Generator, float], float] | None = None
 
     def __post_init__(self):
         if not (math.isfinite(self.phase_jitter_bound) and self.phase_jitter_bound >= 0):
@@ -63,24 +61,13 @@ class NoiseModel:
         if not (math.isfinite(self.coherent_epsilon) and self.coherent_epsilon >= 0):
             raise ValidationError(f"coherent epsilon must be finite and >= 0, got {self.coherent_epsilon}")
 
-    def make_rng(self) -> np.random.Generator:
-        return np.random.default_rng(self.rng_seed)
-
-    def draw_jitter(self, rng: np.random.Generator) -> float:
-        """One jitter draw; always within +-phase_jitter_bound."""
+    def jitter_draws(self, count: int) -> list[float]:
+        """``count`` uniform draws on [-bound, bound) from the stream seeded by
+        ``rng_seed``; zeros when the bound is zero."""
         bound = self.phase_jitter_bound
         if bound == 0.0:
-            return 0.0
-        law = self.jitter_law
-        draw = float(rng.uniform(-bound, bound) if law is None else law(rng, bound))
-        if abs(draw) > bound:
-            raise ValidationError(f"jitter law produced {draw:.6e} outside +-{bound:.6e}")
-        return draw
-
-    def jitter_draws(self, count: int) -> list[float]:
-        """``count`` successive ``draw_jitter`` draws from one ``make_rng`` stream."""
-        rng = self.make_rng()
-        return [self.draw_jitter(rng) for _ in range(count)]
+            return [0.0] * count
+        return np.random.default_rng(self.rng_seed).uniform(-bound, bound, size=count).tolist()
 
 
 def reduce_phase(x: float) -> float:
@@ -131,9 +118,9 @@ def ideal_readout(state) -> float:
     return coherence_readout(probe_coherence(state))
 
 
-def noisy_readout(state, noise: NoiseModel, rng: np.random.Generator) -> float:
-    """Ideal readout of a joint state plus one jitter draw from ``rng``, reduced into [0, 1)."""
-    return reduce_phase(coherence_readout(probe_coherence(state)) + noise.draw_jitter(rng))
+def noisy_readout(state, draw: float) -> float:
+    """Ideal readout of a joint state plus the jitter ``draw``, reduced into [0, 1)."""
+    return reduce_phase(ideal_readout(state) + draw)
 
 
 def perturbed_hamiltonian(h: MolecularHamiltonian, noise: NoiseModel) -> np.ndarray:

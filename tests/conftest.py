@@ -5,10 +5,23 @@ eigenvalues of the built-in hydrogen matrix: E = mean -+ hypot(delta, H12)
 with mean = (H11 + H22)/2 and delta = (H11 - H22)/2, and from
 tau = pi / (2 * hypot(delta, H12)).
 """
+import contextlib
+import warnings
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
-from molphase import molham
+from molphase import molham, probe
+
+# Hypothesis imports libcst to write the patch of a failing example, and
+# that import warns DeprecationWarning (from mypy_extensions). Under
+# ``-W error`` the warning would abort the whole session instead of
+# reporting the failure, so the module is imported here once, with only
+# that import's DeprecationWarning ignored.
+with warnings.catch_warnings(), contextlib.suppress(ImportError):
+    warnings.simplefilter("ignore", DeprecationWarning)
+    import hypothesis.extra._patching  # noqa: F401
 
 # closed-form oracle values for the built-in hydrogen system
 H2_GROUND_ENERGY = -1.8515709293511877
@@ -75,3 +88,14 @@ def h2_like_targets(count, seed=2026, complex_coupling=False):
         matrix = np.array([[h11, h12], [np.conj(h12), h22]])
         targets.append(molham.MolecularHamiltonian(matrix, label="H2-like"))
     return targets
+
+
+@dataclass(frozen=True)
+class FixedJitter(probe.NoiseModel):
+    """A test fake of the noise model whose jitter draws are given, for
+    runs at chosen draws such as the +-bound extremes."""
+
+    draws: tuple[float, ...] = ()
+
+    def jitter_draws(self, count):
+        return list(self.draws)

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from molphase import cli, ipea, molham
+from molphase import cli, ipea, molham, qcore
 
 from conftest import H2_GROUND_ENERGY, H2_PHASE
 
@@ -130,6 +130,21 @@ class TestIpeaCommand:
         assert "phase names E0" in err
         assert not out.exists()
 
+    def test_positive_ground_energy_exits_before_the_power_chain(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        chain = qcore.power_chain
+
+        def counted(*args):
+            calls.append(args)
+            return chain(*args)
+
+        monkeypatch.setattr(qcore, "power_chain", counted)
+        doc = tmp_path / "positive.json"
+        doc.write_text(json.dumps({"label": "positive", "dim": 2, "matrix_re": np.diag([0.01, 1.01]).tolist()}))
+        assert cli.main(["ipea", "--hamiltonian", str(doc), "--out", str(tmp_path / "out")]) == 2
+        assert "outside the window" in capsys.readouterr().err
+        assert calls == []
+
     def test_overlapping_reading_windows_exit_2(self, tmp_path, capsys):
         # 2^-2 >= 2 * 0.12, but the window of readings reaches the wrapped band
         args = ["ipea", "--bits", "2", "--errbd", "0.12", "--jitter", "0.12", "--seed", "4"]
@@ -218,6 +233,14 @@ class TestNoiseSweepCommand:
         ordered = [bits[e] for e in (0.0, 1e-5, 1e-4, 1e-3)]
         assert all(a >= b for a, b in zip(ordered, ordered[1:]))
         assert ordered[0] > ordered[-1]
+
+    def test_no_growth_ratio_without_a_coherent_error(self, tmp_path, capsys):
+        # at epsilon = 0 the errors are float64 rounding, so no ratio is fitted
+        assert cli.main(["noise-sweep", "--epsilons", "0,1e-4", "--out", str(tmp_path)]) == 0
+        assert "epsilon = 0: growth ratio = n/a," in capsys.readouterr().out
+        _, rows = read_csv(tmp_path / "noise_sweep.csv")
+        assert [r[3] for r in rows if float(r[0]) == 0.0] == [""] * 6
+        assert all(r[3] for r in rows if float(r[0]) == 1e-4)
 
     def test_bad_epsilon_grid(self, tmp_path):
         assert cli.main(["noise-sweep", "--epsilons", "1e-4,x", "--out", str(tmp_path)]) == 2

@@ -25,10 +25,10 @@ import numpy as np
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from molphase import cli, ipea, molham, nmrpulse, probe
+from molphase import cli, ipea, molham, nmrpulse
 from molphase.errors import ValidationError
 
-from conftest import H2_TAU, random_unitary
+from conftest import H2_TAU, FixedJitter, random_unitary
 
 # float64 rounding of a rebuilt phase below one, in turns
 FLOAT_FLOOR = 8 * 2.0**-52
@@ -94,8 +94,7 @@ def run_library(case):
     if case.path == "pulse":
         result = nmrpulse.run_pulse_backend(h, config)
     else:
-        draws = iter([f * case.bound for f in case.fractions])
-        noise = probe.NoiseModel(phase_jitter_bound=case.bound, jitter_law=lambda rng, b: next(draws))
+        noise = FixedJitter(case.bound, draws=tuple(f * case.bound for f in case.fractions))
         result = ipea.run_ipea(h, config, noise=noise)
     oracle = ipea.energy_phase(result.energy.oracle_energy, tau)
     correct = ipea.precision_report(result.phase, oracle)

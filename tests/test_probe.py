@@ -106,19 +106,35 @@ class TestIdealReadout:
         assert probe.coherence_readout(complex(1.0, -1e-300)) == 0.0
 
 
+# jitter_draws(6) at bound 5/360, frozen by value: a given seed keeps its draws
+PINNED_DRAWS = {
+    0: ["0x1.f2a98b8c19070p-9", "-0x1.a3172adfebba3p-8", "-0x1.a1d0ebdee7ce8p-7",
+        "-0x1.b81139ea662e7p-7", "0x1.1d2541ab4a32ep-7", "0x1.77b3053ec0e3ep-7"],
+    7: ["0x1.c7756cff37678p-9", "0x1.698d862d196c2p-7", "0x1.f5ded7fd004e0p-8",
+        "-0x1.f43ebb3a1262ap-8", "-0x1.6bc942dc0caf8p-8", "0x1.540442fd75406p-7"],
+    123: ["0x1.4bf620b1e3384p-8", "-0x1.961f3cf3399e8p-7", "-0x1.fd11beb26c9d1p-8",
+          "-0x1.1f4ab2df17cfep-7", "-0x1.26ff660d09395p-7", "0x1.1c134a7dae5aep-7"],
+}
+
+
 class TestNoisyReadout:
     def test_zero_bound_matches_ideal(self):
         state = kickback_state(0.3)
-        noise = probe.NoiseModel(phase_jitter_bound=0.0, rng_seed=42)
-        noisy = probe.noisy_readout(state, noise, noise.make_rng())
-        assert noisy == probe.ideal_readout(state)
+        draws = probe.NoiseModel(phase_jitter_bound=0.0, rng_seed=42).jitter_draws(3)
+        assert draws == [0.0] * 3
+        assert probe.noisy_readout(state, draws[0]) == probe.ideal_readout(state)
+
+    def test_draw_is_added_to_the_reading(self):
+        state = kickback_state(0.2)
+        clean = probe.ideal_readout(state)
+        assert probe.noisy_readout(state, 0.01) == pytest.approx(clean + 0.01, abs=1e-15)
 
     def test_deviation_within_bound_for_many_seeds(self):
         state = kickback_state(0.42)
         clean = probe.ideal_readout(state)
         for seed in range(200):
             noise = probe.NoiseModel(phase_jitter_bound=ERRBD_5DEG, rng_seed=seed)
-            noisy = probe.noisy_readout(state, noise, noise.make_rng())
+            noisy = probe.noisy_readout(state, noise.jitter_draws(1)[0])
             assert ipea.phase_distance(noisy, clean) <= ERRBD_5DEG
 
     def test_uniform_law_statistics(self):
@@ -126,55 +142,31 @@ class TestNoisyReadout:
         clean = probe.ideal_readout(state)
         bound = 0.01
         noise = probe.NoiseModel(phase_jitter_bound=bound, rng_seed=8)
-        rng = noise.make_rng()
         draws = np.array(
-            [probe.noisy_readout(state, noise, rng) - clean for _ in range(10_000)]
+            [probe.noisy_readout(state, draw) - clean for draw in noise.jitter_draws(10_000)]
         )
         assert np.abs(draws).max() <= bound
         # mean of UN(-b, b): sigma_mean = b / sqrt(3 N)
         assert abs(draws.mean()) <= 3.0 * bound / np.sqrt(3.0 * draws.size)
 
     def test_deterministic_given_seed(self):
-        # two streams from one seed agree; successive draws from one stream differ
-        state = kickback_state(0.1)
+        # one seed gives the same draws on every call; successive draws differ
         noise = probe.NoiseModel(phase_jitter_bound=0.01, rng_seed=5)
-        a, b = noise.make_rng(), noise.make_rng()
-        first = [probe.noisy_readout(state, noise, a) for _ in range(3)]
-        second = [probe.noisy_readout(state, noise, b) for _ in range(3)]
-        assert first == second
+        first = noise.jitter_draws(3)
+        assert noise.jitter_draws(3) == first
         assert len(set(first)) == 3
 
     @pytest.mark.parametrize("seed", [0, 7, 123])
     def test_uniform_draws_pinned_to_seed(self, seed):
-        noise = probe.NoiseModel(phase_jitter_bound=ERRBD_5DEG, rng_seed=seed)
-        rng = noise.make_rng()
-        draws = [noise.draw_jitter(rng) for _ in range(6)]
-        expected = np.random.default_rng(seed).uniform(-ERRBD_5DEG, ERRBD_5DEG, size=6)
-        assert draws == expected.tolist()
+        draws = probe.NoiseModel(phase_jitter_bound=ERRBD_5DEG, rng_seed=seed).jitter_draws(6)
+        assert [d.hex() for d in draws] == PINNED_DRAWS[seed]
 
     @pytest.mark.parametrize("seed", [0, 7, 123])
     def test_jitter_draws_are_successive_draws_of_one_stream(self, seed):
-        noise = probe.NoiseModel(phase_jitter_bound=ERRBD_5DEG, rng_seed=seed)
-        rng = noise.make_rng()
-        draws = noise.jitter_draws(6)
-        assert draws == [noise.draw_jitter(rng) for _ in range(6)]
-        expected = np.random.default_rng(seed).uniform(-ERRBD_5DEG, ERRBD_5DEG, size=6)
-        assert draws == expected.tolist()
-
-    def test_custom_jitter_law(self):
-        state = kickback_state(0.2)
-        clean = probe.ideal_readout(state)
-        noise = probe.NoiseModel(
-            phase_jitter_bound=0.01, jitter_law=lambda rng, b: b
-        )
-        noisy = probe.noisy_readout(state, noise, noise.make_rng())
-        assert noisy == pytest.approx(clean + 0.01, abs=1e-15)
-
-    def test_out_of_bound_law_rejected(self):
-        state = kickback_state(0.2)
-        noise = probe.NoiseModel(phase_jitter_bound=0.01, jitter_law=lambda rng, b: 2 * b)
-        with pytest.raises(ValidationError, match="outside"):
-            probe.noisy_readout(state, noise, noise.make_rng())
+        # the batched draw equals k scalar draws from one stream
+        rng = np.random.default_rng(seed)
+        scalar = [float(rng.uniform(-ERRBD_5DEG, ERRBD_5DEG)) for _ in range(6)]
+        assert probe.NoiseModel(phase_jitter_bound=ERRBD_5DEG, rng_seed=seed).jitter_draws(6) == scalar
 
 
 class TestNoiseModelValidation:

@@ -6,15 +6,15 @@ and guaranteed bits, the energy and its error against the oracle. Floats
 enter as ``float.hex``, so a digest moves with any change in any bit.
 
 Families: the exact engine; jittered runs under the uniform law and
-under a law of +-bound draws, on H2 and a 4x4 model; coherent operator
-errors; runs from an adiabatically prepared state; 2x2 systems whose
-ground phase lies 2g from a whole turn, g = bound * 2^(-n (k-1)) being
-the final error bound, the runs closest to the check that the phase can
-name the ground energy; and the pulse backend up to 17 iterations. The
-script calls only ``run_ipea``, ``run_pulse_backend``, ``run_asp`` and
-the model builders, so it runs unchanged against an older source tree;
-comparing its output between two trees shows whether a change moved any
-estimate:
+under +-bound draws, on H2 and a 4x4 model; coherent operator errors;
+runs from an adiabatically prepared state; 2x2 systems whose ground phase
+lies 2g from a whole turn, g = bound * 2^(-n (k-1)) being the final error
+bound, the runs closest to the check that the phase can name the ground
+energy; and the pulse backend up to 17 iterations. The script calls only
+``run_ipea``, ``run_pulse_backend``, ``run_asp`` and the model builders,
+and sets the +-bound draws by overriding ``NoiseModel.jitter_draws``, so
+it runs unchanged against an older source tree; comparing its output
+between two trees shows whether a change moved any estimate:
 
     PYTHONPATH=src python -W error tools/record_digest.py
 """
@@ -37,9 +37,13 @@ TAU_4X4 = 1.9
 G_5DEG = BOUND_5DEG * 2.0 ** (-3 * 5)  # final error bound at n = 3, k = 6
 
 
-def sign_law(rng, bound):
-    """A draw of exactly +bound or -bound, the extremes the bound allows."""
-    return bound if rng.random() < 0.5 else -bound
+class SignJitter(probe.NoiseModel):
+    """Draws of exactly +bound or -bound, the extremes the bound allows,
+    each sign a fair coin flipped on the stream seeded by ``rng_seed``."""
+
+    def jitter_draws(self, count):
+        rng, bound = np.random.default_rng(self.rng_seed), self.phase_jitter_bound
+        return [bound if rng.random() < 0.5 else -bound for _ in range(count)]
 
 
 def edge_bound(n):
@@ -85,7 +89,7 @@ def families():
     yield "jittered-sign-h2", [
         ipea.run_ipea(
             h2, config(n, k, edge_bound(n)),
-            noise=probe.NoiseModel(phase_jitter_bound=edge_bound(n), rng_seed=s, jitter_law=sign_law),
+            noise=SignJitter(phase_jitter_bound=edge_bound(n), rng_seed=s),
         )
         for n, k in ((1, 52), (2, 26), (3, 17))
         for s in SEEDS
@@ -93,7 +97,7 @@ def families():
     yield "jittered-sign-4x4", [
         ipea.run_ipea(
             h4, config(tau=TAU_4X4),
-            noise=probe.NoiseModel(phase_jitter_bound=BOUND_5DEG, rng_seed=s, jitter_law=sign_law),
+            noise=SignJitter(phase_jitter_bound=BOUND_5DEG, rng_seed=s),
         )
         for s in SEEDS
     ]
