@@ -147,6 +147,9 @@ def cmd_asp(args) -> int:
             raise ValidationError(f"scan bounds must be finite, got {args.scan!r}")
         if step <= 0 or stop < start:
             raise ValidationError(f"scan range is empty or descending: {args.scan!r}")
+        # np.arange makes ceil of this many points, checked before it allocates
+        if (stop + 1e-12 - start) / step > asp.MAX_POINTS:
+            raise ValidationError(f"scan {args.scan!r} has more than {asp.MAX_POINTS} points")
         grid = np.arange(start, stop + 1e-12, step)
     elif args.total_time is not None:
         grid = np.array([args.total_time])

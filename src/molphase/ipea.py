@@ -209,8 +209,12 @@ def run_ipea(
     Hamiltonian when its coherent_epsilon is nonzero, and each readout takes
     one draw of ``noise.jitter_draws``.
     The coherences c_k = <prep|U^(2^(n k))|prep> / 2 come from the
-    eigenbasis power chain.
+    eigenbasis power chain. Jitter above ``phase_error_bound`` is rejected first.
     """
+    if noise.phase_jitter_bound > config.phase_error_bound:
+        raise ValidationError(
+            f"jitter bound {noise.phase_jitter_bound!r} exceeds the phase error bound {config.phase_error_bound!r}"
+        )
     spec = molham.spectrum(h)
     if 2 * h.dim > qcore.MAX_DIM:
         raise ValidationError(f"system dimension {h.dim} too large for the probe register")

@@ -11,11 +11,12 @@ composed from two pi pulses. Each event acts on the running 4x4 product
 of a sequence: a delay scales its rows by those phases, a pulse applies
 its 2x2 rotation along its spin's axis, and no per-event 4x4 gate,
 Kronecker product or eigendecomposition is built.
-The compiler reduces an arbitrary controlled-U to single-spin pulses plus
-J-coupling delays of at most 1/(2J) per entangling block and verifies the
-result against the exact gate, up to global phase, before returning it
-with the realized unitary it checked; a run without over-rotation reuses
-that unitary instead of evolving the sequence again.
+The compiler takes every controlled-U through one path: system pulses
+tilt U's rotation axis onto z and back, and one J-coupling delay of at
+most 1/(2J) between probe pi pulses does the controlled half. It
+verifies the result against the exact gate, up to global phase, before
+returning it with the realized unitary it checked; a run without
+over-rotation reuses that unitary instead of evolving the sequence again.
 """
 from __future__ import annotations
 
@@ -30,10 +31,6 @@ from .ipea import IpeaResult, IterationConfig
 from .molham import MolecularHamiltonian
 
 SPINS = ("probe", "system")
-# an axis this close to z is taken as z, an error of second order in the
-# eigenphase; angles are never rounded to zero, as a dropped 1e-12 rad
-# moves the eigenphase by 1.6e-13 turns, which a 52-bit estimate resolves
-AXIS_TOL = 1e-12
 COMPILE_FIDELITY_FLOOR = 1.0 - 1e-9
 
 # Diagonal of the Hamiltonian (pi J / 2) sz x sz.
@@ -135,17 +132,6 @@ def _z_rotation_events(spin: str, angle: float) -> list:
     return [PulseEvent(spin, 0.0, np.pi), PulseEvent(spin, a / 2.0, np.pi)]
 
 
-def _zz_block(zeta: float) -> list:
-    """Events for exp(-i zeta sz x sz); negative zeta is sign-flipped by a
-    pi-pulse sandwich on the probe. |zeta| <= pi/4 keeps the delay <= 1/(2J)."""
-    if zeta == 0.0:
-        return []
-    delay = DelayEvent(2.0 * abs(zeta) / (np.pi * probe.J_COUPLING_HZ))
-    if zeta >= 0.0:
-        return [delay]
-    return [PulseEvent("probe", 0.0, np.pi), delay, PulseEvent("probe", 0.0, np.pi)]
-
-
 def _su2_factor(u: np.ndarray) -> tuple[float, float, np.ndarray]:
     """Split u = e^{i alpha} exp(-i (theta/2) n.sigma) with theta in [0, pi]."""
     alpha = 0.5 * np.angle(np.linalg.det(u))
@@ -165,10 +151,11 @@ def _su2_factor(u: np.ndarray) -> tuple[float, float, np.ndarray]:
 def compile_controlled_u(u) -> PulseSequence:
     """Compile |up><up| x I + |down><down| x u into pulses and delays.
 
-    The rotation part of u is conjugated onto the z axis, its controlled
-    half is realized by one J-coupling block, and the global phase of u
-    becomes a probe z rotation. Raises if the verified fidelity falls
-    below 1 - 1e-9.
+    The rotation part of u, exp(-i (theta/2) n.sigma), is conjugated onto
+    the z axis by a system pulse of angle arccos(n_z), exact for an axis at
+    +z or -z too; its controlled half is realized by one J-coupling block,
+    and the global phase of u becomes a probe z rotation. Raises if the
+    verified fidelity falls below 1 - 1e-9.
     """
     intended = probe.controlled_u(u)
     if intended.shape != (4, 4):
@@ -180,18 +167,18 @@ def compile_controlled_u(u) -> PulseSequence:
     events: list = []
     if theta > 0.0:
         nx, ny, nz = axis
-        if abs(nx) < AXIS_TOL and abs(ny) < AXIS_TOL:
-            # z-axis rotation: the coupling block alone does the controlled half
-            sign = 1.0 if nz > 0 else -1.0
-            events += _zz_block(-sign * theta / 4.0)
-            events += _z_rotation_events("system", sign * theta / 2.0)
-        else:
-            tilt = np.arccos(np.clip(nz, -1.0, 1.0))
-            azimuth = np.arctan2(nx, -ny)
-            events.append(PulseEvent("system", azimuth, -tilt))
-            events += _zz_block(-theta / 4.0)
-            events += _z_rotation_events("system", theta / 2.0)
-            events.append(PulseEvent("system", azimuth, tilt))
+        tilt = np.arccos(np.clip(nz, -1.0, 1.0))
+        azimuth = np.arctan2(nx, -ny)
+        # exp(-i zeta sz x sz), zeta < 0: the probe pi pulses flip its sign
+        zeta = -theta / 4.0
+        events = [
+            PulseEvent("system", azimuth, -tilt),
+            PulseEvent("probe", 0.0, np.pi),
+            DelayEvent(2.0 * abs(zeta) / (np.pi * probe.J_COUPLING_HZ)),
+            PulseEvent("probe", 0.0, np.pi),
+            *_z_rotation_events("system", theta / 2.0),
+            PulseEvent("system", azimuth, tilt),
+        ]
     events += _z_rotation_events("probe", alpha)
 
     realized = evolve_sequence(events)

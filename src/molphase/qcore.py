@@ -18,13 +18,9 @@ from .errors import ComputationError, ValidationError
 
 MAX_DIM = 8
 
-ID2 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
-SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
-KET_UP = np.array([1, 0], dtype=complex)
-KET_DOWN = np.array([0, 1], dtype=complex)
 KET_PLUS = np.array([1, 1], dtype=complex) / np.sqrt(2)
 KET_MINUS = np.array([1, -1], dtype=complex) / np.sqrt(2)
 

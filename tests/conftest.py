@@ -41,6 +41,12 @@ MATRIX_4X4 = np.array([
 ])
 TAU_4X4 = 1.9
 
+# single-spin operators and kets that only the tests' reference products read
+ID2 = np.eye(2, dtype=complex)
+SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
+KET_UP = np.array([1, 0], dtype=complex)
+KET_DOWN = np.array([0, 1], dtype=complex)
+
 
 @pytest.fixture
 def h2():

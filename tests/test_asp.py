@@ -20,7 +20,7 @@ def reference_sweep(target, steps, total_time):
     state = qcore.KET_MINUS.copy()
     fidelities = []
     for s_m in schedule.s_values():
-        state = asp.trotter_step(target, s_m, schedule.step_duration) @ state
+        state = asp.trotter_step(target, s_m, schedule.total_time / schedule.steps) @ state
         ground = qcore.hermitian_eig(asp.interpolated_hamiltonian(target, s_m)).ground_state
         fidelities.append(abs(np.vdot(ground, state)) ** 2)
     return state, np.array(fidelities)
@@ -124,7 +124,7 @@ class TestRunASP:
         schedule = asp.AdiabaticSchedule(steps=steps, total_time=total_time, target=h2)
         u = np.eye(2, dtype=complex)
         for s_m in schedule.s_values():
-            u = asp.trotter_step(h2, s_m, schedule.step_duration) @ u
+            u = asp.trotter_step(h2, s_m, schedule.total_time / schedule.steps) @ u
         assert np.abs(u.conj().T @ u - np.eye(2)).max() <= 1e-9
 
     def test_monotone_refinement(self, h2):
@@ -155,6 +155,9 @@ class TestRunASP:
         for total_time in (np.nan, np.inf, -np.inf):
             with pytest.raises(ValidationError, match="finite"):
                 asp.AdiabaticSchedule(steps=5, total_time=total_time, target=h2)
+        assert asp.AdiabaticSchedule(steps=2**16, total_time=1.0, target=h2).steps == asp.MAX_POINTS
+        with pytest.raises(ValidationError, match="steps must lie in 1..65536"):
+            asp.AdiabaticSchedule(steps=2**16 + 1, total_time=1.0, target=h2)
 
     def test_results_own_their_arrays(self, h2):
         schedule = asp.AdiabaticSchedule(steps=6, total_time=9.5, target=h2)

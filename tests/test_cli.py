@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from molphase import cli, ipea, molham, qcore
+from molphase import asp, cli, ipea, molham, qcore
 
 from conftest import H2_GROUND_ENERGY, H2_PHASE
 
@@ -145,6 +145,14 @@ class TestIpeaCommand:
         assert "outside the window" in capsys.readouterr().err
         assert calls == []
 
+    def test_jitter_above_the_error_bound_exits_2_without_output(self, tmp_path, capsys):
+        # exited 0 with -1.40261 against -1.85157 hartree and 2 correct bits
+        out = tmp_path / "o"
+        args = ["ipea", "--jitter", "60deg", "--errbd", "5deg", "--seed", "3", "--out", str(out)]
+        assert cli.main(args) == 2
+        assert "exceeds the phase error bound" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_overlapping_reading_windows_exit_2(self, tmp_path, capsys):
         # 2^-2 >= 2 * 0.12, but the window of readings reaches the wrapped band
         args = ["ipea", "--bits", "2", "--errbd", "0.12", "--jitter", "0.12", "--seed", "4"]
@@ -202,6 +210,31 @@ class TestAspCommand:
 
     def test_bad_scan_spec(self, tmp_path):
         assert cli.main(["asp", "--scan", "30:1:0.5", "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            # np.arange raised an uncaught ValueError for this grid (exit 1)
+            (["--scan", "1:1e18:1e-6"], "more than 65536 points"),
+            (["--scan", "1:65538:1"], "more than 65536 points"),
+            (["--steps", "65537", "--total-time", "1"], "steps must lie in 1..65536"),
+        ],
+    )
+    def test_oversized_sweep_exits_2_without_output(self, tmp_path, capsys, monkeypatch, args, message):
+        def no_arange(*a, **k):
+            raise AssertionError("grid allocated for a rejected scan")
+
+        monkeypatch.setattr(np, "arange", no_arange)
+        out = tmp_path / "o"
+        assert cli.main(["asp", *args, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_largest_scan_runs(self, tmp_path):
+        # stop + 1e-12 rounds to the stop 65537 itself, so the grid is 1..65536
+        assert cli.main(["asp", "--scan", "1:65537:1", "--out", str(tmp_path)]) == 0
+        _, rows = read_csv(tmp_path / "asp_scan.csv")
+        assert len(rows) == asp.MAX_POINTS
 
     @pytest.mark.parametrize(
         "args", [["--scan", "1:inf:0.5"], ["--scan", "nan:3:0.5"], ["--scan", "1:3:nan"], ["--total-time", "inf"]]

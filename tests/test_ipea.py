@@ -207,6 +207,17 @@ class TestRunBoundedJitter:
                 _, phase, _ = ipea.run_ipea(h, h2_config(tau=tau), noise=noise)
                 assert ipea.phase_distance(phase.value, theta) <= JITTER_FINAL_BOUND + 1e-12
 
+    def test_jitter_above_the_error_bound_rejected_before_the_power_chain(self, h2, monkeypatch):
+        # 60 degrees of jitter against a 5 degree bound kept 2 of 18 bits
+        def no_chain(*args):
+            raise AssertionError("power chain built for a rejected config")
+
+        monkeypatch.setattr(qcore, "power_chain", no_chain)
+        for bound in (60.0 / 360.0, math.nextafter(ERRBD_5DEG, 1.0)):
+            noise = probe.NoiseModel(phase_jitter_bound=bound, rng_seed=3)
+            with pytest.raises(ValidationError, match="exceeds the phase error bound"):
+                ipea.run_ipea(h2, h2_config(), noise=noise)
+
     def test_worst_case_jitter_never_wraps(self, h2):
         # the no-wraparound guarantee, instrumented at the +-bound extremes
         window = 2**3 * 2 * ERRBD_5DEG

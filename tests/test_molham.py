@@ -105,10 +105,12 @@ class TestChooseTau:
             molham.choose_tau(h)
 
     def test_positive_ground_energy_rejected(self):
-        # the spread gives tau = pi, but -E0 tau / 2 pi = -0.005 names no phase in (0, 1)
-        h = molham.MolecularHamiltonian(np.diag([0.01, 1.01]), label="positive")
-        with pytest.raises(TauRangeError, match="outside the window"):
-            molham.choose_tau(h)
+        # the spread gives tau = pi, but -E0 tau / 2 pi = -0.005, or exactly 0
+        # at E0 = 0, names no phase in (0, 1)
+        for diagonal in ([0.01, 1.01], [0.0, 1.0]):
+            h = molham.MolecularHamiltonian(np.diag(diagonal), label="E0 >= 0")
+            with pytest.raises(TauRangeError, match="outside the window"):
+                molham.choose_tau(h)
 
     def test_requires_two_by_two(self):
         h = molham.MolecularHamiltonian(np.diag([-3.0, -2.0, -1.0]), label="3d")

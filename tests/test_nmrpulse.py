@@ -5,18 +5,20 @@ import pytest
 from molphase import ipea, molham, nmrpulse, probe, qcore
 from molphase.errors import CompilationError, TauRangeError, ValidationError
 
-from conftest import ERRBD_5DEG, H2_TAU, random_negative_hamiltonian, random_unitary
+from conftest import ERRBD_5DEG, H2_TAU, ID2, SIGMA_Y, random_negative_hamiltonian, random_unitary
 
 
 J = probe.J_COUPLING_HZ
+# angles (rad) between a gate's rotation axis and +z or -z
+NEAR_Z_ANGLES = [0.0, 1e-14, 1e-12, 1e-9, 1e-6, 1e-3]
 # (pi J / 2) sz x sz from the Kronecker product of Paulis.
 KRON_HAMILTONIAN = 0.5 * np.pi * J * np.kron(qcore.SIGMA_Z, qcore.SIGMA_Z)
 
 
 def pauli_rotation(phase, angle):
     """cos(angle/2) I - i sin(angle/2) (cos(phase) sx + sin(phase) sy)."""
-    axis = np.cos(phase) * qcore.SIGMA_X + np.sin(phase) * qcore.SIGMA_Y
-    return np.cos(angle / 2.0) * qcore.ID2 - 1j * np.sin(angle / 2.0) * axis
+    axis = np.cos(phase) * qcore.SIGMA_X + np.sin(phase) * SIGMA_Y
+    return np.cos(angle / 2.0) * ID2 - 1j * np.sin(angle / 2.0) * axis
 
 
 def random_events(rng, count):
@@ -53,8 +55,8 @@ class TestEventUnitary:
             phase, angle = float(rng.uniform(0, 2 * np.pi)), float(rng.uniform(-np.pi, np.pi))
             r = pauli_rotation(phase, angle * (1.0 + over_rotation))
             references = {
-                "probe": np.kron(r, qcore.ID2),
-                "system": np.kron(qcore.ID2, r),
+                "probe": np.kron(r, ID2),
+                "system": np.kron(ID2, r),
             }
             for spin, reference in references.items():
                 event = nmrpulse.PulseEvent(spin, phase, angle)
@@ -86,7 +88,7 @@ class TestEvolveSequence:
 
     def test_pi_pulse_on_probe(self):
         got = nmrpulse.evolve_sequence([nmrpulse.PulseEvent("probe", 0.0, np.pi)])
-        np.testing.assert_allclose(got, np.kron(-1j * qcore.SIGMA_X, qcore.ID2), atol=1e-12)
+        np.testing.assert_allclose(got, np.kron(-1j * qcore.SIGMA_X, ID2), atol=1e-12)
 
     def test_event_order_matters(self):
         events = [nmrpulse.PulseEvent("probe", 0.0, np.pi / 2),
@@ -108,7 +110,7 @@ class TestEvolveSequence:
                     gate = qcore.expm_herm(KRON_HAMILTONIAN, event.duration)
                 else:
                     r = pauli_rotation(event.phase, event.angle * (1.0 + over_rotation))
-                    gate = np.kron(r, qcore.ID2) if event.spin == "probe" else np.kron(qcore.ID2, r)
+                    gate = np.kron(r, ID2) if event.spin == "probe" else np.kron(ID2, r)
                 reference = gate @ reference
             got = nmrpulse.evolve_sequence(events, over_rotation)
             assert np.abs(got - reference).max() <= 1e-13
@@ -140,7 +142,7 @@ class TestEvolveSequence:
 
 class TestCompileControlledU:
     def test_identity_compiles_to_nothing(self):
-        seq = nmrpulse.compile_controlled_u(qcore.ID2)
+        seq = nmrpulse.compile_controlled_u(ID2)
         assert seq.events == ()
         assert seq.achieved_fidelity == pytest.approx(1.0, abs=1e-12)
 
@@ -191,6 +193,19 @@ class TestCompileControlledU:
             evolved = nmrpulse.evolve_sequence(seq.events)
             assert seq.realized_unitary.tobytes() == evolved.tobytes()
             assert not seq.realized_unitary.flags.writeable
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("off_z", NEAR_Z_ANGLES)
+    def test_axis_near_z_keeps_its_tilt(self, sign, off_z):
+        # dropping the tilt of an axis 1e-6 rad off z costs ~1e-13 of fidelity
+        theta, azimuth = 1.1, 0.7
+        n = [np.sin(off_z) * np.cos(azimuth), np.sin(off_z) * np.sin(azimuth), sign * np.cos(off_z)]
+        generator = n[0] * qcore.SIGMA_X + n[1] * SIGMA_Y + n[2] * qcore.SIGMA_Z
+        u = np.exp(0.3j) * qcore.expm_herm(generator, theta / 2.0)
+        seq = nmrpulse.compile_controlled_u(u)
+        assert seq.achieved_fidelity >= nmrpulse.COMPILE_FIDELITY_FLOOR
+        assert 1.0 - seq.achieved_fidelity <= 1e-15
+        assert len(seq.events) == 9
 
     def test_rejects_non_unitary(self):
         with pytest.raises(ValidationError):
@@ -274,6 +289,17 @@ class TestRunPulseBackend:
         config = ipea.IterationConfig(bits_per_iteration=1, iterations=52, phase_error_bound=0.1, tau=1.0)
         phase = nmrpulse.run_pulse_backend(h, config).phase
         assert ipea.precision_report(phase, ipea.oracle_phase(h, config.tau)) == 52
+
+    @pytest.mark.parametrize("diagonal", [(-1.8, -0.25), (-0.25, -1.8)])
+    @pytest.mark.parametrize("off_z", NEAR_Z_ANGLES)
+    def test_gate_axis_near_z_holds_guaranteed_bits(self, diagonal, off_z):
+        # H12 = tan(off_z) (H11 - H22) / 2 tilts the gate's axis off_z from +z or -z
+        h11, h22 = diagonal
+        h12 = np.tan(off_z) * (h11 - h22) / 2.0
+        h = molham.MolecularHamiltonian(np.array([[h11, h12], [h12, h22]]), label="near diagonal")
+        config = ipea.IterationConfig(tau=molham.choose_tau(h))
+        phase = nmrpulse.run_pulse_backend(h, config).phase
+        assert ipea.precision_report(phase, ipea.oracle_phase(h, config.tau)) >= phase.guaranteed_bits
 
     def test_rejects_a_positive_ground_energy(self):
         # E0 = 0.01 has ground phase -0.005: a phase of [0, 1) names only

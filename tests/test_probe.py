@@ -5,18 +5,18 @@ import pytest
 from molphase import ipea, molham, probe, qcore
 from molphase.errors import ReadoutError, ValidationError
 
-from conftest import ERRBD_5DEG, H2_PHASE, H2_TAU, random_unitary
+from conftest import ERRBD_5DEG, H2_PHASE, H2_TAU, ID2, KET_DOWN, KET_UP, random_unitary
 
 
 def kickback_state(phase):
     g = molham.spectrum(molham.build_h2()).ground_state
-    probe_part = (qcore.KET_UP + np.exp(2j * np.pi * phase) * qcore.KET_DOWN) / np.sqrt(2)
+    probe_part = (KET_UP + np.exp(2j * np.pi * phase) * KET_DOWN) / np.sqrt(2)
     return np.kron(probe_part, g)
 
 
 class TestControlledU:
     def test_identity(self):
-        np.testing.assert_allclose(probe.controlled_u(qcore.ID2), np.eye(4), atol=0)
+        np.testing.assert_allclose(probe.controlled_u(ID2), np.eye(4), atol=0)
 
     def test_diagonal_phase_gate(self):
         theta = 0.8
@@ -59,8 +59,8 @@ class TestControlledU:
     def test_matches_kron_reference(self, dim):
         # the gate as a sum of two Kronecker products, equal to the last bit
         rng = np.random.default_rng(31 + dim)
-        up = np.outer(qcore.KET_UP, qcore.KET_UP.conj())
-        down = np.outer(qcore.KET_DOWN, qcore.KET_DOWN.conj())
+        up = np.outer(KET_UP, KET_UP.conj())
+        down = np.outer(KET_DOWN, KET_DOWN.conj())
         for _ in range(10):
             u = random_unitary(rng, dim)
             reference = np.kron(up, np.eye(dim, dtype=complex)) + np.kron(down, u)
@@ -99,7 +99,7 @@ class TestIdealReadout:
     def test_vanishing_coherence(self, h2):
         g = molham.spectrum(h2).ground_state
         with pytest.raises(ReadoutError, match="coherence"):
-            probe.ideal_readout(np.kron(qcore.KET_UP, g))
+            probe.ideal_readout(np.kron(KET_UP, g))
 
     def test_tiny_negative_phase_reduces_to_zero(self):
         # -1e-300 / 2pi % 1.0 rounds up to exactly 1.0, outside [0, 1)
