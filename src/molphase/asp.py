@@ -16,10 +16,10 @@ array in sigma_x's eigenbasis. There each sigma_x half is the elementwise
 phase exp(-i E_x d (1-s)/2), and the middle factor is
 B† diag(exp(-i E_H s d)) B with B = V_H† V_x fixed for the sweep; every
 2x2 product is written out elementwise, so a column rounds the same way
-whatever the batch. Sigma_x is diagonalised once per process and the
-target once per Hamiltonian (the decomposition ``molham.spectrum``
-keeps); the M interpolated H(s_m), whose ground states and gaps do not
-depend on the total time, are decomposed in one batched call per sweep.
+whatever the batch. Sigma_x and the target are diagonalised through
+``qcore.hermitian_eig``, which keeps their decompositions; the M
+interpolated H(s_m), whose ground states and gaps do not depend on the
+total time, are decomposed in one batched call per sweep.
 ``run_asp`` is the sweep over one time, ``scan_total_time`` the sweep
 over a grid, and ``trotter_step`` the slice kernel on its own.
 
@@ -32,7 +32,6 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 
@@ -104,14 +103,8 @@ def trotter_step(target: MolecularHamiltonian, s_m: float, delta: float) -> np.n
     if not 0.0 <= s_m <= 1.0:
         raise ValidationError(f"interpolation parameter must lie in [0, 1], got {s_m}")
     rates, b, b_adj = _slice_inputs(target, np.array([s_m]))
-    vx = _sigma_x_eig().eigenvectors
+    vx = qcore.hermitian_eig(qcore.SIGMA_X).eigenvectors
     return _mix(vx, _slice(vx.conj().T, rates[0], delta, b, b_adj))
-
-
-@cache
-def _sigma_x_eig() -> qcore.EigenDecomposition:
-    # computed on first use, so importing the package makes no LAPACK call
-    return qcore.hermitian_eig(qcore.SIGMA_X)
 
 
 def _slice_inputs(target: MolecularHamiltonian, s_values: np.ndarray):
@@ -121,7 +114,7 @@ def _slice_inputs(target: MolecularHamiltonian, s_values: np.ndarray):
     has the sigma_x half phases exp(rates[:2] d) and the middle phases
     exp(rates[2:] d).
     """
-    x_dec, h_dec = _sigma_x_eig(), target._eigen
+    x_dec, h_dec = qcore.hermitian_eig(qcore.SIGMA_X), qcore.hermitian_eig(target.matrix)
     s = s_values[:, None]
     rates = -1j * np.concatenate([0.5 * (1.0 - s) * x_dec.energies, s * h_dec.energies], axis=1)
     b = h_dec.eigenvectors.conj().T @ x_dec.eigenvectors
@@ -177,7 +170,7 @@ def _sweep(
     """
     rates, b, b_adj = _slice_inputs(target, s_values)
     deltas = total_times / len(s_values)
-    start = _sigma_x_eig().eigenvectors.conj().T @ qcore.KET_MINUS
+    start = qcore.hermitian_eig(qcore.SIGMA_X).eigenvectors.conj().T @ qcore.KET_MINUS
     states = np.repeat(start[:, None], len(total_times), axis=1)
     for slice_rates in rates:
         states = _slice(states, slice_rates, deltas, b, b_adj)
@@ -191,7 +184,7 @@ def _fidelities(grounds: np.ndarray, states: np.ndarray) -> np.ndarray:
     each or for all of them. Like the slice kernel this works column by
     column, so every number equals that of a sweep over its time alone.
     """
-    weights = _mix(_sigma_x_eig().eigenvectors.conj().T, grounds.T).conj()
+    weights = _mix(qcore.hermitian_eig(qcore.SIGMA_X).eigenvectors.conj().T, grounds.T).conj()
     return np.abs(weights[0] * states[0] + weights[1] * states[1]) ** 2
 
 
@@ -208,7 +201,7 @@ def run_asp(schedule: AdiabaticSchedule) -> ASPResult:
     states = np.concatenate(list(sweep), axis=1)  # (2, M): the state after each slice
     fidelities = _fidelities(grounds, states)
     return ASPResult(
-        final_state=_mix(_sigma_x_eig().eigenvectors, states[:, -1:])[:, 0].copy(),
+        final_state=_mix(qcore.hermitian_eig(qcore.SIGMA_X).eigenvectors, states[:, -1:])[:, 0].copy(),
         fidelity=float(fidelities[-1]),
         per_step_fidelities=fidelities,
     )

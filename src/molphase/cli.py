@@ -147,10 +147,13 @@ def cmd_asp(args) -> int:
             raise ValidationError(f"scan bounds must be finite, got {args.scan!r}")
         if step <= 0 or stop < start:
             raise ValidationError(f"scan range is empty or descending: {args.scan!r}")
-        # np.arange makes ceil of this many points, checked before it allocates
-        if (stop + 1e-12 - start) / step > asp.MAX_POINTS:
+        # the points start + i step up to the stop, which counts as a point
+        # when it lies within rounding of one; checked before anything allocates
+        intervals = (stop - start) / step + 1e-9
+        if intervals >= asp.MAX_POINTS:
             raise ValidationError(f"scan {args.scan!r} has more than {asp.MAX_POINTS} points")
-        grid = np.arange(start, stop + 1e-12, step)
+        # np.arange's own points, with its stop half a step past the last one
+        grid = np.arange(start, start + (int(intervals) + 0.5) * step, step)
     elif args.total_time is not None:
         grid = np.array([args.total_time])
     else:

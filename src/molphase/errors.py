@@ -3,6 +3,9 @@
 Two broad families: ``ValidationError`` for bad inputs or configuration
 (caught before any computation starts) and ``ComputationError`` for
 failures arising during a run. The CLI maps them to exit codes 2 and 1.
+A degenerate ground state is bad input: it depends on the Hamiltonian
+alone and is found before any run work, by ``molham.spectrum`` or, for
+the adiabatic path, before the sweep's first slice.
 """
 
 
@@ -25,12 +28,12 @@ class TauRangeError(ValidationError):
     of a whole turn, or past one."""
 
 
+class DegeneracyError(ValidationError):
+    """Ground state is degenerate (or gap below tolerance)."""
+
+
 class ComputationError(MolphaseError):
     """A computation failed on otherwise valid inputs."""
-
-
-class DegeneracyError(ComputationError):
-    """Ground state is degenerate (or gap below tolerance)."""
 
 
 class ReadoutError(ComputationError):

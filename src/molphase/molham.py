@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -28,9 +27,9 @@ class MolecularHamiltonian:
     Hermiticity is enforced at construction. A nondegenerate ground state
     is additionally required by ``spectrum`` and the preparation/estimation
     pipelines, which raise ``DegeneracyError`` when the gap closes. The
-    matrix is read-only, so it is decomposed once and the result kept on
-    the instance (``_eigen``), which ``spectrum``, ``choose_tau`` and the
-    adiabatic sweep share.
+    matrix is read-only; ``spectrum``, ``choose_tau`` and the adiabatic
+    sweep decompose it through ``qcore.hermitian_eig``, so every instance
+    with equal entries shares one decomposition.
     """
 
     matrix: np.ndarray
@@ -47,11 +46,6 @@ class MolecularHamiltonian:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    @cached_property
-    def _eigen(self) -> qcore.EigenDecomposition:
-        # written to the instance __dict__, so the frozen dataclass keeps it
-        return qcore.hermitian_eig(self.matrix)
-
 
 def build_h2() -> MolecularHamiltonian:
     """The 2x2 hydrogen-molecule Hamiltonian (STO-3G, R = 1.4 a.u.)."""
@@ -63,9 +57,10 @@ def build_h2() -> MolecularHamiltonian:
 
 
 def spectrum(h: MolecularHamiltonian) -> qcore.EigenDecomposition:
-    """Exact diagonalization, computed once per Hamiltonian; fails, on every
-    call, if the ground state is degenerate."""
-    dec = h._eigen
+    """Exact diagonalization, shared by every Hamiltonian with equal entries
+    (``qcore.hermitian_eig``); fails, on every call, if the ground state is
+    degenerate."""
+    dec = qcore.hermitian_eig(h.matrix)
     if h.dim >= 2 and dec.energies[1] - dec.energies[0] <= GAP_TOL:
         raise DegeneracyError(
             f"ground state of {h.label!r} is degenerate: gap "
@@ -90,8 +85,8 @@ def choose_tau(h: MolecularHamiltonian) -> float:
     if spread == 0.0:
         raise TauRangeError("degenerate 2x2 matrix: supply tau explicitly")
     tau = float(np.pi / spread)
-    # the kept decomposition, not ``spectrum``: a near-degenerate system still gets its tau
-    e0 = float(h._eigen.energies[0])
+    # the decomposition, not ``spectrum``: a near-degenerate system still gets its tau
+    e0 = float(qcore.hermitian_eig(m).energies[0])
     theta0 = -e0 * tau / (2.0 * np.pi)
     if not 0.0 < theta0 < 1.0:
         remedy = "supply tau explicitly" if theta0 >= 1.0 else "it needs E0 < 0"

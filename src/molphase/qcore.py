@@ -2,8 +2,11 @@
 
 Everything here is exact eigendecomposition-based arithmetic on small
 (dim <= 8) matrices: no sparsity, no iterative solvers. All functions are
-pure and all arrays returned are freshly allocated, so concurrent use is
-safe.
+pure. ``hermitian_eig`` keeps the last ``EIG_CACHE_SIZE`` decompositions,
+keyed by the matrix's contents, and returns the same read-only
+``EigenDecomposition`` for equal matrices; every other array returned is
+freshly allocated. The shared arrays cannot be written and the cache is a
+``functools.lru_cache``, so concurrent use is safe.
 
 Conventions: basis index 0 is spin-up, matrices are row-major ndarrays of
 complex128, and eigenvalues are always sorted ascending.
@@ -11,6 +14,7 @@ complex128, and eigenvalues are always sorted ascending.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -28,6 +32,9 @@ HERMITIAN_TOL = 1e-12
 UNITARY_TOL = 1e-10
 STATE_NORM_TOL = 1e-12
 
+# Decompositions ``hermitian_eig`` keeps; 256 at dim 8 hold under 1 MB.
+EIG_CACHE_SIZE = 256
+
 
 def as_complex_matrix(a, name: str = "matrix") -> np.ndarray:
     """Coerce to a square complex matrix of dim <= 8 with finite entries."""
@@ -36,7 +43,7 @@ def as_complex_matrix(a, name: str = "matrix") -> np.ndarray:
         raise ValidationError(f"{name} must be square, got shape {m.shape}")
     if not 1 <= m.shape[0] <= MAX_DIM:
         raise ValidationError(f"{name} dimension {m.shape[0]} outside 1..{MAX_DIM}")
-    if not np.all(np.isfinite(m.view(float))):
+    if not np.isfinite(m.view(float)).all():
         raise ValidationError(f"{name} contains non-finite entries")
     return m
 
@@ -45,11 +52,10 @@ def require_hermitian(a, name: str) -> np.ndarray:
     """Validate Hermiticity to ``HERMITIAN_TOL`` (max-norm), naming the worst entry pair."""
     m = as_complex_matrix(a, name)
     dev = np.abs(m - m.conj().T)
-    worst = np.unravel_index(np.argmax(dev), dev.shape)
-    if dev[worst] > HERMITIAN_TOL:
-        i, j = worst
+    if dev.max() > HERMITIAN_TOL:
+        i, j = np.unravel_index(np.argmax(dev), dev.shape)
         raise ValidationError(
-            f"{name} is not Hermitian: |A[{i}][{j}] - conj(A[{j}][{i}])| = {dev[worst]:.3e}"
+            f"{name} is not Hermitian: |A[{i}][{j}] - conj(A[{j}][{i}])| = {dev[i, j]:.3e}"
             f" > {HERMITIAN_TOL:.1e}"
         )
     return m
@@ -143,8 +149,21 @@ class EigenDecomposition:
 
 
 def hermitian_eig(h) -> EigenDecomposition:
-    """Eigendecomposition of a Hermitian matrix, deterministic for fixed input."""
-    m = require_hermitian(h, "matrix")
+    """Eigendecomposition of a Hermitian matrix, deterministic for fixed input.
+
+    Equal matrices (same shape, same complex128 entries) share one
+    read-only decomposition while it is among the ``EIG_CACHE_SIZE`` most
+    recently used: a repeat is neither validated again nor decomposed
+    again. Input that fails validation is never kept, so it raises
+    ``ValidationError`` on every call.
+    """
+    m = np.asarray(h, dtype=complex)
+    return _decompose(m.shape, m.tobytes())
+
+
+@lru_cache(maxsize=EIG_CACHE_SIZE)
+def _decompose(shape: tuple[int, ...], data: bytes) -> EigenDecomposition:
+    m = require_hermitian(np.frombuffer(data, dtype=complex).reshape(shape), "matrix")
     vals, vecs = np.linalg.eigh(m)
     vals.flags.writeable = False
     vecs.flags.writeable = False

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from molphase import molham, probe
+from molphase import molham, probe, qcore
 
 # Hypothesis imports libcst to write the patch of a failing example, and
 # that import warns DeprecationWarning (from mypy_extensions). Under
@@ -51,6 +51,23 @@ KET_DOWN = np.array([0, 1], dtype=complex)
 @pytest.fixture
 def h2():
     return molham.build_h2()
+
+
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    """The arguments of every ``np.linalg.eigh`` call the test makes, from an
+    empty ``qcore.hermitian_eig`` cache, so that no decomposition an earlier
+    test left there is counted out."""
+    qcore._decompose.cache_clear()
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return calls
 
 
 def random_hermitian(rng, dim=2):

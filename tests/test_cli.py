@@ -218,6 +218,7 @@ class TestAspCommand:
             (["--scan", "1:1e18:1e-6"], "more than 65536 points"),
             (["--scan", "1:65538:1"], "more than 65536 points"),
             (["--steps", "65537", "--total-time", "1"], "steps must lie in 1..65536"),
+            (["--scan", "1:65537:1"], "more than 65536 points"),
         ],
     )
     def test_oversized_sweep_exits_2_without_output(self, tmp_path, capsys, monkeypatch, args, message):
@@ -230,11 +231,40 @@ class TestAspCommand:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["asp", "--scan", "1:10:1"], "degenerate at s = 1.000000"),
+            (["ipea", "--tau", "1.0"], "'id' is degenerate"),
+            (["spectra", "--tau", "1.0"], "'id' is degenerate"),
+        ],
+    )
+    def test_degenerate_input_exits_2_without_output(self, tmp_path, capsys, args, message):
+        # a degenerate ground state is bad input (exit 1 as a ComputationError)
+        doc = tmp_path / "id.json"
+        doc.write_text('{"label": "id", "dim": 2, "matrix_re": [[1.0, 0.0], [0.0, 1.0]]}')
+        out = tmp_path / "o"
+        assert cli.main([*args, "--hamiltonian", str(doc), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_largest_scan_runs(self, tmp_path):
-        # stop + 1e-12 rounds to the stop 65537 itself, so the grid is 1..65536
-        assert cli.main(["asp", "--scan", "1:65537:1", "--out", str(tmp_path)]) == 0
+        # the grid ran to stop + 1e-12, which rounds to 65536 itself: 65535 rows
+        assert cli.main(["asp", "--scan", "1:65536:1", "--out", str(tmp_path)]) == 0
         _, rows = read_csv(tmp_path / "asp_scan.csv")
         assert len(rows) == asp.MAX_POINTS
+        assert float(rows[-1][0]) == 65536.0
+
+    def test_scan_keeps_a_stop_past_2_14(self, tmp_path):
+        assert cli.main(["asp", "--scan", "16380:16390:1", "--out", str(tmp_path)]) == 0
+        _, rows = read_csv(tmp_path / "asp_scan.csv")
+        assert [float(r[0]) for r in rows] == list(range(16380, 16391))
+
+    def test_scan_points_are_those_of_arange(self, tmp_path):
+        # 0.1 + 2 (0.1) rounds above the stop 0.3 and still counts as the stop
+        assert cli.main(["asp", "--scan", "0.1:0.3:0.1", "--out", str(tmp_path)]) == 0
+        _, rows = read_csv(tmp_path / "asp_scan.csv")
+        assert [float(r[0]) for r in rows] == list(np.arange(0.1, 0.3 + 1e-12, 0.1)) == [0.1, 0.2, 0.30000000000000004]
 
     @pytest.mark.parametrize(
         "args", [["--scan", "1:inf:0.5"], ["--scan", "nan:3:0.5"], ["--scan", "1:3:nan"], ["--total-time", "inf"]]

@@ -7,7 +7,7 @@ import pytest
 from molphase import molham, qcore
 from molphase.errors import DegeneracyError, ParseError, TauRangeError, ValidationError
 
-from conftest import H2_EXCITED_ENERGY, H2_GROUND_ENERGY, H2_TAU, random_hermitian
+from conftest import H2_EXCITED_ENERGY, H2_GROUND_ENERGY, H2_TAU, MATRIX_4X4, random_hermitian
 
 
 class TestBuildH2:
@@ -56,8 +56,13 @@ class TestSpectrum:
                 molham.spectrum(h)
 
     def test_decomposes_once_per_hamiltonian(self, h2):
+        # instances with equal entries share one decomposition
         assert molham.spectrum(h2) is molham.spectrum(h2)
-        assert molham.spectrum(molham.build_h2()) is not molham.spectrum(h2)
+        assert molham.spectrum(molham.build_h2()) is molham.spectrum(h2)
+        doc = json.dumps({"dim": 4, "matrix_re": MATRIX_4X4.tolist()})
+        a, b = molham.load_hamiltonian(doc), molham.load_hamiltonian(doc)
+        assert a is not b
+        assert molham.spectrum(a) is molham.spectrum(b)
 
 
 class TestChooseTau:

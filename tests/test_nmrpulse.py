@@ -255,18 +255,10 @@ class TestRunPulseBackend:
         nmrpulse.run_pulse_backend(h2, ipea.IterationConfig(iterations=4, tau=H2_TAU), over_rotation=over_rotation)
         assert len(calls) == evolves
 
-    def test_diagonalizes_once_per_solve(self, monkeypatch):
-        calls = []
-        eig = qcore.hermitian_eig
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return eig(*args, **kwargs)
-
-        monkeypatch.setattr(qcore, "hermitian_eig", counted)
+    def test_diagonalizes_once_per_solve(self, eigh_calls):
         h = molham.MolecularHamiltonian(np.array([[-1.9, 0.2], [0.2, -0.3]]), label="H2-like")
         nmrpulse.run_pulse_backend(h, ipea.IterationConfig(tau=molham.choose_tau(h)))
-        assert len(calls) == 1
+        assert len(eigh_calls) == 1
 
     @pytest.mark.parametrize("over_rotation", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_over_rotation(self, h2, monkeypatch, over_rotation):

@@ -76,16 +76,7 @@ def test_pipeline_spectra_round_trip(h2_module, prepared):
 
 
 @pytest.mark.parametrize("times", [20, 59])
-def test_prepared_chain_diagonalizes_the_target_once(monkeypatch, times):
-    asp.scan_total_time(molham.build_h2(), 1, [1.0])  # sigma_x is decomposed once per process
-    calls = []
-    eigh = np.linalg.eigh
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return eigh(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", counted)
+def test_prepared_chain_diagonalizes_the_target_once(eigh_calls, times):
     h = molham.MolecularHamiltonian(np.array([[-1.9, 0.2], [0.2, -0.3]]), label="H2-like")
     tau = molham.choose_tau(h)
     scan = asp.scan_total_time(h, 6, np.arange(1.0, 30.0 + 1e-9, 0.5)[:times])
@@ -94,5 +85,5 @@ def test_prepared_chain_diagonalizes_the_target_once(monkeypatch, times):
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "prepared state overlaps", UserWarning)
         ipea.run_ipea(h, ipea.IterationConfig(tau=tau), prep=prepared.final_state)
-    # the target once, then one batched call per sweep (scan and run_asp)
-    assert len(calls) == 1 + 2
+    # sigma_x and the target once each, then one batched call per sweep (scan and run_asp)
+    assert sorted(np.ndim(a[0]) for a in eigh_calls) == [2, 2, 3, 3]

@@ -66,6 +66,51 @@ class TestHermitianEig:
         with pytest.raises(ValidationError):
             qcore.hermitian_eig(np.eye(16))
 
+    @pytest.mark.parametrize(
+        "matrix, message",
+        [
+            (np.array([[0.0, 1.0], [0.0, 0.0]]), r"not Hermitian: \|A\[0\]\[1\] - conj\(A\[1\]\[0\]\)\| = 1.000e\+00"),
+            (np.array([[np.nan, 0.0], [0.0, 1.0]]), "non-finite"),
+            (np.eye(16), "dimension 16 outside 1..8"),
+            (np.ones((2, 2, 2)), "must be square"),
+        ],
+    )
+    def test_rejected_input_is_never_kept(self, matrix, message):
+        before = qcore._decompose.cache_info().currsize
+        for _ in range(3):
+            with pytest.raises(ValidationError, match=message):
+                qcore.hermitian_eig(matrix)
+        assert qcore._decompose.cache_info().currsize == before
+
+    def test_equal_contents_share_one_decomposition(self):
+        rng = np.random.default_rng(17)
+        for dim in range(1, 9):
+            h = random_hermitian(rng, dim)
+            dec = qcore.hermitian_eig(h)
+            # any array with the same complex128 entries hits, and a hit is
+            # the very result of eigh on those entries
+            assert qcore.hermitian_eig(h.copy()) is dec
+            vals, vecs = np.linalg.eigh(h)
+            assert (dec.energies == vals).all() and (dec.eigenvectors == vecs).all()
+            assert qcore.hermitian_eig(np.asfortranarray(h)) is dec
+            assert not dec.energies.flags.writeable and not dec.eigenvectors.flags.writeable
+        real = [[-1.0, 0.5], [0.5, 2.0]]
+        assert qcore.hermitian_eig(real) is qcore.hermitian_eig(np.array(real, dtype=complex))
+
+    def test_cache_is_bounded_and_evicted_content_decomposes_again(self):
+        qcore._decompose.cache_clear()
+        rng = np.random.default_rng(23)
+        first = random_hermitian(rng, 8)
+        kept = qcore.hermitian_eig(first)
+        for _ in range(qcore.EIG_CACHE_SIZE):
+            qcore.hermitian_eig(random_hermitian(rng, 8))
+        assert qcore._decompose.cache_info().currsize == qcore.EIG_CACHE_SIZE
+        again = qcore.hermitian_eig(first)
+        assert again is not kept
+        assert again.energies.tobytes() == kept.energies.tobytes()
+        assert again.eigenvectors.tobytes() == kept.eigenvectors.tobytes()
+        assert qcore._decompose.cache_info().currsize == qcore.EIG_CACHE_SIZE
+
 
 class TestExpmHerm:
     def test_zero_time_is_identity(self):

@@ -10,7 +10,12 @@ under +-bound draws, on H2 and a 4x4 model; coherent operator errors;
 runs from an adiabatically prepared state; 2x2 systems whose ground phase
 lies 2g from a whole turn, g = bound * 2^(-n (k-1)) being the final error
 bound, the runs closest to the check that the phase can name the ground
-energy; and the pulse backend up to 17 iterations. The script calls only
+energy; the pulse backend up to 17 iterations; and runs on equal
+matrices held by separate instances (H2 built twice, the 4x4 model
+loaded twice from one document) before and after more distinct systems
+than ``qcore.hermitian_eig`` keeps decompositions of, so that a shared
+decomposition, a fresh one and one evicted and made again must all give
+the same records. The script calls only
 ``run_ipea``, ``run_pulse_backend``, ``run_asp`` and the model builders,
 and sets the +-bound draws by overriding ``NoiseModel.jitter_draws``, so
 it runs unchanged against an older source tree; comparing its output
@@ -19,6 +24,7 @@ between two trees shows whether a change moved any estimate:
     PYTHONPATH=src python -W error tools/record_digest.py
 """
 import hashlib
+import json
 import warnings
 
 import numpy as np
@@ -34,6 +40,8 @@ MATRIX_4X4 = np.array([
     [0.02, 0.04, 0.12, -0.25],
 ])
 TAU_4X4 = 1.9
+DOC_4X4 = json.dumps({"label": "4x4", "dim": 4, "matrix_re": MATRIX_4X4.tolist()})
+EVICTING_SYSTEMS = 300  # more than the 256 decompositions qcore.hermitian_eig keeps
 G_5DEG = BOUND_5DEG * 2.0 ** (-3 * 5)  # final error bound at n = 3, k = 6
 
 
@@ -125,6 +133,19 @@ def families():
         for rot in (0.0, 1e-4, 1e-3)
         for k in (6, 12, 17)
     ]
+
+    def shared_runs(h2_copy, h4_copy):
+        noise = [probe.NoiseModel(phase_jitter_bound=BOUND_5DEG, rng_seed=s) for s in range(50)]
+        return [ipea.run_ipea(h2_copy, config(), noise=n) for n in noise] + [
+            ipea.run_ipea(h4_copy, config(tau=TAU_4X4), noise=n) for n in noise
+        ]
+
+    evicting = [ground_phase_system(t) for t in np.linspace(0.1, 0.9, EVICTING_SYSTEMS)]
+    yield "shared-content", (
+        shared_runs(molham.build_h2(), molham.load_hamiltonian(DOC_4X4))
+        + [ipea.run_ipea(h, config(tau=molham.choose_tau(h))) for h in evicting]
+        + shared_runs(molham.build_h2(), molham.load_hamiltonian(DOC_4X4))
+    )
 
 
 def main():
