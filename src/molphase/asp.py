@@ -54,7 +54,8 @@ class AdiabaticSchedule:
     target: MolecularHamiltonian
 
     def __post_init__(self):
-        if not 1 <= self.steps <= MAX_POINTS:
+        qcore.require_integer("steps", self.steps, 1)
+        if self.steps > MAX_POINTS:
             raise ValidationError(f"steps must lie in 1..{MAX_POINTS}, got {self.steps}")
         if not math.isfinite(self.total_time):
             raise ValidationError(f"total time must be finite, got {self.total_time}")
@@ -98,6 +99,8 @@ def trotter_step(target: MolecularHamiltonian, s_m: float, delta: float) -> np.n
     computational basis, written in sigma_x's eigenbasis), then rotated
     back with V_x.
     """
+    if target.dim != 2:
+        raise ValidationError(f"trotter step targets 2x2 systems, got dim {target.dim}")
     if not (math.isfinite(delta) and delta > 0):
         raise ValidationError(f"step duration must be finite and positive, got {delta}")
     if not 0.0 <= s_m <= 1.0:

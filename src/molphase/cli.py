@@ -262,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_ipea)
 
     p = sub.add_parser("asp", parents=[common], help="adiabatic preparation fidelity scan")
-    p.add_argument("--steps", type=int, default=6, help="discrete steps (M+1)")
+    p.add_argument("--steps", type=int, default=6, help="number of slices M, at s_m = m/(M-1)")
     p.add_argument("--total-time", type=float, default=None, help="single total time T (a.u.)")
     p.add_argument("--scan", default=None, help="total-time grid start:stop:step")
     p.set_defaults(func=cmd_asp)

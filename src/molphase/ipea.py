@@ -26,7 +26,7 @@ offset is a receiver phase, subtracted from the reading of c_k.
 ``estimate``, the one loop, takes plain numbers: the seed-free c_k and one
 jitter draw per reading, and after reading each c_k's phase once it runs
 on floats alone. ``run_ipea`` feeds it exact coherences and the noise
-model's draws (zeros from the noiseless default ``NoiseModel()``), the
+model's draws (+0.0 each from the noiseless default ``NoiseModel()``), the
 pulse backend those of its realized gate and zero draws.
 
 P_k is held in the eigenbasis of the generator H (or H + eps V), where it
@@ -90,10 +90,8 @@ class IterationConfig:
     tau: float = 1.0
 
     def __post_init__(self):
-        if self.bits_per_iteration < 1:
-            raise ValidationError(f"bits per iteration must be >= 1, got {self.bits_per_iteration}")
-        if self.iterations < 1:
-            raise ValidationError(f"iterations must be >= 1, got {self.iterations}")
+        qcore.require_integer("bits per iteration", self.bits_per_iteration, 1)
+        qcore.require_integer("iterations", self.iterations, 1)
         bits = self.bits_per_iteration * self.iterations
         if bits > MAX_REPORT_BITS:
             raise ValidationError(

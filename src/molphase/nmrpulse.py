@@ -15,8 +15,8 @@ The compiler takes every controlled-U through one path: system pulses
 tilt U's rotation axis onto z and back, and one J-coupling delay of at
 most 1/(2J) between probe pi pulses does the controlled half. It
 verifies the result against the exact gate, up to global phase, before
-returning it with the realized unitary it checked; a run without
-over-rotation reuses that unitary instead of evolving the sequence again.
+returning the events; a run evolves them again at its own over-rotation,
+zero included.
 """
 from __future__ import annotations
 
@@ -71,17 +71,11 @@ class DelayEvent:
 
 @dataclass(frozen=True)
 class PulseSequence:
-    """Ordered events realizing ``intended_unitary`` to ``achieved_fidelity``.
-
-    ``realized_unitary`` (read-only) is the product of the event unitaries
-    without over-rotation, as the compiler evolved it to check the
-    fidelity; ``run_pulse_backend`` reuses it when over-rotation is zero.
-    """
+    """Ordered events realizing the compiled controlled gate to
+    ``achieved_fidelity``, as the compiler verified it without over-rotation."""
 
     events: tuple
-    intended_unitary: np.ndarray
     achieved_fidelity: float
-    realized_unitary: np.ndarray
 
 
 def transverse_rotation(phase: float, angle: float) -> np.ndarray:
@@ -189,10 +183,7 @@ def compile_controlled_u(u) -> PulseSequence:
             f"compiled sequence fidelity {fidelity:.12f} < {COMPILE_FIDELITY_FLOOR}"
             f" (max residual {residual:.3e})"
         )
-    realized.flags.writeable = False
-    return PulseSequence(
-        events=tuple(events), intended_unitary=intended, achieved_fidelity=fidelity, realized_unitary=realized
-    )
+    return PulseSequence(events=tuple(events), achieved_fidelity=fidelity)
 
 
 def run_pulse_backend(
@@ -202,10 +193,10 @@ def run_pulse_backend(
 ) -> IpeaResult:
     """Phase estimation with every controlled gate realized in pulses.
 
-    The base controlled-U is compiled once; iteration k applies its evolved
-    unitary (the compiler's ``realized_unitary`` when ``over_rotation`` is
-    zero, else the sequence evolved again with scaled angles) 2^(n k)
-    times, carried from round to round by n squarings in
+    The base controlled-U is compiled once; iteration k applies its
+    sequence, evolved with every angle scaled by 1 + ``over_rotation``
+    (exactly 1 at zero, so that product is the one the compiler verified),
+    2^(n k) times, carried from round to round by n squarings in
     ``qcore.power_chain`` (which compound any pulse imperfection exactly
     like physical repetition). The probe coherences of these realized
     powers on |+> x |ground> go, with zero jitter draws, straight to
@@ -227,10 +218,7 @@ def run_pulse_backend(
     spec = molham.spectrum(h)
     joint = np.outer(qcore.KET_PLUS, spec.ground_state).ravel()
     sequence = compile_controlled_u(spec.propagator(config.tau))
-    if over_rotation == 0.0:
-        realized = sequence.realized_unitary
-    else:
-        realized = evolve_sequence(sequence.events, over_rotation=over_rotation)
+    realized = evolve_sequence(sequence.events, over_rotation=over_rotation)
     coherences = []
     for power in qcore.power_chain(realized, config.bits_per_iteration, config.iterations):
         s = power @ joint

@@ -48,7 +48,7 @@ class NoiseModel:
     ``phase_jitter_bound`` is in fractions of a turn (5 degrees = 5/360);
     ``coherent_epsilon`` is the strength in hartree of a perturbation along
     sigma_z, defined on 2x2 systems. Both zero, the default, reproduces the
-    ideal channel exactly.
+    ideal channel exactly. ``rng_seed`` is an integer >= 0.
     """
 
     phase_jitter_bound: float = 0.0
@@ -60,13 +60,13 @@ class NoiseModel:
             raise ValidationError(f"jitter bound must be finite and >= 0, got {self.phase_jitter_bound}")
         if not (math.isfinite(self.coherent_epsilon) and self.coherent_epsilon >= 0):
             raise ValidationError(f"coherent epsilon must be finite and >= 0, got {self.coherent_epsilon}")
+        qcore.require_integer("rng seed", self.rng_seed, 0)
 
     def jitter_draws(self, count: int) -> list[float]:
         """``count`` uniform draws on [-bound, bound) from the stream seeded by
-        ``rng_seed``; zeros when the bound is zero."""
-        bound = self.phase_jitter_bound
-        if bound == 0.0:
-            return [0.0] * count
+        ``rng_seed``. At bound zero every draw is -0.0 + 0.0 * u, which is +0.0;
+        a bound of -0.0 is valid, but numpy rejects its high - low of -0.0."""
+        bound = abs(self.phase_jitter_bound)
         return np.random.default_rng(self.rng_seed).uniform(-bound, bound, size=count).tolist()
 
 

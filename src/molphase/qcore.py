@@ -48,6 +48,15 @@ def as_complex_matrix(a, name: str = "matrix") -> np.ndarray:
     return m
 
 
+def require_integer(name: str, value, minimum: int) -> None:
+    """Reject a count or seed that is not an integer >= ``minimum``; numpy
+    integers pass, bools do not."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValidationError(f"{name} must be >= {minimum}, got {value}")
+
+
 def require_hermitian(a, name: str) -> np.ndarray:
     """Validate Hermiticity to ``HERMITIAN_TOL`` (max-norm), naming the worst entry pair."""
     m = as_complex_matrix(a, name)

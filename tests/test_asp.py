@@ -79,6 +79,10 @@ class TestTrotterStep:
         for delta in (np.nan, np.inf):
             with pytest.raises(ValidationError, match="finite"):
                 asp.trotter_step(h2, 0.5, delta)
+        # a 4x4 target reached the slice kernel and raised numpy's matmul ValueError
+        target = molham.MolecularHamiltonian(np.diag([-2.0, -1.0, 0.5, 1.0]), label="4x4")
+        with pytest.raises(ValidationError, match="targets 2x2 systems, got dim 4"):
+            asp.trotter_step(target, 0.5, 0.1)
 
     @pytest.mark.parametrize("s_m,delta", [(0.0, 0.7), (0.3, 1.7), (0.5, 0.1), (1.0, 2.5)])
     def test_equals_product_of_exponentials(self, h2, s_m, delta):
@@ -158,6 +162,11 @@ class TestRunASP:
         assert asp.AdiabaticSchedule(steps=2**16, total_time=1.0, target=h2).steps == asp.MAX_POINTS
         with pytest.raises(ValidationError, match="steps must lie in 1..65536"):
             asp.AdiabaticSchedule(steps=2**16 + 1, total_time=1.0, target=h2)
+        # 2.5 and 6.0 failed later with "interpolation parameter must lie in [0, 1]"
+        for steps in (2.5, 6.0, True, "6"):
+            with pytest.raises(ValidationError, match="steps must be an integer"):
+                asp.AdiabaticSchedule(steps=steps, total_time=1.0, target=h2)
+        assert asp.AdiabaticSchedule(steps=np.int64(6), total_time=1.0, target=h2).s_values().size == 6
 
     def test_results_own_their_arrays(self, h2):
         schedule = asp.AdiabaticSchedule(steps=6, total_time=9.5, target=h2)
@@ -196,6 +205,8 @@ class TestScanTotalTime:
             asp.scan_total_time(h2, 6, [[1.0, 2.0]])
         with pytest.raises(ValidationError):
             asp.scan_total_time(h2, 0, [1.0, 2.0])
+        with pytest.raises(ValidationError, match="steps must be an integer, got 6.5"):
+            asp.scan_total_time(h2, 6.5, [1.0, 2.0])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_grid_rejected(self, h2, bad):

@@ -153,6 +153,24 @@ class TestIpeaCommand:
         assert "exceeds the phase error bound" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_negative_zero_jitter_runs_as_zero(self, tmp_path, capsys):
+        # a bound of -0.0 passes validation, so it must draw like 0.0
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert cli.main(["ipea", "--jitter", "0", "--out", str(a)]) == 0
+        assert cli.main(["ipea", "--jitter=-0deg", "--out", str(b)]) == 0
+        assert (a / "ipea_trace.csv").read_bytes() == (b / "ipea_trace.csv").read_bytes()
+
+    @pytest.mark.parametrize("command", ["ipea", "spectra"])
+    @pytest.mark.parametrize("jitter", ["0", "5deg"])
+    def test_negative_seed_exits_2_without_output(self, tmp_path, capsys, command, jitter):
+        # exited 1 with numpy's traceback at 5deg, and 0 at jitter 0
+        out = tmp_path / "o"
+        assert cli.main([command, "--jitter", jitter, "--seed", "-1", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "rng seed must be >= 0, got -1" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_overlapping_reading_windows_exit_2(self, tmp_path, capsys):
         # 2^-2 >= 2 * 0.12, but the window of readings reaches the wrapped band
         args = ["ipea", "--bits", "2", "--errbd", "0.12", "--jitter", "0.12", "--seed", "4"]

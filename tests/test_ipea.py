@@ -56,6 +56,12 @@ class TestIterationConfig:
         [
             dict(bits_per_iteration=0),
             dict(iterations=0),
+            # non-integer counts passed and then raised TypeError from range
+            dict(bits_per_iteration=3.0),
+            dict(iterations=6.0),
+            dict(iterations=2.5),
+            dict(bits_per_iteration=True),
+            dict(iterations="6"),
             dict(tau=0.0),
             dict(phase_error_bound=-0.01),
             dict(phase_error_bound=math.nan),
@@ -454,6 +460,22 @@ class TestJitterProperty:
         _, phase, _ = ipea.run_ipea(h, config, noise=noise)
         error = ipea.phase_distance(phase.value, theta)
         assert error <= limit + FLOAT_FLOOR
+
+    @pytest.mark.parametrize("near_one", [False, True])
+    def test_rounding_floor_narrows_the_window(self, near_one):
+        # a ground phase inside [g, 1 - g] but within PHASE_FLOOR of either
+        # end is rejected before the first reading
+        config = h2_config(tau=1.0)
+        g = config.phase_error_bound * 2.0 ** (-3 * 5)
+        theta0 = g + 0.5 * ipea.PHASE_FLOOR
+        if near_one:
+            theta0 = 1.0 - theta0
+        energy = -theta0 * 2.0 * math.pi / config.tau
+        got = -energy * config.tau / (2.0 * math.pi)
+        assert g <= got <= 1.0 - g
+        assert not g + ipea.PHASE_FLOOR <= got <= 1.0 - g - ipea.PHASE_FLOOR
+        with pytest.raises(TauRangeError, match="window"):
+            ipea.estimate([0.5] * 6, [0.0] * 6, config, energy)
 
 
 class TestResidualBelowZero:

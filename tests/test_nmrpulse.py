@@ -1,4 +1,6 @@
 """Pulse backend: J-coupling Hamiltonian, sequence evolution, compiler, IPEA parity."""
+import math
+
 import numpy as np
 import pytest
 
@@ -175,24 +177,16 @@ class TestCompileControlledU:
             seq = nmrpulse.compile_controlled_u(u)
             realized = nmrpulse.evolve_sequence(seq.events)
             intended = probe.controlled_u(u)
-            np.testing.assert_allclose(seq.intended_unitary, intended, atol=1e-12)
             # equal up to global phase
             overlap = abs(np.trace(intended.conj().T @ realized)) / 4.0
             assert overlap == pytest.approx(1.0, abs=1e-12)
 
     def test_stored_fidelity_matches_recomputation(self):
         rng = np.random.default_rng(47)
-        seq = nmrpulse.compile_controlled_u(random_unitary(rng))
-        recomputed = nmrpulse.gate_fidelity(seq.intended_unitary, nmrpulse.evolve_sequence(seq.events))
+        u = random_unitary(rng)
+        seq = nmrpulse.compile_controlled_u(u)
+        recomputed = nmrpulse.gate_fidelity(probe.controlled_u(u), nmrpulse.evolve_sequence(seq.events))
         assert abs(seq.achieved_fidelity - recomputed) <= 1e-12
-
-    def test_realized_unitary_is_the_evolved_product(self):
-        rng = np.random.default_rng(41)
-        for _ in range(20):
-            seq = nmrpulse.compile_controlled_u(random_unitary(rng))
-            evolved = nmrpulse.evolve_sequence(seq.events)
-            assert seq.realized_unitary.tobytes() == evolved.tobytes()
-            assert not seq.realized_unitary.flags.writeable
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     @pytest.mark.parametrize("off_z", NEAR_Z_ANGLES)
@@ -242,18 +236,20 @@ class TestRunPulseBackend:
         fitted = (window[-1] / window[0]) ** (1.0 / (len(window) - 1))
         assert 4.0 <= fitted <= 16.0
 
-    @pytest.mark.parametrize("over_rotation, evolves", [(0.0, 1), (1e-3, 2)])
-    def test_evolves_sequence_again_only_when_over_rotated(self, h2, monkeypatch, over_rotation, evolves):
+    @pytest.mark.parametrize("over_rotation", [0.0, -0.0, 1e-3])
+    def test_evolves_the_sequence_at_its_own_over_rotation(self, h2, monkeypatch, over_rotation):
+        # the compiler verifies at 0, then the run evolves at its own value, zero included
         calls = []
         evolve = nmrpulse.evolve_sequence
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return evolve(*args, **kwargs)
+        def recorded(events, over_rotation=0.0):
+            calls.append(over_rotation)
+            return evolve(events, over_rotation=over_rotation)
 
-        monkeypatch.setattr(nmrpulse, "evolve_sequence", counted)
+        monkeypatch.setattr(nmrpulse, "evolve_sequence", recorded)
         nmrpulse.run_pulse_backend(h2, ipea.IterationConfig(iterations=4, tau=H2_TAU), over_rotation=over_rotation)
-        assert len(calls) == evolves
+        assert calls == [0.0, over_rotation]
+        assert [math.copysign(1.0, x) for x in calls] == [1.0, math.copysign(1.0, over_rotation)]
 
     def test_diagonalizes_once_per_solve(self, eigh_calls):
         h = molham.MolecularHamiltonian(np.array([[-1.9, 0.2], [0.2, -0.3]]), label="H2-like")

@@ -5,7 +5,9 @@ from pathlib import Path
 
 import molphase as mp
 
-SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+ROOT = Path(__file__).resolve().parent.parent
+SPANS = ROOT / "bench" / "spans.py"
+MUTANTS = ROOT / "tools" / "mutants.py"
 
 
 def test_readme_names_and_submodules_resolve():
@@ -26,3 +28,15 @@ def test_benchmark_tracer_names_are_package_callables():
     for module, names in spans.TRACED.items():
         for name in names:
             assert callable(getattr(getattr(mp, module), name, None)), f"{module}.{name}"
+
+
+def test_mutant_old_texts_occur_once():
+    # tools/mutants.py edits each old text in place; a refactor that moves
+    # or duplicates one must update the list in the same change
+    spec = importlib.util.spec_from_file_location("mutants", MUTANTS)
+    mutants = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mutants)
+    assert len({m.name for m in mutants.MUTANTS}) == len(mutants.MUTANTS)
+    for m in mutants.MUTANTS:
+        assert (ROOT / m.path).read_text().count(m.old) == 1, m.name
+        assert m.new != m.old, m.name

@@ -1,4 +1,6 @@
 """Controlled gates, phase readout, noise model, and spectrum synthesis."""
+import math
+
 import numpy as np
 import pytest
 
@@ -119,10 +121,14 @@ PINNED_DRAWS = {
 
 class TestNoisyReadout:
     def test_zero_bound_matches_ideal(self):
+        # every draw at bound 0 is +0.0; 0.0 == -0.0 would hide a sign change
         state = kickback_state(0.3)
-        draws = probe.NoiseModel(phase_jitter_bound=0.0, rng_seed=42).jitter_draws(3)
-        assert draws == [0.0] * 3
-        assert probe.noisy_readout(state, draws[0]) == probe.ideal_readout(state)
+        for bound in (0.0, -0.0):
+            for seed in range(300):
+                draws = probe.NoiseModel(phase_jitter_bound=bound, rng_seed=seed).jitter_draws(6)
+                assert [math.copysign(1.0, d) for d in draws] == [1.0] * 6
+                assert draws == [0.0] * 6
+                assert probe.noisy_readout(state, draws[0]) == probe.ideal_readout(state)
 
     def test_draw_is_added_to_the_reading(self):
         state = kickback_state(0.2)
@@ -190,6 +196,18 @@ class TestNoiseModelValidation:
     def test_non_finite_rejected(self, kwargs):
         with pytest.raises(ValidationError, match="finite"):
             probe.NoiseModel(**kwargs)
+
+    @pytest.mark.parametrize("bound", [0.0, 0.01])
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "1", None, np.float64(2.0)])
+    def test_seed_must_be_a_non_negative_integer(self, bound, seed):
+        # -1 and 1.5 failed only when drawing, and at bound 0 not at all
+        with pytest.raises(ValidationError, match="rng seed"):
+            probe.NoiseModel(phase_jitter_bound=bound, rng_seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, 2**70, np.int64(7), np.uint8(7)])
+    def test_integer_seeds_accepted(self, seed):
+        noise = probe.NoiseModel(phase_jitter_bound=0.01, rng_seed=seed)
+        assert noise.jitter_draws(2) == np.random.default_rng(int(seed)).uniform(-0.01, 0.01, 2).tolist()
 
 
 class TestPerturbedU:

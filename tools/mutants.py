@@ -1,0 +1,240 @@
+"""Mutation check: every one-line edit in ``MUTANTS`` must fail tier-1.
+
+Each mutant is an exact old text in one source file, the text that
+replaces it, and what the edit breaks. For each, the script copies
+``src/``, ``tests/``, ``bench/spans.py`` (which ``tests/test_package.py``
+reads) and ``pyproject.toml`` into a fresh temporary directory, checks that
+the old text occurs there exactly once, applies the edit, and runs tier-1
+in the copy with ``-x``; the checkout itself is never written. The
+unmutated copy must pass first. ``tests/test_package.py`` checks the old
+texts against the checkout, so that test is deselected in the copies,
+where one of them is edited away.
+
+    python tools/mutants.py            # every mutant
+    python tools/mutants.py NAME ...   # the named ones
+
+Exit 0 when every mutant is killed, 1 when any survives, and 2 on a tool
+error: an old text that does not occur exactly once, an unmutated copy
+that fails, or a pytest exit code other than 0 (survived) or 1 (killed).
+"""
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+COPIED = ("src", "tests", "bench/spans.py", "pyproject.toml")
+GUARD_TEST = "tests/test_package.py::test_mutant_old_texts_occur_once"
+# Hypothesis draws from a fixed seed, so each mutant fares alike on every run.
+PYTEST = ("-x", "-q", "-W", "error", "-p", "no:cacheprovider", "--hypothesis-seed=0", "--deselect", GUARD_TEST)
+TIMEOUT_S = 900
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str
+    old: str
+    new: str
+    breaks: str
+
+
+MUTANTS = (
+    Mutant(
+        "offset-mod-dropped",
+        "src/molphase/ipea.py",
+        "offset = (2.0**n * (offset + clipped)) % 1.0",
+        "offset = 2.0**n * (offset + clipped)",
+        "the receiver phase is no longer reduced mod 1 between rounds",
+    ),
+    Mutant(
+        "wrap-split-at-2^n",
+        "src/molphase/ipea.py",
+        "return measured > 0.5 * (1.0 + 2.0 ** (n + 1) * error_bound)",
+        "return measured > 0.5 * (1.0 + 2.0 ** n * error_bound)",
+        "is_wrapped splits the window from the wrapped band in the wrong place",
+    ),
+    Mutant(
+        "window-floor-dropped",
+        "src/molphase/ipea.py",
+        "margin = errbd * 2.0 ** (-n * (k_max - 1)) + PHASE_FLOOR",
+        "margin = errbd * 2.0 ** (-n * (k_max - 1))",
+        "estimate admits ground phases within float64 rounding of the window's edge",
+    ),
+    Mutant(
+        "newton-schulz-dropped",
+        "src/molphase/qcore.py",
+        "m = mul(m, eye - 0.5 * drifts[-1])",
+        "m = m",
+        "the power chain drifts off the unitary group",
+    ),
+    Mutant(
+        "fidelity-conjugate-dropped",
+        "src/molphase/asp.py",
+        "grounds.T).conj()",
+        "grounds.T)",
+        "ASP fidelities use unconjugated ground-state weights (wrong for complex targets)",
+    ),
+    Mutant(
+        "wrapped-seed-kept",
+        "src/molphase/ipea.py",
+        "seed -= 1.0",
+        "seed -= 0.0",
+        "reconstruct no longer unwinds a wrapped final reading",
+    ),
+    Mutant(
+        "leading-bits-le",
+        "src/molphase/ipea.py",
+        "distance < 2.0 ** -(bits + 1)",
+        "distance <= 2.0 ** -(bits + 1)",
+        "guaranteed_bits counts a digit whose bound only reaches 2^-b",
+    ),
+    Mutant(
+        "admissibility-margin-dropped",
+        "src/molphase/ipea.py",
+        "limit = 1.0 - (2.0 ** (n - 48) if self.iterations > 1 else 0.0)",
+        "limit = 1.0",
+        "IterationConfig admits bounds whose readings reach the wrapped band by rounding",
+    ),
+    Mutant(
+        "coherence-tol-zero",
+        "src/molphase/probe.py",
+        "COHERENCE_TOL = 1e-6",
+        "COHERENCE_TOL = 0.0",
+        "a vanishing probe coherence is read as a phase instead of raising",
+    ),
+    Mutant(
+        "guarantee-floor-dropped",
+        "src/molphase/ipea.py",
+        "bound = PHASE_FLOOR",
+        "bound = 0.0",
+        "guaranteed_bits ignore float64 rounding and can exceed 48",
+    ),
+    Mutant(
+        "choose-tau-admits-zero-phase",
+        "src/molphase/molham.py",
+        "if not 0.0 < theta0 < 1.0:",
+        "if not 0.0 <= theta0 < 1.0:",
+        "choose_tau accepts E0 = 0, whose phase cannot name the energy",
+    ),
+    Mutant(
+        "near-z-tilt-zeroed",
+        "src/molphase/nmrpulse.py",
+        "tilt = np.arccos(np.clip(nz, -1.0, 1.0))",
+        "tilt = np.arccos(np.clip(nz, -1.0, 1.0)) if abs(nz) < math.cos(1e-3) else 0.0",
+        "the compiler drops the tilt of axes within 1e-3 rad of +z or -z",
+    ),
+    Mutant(
+        "pulse-run-ignores-over-rotation",
+        "src/molphase/nmrpulse.py",
+        "realized = evolve_sequence(sequence.events, over_rotation=over_rotation)",
+        "realized = evolve_sequence(sequence.events, over_rotation=0.0)",
+        "run_pulse_backend evolves the ideal sequence whatever over-rotation it is given",
+    ),
+    Mutant(
+        "seed-check-dropped",
+        "src/molphase/probe.py",
+        'qcore.require_integer("rng seed", self.rng_seed, 0)',
+        "pass",
+        "NoiseModel accepts negative and non-integer seeds, which fail only when drawing",
+    ),
+    Mutant(
+        "integer-count-check-dropped",
+        "src/molphase/qcore.py",
+        "if not isinstance(value, (int, np.integer)) or isinstance(value, bool):",
+        "if False:",
+        "float and bool counts and seeds pass validation and fail inside the run",
+    ),
+)
+
+
+class ToolError(Exception):
+    pass
+
+
+def copy_tree(dest: Path) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", "*.egg-info", ".hypothesis", ".pytest_cache")
+    for rel in COPIED:
+        src = ROOT / rel
+        (dest / rel).parent.mkdir(parents=True, exist_ok=True)
+        if src.is_dir():
+            shutil.copytree(src, dest / rel, ignore=ignore)
+        else:
+            shutil.copy2(src, dest / rel)
+
+
+def apply(mutant: Mutant, tree: Path) -> None:
+    path = tree / mutant.path
+    text = path.read_text()
+    count = text.count(mutant.old)
+    if count != 1:
+        raise ToolError(f"{mutant.name}: old text occurs {count} times in {mutant.path}")
+    path.write_text(text.replace(mutant.old, mutant.new))
+
+
+def run_tier1(tree: Path) -> tuple[int, str]:
+    """Pytest's exit code and its first failure line, run in ``tree``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(tree / "src"), env.get("PYTHONPATH")]))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", *PYTEST],
+            cwd=tree, env=env, capture_output=True, text=True, timeout=TIMEOUT_S,
+        )
+    except subprocess.TimeoutExpired:
+        raise ToolError(f"tier-1 ran past {TIMEOUT_S} s in {tree}") from None
+    failure = next(
+        (line for line in proc.stdout.splitlines() if line.startswith(("FAILED ", "ERROR "))),
+        proc.stdout.strip().splitlines()[-1] if proc.stdout.strip() else "",
+    )
+    if proc.returncode not in (0, 1):
+        raise ToolError(f"pytest exited {proc.returncode}: {failure}\n{proc.stderr[-2000:]}")
+    return proc.returncode, failure
+
+
+def check(mutant: Mutant | None) -> tuple[int, str]:
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        tree = Path(tmp)
+        copy_tree(tree)
+        if mutant is not None:
+            apply(mutant, tree)
+        return run_tier1(tree)
+
+
+def main(argv: list[str]) -> int:
+    names = {m.name for m in MUTANTS}
+    unknown = [a for a in argv if a not in names]
+    if unknown:
+        print(f"unknown mutants: {', '.join(unknown)}", file=sys.stderr)
+        return 2
+    selected = [m for m in MUTANTS if not argv or m.name in argv]
+    survivors = []
+    try:
+        start = time.perf_counter()
+        code, failure = check(None)
+        if code != 0:
+            raise ToolError(f"the unmutated copy fails tier-1: {failure}")
+        print(f"unmutated  passes  {time.perf_counter() - start:6.1f} s", flush=True)
+        for mutant in selected:
+            start = time.perf_counter()
+            code, failure = check(mutant)
+            verdict = "killed" if code == 1 else "SURVIVED"
+            print(f"{mutant.name}  {verdict}  {time.perf_counter() - start:6.1f} s  {failure}", flush=True)
+            if code == 0:
+                survivors.append(mutant)
+    except ToolError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    for mutant in survivors:
+        print(f"survivor {mutant.name} ({mutant.path}): {mutant.breaks}", file=sys.stderr)
+    print(f"{len(selected) - len(survivors)} of {len(selected)} mutants killed")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
