@@ -21,13 +21,13 @@ records, _, _ = ipea.run_ipea(
 )
 
 reference = probe.synthesize_spectrum(0.0)
-(out / "spectrum_reference.csv").write_text(reference.csv_text())
+(out / "spectrum_reference.csv").write_text(probe.spectrum_csv(reference))
 print(f"reference trace (phase 0): {out / 'spectrum_reference.csv'}")
 
 for rec in records:
     trace = probe.synthesize_spectrum(rec.measured_phase)
     path = out / f"spectrum_k{rec.k}.csv"
-    path.write_text(trace.csv_text())
+    path.write_text(probe.spectrum_csv(trace))
     recovered = probe.extract_phase_from_spectrum(trace, reference)
     print(f"k={rec.k}: wrote {path.name}; phase in {rec.measured_phase:.6f}, "
           f"out {recovered:.6f}, |delta| = {ipea.phase_distance(recovered, rec.measured_phase):.2e}")

@@ -118,9 +118,7 @@ def cmd_ipea(args) -> int:
     result = ipea.run_ipea(h, config, noise=_jitter_noise(args))
     oracle_e = result.energy.oracle_energy
     oracle_ph = ipea.energy_phase(oracle_e, config.tau)
-    # the last prefix is the whole run, already rebuilt
-    running = ipea.running_estimates(result.records[:-1], args.bits, config.phase_error_bound)
-    running.append(result.phase)
+    running = ipea.running_estimates(result.records, args.bits, config.phase_error_bound)
 
     trace_path = _write(args.out, "ipea_trace.csv", ipea.trace_csv(result, running))
     table_path = _write(args.out, "ipea_table.txt", _bit_table(running, args.bits, oracle_ph))
@@ -134,6 +132,8 @@ def cmd_ipea(args) -> int:
 
 
 def cmd_asp(args) -> int:
+    if (args.scan is None) == (args.total_time is None):
+        raise ValidationError("asp takes exactly one of --total-time and --scan")
     h = load_source(args.hamiltonian)
     if args.scan is not None:
         parts = args.scan.split(":")
@@ -154,10 +154,8 @@ def cmd_asp(args) -> int:
             raise ValidationError(f"scan {args.scan!r} has more than {asp.MAX_POINTS} points")
         # np.arange's own points, with its stop half a step past the last one
         grid = np.arange(start, start + (int(intervals) + 0.5) * step, step)
-    elif args.total_time is not None:
-        grid = np.array([args.total_time])
     else:
-        raise ValidationError("asp needs --total-time or --scan")
+        grid = np.array([args.total_time])
     pairs = asp.scan_total_time(h, args.steps, grid)
     lines = ["total_time,fidelity"]
     lines += [f"{t:.17g},{f:.17g}" for t, f in pairs]
@@ -228,7 +226,7 @@ def cmd_spectra(args) -> int:
         for name, k, _, phase in traces
     }
     for name, _, trace, _ in traces:
-        _write(args.out, name, trace.csv_text())
+        _write(args.out, name, probe.spectrum_csv(trace))
     _write(args.out, "spectra_manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     print(f"wrote {len(traces)} spectra and manifest to {args.out}")
     return 0

@@ -193,6 +193,27 @@ def clip_phase(measured: float, error_bound: float, n: int | None = None) -> flo
     return measured - error_bound
 
 
+def require_ground_window(config: IterationConfig, oracle_energy: float) -> None:
+    """Raise ``TauRangeError`` unless the ground phase -E0 tau / 2 pi lies in
+    [g, 1 - g], each end moved inward by ``PHASE_FLOOR``.
+
+    A phase estimate names the energy E = -2 pi phi / tau in (-2 pi / tau, 0],
+    and lands within g = bound * 2^(-n (k-1)) of the ground phase; outside
+    the window it can alias by a whole turn and report a wrong energy. The
+    runs check this before they build an operator, since exp(-i tau E)
+    overflows at a tau far past the window.
+    """
+    n = config.bits_per_iteration
+    margin = config.phase_error_bound * 2.0 ** (-n * (config.iterations - 1)) + PHASE_FLOOR
+    theta0 = -oracle_energy * config.tau / (2.0 * math.pi)
+    if not margin <= theta0 <= 1.0 - margin:
+        raise TauRangeError(
+            f"ground phase -E0*tau/2pi = {theta0:.17g} (E0 = {oracle_energy:.17g}, tau = {config.tau:.17g})"
+            f" lies outside the window [{margin:.6g}, 1 - {margin:.6g}] in which a phase names E0;"
+            " it needs E0 < 0 and a tau that keeps it inside"
+        )
+
+
 def run_ipea(
     h: MolecularHamiltonian,
     config: IterationConfig,
@@ -207,13 +228,16 @@ def run_ipea(
     Hamiltonian when its coherent_epsilon is nonzero, and each readout takes
     one draw of ``noise.jitter_draws``.
     The coherences c_k = <prep|U^(2^(n k))|prep> / 2 come from the
-    eigenbasis power chain. Jitter above ``phase_error_bound`` is rejected first.
+    eigenbasis power chain. Jitter above ``phase_error_bound`` is rejected
+    first, and a ground phase outside ``require_ground_window`` before any
+    operator is built.
     """
     if noise.phase_jitter_bound > config.phase_error_bound:
         raise ValidationError(
             f"jitter bound {noise.phase_jitter_bound!r} exceeds the phase error bound {config.phase_error_bound!r}"
         )
     spec = molham.spectrum(h)
+    require_ground_window(config, spec.ground_energy)
     if 2 * h.dim > qcore.MAX_DIM:
         raise ValidationError(f"system dimension {h.dim} too large for the probe register")
     if prep is None:
@@ -258,26 +282,15 @@ def estimate(
     receiver phase of round k. The arithmetic after each coherence's one
     phase readout is real.
 
-    A phase estimate names the energy E = -2 pi phi / tau in (-2 pi / tau, 0],
-    and lands within g = bound * 2^(-n (k-1)) of the ground phase
-    -E0 tau / 2 pi. Before the first reading, that ground phase must
-    therefore lie in [g, 1 - g], each end moved inward by ``PHASE_FLOOR``,
-    or ``TauRangeError`` is raised: outside it the estimate can alias by a
-    whole turn and report a wrong energy.
+    Before the first reading the ground phase must lie in the window of
+    ``require_ground_window``.
     """
     k_max = config.iterations
     if not len(coherences) == len(jitter) == k_max:
         raise ValidationError(f"{len(coherences)} coherences and {len(jitter)} draws for {k_max} iterations")
+    require_ground_window(config, oracle_energy)
     n = config.bits_per_iteration
     errbd = config.phase_error_bound
-    margin = errbd * 2.0 ** (-n * (k_max - 1)) + PHASE_FLOOR
-    theta0 = -oracle_energy * config.tau / (2.0 * math.pi)
-    if not margin <= theta0 <= 1.0 - margin:
-        raise TauRangeError(
-            f"ground phase -E0*tau/2pi = {theta0:.17g} (E0 = {oracle_energy:.17g}, tau = {config.tau:.17g})"
-            f" lies outside the window [{margin:.6g}, 1 - {margin:.6g}] in which a phase names E0;"
-            " it needs E0 < 0 and a tau that keeps it inside"
-        )
     offset = 0.0
     records: list[IterationRecord] = []
     for k, (coherence, draw) in enumerate(zip(coherences, jitter)):
@@ -294,24 +307,22 @@ def estimate(
         )
         offset = (2.0**n * (offset + clipped)) % 1.0
 
-    phase_estimate = reconstruct(records, n, phase_error_bound=errbd)
+    phase_estimate = reconstruct(records, n, errbd)
     energy = energy_from_phase(phase_estimate, config.tau, oracle_energy)
     return IpeaResult(records=tuple(records), phase=phase_estimate, energy=energy)
 
 
-def reconstruct(
-    records: Sequence[IterationRecord], n: int, phase_error_bound: float | None = None
-) -> PhaseEstimate:
+def reconstruct(records: Sequence[IterationRecord], n: int, phase_error_bound: float) -> PhaseEstimate:
     """Rebuild the phase: phi_c[k] = phi_k, phi_c[i-1] = phi_c[i]/2^n + phi'[i-1].
 
     The recursion runs on the real line, seeded by the last measured phase.
-    Given the bound, a wrapped final reading from the second iteration on
-    (``is_wrapped``) is a near-zero phase and is unwound by one turn before
-    seeding; only the final value is reduced into [0, 1).
+    A wrapped final reading from the second iteration on (``is_wrapped``
+    under ``phase_error_bound``, the bound the records were clipped by) is a
+    near-zero phase and is unwound by one turn before seeding; only the
+    final value is reduced into [0, 1).
 
     ``guaranteed_bits`` are the leading digits that hold within the
-    contracted bound (zero without one) plus ``PHASE_FLOOR``, so rounding
-    caps them at 48.
+    contracted bound plus ``PHASE_FLOOR``, so rounding caps them at 48.
     """
     if not records:
         raise ValidationError("no iteration records to reconstruct from")
@@ -320,7 +331,7 @@ def reconstruct(
         raise ValidationError(f"records must be contiguous from 0, got indices {ks}")
     scale = 2.0**-n
     seed = records[-1].measured_phase
-    if len(records) > 1 and phase_error_bound is not None and is_wrapped(seed, phase_error_bound, n):
+    if len(records) > 1 and is_wrapped(seed, phase_error_bound, n):
         seed -= 1.0
     trace = [seed]
     for rec in reversed(records[:-1]):
@@ -328,9 +339,7 @@ def reconstruct(
     value = probe.reduce_phase(trace[-1])
 
     digits = n * len(records)
-    bound = PHASE_FLOOR
-    if phase_error_bound is not None:
-        bound += phase_error_bound * 2.0 ** (-n * (len(records) - 1))
+    bound = phase_error_bound * 2.0 ** (-n * (len(records) - 1)) + PHASE_FLOOR
 
     return PhaseEstimate(
         value=value,

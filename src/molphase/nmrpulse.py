@@ -216,6 +216,7 @@ def run_pulse_backend(
         raise ValidationError(f"pulse backend handles 2x2 systems, got dim {h.dim}")
     _require_finite("over_rotation", over_rotation)
     spec = molham.spectrum(h)
+    ipea.require_ground_window(config, spec.ground_energy)
     joint = np.outer(qcore.KET_PLUS, spec.ground_state).ravel()
     sequence = compile_controlled_u(spec.propagator(config.tau))
     realized = evolve_sequence(sequence.events, over_rotation=over_rotation)

@@ -20,7 +20,9 @@ its jitter as data, one seeded stream's draws
 
 The probe and system spins of the NMR sample are coupled by
 (pi J / 2) sz x sz with J = ``J_COUPLING_HZ``, so the probe's spectrum is
-a doublet at +-J/2 Hz, which ``synthesize_spectrum`` draws.
+a doublet at +-J/2 Hz, which ``synthesize_spectrum`` draws. Every spectrum
+is a plain array of ``SPECTRUM_POINTS`` complex amplitudes on the one fixed
+grid ``FREQUENCIES_HZ``.
 """
 from __future__ import annotations
 
@@ -39,6 +41,9 @@ J_COUPLING_HZ = 214.6
 LINE_WIDTH_HZ = 2.0
 SPECTRUM_POINTS = 4096
 SPECTRAL_WIDTH_HZ = 2000.0
+# the ascending, uniform frequency grid (Hz) of every spectrum
+FREQUENCIES_HZ = np.fft.fftshift(np.fft.fftfreq(SPECTRUM_POINTS, d=1.0 / SPECTRAL_WIDTH_HZ))
+FREQUENCIES_HZ.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -130,45 +135,32 @@ def perturbed_hamiltonian(h: MolecularHamiltonian, noise: NoiseModel) -> np.ndar
     return h.matrix + noise.coherent_epsilon * qcore.SIGMA_Z
 
 
-@dataclass(frozen=True)
-class SpectrumTrace:
-    """Complex absorption/dispersion trace on a uniform frequency grid (Hz)."""
-
-    frequencies: np.ndarray
-    complex_amplitudes: np.ndarray
-
-    def __post_init__(self):
-        f = np.asarray(self.frequencies, dtype=float)
-        a = np.asarray(self.complex_amplitudes, dtype=complex)
-        if f.size != a.size:
-            raise ValidationError(f"grid length {f.size} != amplitude length {a.size}")
-        df = np.diff(f)
-        if f.size > 1 and (df.min() <= 0 or abs(df.max() - df.min()) > 1e-9 * max(abs(df.max()), 1.0)):
-            raise ValidationError("frequency grid must be strictly ascending and uniformly spaced")
-        f.flags.writeable = False
-        a.flags.writeable = False
-        object.__setattr__(self, "frequencies", f)
-        object.__setattr__(self, "complex_amplitudes", a)
-
-    def line_integral(self) -> complex:
-        df = float(self.frequencies[1] - self.frequencies[0]) if self.frequencies.size > 1 else 1.0
-        return complex(self.complex_amplitudes.sum() * df)
-
-    def csv_text(self) -> str:
-        """Export as CSV: frequency_hz, amplitude_re, amplitude_im."""
-        lines = ["frequency_hz,amplitude_re,amplitude_im"]
-        for f, a in zip(self.frequencies, self.complex_amplitudes):
-            lines.append(f"{f:.17g},{a.real:.17g},{a.imag:.17g}")
-        return "\n".join(lines) + "\n"
+def _require_spectrum(amplitudes) -> np.ndarray:
+    a = np.asarray(amplitudes, dtype=complex)
+    if a.shape != FREQUENCIES_HZ.shape:
+        raise ValidationError(f"a spectrum holds {SPECTRUM_POINTS} amplitudes, got shape {a.shape}")
+    return a
 
 
-def synthesize_spectrum(phase_fraction: float) -> SpectrumTrace:
-    """Two-line doublet at +-J/2 Hz whose common phase is 2 pi phi.
+def _line_integral(amplitudes) -> complex:
+    return complex(_require_spectrum(amplitudes).sum() * float(FREQUENCIES_HZ[1] - FREQUENCIES_HZ[0]))
+
+
+def spectrum_csv(amplitudes) -> str:
+    """A spectrum as CSV: frequency_hz, amplitude_re, amplitude_im."""
+    lines = ["frequency_hz,amplitude_re,amplitude_im"]
+    for f, a in zip(FREQUENCIES_HZ, _require_spectrum(amplitudes)):
+        lines.append(f"{f:.17g},{a.real:.17g},{a.imag:.17g}")
+    return "\n".join(lines) + "\n"
+
+
+def synthesize_spectrum(phase_fraction: float) -> np.ndarray:
+    """Two-line doublet at +-J/2 Hz whose common phase is 2 pi phi, as its
+    complex amplitudes on ``FREQUENCIES_HZ``.
 
     A decaying quadrature oscillation is Fourier-transformed so the complex
     line integral's argument recovers 2 pi phi; phi = 0 gives pure
-    absorption, phi = 0.25 pure dispersion. The grid is ``SPECTRUM_POINTS``
-    points over ``SPECTRAL_WIDTH_HZ`` and each line is ``LINE_WIDTH_HZ`` wide.
+    absorption, phi = 0.25 pure dispersion. Each line is ``LINE_WIDTH_HZ`` wide.
     """
     t = np.arange(SPECTRUM_POINTS) / SPECTRAL_WIDTH_HZ
     fid = (
@@ -176,19 +168,14 @@ def synthesize_spectrum(phase_fraction: float) -> SpectrumTrace:
         * (np.exp(1j * np.pi * J_COUPLING_HZ * t) + np.exp(-1j * np.pi * J_COUPLING_HZ * t))
         * np.exp(-np.pi * LINE_WIDTH_HZ * t)
     )
-    amps = np.fft.fftshift(np.fft.fft(fid))
-    freqs = np.fft.fftshift(np.fft.fftfreq(SPECTRUM_POINTS, d=1.0 / SPECTRAL_WIDTH_HZ))
-    return SpectrumTrace(frequencies=freqs, complex_amplitudes=amps)
+    return np.fft.fftshift(np.fft.fft(fid))
 
 
-def extract_phase_from_spectrum(trace: SpectrumTrace, reference: SpectrumTrace) -> float:
-    """Phase of one trace against a reference sharing its frequency grid."""
-    if trace.frequencies.size != reference.frequencies.size or not np.allclose(
-        trace.frequencies, reference.frequencies, atol=1e-9
-    ):
-        raise ValidationError("trace and reference frequency grids differ")
-    ref = reference.line_integral()
+def extract_phase_from_spectrum(trace, reference) -> float:
+    """Phase of one spectrum against a reference, each ``SPECTRUM_POINTS``
+    amplitudes on ``FREQUENCIES_HZ``, from the ratio of their line integrals."""
+    ref = _line_integral(reference)
     if abs(ref) < 1e-9:
         raise ReadoutError(f"reference line integral {abs(ref):.3e} below 1e-9")
-    ratio = trace.line_integral() / ref
+    ratio = _line_integral(trace) / ref
     return float(reduce_phase(np.angle(ratio) / (2.0 * np.pi)))

@@ -76,8 +76,8 @@ class TestIpeaCommand:
         assert bits >= 17
 
     def test_each_prefix_estimate_is_built_once(self, tmp_path, monkeypatch):
-        # one rebuild per prefix, shared by the trace and the bit table;
-        # the last prefix is the run's own final rebuild
+        # the run's own final rebuild, then one rebuild per prefix, shared by
+        # the trace and the bit table
         calls = []
         rebuild = ipea.reconstruct
 
@@ -88,7 +88,7 @@ class TestIpeaCommand:
         monkeypatch.setattr(ipea, "reconstruct", counted)
         args = ["ipea", "--jitter", "5deg", "--seed", "7", "--out", str(tmp_path)]
         assert cli.main(args) == 0
-        assert sorted(calls) == [1, 2, 3, 4, 5, 6]
+        assert calls == [6, 1, 2, 3, 4, 5, 6]
 
     def test_single_iteration_trace(self, tmp_path):
         assert cli.main(["ipea", "--iterations", "1", "--out", str(tmp_path)]) == 0
@@ -144,6 +144,15 @@ class TestIpeaCommand:
         assert cli.main(["ipea", "--hamiltonian", str(doc), "--out", str(tmp_path / "out")]) == 2
         assert "outside the window" in capsys.readouterr().err
         assert calls == []
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["ipea", "spectra", "noise-sweep"])
+    def test_overflowing_tau_exits_2_without_output(self, tmp_path, capsys, command):
+        # ipea exited 1 after numpy overflow warnings ("left the unitary group: ... nan")
+        out = tmp_path / "o"
+        assert cli.main([command, "--tau", "1.7e308", "--out", str(out)]) == 2
+        assert "outside the window" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_jitter_above_the_error_bound_exits_2_without_output(self, tmp_path, capsys):
         # exited 0 with -1.40261 against -1.85157 hartree and 2 correct bits
@@ -225,6 +234,14 @@ class TestAspCommand:
 
     def test_requires_time_argument(self, tmp_path, capsys):
         assert cli.main(["asp", "--out", str(tmp_path)]) == 2
+        assert "exactly one of --total-time and --scan" in capsys.readouterr().err
+
+    def test_scan_and_total_time_exit_2_without_output(self, tmp_path, capsys):
+        # --total-time was silently ignored next to --scan (exit 0)
+        out = tmp_path / "o"
+        assert cli.main(["asp", "--scan", "1:3:1", "--total-time", "5", "--out", str(out)]) == 2
+        assert "exactly one of --total-time and --scan" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_scan_spec(self, tmp_path):
         assert cli.main(["asp", "--scan", "30:1:0.5", "--out", str(tmp_path)]) == 2

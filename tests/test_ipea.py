@@ -477,6 +477,16 @@ class TestJitterProperty:
         with pytest.raises(TauRangeError, match="window"):
             ipea.estimate([0.5] * 6, [0.0] * 6, config, energy)
 
+    @pytest.mark.filterwarnings("error")
+    def test_window_checked_before_the_operator_overflows(self, h2, monkeypatch):
+        # exp(-i tau E) overflowed to nan here, and the run failed in the power chain
+        def no_chain(*args):
+            raise AssertionError("operator built for a ground phase outside the window")
+
+        monkeypatch.setattr(qcore, "power_chain", no_chain)
+        with pytest.raises(TauRangeError, match="window"):
+            ipea.run_ipea(h2, h2_config(tau=1.7e308))
+
 
 class TestResidualBelowZero:
     """Runs whose residual goes below zero. With the clip clamped at zero
@@ -585,7 +595,7 @@ class TestCoherentError:
 class TestReconstruct:
     def test_single_record(self):
         rec = ipea.IterationRecord(k=0, measured_phase=0.3, clipped_phase=0.28, operator_power=1)
-        estimate = ipea.reconstruct([rec], 3)
+        estimate = ipea.reconstruct([rec], 3, 0.02)
         assert estimate.value == 0.3
         assert list(estimate.reconstruction_trace) == [0.3]
 
@@ -594,7 +604,7 @@ class TestReconstruct:
             ipea.IterationRecord(0, H2_PHASE, H2_CLIPPED_PHASE_0, 1),
             ipea.IterationRecord(1, 8.0 * (H2_PHASE - H2_CLIPPED_PHASE_0), 0.0, 8),
         ]
-        estimate = ipea.reconstruct(records, 3)
+        estimate = ipea.reconstruct(records, 3, ERRBD_5DEG)
         assert estimate.value == pytest.approx(H2_PHASE, abs=1e-12)
         # the same identity at six-decimal precision
         assert 0.111111 / 8.0 + 0.558133 == pytest.approx(0.572022, abs=1e-6)
@@ -614,13 +624,14 @@ class TestReconstruct:
                 theta = 2.0**n * (theta - clip)
                 assert theta < 1.0 + 1e-12
                 theta %= 1.0
-            estimate = ipea.reconstruct(records, n)
+            # each clip lies up to 2^-n below its reading
+            estimate = ipea.reconstruct(records, n, 2.0**-n)
             assert ipea.phase_distance(estimate.value, theta0) <= 1e-12
 
     def test_reference_bitstring_round_trip(self):
         phi0 = int(REFERENCE_BITSTRING_K0, 2) * 2.0 ** -len(REFERENCE_BITSTRING_K0)
         rec = ipea.IterationRecord(0, phi0, max(phi0 - ERRBD_5DEG, 0.0), 1)
-        estimate = ipea.reconstruct([rec], 3)
+        estimate = ipea.reconstruct([rec], 3, ERRBD_5DEG)
         assert ipea.to_binary(estimate.value, 25) == REFERENCE_BITSTRING_K0
 
     def test_wrapped_final_reading_is_unwound(self):
@@ -629,18 +640,32 @@ class TestReconstruct:
             ipea.IterationRecord(0, 0.5, 0.5 - ERRBD_5DEG, 1),
             ipea.IterationRecord(1, 0.999, 0.0, 8),
         ]
-        estimate = ipea.reconstruct(records, 3, phase_error_bound=ERRBD_5DEG)
+        estimate = ipea.reconstruct(records, 3, ERRBD_5DEG)
         assert estimate.reconstruction_trace[0] == pytest.approx(-0.001, abs=1e-12)
         assert estimate.value == pytest.approx(0.5 - ERRBD_5DEG - 0.001 / 8.0, abs=1e-12)
+
+    def test_bound_is_required(self):
+        # without the bound the wrapped 0.999 was read as a large phase, 1/8
+        # turn off, and every digit was still claimed
+        b = ERRBD_5DEG
+        records = [
+            ipea.IterationRecord(0, 0.5, 0.5 - b, 1),
+            ipea.IterationRecord(1, 0.999, 0.999 - 1.0 - b, 8),
+        ]
+        with pytest.raises(TypeError):
+            ipea.reconstruct(records, 3)
+        estimate = ipea.reconstruct(records, 3, b)
+        assert estimate.value == pytest.approx(0.5 - b - 0.001 / 8.0, abs=1e-12)
+        assert estimate.guaranteed_bits == 6
 
     def test_contiguity_required(self):
         records = [ipea.IterationRecord(1, 0.1, 0.0, 8)]
         with pytest.raises(ValidationError, match="contiguous"):
-            ipea.reconstruct(records, 3)
+            ipea.reconstruct(records, 3, ERRBD_5DEG)
 
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
-            ipea.reconstruct([], 3)
+            ipea.reconstruct([], 3, ERRBD_5DEG)
 
     def test_guaranteed_bits(self, h2):
         _, phase, _ = ipea.run_ipea(h2, h2_config())
@@ -689,13 +714,13 @@ class TestToBinary:
 
 class TestEnergyFromPhase:
     def test_zero_phase(self):
-        estimate = ipea.reconstruct([ipea.IterationRecord(0, 0.0, 0.0, 1)], 3)
+        estimate = ipea.reconstruct([ipea.IterationRecord(0, 0.0, 0.0, 1)], 3, 0.0)
         result = ipea.energy_from_phase(estimate, 2.0, 0.0)
         assert result.energy == 0.0
         assert result.abs_error == 0.0
 
     def test_h2_arithmetic(self):
-        estimate = ipea.reconstruct([ipea.IterationRecord(0, H2_PHASE, 0.0, 1)], 3)
+        estimate = ipea.reconstruct([ipea.IterationRecord(0, H2_PHASE, H2_PHASE, 1)], 3, 0.0)
         result = ipea.energy_from_phase(estimate, H2_TAU, H2_GROUND_ENERGY)
         assert result.energy == pytest.approx(-1.851571, abs=1e-5)
         assert result.abs_error <= 1e-12
@@ -707,7 +732,7 @@ class TestEnergyFromPhase:
         assert abs(-1.851569 - H2_GROUND_ENERGY) <= seventeen_bit_window
 
     def test_tau_validation(self):
-        estimate = ipea.reconstruct([ipea.IterationRecord(0, 0.1, 0.0, 1)], 3)
+        estimate = ipea.reconstruct([ipea.IterationRecord(0, 0.1, 0.1, 1)], 3, 0.0)
         with pytest.raises(ValidationError):
             ipea.energy_from_phase(estimate, 0.0, H2_GROUND_ENERGY)
 
@@ -718,15 +743,15 @@ class TestEnergyFromPhase:
 
 class TestPrecisionReport:
     def test_exact_match_hits_cap(self):
-        estimate = ipea.reconstruct([ipea.IterationRecord(0, H2_PHASE, 0.0, 1)], 3)
+        estimate = ipea.reconstruct([ipea.IterationRecord(0, H2_PHASE, H2_PHASE, 1)], 3, 0.0)
         assert ipea.precision_report(estimate, H2_PHASE) >= 52
 
     def test_three_microturn_error_is_18_bits(self):
-        estimate = ipea.reconstruct([ipea.IterationRecord(0, 0.25 + 3e-6, 0.0, 1)], 3)
+        estimate = ipea.reconstruct([ipea.IterationRecord(0, 0.25 + 3e-6, 0.25 + 3e-6, 1)], 3, 0.0)
         assert ipea.precision_report(estimate, 0.25) == 18
 
     def test_oracle_validation(self):
-        estimate = ipea.reconstruct([ipea.IterationRecord(0, 0.25, 0.0, 1)], 3)
+        estimate = ipea.reconstruct([ipea.IterationRecord(0, 0.25, 0.25, 1)], 3, 0.0)
         with pytest.raises(ValidationError):
             ipea.precision_report(estimate, 1.5)
 

@@ -296,6 +296,12 @@ class TestRunPulseBackend:
         with pytest.raises(TauRangeError, match="window"):
             nmrpulse.run_pulse_backend(h, ipea.IterationConfig(tau=molham.choose_tau(h)))
 
+    @pytest.mark.filterwarnings("error")
+    def test_rejects_a_tau_past_the_window_before_compiling(self, h2):
+        # raised "controlled operator contains non-finite entries" from the compiler
+        with pytest.raises(TauRangeError, match="window"):
+            nmrpulse.run_pulse_backend(h2, ipea.IterationConfig(tau=1.7e308))
+
 
 class TestLongRuns:
     @pytest.mark.parametrize("n, k", [(3, 17), (1, 52), (2, 26)])

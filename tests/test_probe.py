@@ -235,23 +235,30 @@ class TestPerturbedU:
             probe.perturbed_hamiltonian(h, probe.NoiseModel(coherent_epsilon=1e-4))
 
 
+def line_integral(amplitudes):
+    return amplitudes.sum() * (probe.FREQUENCIES_HZ[1] - probe.FREQUENCIES_HZ[0])
+
+
 class TestSpectra:
+    def test_grid_is_fixed_and_read_only(self):
+        grid = np.fft.fftshift(np.fft.fftfreq(probe.SPECTRUM_POINTS, d=1.0 / probe.SPECTRAL_WIDTH_HZ))
+        np.testing.assert_array_equal(probe.FREQUENCIES_HZ, grid)
+        assert not probe.FREQUENCIES_HZ.flags.writeable
+        assert probe.synthesize_spectrum(0.1).shape == (probe.SPECTRUM_POINTS,)
+
     def test_reference_is_absorptive(self):
-        trace = probe.synthesize_spectrum(0.0)
-        integral = trace.line_integral()
+        integral = line_integral(probe.synthesize_spectrum(0.0))
         assert integral.real > 0
         assert abs(integral.imag) <= 1e-9 * abs(integral)
 
     def test_quarter_turn_is_dispersive(self):
-        trace = probe.synthesize_spectrum(0.25)
-        integral = trace.line_integral()
+        integral = line_integral(probe.synthesize_spectrum(0.25))
         assert integral.imag > 0
         assert abs(integral.real) <= 1e-9 * abs(integral)
 
     def test_lines_sit_at_half_j(self):
-        trace = probe.synthesize_spectrum(0.0)
-        mags = np.abs(trace.complex_amplitudes)
-        top_two = trace.frequencies[np.argsort(mags)[-2:]]
+        mags = np.abs(probe.synthesize_spectrum(0.0))
+        top_two = probe.FREQUENCIES_HZ[np.argsort(mags)[-2:]]
         np.testing.assert_allclose(sorted(top_two), [-107.3, 107.3], atol=0.5)
         assert probe.J_COUPLING_HZ == 214.6
 
@@ -272,39 +279,35 @@ class TestSpectra:
         assert probe.extract_phase_from_spectrum(trace, trace) == pytest.approx(0.0, abs=1e-12)
 
     def test_tiny_negative_phase_reduces_to_zero(self):
-        grid = np.array([0.0, 1.0])
-        trace = probe.SpectrumTrace(grid, np.array([1.0, 0.0]))
-        reference = probe.SpectrumTrace(grid, np.array([complex(1.0, 1e-300), 0.0]))
+        trace = np.zeros(probe.SPECTRUM_POINTS, dtype=complex)
+        trace[0] = 1.0
+        reference = np.zeros(probe.SPECTRUM_POINTS, dtype=complex)
+        reference[0] = complex(1.0, 1e-300)
         assert probe.extract_phase_from_spectrum(trace, reference) == 0.0
 
-    def test_grid_mismatch(self):
-        a = probe.synthesize_spectrum(0.1)
-        b = probe.SpectrumTrace(a.frequencies[::2], a.complex_amplitudes[::2])
-        with pytest.raises(ValidationError, match="grid"):
-            probe.extract_phase_from_spectrum(a, b)
+    def test_wrong_length_rejected(self):
+        good = probe.synthesize_spectrum(0.1)
+        for shape in [(probe.SPECTRUM_POINTS // 2,), (probe.SPECTRUM_POINTS + 1,), (0,), (2, probe.SPECTRUM_POINTS // 2)]:
+            bad = np.ones(shape, dtype=complex)
+            for call in (
+                lambda: probe.extract_phase_from_spectrum(good, bad),
+                lambda: probe.extract_phase_from_spectrum(bad, good),
+                lambda: probe.spectrum_csv(bad),
+            ):
+                with pytest.raises(ValidationError, match=f"{probe.SPECTRUM_POINTS} amplitudes, got shape"):
+                    call()
 
     def test_weak_reference_rejected(self):
         a = probe.synthesize_spectrum(0.1)
-        dead = probe.SpectrumTrace(
-            frequencies=a.frequencies, complex_amplitudes=np.zeros_like(a.complex_amplitudes)
-        )
         with pytest.raises(ReadoutError, match="reference"):
-            probe.extract_phase_from_spectrum(a, dead)
-
-    def test_nonuniform_grid_rejected(self):
-        with pytest.raises(ValidationError, match="uniform"):
-            probe.SpectrumTrace(
-                frequencies=np.array([0.0, 1.0, 3.0]),
-                complex_amplitudes=np.zeros(3, dtype=complex),
-            )
+            probe.extract_phase_from_spectrum(a, np.zeros(probe.SPECTRUM_POINTS, dtype=complex))
 
     def test_csv_export(self):
         trace = probe.synthesize_spectrum(0.25)
-        text = trace.csv_text()
-        lines = text.strip().split("\n")
+        lines = probe.spectrum_csv(trace).strip().split("\n")
         assert lines[0] == "frequency_hz,amplitude_re,amplitude_im"
         assert len(lines) == probe.SPECTRUM_POINTS + 1
         freq, re, im = (float(x) for x in lines[1].split(","))
-        assert freq == trace.frequencies[0]
-        assert re == trace.complex_amplitudes[0].real
-        assert im == trace.complex_amplitudes[0].imag
+        assert freq == probe.FREQUENCIES_HZ[0]
+        assert re == trace[0].real
+        assert im == trace[0].imag

@@ -62,9 +62,9 @@ MUTANTS = (
     Mutant(
         "window-floor-dropped",
         "src/molphase/ipea.py",
-        "margin = errbd * 2.0 ** (-n * (k_max - 1)) + PHASE_FLOOR",
-        "margin = errbd * 2.0 ** (-n * (k_max - 1))",
-        "estimate admits ground phases within float64 rounding of the window's edge",
+        "margin = config.phase_error_bound * 2.0 ** (-n * (config.iterations - 1)) + PHASE_FLOOR",
+        "margin = config.phase_error_bound * 2.0 ** (-n * (config.iterations - 1))",
+        "the runs admit ground phases within float64 rounding of the window's edge",
     ),
     Mutant(
         "newton-schulz-dropped",
@@ -111,8 +111,8 @@ MUTANTS = (
     Mutant(
         "guarantee-floor-dropped",
         "src/molphase/ipea.py",
-        "bound = PHASE_FLOOR",
-        "bound = 0.0",
+        "bound = phase_error_bound * 2.0 ** (-n * (len(records) - 1)) + PHASE_FLOOR",
+        "bound = phase_error_bound * 2.0 ** (-n * (len(records) - 1))",
         "guaranteed_bits ignore float64 rounding and can exceed 48",
     ),
     Mutant(
@@ -149,6 +149,27 @@ MUTANTS = (
         "if not isinstance(value, (int, np.integer)) or isinstance(value, bool):",
         "if False:",
         "float and bool counts and seeds pass validation and fail inside the run",
+    ),
+    Mutant(
+        "spectrum-shape-check-dropped",
+        "src/molphase/probe.py",
+        "if a.shape != FREQUENCIES_HZ.shape:",
+        "if False:",
+        "a spectrum of the wrong length is integrated on the fixed grid, and truncated in its CSV",
+    ),
+    Mutant(
+        "early-window-check-dropped",
+        "src/molphase/ipea.py",
+        "require_ground_window(config, spec.ground_energy)",
+        "pass",
+        "run_ipea builds the operator before checking the window, and a huge tau overflows it",
+    ),
+    Mutant(
+        "asp-accepts-both-time-flags",
+        "src/molphase/cli.py",
+        "if (args.scan is None) == (args.total_time is None):",
+        "if args.scan is None and args.total_time is None:",
+        "asp --scan with --total-time runs the scan and silently ignores the total time",
     ),
 )
 
