@@ -282,15 +282,18 @@ def estimate(
     receiver phase of round k. The arithmetic after each coherence's one
     phase readout is real.
 
-    Before the first reading the ground phase must lie in the window of
-    ``require_ground_window``.
+    Before the first reading every |draw| must be at most the bound (so
+    finite), and the ground phase inside ``require_ground_window``.
     """
     k_max = config.iterations
     if not len(coherences) == len(jitter) == k_max:
         raise ValidationError(f"{len(coherences)} coherences and {len(jitter)} draws for {k_max} iterations")
-    require_ground_window(config, oracle_energy)
     n = config.bits_per_iteration
     errbd = config.phase_error_bound
+    for k, draw in enumerate(jitter):
+        if not abs(draw) <= errbd:
+            raise ValidationError(f"iteration {k}: jitter draw {draw!r} outside the phase error bound {errbd!r}")
+    require_ground_window(config, oracle_energy)
     offset = 0.0
     records: list[IterationRecord] = []
     for k, (coherence, draw) in enumerate(zip(coherences, jitter)):
@@ -351,11 +354,11 @@ def reconstruct(records: Sequence[IterationRecord], n: int, phase_error_bound: f
 
 def _leading_bits(distance: float) -> int:
     """Leading binary digits a phase within ``distance`` of the truth gets
-    right: the largest b <= ``MAX_REPORT_BITS`` with distance < 2^-b."""
-    bits = 0
-    while bits < MAX_REPORT_BITS and distance < 2.0 ** -(bits + 1):
-        bits += 1
-    return bits
+    right: the largest b <= ``MAX_REPORT_BITS`` with distance < 2^-b, which
+    is b = -e for the exponent e of distance = m 2^e, m in [0.5, 1)."""
+    if distance <= 0.0:
+        return MAX_REPORT_BITS
+    return min(max(-math.frexp(distance)[1], 0), MAX_REPORT_BITS)
 
 
 def running_estimates(
@@ -366,19 +369,13 @@ def running_estimates(
 
 
 def to_binary(value: float, digits: int) -> str:
-    """Truncated binary expansion of a phase in [0, 1), most significant first."""
+    """Binary expansion of a phase in [0, 1) truncated to floor(value 2^digits), most significant first."""
     if digits < 1:
         raise ValidationError(f"digit count must be >= 1, got {digits}")
     if not 0.0 <= value < 1.0:
         raise ValidationError(f"value must lie in [0, 1), got {value}")
-    bits = []
-    v = value
-    for _ in range(digits):
-        v *= 2.0
-        b = int(v)
-        bits.append("1" if b else "0")
-        v -= b
-    return "".join(bits)
+    p, q = value.as_integer_ratio()
+    return format((p << digits) // q, f"0{digits}b")
 
 
 def energy_from_phase(phase: PhaseEstimate, tau: float, oracle_energy: float) -> EnergyResult:

@@ -13,10 +13,10 @@ its 2x2 rotation along its spin's axis, and no per-event 4x4 gate,
 Kronecker product or eigendecomposition is built.
 The compiler takes every controlled-U through one path: system pulses
 tilt U's rotation axis onto z and back, and one J-coupling delay of at
-most 1/(2J) between probe pi pulses does the controlled half. It
-verifies the result against the exact gate, up to global phase, before
-returning the events; a run evolves them again at its own over-rotation,
-zero included.
+most 1/(2J) between probe pi pulses does the controlled half. It checks
+the realized product against u's blocks (I, u and zeros), up to global
+phase, before returning the events; a run evolves them again at its own
+over-rotation, zero included.
 """
 from __future__ import annotations
 
@@ -109,12 +109,6 @@ def evolve_sequence(events, over_rotation: float = 0.0) -> np.ndarray:
     return u
 
 
-def gate_fidelity(intended: np.ndarray, realized: np.ndarray) -> float:
-    """|Tr(A† B)| / dim = |sum conj(A) B| / dim, insensitive to global phase."""
-    dim = intended.shape[0]
-    return float(abs(np.vdot(intended, realized)) / dim)
-
-
 def _z_rotation_events(spin: str, angle: float) -> list:
     """Rz(angle) on one spin from two pi pulses about transverse axes.
 
@@ -149,15 +143,13 @@ def compile_controlled_u(u) -> PulseSequence:
     the z axis by a system pulse of angle arccos(n_z), exact for an axis at
     +z or -z too; its controlled half is realized by one J-coupling block,
     and the global phase of u becomes a probe z rotation. Raises if the
-    verified fidelity falls below 1 - 1e-9.
+    fidelity, checked against u's blocks, falls below 1 - 1e-9.
     """
-    intended = probe.controlled_u(u)
-    if intended.shape != (4, 4):
-        raise ValidationError(
-            f"pulse compiler targets single-qubit gates, got dim {intended.shape[0] // 2}"
-        )
+    m = qcore.require_unitary(u, name="controlled operator")
+    if m.shape != (2, 2):
+        raise ValidationError(f"pulse compiler targets single-qubit gates, got dim {m.shape[0]}")
 
-    alpha, theta, axis = _su2_factor(intended[2:, 2:])
+    alpha, theta, axis = _su2_factor(m)
     events: list = []
     if theta > 0.0:
         nx, ny, nz = axis
@@ -175,10 +167,11 @@ def compile_controlled_u(u) -> PulseSequence:
         ]
     events += _z_rotation_events("probe", alpha)
 
-    realized = evolve_sequence(events)
-    fidelity = gate_fidelity(intended, realized)
+    r = evolve_sequence(events)
+    # |Tr(G† R)| / 4 for the realized product R and the gate G = diag(I, u)
+    fidelity = float(abs(np.trace(r[:2, :2]) + np.vdot(m, r[2:, 2:])) / 4.0)
     if fidelity < COMPILE_FIDELITY_FLOOR:
-        residual = np.abs(realized - intended).max()
+        residual = max(np.abs(d).max() for d in (r[:2, :2] - np.eye(2), r[:2, 2:], r[2:, :2], r[2:, 2:] - m))
         raise CompilationError(
             f"compiled sequence fidelity {fidelity:.12f} < {COMPILE_FIDELITY_FLOOR}"
             f" (max residual {residual:.3e})"

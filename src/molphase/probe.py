@@ -27,6 +27,7 @@ grid ``FREQUENCIES_HZ``.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -41,8 +42,10 @@ J_COUPLING_HZ = 214.6
 LINE_WIDTH_HZ = 2.0
 SPECTRUM_POINTS = 4096
 SPECTRAL_WIDTH_HZ = 2000.0
-# the ascending, uniform frequency grid (Hz) of every spectrum
-FREQUENCIES_HZ = np.fft.fftshift(np.fft.fftfreq(SPECTRUM_POINTS, d=1.0 / SPECTRAL_WIDTH_HZ))
+# the ascending, uniform frequency grid (Hz) of every spectrum: the bytes of
+# fftshift(fftfreq(SPECTRUM_POINTS, d=1 / SPECTRAL_WIDTH_HZ)), without numpy.fft
+_BIN_HZ = 1.0 / (SPECTRUM_POINTS * (1.0 / SPECTRAL_WIDTH_HZ))
+FREQUENCIES_HZ = (np.arange(SPECTRUM_POINTS) - SPECTRUM_POINTS // 2) * _BIN_HZ
 FREQUENCIES_HZ.flags.writeable = False
 
 
@@ -107,8 +110,10 @@ def probe_coherence(state) -> complex:
 
 
 def coherence_readout(z: complex) -> float:
-    """Phase arg(z) / 2 pi of coherence ``z`` in [0, 1) turns; |z| below
-    ``COHERENCE_TOL`` has none."""
+    """Phase arg(z) / 2 pi of coherence ``z`` in [0, 1) turns; a non-finite
+    z or |z| below ``COHERENCE_TOL`` has none."""
+    if not cmath.isfinite(z):
+        raise ReadoutError(f"probe coherence {z} is not finite; phase undefined")
     if abs(z) < COHERENCE_TOL:
         raise ReadoutError(f"probe coherence {abs(z):.3e} below {COHERENCE_TOL:.1e}; phase undefined")
     return reduce_phase(cmath.phase(z) / (2.0 * math.pi))
@@ -146,12 +151,16 @@ def _line_integral(amplitudes) -> complex:
     return complex(_require_spectrum(amplitudes).sum() * float(FREQUENCIES_HZ[1] - FREQUENCIES_HZ[0]))
 
 
+@functools.cache
+def _frequency_column() -> tuple[str, ...]:
+    return tuple(f"{f:.17g}" for f in FREQUENCIES_HZ.tolist())
+
+
 def spectrum_csv(amplitudes) -> str:
     """A spectrum as CSV: frequency_hz, amplitude_re, amplitude_im."""
-    lines = ["frequency_hz,amplitude_re,amplitude_im"]
-    for f, a in zip(FREQUENCIES_HZ, _require_spectrum(amplitudes)):
-        lines.append(f"{f:.17g},{a.real:.17g},{a.imag:.17g}")
-    return "\n".join(lines) + "\n"
+    a = _require_spectrum(amplitudes)
+    rows = map("{},{:.17g},{:.17g}".format, _frequency_column(), a.real.tolist(), a.imag.tolist())
+    return "frequency_hz,amplitude_re,amplitude_im\n" + "\n".join(rows) + "\n"
 
 
 def synthesize_spectrum(phase_fraction: float) -> np.ndarray:

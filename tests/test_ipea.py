@@ -3,11 +3,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from molphase import ipea, molham, probe, qcore
-from molphase.errors import TauRangeError, ValidationError
+from molphase.errors import ReadoutError, TauRangeError, ValidationError
 
 from conftest import (
     ERRBD_5DEG,
@@ -90,6 +90,12 @@ class TestIterationConfig:
             h2_config(bits_per_iteration=n, iterations=2, phase_error_bound=bound)
         # a single reading is never split into wrapped or not
         h2_config(bits_per_iteration=n, iterations=1, phase_error_bound=bound)
+
+    def test_exactly_at_the_limit_rejected(self):
+        # (2^2 + 2) * (1/6) rounds to exactly 1.0, the single-reading limit
+        assert (2.0**2 + 2.0) * (1.0 / 6.0) == 1.0
+        with pytest.raises(ValidationError, match="inadmissible"):
+            ipea.IterationConfig(1, 1, 1.0 / 6.0)
 
     def test_bit_count_capped_at_float64_precision(self):
         h2_config(bits_per_iteration=4, iterations=13)  # 52 bits: the cap itself
@@ -315,6 +321,33 @@ class TestScalarChainMatchesDenseChain:
         noise = probe.NoiseModel(phase_jitter_bound=ERRBD_5DEG, rng_seed=3)
         records, _, _ = ipea.estimate([0.5] * 6, noise.jitter_draws(6), h2_config(), H2_GROUND_ENERGY)
         assert records[0].measured_phase == noise.jitter_draws(1)[0] % 1.0
+
+    @pytest.mark.parametrize("draw", [0.5, math.nextafter(ERRBD_5DEG, 1.0), -math.inf, math.nan])
+    def test_draw_outside_the_bound_rejected_before_any_reading(self, monkeypatch, draw):
+        # draws of 0.5 under a 5 degree bound returned 18 guaranteed bits, and
+        # a NaN or infinite draw failed in to_binary with the wrong message
+        def no_reading(z):
+            raise AssertionError("read a coherence before the draws were checked")
+
+        monkeypatch.setattr(probe, "coherence_readout", no_reading)
+        draws = [0.0, 0.0, 0.0, draw, 0.0, 0.0]
+        with pytest.raises(ValidationError, match="iteration 3: jitter draw"):
+            ipea.estimate([0.5] * 6, draws, h2_config(), H2_GROUND_ENERGY)
+
+    def test_draws_at_the_bound_accepted(self):
+        for sign in (1.0, -1.0):
+            records, _, _ = ipea.estimate([0.5] * 6, [sign * ERRBD_5DEG] * 6, h2_config(), H2_GROUND_ENERGY)
+            assert len(records) == 6
+
+    @pytest.mark.parametrize(
+        "coherence", [complex(math.nan, 0.0), complex(0.0, math.nan), complex(math.inf, 0.0), complex(-math.inf, 1.0)]
+    )
+    def test_non_finite_coherence_is_a_readout_error(self, coherence):
+        # a NaN coherence failed in to_binary with a ValidationError, and an
+        # infinite one read as phase 0.0
+        coherences = [0.5, 0.5, coherence, 0.5, 0.5, 0.5]
+        with pytest.raises(ReadoutError, match="iteration 2: probe coherence .* not finite"):
+            ipea.estimate(coherences, [0.0] * 6, h2_config(), H2_GROUND_ENERGY)
 
     def test_tiny_negative_reading_reduces_to_zero(self):
         # coherence 0.5 reads 0 turns; -1e-300 % 1.0 rounds up to exactly 1.0
@@ -706,10 +739,69 @@ class TestToBinary:
             assert abs(value - int(bits, 2) * 2.0 ** -len(bits)) < 2.0**-digits
 
     def test_validation(self):
-        with pytest.raises(ValidationError):
-            ipea.to_binary(1.2, 4)
-        with pytest.raises(ValidationError):
+        # 1.0 has no expansion in [0, 1); its 3 digits would read "1000"
+        for value in (1.0, 1.2, -0.5, math.nan, math.inf):
+            with pytest.raises(ValidationError, match="value must lie in"):
+                ipea.to_binary(value, 3)
+        with pytest.raises(ValidationError, match="digit count"):
             ipea.to_binary(0.5, 0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(min_value=0.0, max_value=1.0, exclude_max=True), st.integers(1, 1200))
+    @example(0.0, 1100)
+    @example(5e-324, 1100)
+    @example(5e-324, 1073)
+    @example(2.2250738585072014e-308, 1100)
+    @example(math.nextafter(1.0, 0.0), 1100)
+    @example(H2_PHASE, 1200)
+    def test_equals_the_doubling_loop(self, value, digits):
+        assert ipea.to_binary(value, digits) == to_binary_loop(value, digits)
+
+
+def to_binary_loop(value, digits):
+    """The digit-by-digit expansion ``to_binary`` replaced: each doubling and
+    each subtraction of the integer part is exact in float64."""
+    bits = []
+    v = value
+    for _ in range(digits):
+        v *= 2.0
+        b = int(v)
+        bits.append("1" if b else "0")
+        v -= b
+    return "".join(bits)
+
+
+def leading_bits_loop(distance):
+    """The bit-by-bit count ``_leading_bits`` replaced."""
+    bits = 0
+    while bits < ipea.MAX_REPORT_BITS and distance < 2.0 ** -(bits + 1):
+        bits += 1
+    return bits
+
+
+class TestLeadingBits:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(
+            st.floats(min_value=0.0),
+            st.floats(allow_nan=True, allow_infinity=True),
+            st.integers(-1074, 1023).map(lambda e: math.ldexp(1.0, e)),
+        )
+    )
+    @example(0.0)
+    @example(-0.0)
+    @example(5e-324)
+    @example(math.inf)
+    @example(math.nan)
+    def test_equals_the_counting_loop(self, distance):
+        assert ipea._leading_bits(distance) == leading_bits_loop(distance)
+
+    def test_every_power_of_two_and_its_neighbours(self):
+        # distance 2^-b holds b - 1 bits, the float just below it b
+        for e in range(-1074, 3):
+            power = math.ldexp(1.0, e)
+            for distance in (math.nextafter(power, 0.0), power, math.nextafter(power, math.inf)):
+                assert ipea._leading_bits(distance) == leading_bits_loop(distance), distance
 
 
 class TestEnergyFromPhase:
@@ -752,8 +844,13 @@ class TestPrecisionReport:
 
     def test_oracle_validation(self):
         estimate = ipea.reconstruct([ipea.IterationRecord(0, 0.25, 0.25, 1)], 3, 0.0)
-        with pytest.raises(ValidationError):
-            ipea.precision_report(estimate, 1.5)
+        for oracle in (1.5, 1.0, -0.25):
+            with pytest.raises(ValidationError, match="oracle phase"):
+                ipea.precision_report(estimate, oracle)
+
+    def test_oracle_phase_zero_accepted(self):
+        estimate = ipea.reconstruct([ipea.IterationRecord(0, 0.25, 0.25, 1)], 3, 0.0)
+        assert ipea.precision_report(estimate, 0.0) == 1
 
 
 class TestPreparedState:
@@ -802,8 +899,6 @@ class TestPreparedState:
             ipea.run_ipea(h, h2_config(tau=0.5))
 
     def test_readout_error_carries_iteration_index(self, h2):
-        from molphase.errors import ReadoutError
-
         with pytest.raises(ReadoutError, match="iteration 0"):
             ipea.estimate([0j] * 6, [0.0] * 6, h2_config(), H2_GROUND_ENERGY)
 

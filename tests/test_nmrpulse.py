@@ -185,8 +185,38 @@ class TestCompileControlledU:
         rng = np.random.default_rng(47)
         u = random_unitary(rng)
         seq = nmrpulse.compile_controlled_u(u)
-        recomputed = nmrpulse.gate_fidelity(probe.controlled_u(u), nmrpulse.evolve_sequence(seq.events))
+        # |Tr(G† R)| / 4 over the whole 4x4 gate G
+        recomputed = abs(np.vdot(probe.controlled_u(u), nmrpulse.evolve_sequence(seq.events))) / 4.0
         assert abs(seq.achieved_fidelity - recomputed) <= 1e-12
+
+    def test_block_fidelity_equals_the_gate_overlap(self):
+        # the check on u's blocks reads the 4x4 overlap to within rounding
+        rng = np.random.default_rng(53)
+        for _ in range(1000):
+            u = random_unitary(rng)
+            seq = nmrpulse.compile_controlled_u(u)
+            overlap = abs(np.vdot(probe.controlled_u(u), nmrpulse.evolve_sequence(seq.events))) / 4.0
+            assert abs(seq.achieved_fidelity - overlap) <= 1e-15
+
+    def test_builds_no_controlled_gate(self, monkeypatch):
+        def no_gate(u):
+            raise AssertionError("built the 4x4 controlled gate")
+
+        monkeypatch.setattr(probe, "controlled_u", no_gate)
+        seq = nmrpulse.compile_controlled_u(random_unitary(np.random.default_rng(59)))
+        assert seq.achieved_fidelity >= nmrpulse.COMPILE_FIDELITY_FLOOR
+
+    @pytest.mark.parametrize("dim", [1, 4, 8])
+    def test_rejects_gates_on_other_dimensions(self, dim):
+        with pytest.raises(ValidationError, match=f"targets single-qubit gates, got dim {dim}"):
+            nmrpulse.compile_controlled_u(np.eye(dim))
+
+    def test_failed_check_names_the_largest_block_deviation(self, monkeypatch):
+        # a sequence that realized the identity instead of controlled-sx:
+        # fidelity |2 + 0| / 4, and R[2:, 2:] - sx deviates by 1
+        monkeypatch.setattr(nmrpulse, "evolve_sequence", lambda events: np.eye(4, dtype=complex))
+        with pytest.raises(CompilationError, match=r"fidelity 0\.500000000000 .*max residual 1\.000e\+00"):
+            nmrpulse.compile_controlled_u(qcore.SIGMA_X)
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     @pytest.mark.parametrize("off_z", NEAR_Z_ANGLES)

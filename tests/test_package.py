@@ -1,6 +1,12 @@
 """The flat ``molphase`` namespace: the README example's names, the
-submodules, and the functions the benchmark's tracer wraps."""
+submodules, each module's public names, and the functions the benchmark's
+tracer wraps."""
+import importlib
 import importlib.util
+import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import molphase as mp
@@ -17,6 +23,74 @@ def test_readme_names_and_submodules_resolve():
         assert hasattr(mp, name), name
     for name in modules:
         assert getattr(mp, name).__name__ == f"molphase.{name}"
+
+
+# Each module's public surface: for the package the names it re-exports, for
+# a submodule the names it defines. A deletion or an addition shows here.
+PUBLIC_NAMES = {
+    "molphase": ["IterationConfig", "NoiseModel", "build_h2", "choose_tau", "run_ipea"],
+    "molphase.asp": [
+        "ASPResult", "AdiabaticSchedule", "MAX_POINTS", "interpolated_hamiltonian", "run_asp",
+        "scan_total_time", "trotter_step",
+    ],
+    "molphase.cli": [
+        "build_parser", "cmd_asp", "cmd_eig", "cmd_ipea", "cmd_noise_sweep", "cmd_spectra",
+        "fit_growth_ratio", "load_source", "main", "parse_angle", "resolve_tau",
+    ],
+    "molphase.errors": [
+        "CompilationError", "ComputationError", "DegeneracyError", "MolphaseError", "ParseError",
+        "ReadoutError", "TauRangeError", "ValidationError",
+    ],
+    "molphase.ipea": [
+        "EnergyResult", "IpeaResult", "IterationConfig", "IterationRecord", "MAX_REPORT_BITS",
+        "PHASE_FLOOR", "PREP_OVERLAP_FLOOR", "PREP_OVERLAP_WARN", "PhaseEstimate", "clip_phase",
+        "energy_from_phase", "energy_phase", "estimate", "is_wrapped", "iteration_phase_errors",
+        "next_operator", "oracle_phase", "phase_distance", "precision_report", "reconstruct",
+        "reference_chain_phases", "require_ground_window", "run_ipea", "running_estimates",
+        "to_binary", "trace_csv",
+    ],
+    "molphase.molham": [
+        "GAP_TOL", "H2_MATRIX", "MolecularHamiltonian", "build_h2", "choose_tau", "load_hamiltonian",
+        "spectrum",
+    ],
+    "molphase.nmrpulse": [
+        "COMPILE_FIDELITY_FLOOR", "DelayEvent", "PulseEvent", "PulseSequence", "SPINS",
+        "compile_controlled_u", "evolve_sequence", "run_pulse_backend", "transverse_rotation",
+    ],
+    "molphase.probe": [
+        "COHERENCE_TOL", "FREQUENCIES_HZ", "J_COUPLING_HZ", "LINE_WIDTH_HZ", "NoiseModel",
+        "SPECTRAL_WIDTH_HZ", "SPECTRUM_POINTS", "coherence_readout", "controlled_u",
+        "extract_phase_from_spectrum", "ideal_readout", "noisy_readout", "perturbed_hamiltonian",
+        "probe_coherence", "reduce_phase", "spectrum_csv", "synthesize_spectrum",
+    ],
+    "molphase.qcore": [
+        "EIG_CACHE_SIZE", "EigenDecomposition", "HERMITIAN_TOL", "KET_MINUS", "KET_PLUS", "MAX_DIM",
+        "SIGMA_X", "SIGMA_Z", "STATE_NORM_TOL", "UNITARY_TOL", "as_complex_matrix", "expm_herm",
+        "hermitian_eig", "power_chain", "require_hermitian", "require_integer", "require_pure_state",
+        "require_unitary",
+    ],
+}
+
+
+def test_public_names_are_pinned():
+    for name, expected in PUBLIC_NAMES.items():
+        module = importlib.import_module(name)
+        public = sorted(
+            n
+            for n, v in vars(module).items()
+            if not n.startswith("_")
+            and not inspect.ismodule(v)
+            and (module is mp or getattr(v, "__module__", name) == name)
+        )
+        assert public == expected, name
+
+
+def test_import_does_not_load_numpy_fft():
+    # only synthesize_spectrum transforms; the grid is written out in closed form
+    env = dict(os.environ, PYTHONPATH=str(Path(mp.__file__).resolve().parent.parent))
+    code = "import sys, molphase; print('numpy.fft' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_benchmark_tracer_names_are_package_callables():

@@ -107,6 +107,14 @@ class TestIdealReadout:
         # -1e-300 / 2pi % 1.0 rounds up to exactly 1.0, outside [0, 1)
         assert probe.coherence_readout(complex(1.0, -1e-300)) == 0.0
 
+    @pytest.mark.parametrize(
+        "z", [complex(math.nan, 0.0), complex(0.5, math.nan), complex(math.inf, 0.0), complex(math.inf, math.inf)]
+    )
+    def test_non_finite_coherence_has_no_phase(self, z):
+        # NaN read as phase NaN, an infinite real part as phase 0.0
+        with pytest.raises(ReadoutError, match="not finite"):
+            probe.coherence_readout(z)
+
 
 # jitter_draws(6) at bound 5/360, frozen by value: a given seed keeps its draws
 PINNED_DRAWS = {
@@ -242,7 +250,8 @@ def line_integral(amplitudes):
 class TestSpectra:
     def test_grid_is_fixed_and_read_only(self):
         grid = np.fft.fftshift(np.fft.fftfreq(probe.SPECTRUM_POINTS, d=1.0 / probe.SPECTRAL_WIDTH_HZ))
-        np.testing.assert_array_equal(probe.FREQUENCIES_HZ, grid)
+        assert probe.FREQUENCIES_HZ.tobytes() == grid.tobytes()
+        assert probe.FREQUENCIES_HZ.dtype == np.float64
         assert not probe.FREQUENCIES_HZ.flags.writeable
         assert probe.synthesize_spectrum(0.1).shape == (probe.SPECTRUM_POINTS,)
 
@@ -311,3 +320,9 @@ class TestSpectra:
         assert freq == probe.FREQUENCIES_HZ[0]
         assert re == trace[0].real
         assert im == trace[0].imag
+
+    def test_csv_equals_per_row_formatting(self):
+        trace = probe.synthesize_spectrum(0.37)
+        trace[:4] = [complex(-0.0, 0.0), complex(math.nan, -math.inf), 1e-300j, 5e-324]
+        rows = [f"{f:.17g},{a.real:.17g},{a.imag:.17g}" for f, a in zip(probe.FREQUENCIES_HZ, trace)]
+        assert probe.spectrum_csv(trace) == "frequency_hz,amplitude_re,amplitude_im\n" + "\n".join(rows) + "\n"

@@ -90,8 +90,8 @@ MUTANTS = (
     Mutant(
         "leading-bits-le",
         "src/molphase/ipea.py",
-        "distance < 2.0 ** -(bits + 1)",
-        "distance <= 2.0 ** -(bits + 1)",
+        "return min(max(-math.frexp(distance)[1], 0), MAX_REPORT_BITS)",
+        "return min(max(-math.frexp(math.nextafter(distance, 0.0))[1], 0), MAX_REPORT_BITS)",
         "guaranteed_bits counts a digit whose bound only reaches 2^-b",
     ),
     Mutant(
@@ -170,6 +170,20 @@ MUTANTS = (
         "if (args.scan is None) == (args.total_time is None):",
         "if args.scan is None and args.total_time is None:",
         "asp --scan with --total-time runs the scan and silently ignores the total time",
+    ),
+    Mutant(
+        "draw-bound-check-dropped",
+        "src/molphase/ipea.py",
+        "if not abs(draw) <= errbd:",
+        "if False:",
+        "estimate reads draws past the bound, and NaN or infinite ones, as valid jitter",
+    ),
+    Mutant(
+        "non-finite-coherence-read",
+        "src/molphase/probe.py",
+        "if not cmath.isfinite(z):",
+        "if False:",
+        "a NaN coherence reads as phase NaN and an infinite one as phase 0.0",
     ),
 )
 
