@@ -10,9 +10,10 @@ and its ``--seed``; ``asp`` adds ``--steps``, ``--total-time`` and
 
 Angles accept a ``deg`` suffix (``5deg`` = 5/360 of a turn); bare numbers
 are fractions of a turn. Every input is checked before the first probe
-reading and no output file is written until a command has fully
-succeeded, so a given configuration and seed always produce
-byte-identical outputs.
+reading (an ``--out`` that is, or lies below, an existing file before
+anything else; documents are read as UTF-8) and no output file is written
+until a command has fully succeeded, so a given configuration and seed
+always produce byte-identical outputs.
 
 Exit codes: 0 success, 1 computation failure, 2 configuration or
 validation failure, including a tau at which the phase cannot name the
@@ -28,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import asp, ipea, molham, probe, qcore
-from .errors import MolphaseError, ValidationError
+from .errors import MolphaseError, ParseError, ValidationError
 
 
 def parse_angle(text: str) -> float:
@@ -49,7 +50,20 @@ def load_source(source: str) -> molham.MolecularHamiltonian:
     path = Path(source)
     if not path.is_file():
         raise ValidationError(f"Hamiltonian document not found: {source}")
-    return molham.load_hamiltonian(path.read_text())
+    try:
+        document = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"Hamiltonian document {source} is not UTF-8: byte {exc.start}: {exc.reason}") from None
+    return molham.load_hamiltonian(document)
+
+
+def _require_out_dir(out: str) -> None:
+    """Reject an --out that names, or lies below, an existing non-directory."""
+    for path in (Path(out), *Path(out).parents):
+        if path.exists():
+            if not path.is_dir():
+                raise ValidationError(f"--out {out}: {path} exists and is not a directory")
+            return
 
 
 def resolve_tau(text: str, h: molham.MolecularHamiltonian) -> float:
@@ -281,6 +295,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _require_out_dir(args.out)
         return args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -17,6 +17,13 @@ on a 2x2 system, a coherent perturbation eps sz of the Hamiltonian whose
 effect on the evolution operator compounds under powering. A run takes
 its jitter as data, one seeded stream's draws
 (``NoiseModel.jitter_draws``); ``NoiseModel()`` is the noiseless channel.
+The stream is molphase's own, written out here so that drawing loads no
+``numpy.random``: SeedSequence's hash of the seed into four 64-bit words,
+PCG64 (a 128-bit LCG with XSL-RR output, O'Neill 2014) seeded by them, and
+low + (high - low) * (x >> 11) 2^-53 per output x. Today it equals numpy's
+``default_rng(seed).uniform`` bit for bit; NumPy's NEP 19 fixes the bit
+generator's stream but not ``uniform``, so the definition here is the one
+of record.
 
 The probe and system spins of the NMR sample are coupled by
 (pi J / 2) sz x sz with J = ``J_COUPLING_HZ``, so the probe's spectrum is
@@ -64,18 +71,77 @@ class NoiseModel:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if not (math.isfinite(self.phase_jitter_bound) and self.phase_jitter_bound >= 0):
-            raise ValidationError(f"jitter bound must be finite and >= 0, got {self.phase_jitter_bound}")
+        # the draws span 2 * bound, which must be finite too
+        if not (math.isfinite(2.0 * self.phase_jitter_bound) and self.phase_jitter_bound >= 0):
+            raise ValidationError(f"jitter bound must be >= 0 with 2 * bound finite, got {self.phase_jitter_bound}")
         if not (math.isfinite(self.coherent_epsilon) and self.coherent_epsilon >= 0):
             raise ValidationError(f"coherent epsilon must be finite and >= 0, got {self.coherent_epsilon}")
         qcore.require_integer("rng seed", self.rng_seed, 0)
 
     def jitter_draws(self, count: int) -> list[float]:
-        """``count`` uniform draws on [-bound, bound) from the stream seeded by
-        ``rng_seed``. At bound zero every draw is -0.0 + 0.0 * u, which is +0.0;
-        a bound of -0.0 is valid, but numpy rejects its high - low of -0.0."""
-        bound = abs(self.phase_jitter_bound)
-        return np.random.default_rng(self.rng_seed).uniform(-bound, bound, size=count).tolist()
+        """The first ``count`` draws on [-bound, bound) of the stream seeded by
+        ``rng_seed`` (SeedSequence, PCG64, uniform; see the module docstring),
+        equal to ``numpy.random.default_rng(rng_seed).uniform(-bound, bound,
+        count)``. At bound zero every draw is -0.0 + 0.0 * u, and at bound
+        -0.0 it is 0.0 + -0.0 * u: both are +0.0."""
+        qcore.require_integer("draw count", count, 0)
+        bound = self.phase_jitter_bound
+        return _uniform_draws(int(self.rng_seed), -bound, bound, count)
+
+
+_MASK32 = 0xFFFFFFFF
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_PCG_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _seed_state(seed: int) -> list[int]:
+    """``SeedSequence(seed).generate_state(4, uint64)``: the seed's 32-bit
+    words, low first, mixed into a pool of four, then hashed out as eight
+    words read in little-endian pairs."""
+    key, multiplier = 0x43B0D7E5, 0x931E8875
+
+    def hashmix(value: int) -> int:
+        nonlocal key
+        value ^= key
+        key = key * multiplier & _MASK32
+        value = value * key & _MASK32
+        return value ^ value >> 16
+
+    def mix_into(dst: int, value: int) -> None:
+        mixed = (0xCA01F9DD * pool[dst] - 0x4973F715 * hashmix(value)) & _MASK32
+        pool[dst] = mixed ^ mixed >> 16
+
+    words = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    pool = [hashmix(word) for word in (words + [0, 0, 0])[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                mix_into(dst, pool[src])
+    for word in words[4:]:
+        for dst in range(4):
+            mix_into(dst, word)
+    key, multiplier = 0x8B51F9DD, 0x58F38DED
+    out = [hashmix(word) for word in pool + pool]
+    return [out[i] | out[i + 1] << 32 for i in range(0, 8, 2)]
+
+
+def _uniform_draws(seed: int, low: float, high: float, count: int) -> list[float]:
+    """``count`` successive draws low + (high - low) u of PCG64 seeded from
+    ``seed``, with u the top 53 bits of each 64-bit output times 2^-53."""
+    s0, s1, i0, i1 = _seed_state(seed)
+    inc = ((i0 << 64 | i1) << 1 | 1) & _MASK128
+    # pcg64 srandom: step from state 0, add the initial state, step again
+    state = ((inc + (s0 << 64 | s1)) * _PCG_MULTIPLIER + inc) & _MASK128
+    span = high - low
+    draws = []
+    for _ in range(count):
+        state = (state * _PCG_MULTIPLIER + inc) & _MASK128
+        rot = state >> 122
+        x = (state >> 64 ^ state) & _MASK64
+        x = (x >> rot | x << (64 - rot)) & _MASK64
+        draws.append(low + span * ((x >> 11) * 2.0**-53))
+    return draws
 
 
 def reduce_phase(x: float) -> float:

@@ -51,6 +51,16 @@ class TestEig:
     def test_missing_document_exits_2(self, tmp_path, capsys):
         assert cli.main(["eig", "--hamiltonian", str(tmp_path / "nope.json")]) == 2
 
+    @pytest.mark.parametrize("prefix", [b"\xff\xfe", b"\x80"])
+    def test_non_utf8_document_exits_2_without_output(self, tmp_path, capsys, prefix):
+        # a UTF-16 byte-order mark or a stray byte raised UnicodeDecodeError (exit 1)
+        doc = tmp_path / "bad.json"
+        doc.write_bytes(prefix + b'{"dim": 2}')
+        out = tmp_path / "out"
+        assert cli.main(["eig", "--hamiltonian", str(doc), "--out", str(out)]) == 2
+        assert "not UTF-8" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestIpeaCommand:
     def test_defaults_noiseless(self, tmp_path, capsys):
@@ -456,6 +466,32 @@ class TestFlags:
                 parser.parse_args(argv)
             assert exc.value.code == 2
             assert "unrecognized arguments" in capsys.readouterr().err
+
+
+class TestOutDirectory:
+    @pytest.mark.parametrize("command", ["eig", "ipea", "asp", "noise-sweep", "spectra"])
+    @pytest.mark.parametrize("below", [False, True])
+    def test_existing_file_exits_2_before_any_work(self, tmp_path, capsys, monkeypatch, command, below):
+        # a file raised FileExistsError, and a path below one NotADirectoryError,
+        # only when the finished run wrote its outputs
+        target = tmp_path / "taken"
+        target.write_text("kept\n")
+        out = target / "sub" if below else target
+
+        def load_source(source):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(cli, "load_source", load_source)
+        argv = [command, "--out", str(out)] + (["--total-time", "9.5"] if command == "asp" else [])
+        assert cli.main(argv) == 2
+        assert "is not a directory" in capsys.readouterr().err
+        assert target.read_text() == "kept\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+
+    def test_new_nested_directory_is_made(self, tmp_path):
+        out = tmp_path / "a" / "b"
+        assert cli.main(["eig", "--out", str(out)]) == 0
+        assert (out / "eig_report.json").is_file()
 
 
 class TestGeneralHamiltonianDocuments:

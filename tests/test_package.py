@@ -9,6 +9,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import molphase as mp
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -91,6 +93,32 @@ def test_import_does_not_load_numpy_fft():
     code = "import sys, molphase; print('numpy.fft' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+JITTERED_RUN = (
+    "import molphase as mp; h = mp.build_h2();"
+    " mp.run_ipea(h, mp.IterationConfig(tau=mp.choose_tau(h)), noise=mp.NoiseModel(5 / 360, rng_seed=7))"
+)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["-c", JITTERED_RUN],
+        ["-m", "molphase.cli", "ipea", "--jitter", "5deg", "--seed", "7", "--out"],
+        ["-m", "molphase.cli", "spectra", "--jitter", "5deg", "--seed", "7", "--out"],
+    ],
+    ids=["run_ipea", "cli-ipea", "cli-spectra"],
+)
+def test_jittered_run_does_not_load_numpy_random(args, tmp_path):
+    # the jitter stream is drawn in pure Python; numpy.random would pull in
+    # secrets, hashlib and OpenSSL. -X importtime lists every import on stderr.
+    env = dict(os.environ, PYTHONPATH=str(Path(mp.__file__).resolve().parent.parent))
+    argv = [sys.executable, "-X", "importtime", *args] + ([str(tmp_path)] if args[-1] == "--out" else [])
+    out = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
+    imported = [line.rsplit("|", 1)[-1].strip() for line in out.stderr.splitlines() if line.startswith("import time:")]
+    assert "numpy" in imported
+    assert not [name for name in imported if name.startswith("numpy.random")]
 
 
 def test_benchmark_tracer_names_are_package_callables():

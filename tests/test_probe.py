@@ -175,6 +175,29 @@ class TestNoisyReadout:
         draws = probe.NoiseModel(phase_jitter_bound=ERRBD_5DEG, rng_seed=seed).jitter_draws(6)
         assert [d.hex() for d in draws] == PINNED_DRAWS[seed]
 
+    @pytest.mark.parametrize("bound", [0.0, 5.0 / 360.0, 0.1, 1e-300])
+    def test_stream_equals_numpy_default_rng(self, bound):
+        # the stream is molphase's own; today it is numpy's SeedSequence ->
+        # PCG64 -> uniform bit for bit, multi-word seeds included
+        seeds = [*range(3000), 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**100 + 3, np.int64(7), np.uint64(2**64 - 1)]
+        for seed in seeds:
+            noise = probe.NoiseModel(phase_jitter_bound=bound, rng_seed=seed)
+            for count in (0, 1, 6, 52):
+                expected = np.random.default_rng(seed).uniform(-bound, bound, count).tolist()
+                assert [d.hex() for d in noise.jitter_draws(count)] == [d.hex() for d in expected], (seed, count)
+
+    @pytest.mark.parametrize("count", [-1, 1.0, True, "6", None, np.float64(6.0)])
+    def test_count_must_be_a_non_negative_integer(self, count):
+        # a negative count drew nothing where numpy raised
+        with pytest.raises(ValidationError, match="draw count"):
+            probe.NoiseModel(phase_jitter_bound=0.01).jitter_draws(count)
+
+    @pytest.mark.parametrize("count", [np.int64(6), np.uint8(6)])
+    def test_numpy_integer_counts_accepted(self, count):
+        assert probe.NoiseModel(phase_jitter_bound=0.01).jitter_draws(count) == (
+            probe.NoiseModel(phase_jitter_bound=0.01).jitter_draws(6)
+        )
+
     @pytest.mark.parametrize("seed", [0, 7, 123])
     def test_jitter_draws_are_successive_draws_of_one_stream(self, seed):
         # the batched draw equals k scalar draws from one stream
@@ -197,6 +220,7 @@ class TestNoiseModelValidation:
         [
             dict(phase_jitter_bound=np.nan),
             dict(phase_jitter_bound=np.inf),
+            dict(phase_jitter_bound=1e308),  # drew inf: its span 2e308 overflows
             dict(coherent_epsilon=np.nan),
             dict(coherent_epsilon=np.inf),
         ],

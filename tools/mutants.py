@@ -185,6 +185,27 @@ MUTANTS = (
         "if False:",
         "a NaN coherence reads as phase NaN and an infinite one as phase 0.0",
     ),
+    Mutant(
+        "pcg-increment-even",
+        "src/molphase/probe.py",
+        "inc = ((i0 << 64 | i1) << 1 | 1) & _MASK128",
+        "inc = ((i0 << 64 | i1) << 1) & _MASK128",
+        "the PCG64 increment can be even, and the jitter stream leaves numpy's",
+    ),
+    Mutant(
+        "xsl-rr-rotation-from-bit-121",
+        "src/molphase/probe.py",
+        "rot = state >> 122",
+        "rot = state >> 121",
+        "the XSL-RR output rotates by the wrong bits of the state",
+    ),
+    Mutant(
+        "seed-xorshift-15",
+        "src/molphase/probe.py",
+        "return value ^ value >> 16",
+        "return value ^ value >> 15",
+        "the seed hash shifts by 15, so every seed maps to another stream",
+    ),
 )
 
 
