@@ -166,8 +166,9 @@ def cmd_asp(args) -> int:
         intervals = (stop - start) / step + 1e-9
         if intervals >= asp.MAX_POINTS:
             raise ValidationError(f"scan {args.scan!r} has more than {asp.MAX_POINTS} points")
-        # np.arange's own points, with its stop half a step past the last one
-        grid = np.arange(start, start + (int(intervals) + 0.5) * step, step)
+        # np.arange's own points, with its stop half a step past the last one,
+        # or at the largest float where that half step overflows
+        grid = np.arange(start, min(start + (int(intervals) + 0.5) * step, sys.float_info.max), step)
     else:
         grid = np.array([args.total_time])
     pairs = asp.scan_total_time(h, args.steps, grid)

@@ -238,8 +238,6 @@ def run_ipea(
         )
     spec = molham.spectrum(h)
     require_ground_window(config, spec.ground_energy)
-    if 2 * h.dim > qcore.MAX_DIM:
-        raise ValidationError(f"system dimension {h.dim} too large for the probe register")
     if prep is None:
         # the kept decomposition's own eigenvector is normalized and has
         # ground overlap 1; only its size is checked

@@ -108,6 +108,10 @@ def load_hamiltonian(document: str) -> MolecularHamiltonian:
         doc = json.loads(document)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except (RecursionError, ValueError) as exc:
+        # nesting past the parser's recursion limit, or an integer past
+        # Python's digit limit for int()
+        raise ParseError(f"unreadable JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ParseError(f"document root must be an object, got {type(doc).__name__}")
 
@@ -146,5 +150,8 @@ def _parse_rows(doc: dict, key: str, dim: int, required: bool) -> np.ndarray:
         for j, x in enumerate(row):
             if not isinstance(x, (int, float)) or isinstance(x, bool):
                 raise ParseError(f"field {key!r} entry [{i}][{j}] is not a number: {x!r}")
-    return np.array(rows, dtype=float)
+    try:
+        return np.array(rows, dtype=float)
+    except OverflowError:
+        raise ParseError(f"field {key!r} has an integer entry beyond float range") from None
 

@@ -62,6 +62,19 @@ class TestEig:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize(
+        "text", ['{"dim": 1, "matrix_re": [[1' + "0" * 400 + "]]}", "[" * 100000], ids=["huge-integer", "deep-nesting"]
+    )
+    def test_unreadable_document_exits_2_without_output(self, tmp_path, capsys, text):
+        # an integer past float range, and deep nesting, were tracebacks (exit 1)
+        doc = tmp_path / "bad.json"
+        doc.write_text(text)
+        out = tmp_path / "out"
+        assert cli.main(["eig", "--hamiltonian", str(doc), "--out", str(out)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestIpeaCommand:
     def test_defaults_noiseless(self, tmp_path, capsys):
         assert cli.main(["ipea", "--out", str(tmp_path)]) == 0
@@ -310,6 +323,20 @@ class TestAspCommand:
         assert cli.main(["asp", "--scan", "0.1:0.3:0.1", "--out", str(tmp_path)]) == 0
         _, rows = read_csv(tmp_path / "asp_scan.csv")
         assert [float(r[0]) for r in rows] == list(np.arange(0.1, 0.3 + 1e-12, 0.1)) == [0.1, 0.2, 0.30000000000000004]
+
+    @pytest.mark.parametrize(
+        "scan, points",
+        [
+            # arange's stop, start + 1.5 step, overflowed to inf: numpy's
+            # ValueError "Maximum allowed size exceeded" (exit 1)
+            ("1.79e308:1.79e308:1e308", [1.79e308]),
+            ("1.5e308:1.7e308:0.2e308", [1.5e308, 1.5e308 + 0.2e308]),
+        ],
+    )
+    def test_scan_near_the_largest_float_runs(self, tmp_path, scan, points):
+        assert cli.main(["asp", "--scan", scan, "--out", str(tmp_path)]) == 0
+        _, rows = read_csv(tmp_path / "asp_scan.csv")
+        assert [float(r[0]) for r in rows] == points
 
     @pytest.mark.parametrize(
         "args", [["--scan", "1:inf:0.5"], ["--scan", "nan:3:0.5"], ["--scan", "1:3:nan"], ["--total-time", "inf"]]

@@ -20,6 +20,7 @@ from conftest import (
     MATRIX_4X4,
     TAU_4X4,
     random_negative_hamiltonian,
+    random_unitary,
 )
 
 # 25-digit first-round readout from the reference hardware run, used as a
@@ -893,10 +894,18 @@ class TestPreparedState:
         with pytest.raises(ValidationError, match="dimension 1"):
             ipea.run_ipea(h, h2_config(tau=0.5))
 
-    def test_system_dimension_capped_by_probe_register(self):
-        h = molham.MolecularHamiltonian(np.diag(np.arange(-8.0, 0.0)), label="d8")
-        with pytest.raises(ValidationError, match="too large"):
-            ipea.run_ipea(h, h2_config(tau=0.5))
+    @pytest.mark.parametrize("dim", [5, 8])
+    def test_systems_past_4x4_run_within_the_contracted_bound(self, dim):
+        # the eigenbasis engine builds no probe register, so a 5..8-dimensional
+        # system runs like a 2x2 one (it was rejected as too large)
+        rng = np.random.default_rng(dim)
+        for seed in range(20):
+            energies = -rng.uniform(0.2, 2.0, dim)
+            v = random_unitary(rng, dim)
+            h = molham.MolecularHamiltonian((v * energies) @ v.conj().T, label=f"d{dim}")
+            noise = probe.NoiseModel(phase_jitter_bound=ERRBD_5DEG, rng_seed=seed)
+            _, phase, _ = ipea.run_ipea(h, h2_config(tau=2.0), noise=noise)
+            assert ipea.phase_distance(phase.value, ipea.oracle_phase(h, 2.0)) <= JITTER_FINAL_BOUND + 1e-12
 
     def test_readout_error_carries_iteration_index(self, h2):
         with pytest.raises(ReadoutError, match="iteration 0"):

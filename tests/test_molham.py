@@ -160,6 +160,22 @@ class TestLoadHamiltonian:
         with pytest.raises(ParseError, match=r"\[0\]\[1\]"):
             molham.load_hamiltonian('{"dim": 2, "matrix_re": [[0.0, "x"], [1.0, 0.0]]}')
 
+    @pytest.mark.parametrize(
+        "document, message",
+        [
+            # np.array(rows, dtype=float) raised OverflowError (exit 1)
+            ('{"dim": 1, "matrix_re": [[1' + "0" * 400 + "]]}", "'matrix_re' has an integer entry beyond float range"),
+            ('{"dim": 1, "matrix_re": [[0]], "matrix_im": [[-1' + "0" * 400 + "]]}", "'matrix_im'"),
+            # json.loads raised RecursionError, and ValueError past int()'s digit limit
+            ('{"dim": 1, "matrix_re": ' + "[" * 100000 + "]" * 100000 + "}", "unreadable JSON"),
+            ('{"dim": 1, "matrix_re": [[1' + "0" * 5000 + "]]}", "unreadable JSON"),
+        ],
+        ids=["huge-integer", "huge-imaginary-integer", "deep-nesting", "integer-past-digit-limit"],
+    )
+    def test_unreadable_numbers_and_nesting_raise_parse_error(self, document, message):
+        with pytest.raises(ParseError, match=message):
+            molham.load_hamiltonian(document)
+
     def test_bad_metadata(self):
         doc = '{"dim": 1, "matrix_re": [[0.0]], "metadata": {"a": 1}}'
         with pytest.raises(ParseError, match="metadata"):

@@ -5,6 +5,7 @@ import importlib
 import importlib.util
 import inspect
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,6 +17,8 @@ import molphase as mp
 ROOT = Path(__file__).resolve().parent.parent
 SPANS = ROOT / "bench" / "spans.py"
 MUTANTS = ROOT / "tools" / "mutants.py"
+README = ROOT / "README.md"
+WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
 
 
 def test_readme_names_and_submodules_resolve():
@@ -142,3 +145,20 @@ def test_mutant_old_texts_occur_once():
     for m in mutants.MUTANTS:
         assert (ROOT / m.path).read_text().count(m.old) == 1, m.name
         assert m.new != m.old, m.name
+
+
+def test_readme_is_the_one_list_of_commands_and_demos():
+    # tools/outputs.sh runs README's `molphase ...` and `python demos/...`
+    # lines, and CI calls that script, so the workflow names neither
+    subcommands = ["eig", "ipea", "asp", "noise-sweep", "spectra"]
+    lines = README.read_text().splitlines()
+    commands = [i for i, line in enumerate(lines) if line.startswith("molphase ")]
+    assert [lines[i].split()[1] for i in commands] == subcommands
+    opening = lines.index("```", lines.index("## Command line"))
+    assert all(opening < i < lines.index("```", opening + 1) for i in commands)
+    demos = sorted(line.split()[1] for line in lines if line.startswith("python demos/"))
+    assert demos == sorted(f"demos/{path.name}" for path in (ROOT / "demos").glob("*.py"))
+    workflow = WORKFLOW.read_text()
+    assert "demos/" not in workflow
+    for name in subcommands + [Path(d).stem for d in demos]:
+        assert not re.search(rf"(?<![\w-]){re.escape(name)}(?![\w-])", workflow), name

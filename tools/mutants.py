@@ -2,8 +2,9 @@
 
 Each mutant is an exact old text in one source file, the text that
 replaces it, and what the edit breaks. For each, the script copies
-``src/``, ``tests/``, ``bench/spans.py`` (which ``tests/test_package.py``
-reads) and ``pyproject.toml`` into a fresh temporary directory, checks that
+``src/``, ``tests/``, ``pyproject.toml`` and the files that
+``tests/test_package.py`` reads (``bench/spans.py``, ``README.md``,
+``demos/`` and the CI workflow) into a fresh temporary directory, checks that
 the old text occurs there exactly once, applies the edit, and runs tier-1
 in the copy with ``-x``; the checkout itself is never written. The
 unmutated copy must pass first. ``tests/test_package.py`` checks the old
@@ -29,7 +30,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
-COPIED = ("src", "tests", "bench/spans.py", "pyproject.toml")
+COPIED = ("src", "tests", "pyproject.toml", "bench/spans.py", "README.md", "demos", ".github/workflows/tests.yml")
 GUARD_TEST = "tests/test_package.py::test_mutant_old_texts_occur_once"
 # Hypothesis draws from a fixed seed, so each mutant fares alike on every run.
 PYTEST = ("-x", "-q", "-W", "error", "-p", "no:cacheprovider", "--hypothesis-seed=0", "--deselect", GUARD_TEST)
@@ -205,6 +206,27 @@ MUTANTS = (
         "return value ^ value >> 16",
         "return value ^ value >> 15",
         "the seed hash shifts by 15, so every seed maps to another stream",
+    ),
+    Mutant(
+        "deep-or-long-json-escapes",
+        "src/molphase/molham.py",
+        "except (RecursionError, ValueError) as exc:",
+        "except ZeroDivisionError as exc:",
+        "a deeply nested document, or an integer past int()'s digit limit, is a traceback (exit 1)",
+    ),
+    Mutant(
+        "float-overflow-escapes",
+        "src/molphase/molham.py",
+        "except OverflowError:",
+        "except ZeroDivisionError:",
+        "a document integer beyond float range is a traceback (exit 1)",
+    ),
+    Mutant(
+        "scan-stop-overflows",
+        "src/molphase/cli.py",
+        "min(start + (int(intervals) + 0.5) * step, sys.float_info.max)",
+        "start + (int(intervals) + 0.5) * step",
+        "a scan whose half-step stop passes the largest float fails in np.arange (exit 1)",
     ),
 )
 
