@@ -14,14 +14,14 @@ sweep starts exactly at sigma_x and ends exactly at H.
 One sweep evolves the states of many total times together, as a (2, T)
 array in sigma_x's eigenbasis. There each sigma_x half is the elementwise
 phase exp(-i E_x d (1-s)/2), and the middle factor is
-B† diag(exp(-i E_H s d)) B with B = V_H† V_x fixed for the sweep; every
-2x2 product is written out elementwise, so a column rounds the same way
-whatever the batch. Sigma_x and the target are diagonalised through
-``qcore.hermitian_eig``, which keeps their decompositions; the M
-interpolated H(s_m), whose ground states and gaps do not depend on the
-total time, are decomposed in one batched call per sweep.
-``run_asp`` is the sweep over one time, ``scan_total_time`` the sweep
-over a grid, and ``trotter_step`` the slice kernel on its own.
+B† diag(exp(-i E_H s d)) B with B = V_H† V_x fixed for the sweep, each
+phase from ``qcore.phase_factors``; every 2x2 product is written out
+elementwise, so a column rounds the same way whatever the batch. Sigma_x
+and the target are diagonalised through ``qcore.hermitian_eig``, which
+keeps their decompositions; the M interpolated H(s_m), whose ground
+states and gaps do not depend on the total time, are decomposed in one
+batched call per sweep. ``run_asp`` is the sweep over one time,
+``scan_total_time`` the sweep over a grid, and ``trotter_step`` one slice.
 
 Times are in inverse hartree; the hardware's millisecond clock is a
 rescaling of the same dimensionless schedule, and ``scan_total_time``
@@ -105,23 +105,23 @@ def trotter_step(target: MolecularHamiltonian, s_m: float, delta: float) -> np.n
         raise ValidationError(f"step duration must be finite and positive, got {delta}")
     if not 0.0 <= s_m <= 1.0:
         raise ValidationError(f"interpolation parameter must lie in [0, 1], got {s_m}")
-    rates, b, b_adj = _slice_inputs(target, np.array([s_m]))
+    energies, b, b_adj = _slice_inputs(target, np.array([s_m]))
     vx = qcore.hermitian_eig(qcore.SIGMA_X).eigenvectors
-    return _mix(vx, _slice(vx.conj().T, rates[0], delta, b, b_adj))
+    return _mix(vx, _slice(vx.conj().T, energies[0], delta, b, b_adj))
 
 
 def _slice_inputs(target: MolecularHamiltonian, s_values: np.ndarray):
-    """Phase rates of every slice, shape (M, 4, 1), and B = V_H† V_x with B†.
+    """Phase energies of every slice, shape (M, 4, 1), and B = V_H† V_x with B†.
 
-    Slice m's rates are -i (E_x (1-s_m)/2, E_H s_m): a slice of duration d
-    has the sigma_x half phases exp(rates[:2] d) and the middle phases
-    exp(rates[2:] d).
+    Slice m's energies are (E_x (1-s_m)/2, E_H s_m): a slice of duration d
+    has the sigma_x half phases exp(-i energies[:2] d) and the middle
+    phases exp(-i energies[2:] d).
     """
     x_dec, h_dec = qcore.hermitian_eig(qcore.SIGMA_X), qcore.hermitian_eig(target.matrix)
     s = s_values[:, None]
-    rates = -1j * np.concatenate([0.5 * (1.0 - s) * x_dec.energies, s * h_dec.energies], axis=1)
+    energies = np.concatenate([0.5 * (1.0 - s) * x_dec.energies, s * h_dec.energies], axis=1)
     b = h_dec.eigenvectors.conj().T @ x_dec.eigenvectors
-    return rates[:, :, None], b, b.conj().T
+    return energies[:, :, None], b, b.conj().T
 
 
 def _mix(m: np.ndarray, states: np.ndarray) -> np.ndarray:
@@ -129,7 +129,7 @@ def _mix(m: np.ndarray, states: np.ndarray) -> np.ndarray:
     return m[:, :1] * states[0] + m[:, 1:] * states[1]
 
 
-def _slice(states: np.ndarray, rates: np.ndarray, deltas, b, b_adj) -> np.ndarray:
+def _slice(states: np.ndarray, energies: np.ndarray, deltas, b, b_adj) -> np.ndarray:
     """Apply one split slice to ``states``, with one step duration per column
     in ``deltas`` or one for all.
 
@@ -137,7 +137,7 @@ def _slice(states: np.ndarray, rates: np.ndarray, deltas, b, b_adj) -> np.ndarra
     eigenbasis. There each sigma_x half is the phase exp(-i E_x d (1-s)/2),
     and the middle factor is B† diag(exp(-i E_H s d)) B.
     """
-    phases = np.exp(rates * deltas)
+    phases = qcore.phase_factors(energies, deltas)
     half, middle = phases[:2], phases[2:]
     return half * _mix(b_adj, middle * _mix(b, half * states))
 
@@ -171,12 +171,12 @@ def _sweep(
     ``_ground_states`` first, so every gap is checked before the first
     slice, and read fidelities with ``_fidelities``.
     """
-    rates, b, b_adj = _slice_inputs(target, s_values)
+    energies, b, b_adj = _slice_inputs(target, s_values)
     deltas = total_times / len(s_values)
     start = qcore.hermitian_eig(qcore.SIGMA_X).eigenvectors.conj().T @ qcore.KET_MINUS
     states = np.repeat(start[:, None], len(total_times), axis=1)
-    for slice_rates in rates:
-        states = _slice(states, slice_rates, deltas, b, b_adj)
+    for slice_energies in energies:
+        states = _slice(states, slice_energies, deltas, b, b_adj)
         yield states
 
 

@@ -17,7 +17,7 @@ always produce byte-identical outputs.
 
 Exit codes: 0 success, 1 computation failure, 2 configuration or
 validation failure, including a tau at which the phase cannot name the
-ground energy (``errors.TauRangeError``).
+ground energy (``errors.TauRangeError``) and an E*t that overflows.
 """
 from __future__ import annotations
 
@@ -159,6 +159,8 @@ def cmd_asp(args) -> int:
             raise ValidationError(f"scan bounds must be numbers, got {args.scan!r}") from None
         if not np.all(np.isfinite([start, stop, step])):
             raise ValidationError(f"scan bounds must be finite, got {args.scan!r}")
+        if start <= 0:  # so that stop - start below cannot overflow
+            raise ValidationError("time grid values must be positive")
         if step <= 0 or stop < start:
             raise ValidationError(f"scan range is empty or descending: {args.scan!r}")
         # the points start + i step up to the stop, which counts as a point
@@ -191,9 +193,11 @@ def cmd_noise_sweep(args) -> int:
     if not eps_values:
         raise ValidationError(f"epsilon grid is empty: {args.epsilons!r}")
     noises = [probe.NoiseModel(coherent_epsilon=eps) for eps in eps_values]
-    for noise in noises:
-        if noise.coherent_epsilon > 0.0:
-            probe.perturbed_hamiltonian(h, noise)  # rejects a system that is not 2x2
+    # before any run: a system that is not 2x2, the window, then an epsilon whose E*tau overflows
+    perturbed = [probe.perturbed_hamiltonian(h, noise) for noise in noises if noise.coherent_epsilon > 0.0]
+    ipea.require_ground_window(config, molham.spectrum(h).ground_energy)
+    for m in perturbed:
+        qcore.phase_factors(qcore.hermitian_eig(m).energies, config.tau)
     theta0 = ipea.oracle_phase(h, config.tau)
 
     rows = []

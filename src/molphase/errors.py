@@ -4,8 +4,8 @@ Two broad families: ``ValidationError`` for bad inputs or configuration
 (caught before any computation starts) and ``ComputationError`` for
 failures arising during a run. The CLI maps them to exit codes 2 and 1.
 A degenerate ground state is bad input: it depends on the Hamiltonian
-alone and is found before any run work, by ``molham.spectrum`` or, for
-the adiabatic path, before the sweep's first slice.
+alone and is found before any run work, by ``molham.spectrum`` (or
+``choose_tau``, for h proportional to I) or before the sweep's first slice.
 """
 
 
@@ -23,9 +23,8 @@ class ParseError(ValidationError):
 
 class TauRangeError(ValidationError):
     """The ground phase -E0 tau / 2 pi lies outside the window in which a
-    phase estimate names E0: ``molham.choose_tau`` found no tau for it, or
-    ``ipea.estimate`` was given a tau that puts it within the error bound
-    of a whole turn, or past one."""
+    phase estimate names E0; ``ipea.require_ground_window``, which every
+    run calls before it builds an operator, is its one raiser."""
 
 
 class DegeneracyError(ValidationError):

@@ -199,9 +199,8 @@ def require_ground_window(config: IterationConfig, oracle_energy: float) -> None
 
     A phase estimate names the energy E = -2 pi phi / tau in (-2 pi / tau, 0],
     and lands within g = bound * 2^(-n (k-1)) of the ground phase; outside
-    the window it can alias by a whole turn and report a wrong energy. The
-    runs check this before they build an operator, since exp(-i tau E)
-    overflows at a tau far past the window.
+    the window it can alias by a whole turn and report a wrong energy. Every
+    run checks this before it builds an operator, and nothing else judges it.
     """
     n = config.bits_per_iteration
     margin = config.phase_error_bound * 2.0 ** (-n * (config.iterations - 1)) + PHASE_FLOOR
@@ -264,7 +263,7 @@ def run_ipea(
     dec = spec
     if noise.coherent_epsilon > 0.0:
         dec = qcore.hermitian_eig(probe.perturbed_hamiltonian(h, noise))
-    powers = qcore.power_chain(np.exp(-1j * config.tau * dec.energies), config.bits_per_iteration, k)
+    powers = qcore.power_chain(qcore.phase_factors(dec.energies, config.tau), config.bits_per_iteration, k)
     state = dec.eigenvectors.conj().T @ prep
     coherences = [complex(np.vdot(state, row)) / 2.0 for row in powers * state]
     return estimate(coherences, noise.jitter_draws(k), config, spec.ground_energy)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import qcore
-from .errors import DegeneracyError, ParseError, TauRangeError, ValidationError
+from .errors import DegeneracyError, ParseError, ValidationError
 
 H2_MATRIX = np.array([[-1.8310, 0.1813], [0.1813, -0.2537]], dtype=complex)
 
@@ -27,9 +27,9 @@ class MolecularHamiltonian:
     Hermiticity is enforced at construction. A nondegenerate ground state
     is additionally required by ``spectrum`` and the preparation/estimation
     pipelines, which raise ``DegeneracyError`` when the gap closes. The
-    matrix is read-only; ``spectrum``, ``choose_tau`` and the adiabatic
-    sweep decompose it through ``qcore.hermitian_eig``, so every instance
-    with equal entries shares one decomposition.
+    matrix is read-only; ``spectrum`` and the adiabatic sweep decompose it
+    through ``qcore.hermitian_eig``, so every instance with equal entries
+    shares one decomposition.
     """
 
     matrix: np.ndarray
@@ -72,29 +72,19 @@ def spectrum(h: MolecularHamiltonian) -> qcore.EigenDecomposition:
 def choose_tau(h: MolecularHamiltonian) -> float:
     """Evolution time pi / sqrt((2 H12)^2 + (H11 - H22)^2) for a 2x2 system.
 
-    The denominator is the spectral spread, so the resulting ground-state
-    phase -E0*tau/2pi lands inside one turn when E0 < 0. Validated: a ground
-    phase outside (0, 1) raises ``TauRangeError``; past a whole turn
-    (|E0|*tau >= 2pi) the caller must supply tau explicitly, and E0 >= 0
-    has no tau at which a phase names it.
+    The denominator is the spectral spread E1 - E0, so the ground phase
+    -E0*tau/2pi = -E0 / (2 (E1 - E0)) lies inside one turn when
+    -2 (E1 - E0) < E0 < 0. Nothing here decomposes h or judges that phase:
+    the runs check it in ``ipea.require_ground_window``. A zero spread
+    (h proportional to I) raises ``DegeneracyError``.
     """
     if h.dim != 2:
         raise ValidationError(f"automatic tau is defined for 2x2 systems only, got dim {h.dim}")
     m = h.matrix
     spread = np.hypot(2.0 * abs(m[0, 1]), (m[0, 0] - m[1, 1]).real)
     if spread == 0.0:
-        raise TauRangeError("degenerate 2x2 matrix: supply tau explicitly")
-    tau = float(np.pi / spread)
-    # the decomposition, not ``spectrum``: a near-degenerate system still gets its tau
-    e0 = float(qcore.hermitian_eig(m).energies[0])
-    theta0 = -e0 * tau / (2.0 * np.pi)
-    if not 0.0 < theta0 < 1.0:
-        remedy = "supply tau explicitly" if theta0 >= 1.0 else "it needs E0 < 0"
-        raise TauRangeError(
-            f"ground phase -E0*tau/2pi = {theta0:.6f} (E0 = {e0:.6g}, tau = {tau:.6f}) lies outside"
-            f" the window (0, 1) in which a phase names E0; {remedy}"
-        )
-    return tau
+        raise DegeneracyError(f"ground state of {h.label!r} is degenerate: h is proportional to I, no spread sets tau")
+    return np.pi / float(spread)  # inf, with no numpy overflow warning, for a subnormal spread
 
 
 def load_hamiltonian(document: str) -> MolecularHamiltonian:

@@ -97,7 +97,7 @@ def evolve_sequence(events, over_rotation: float = 0.0) -> np.ndarray:
     u = np.eye(4, dtype=complex)
     for event in events:
         if isinstance(event, DelayEvent):
-            u = np.exp(-1j * _ZZ_ENERGIES * event.duration)[:, None] * u
+            u = qcore.phase_factors(_ZZ_ENERGIES, event.duration)[:, None] * u
         elif isinstance(event, PulseEvent):
             r = transverse_rotation(event.phase, event.angle * (1.0 + over_rotation))
             if event.spin == "probe":

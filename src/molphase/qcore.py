@@ -13,6 +13,7 @@ complex128, and eigenvalues are always sorted ascending.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -154,7 +155,16 @@ class EigenDecomposition:
     def propagator(self, t: float) -> np.ndarray:
         """exp(-i h t) = V diag(exp(-i lambda t)) V† for the decomposed h."""
         v = self.eigenvectors
-        return (v * np.exp(-1j * self.energies * t)) @ v.conj().T
+        return (v * phase_factors(self.energies, t)) @ v.conj().T
+
+
+def phase_factors(energies, t) -> np.ndarray:
+    """Evolution phases exp(-i E t) of real energies and times, broadcast; raises
+    ``ValidationError`` unless max|E| max|t|, in Python floats, is finite."""
+    e_max, t_max = float(np.abs(energies).max()), float(np.abs(t).max())
+    if not math.isfinite(e_max * t_max):
+        raise ValidationError(f"evolution phase E*t is not finite: max|E| = {e_max:.6g}, max|t| = {t_max:.6g}")
+    return np.exp(-1j * (energies * t))
 
 
 def hermitian_eig(h) -> EigenDecomposition:
@@ -181,6 +191,4 @@ def _decompose(shape: tuple[int, ...], data: bytes) -> EigenDecomposition:
 
 def expm_herm(h, t: float) -> np.ndarray:
     """exp(-i h t) for Hermitian h, via eigendecomposition (exactly unitary)."""
-    if not np.isfinite(t):
-        raise ValidationError(f"evolution time must be finite, got {t}")
     return hermitian_eig(h).propagator(t)

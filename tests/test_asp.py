@@ -151,6 +151,16 @@ class TestRunASP:
         with pytest.raises(DegeneracyError, match="s = 0.5"):
             asp.run_asp(schedule)
 
+    @pytest.mark.filterwarnings("error")
+    def test_slice_phase_overflow_rejected(self):
+        # E0 = -1e10 over slices of 1e300 / 6: the fidelity was nan
+        target = molham.MolecularHamiltonian(np.array([[-1e10, 0.1], [0.1, 1.0]]), label="big")
+        schedule = asp.AdiabaticSchedule(steps=6, total_time=1e300, target=target)
+        with pytest.raises(ValidationError, match=r"E\*t is not finite"):
+            asp.run_asp(schedule)
+        with pytest.raises(ValidationError, match=r"E\*t is not finite"):
+            asp.scan_total_time(target, 6, [1e299, 4e299, 7e299, 1e300])
+
     def test_schedule_validation(self, h2):
         with pytest.raises(ValidationError):
             asp.AdiabaticSchedule(steps=0, total_time=1.0, target=h2)

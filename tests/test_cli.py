@@ -344,6 +344,15 @@ class TestAspCommand:
     def test_non_finite_times_are_bad_input(self, tmp_path, args):
         assert cli.main(["asp", *args, "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("scan", ["-1.7e308:1.7e308:1e308", "0:1:0.5", "-1:1:0.5"])
+    def test_scan_start_is_checked_before_the_points_are_counted(self, tmp_path, capsys, scan):
+        # the span of the first overflowed, and its 4 points were said to be
+        # "more than 65536"
+        out = tmp_path / "o"
+        assert cli.main(["asp", f"--scan={scan}", "--out", str(out)]) == 2
+        assert "time grid values must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         args = ["asp", "--steps", "6", "--scan", "2:12:2"]
@@ -495,6 +504,46 @@ class TestFlags:
             assert "unrecognized arguments" in capsys.readouterr().err
 
 
+# Entries whose E*t passes the largest float: E0 = -1e10 over ASP slices of
+# 1e299 / 6 and more, and E1 = 1e308 at tau = 2.
+BIG = {"dim": 2, "matrix_re": [[-1e10, 0.1], [0.1, 1.0]]}
+HUGE = {"dim": 2, "matrix_re": [[-1.0, 0.0], [0.0, 1e308]]}
+
+
+@pytest.mark.filterwarnings("error")
+class TestOverflowingPhases:
+    def run(self, tmp_path, document, args):
+        doc = tmp_path / "doc.json"
+        doc.write_text(json.dumps(document))
+        out = tmp_path / "o"
+        code = cli.main([*args, "--hamiltonian", str(doc), "--out", str(out)])
+        assert not out.exists()
+        return code
+
+    @pytest.mark.parametrize("args", [["--total-time", "1e300"], ["--scan", "1e299:1e300:3e299"]])
+    def test_asp_exits_2_without_output(self, tmp_path, capsys, args):
+        # exited 0 with fidelity nan; the scan wrote one real row and three nan rows
+        assert self.run(tmp_path, BIG, ["asp", *args]) == 2
+        assert "E*t is not finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["ipea", "spectra"])
+    def test_estimation_exits_2_without_output(self, tmp_path, capsys, command):
+        # exited 1: the power chain "left the unitary group" with nan drift
+        assert self.run(tmp_path, HUGE, [command, "--tau", "2"]) == 2
+        assert "E*t is not finite" in capsys.readouterr().err
+
+    def test_noise_sweep_epsilon_fails_before_any_run(self, tmp_path, capsys, monkeypatch):
+        # exited 1 in the run at epsilon 1e308, after the one at 0
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(ipea, "run_ipea", no_run)
+        out = tmp_path / "o"
+        assert cli.main(["noise-sweep", "--epsilons", "0,1e308", "--out", str(out)]) == 2
+        assert "E*t is not finite" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestOutDirectory:
     @pytest.mark.parametrize("command", ["eig", "ipea", "asp", "noise-sweep", "spectra"])
     @pytest.mark.parametrize("below", [False, True])
@@ -529,7 +578,7 @@ class TestGeneralHamiltonianDocuments:
                         "matrix_re": [[-10.0, 0.0], [0.0, -10.0 + np.pi]]})
         )
         assert cli.main(["ipea", "--hamiltonian", str(doc), "--out", str(tmp_path)]) == 2
-        assert "supply tau" in capsys.readouterr().err
+        assert "outside the window" in capsys.readouterr().err
 
     def test_four_level_system_with_explicit_tau(self, tmp_path, capsys):
         doc = tmp_path / "diag4.json"

@@ -521,6 +521,14 @@ class TestJitterProperty:
         with pytest.raises(TauRangeError, match="window"):
             ipea.run_ipea(h2, h2_config(tau=1.7e308))
 
+    @pytest.mark.filterwarnings("error")
+    def test_energy_whose_phase_overflows_rejected(self):
+        # the ground phase 1 / pi is inside the window, but E1 tau = 2e308
+        # made the power chain "leave the unitary group" with nan drift
+        h = molham.MolecularHamiltonian(np.diag([-1.0, 1e308]), label="huge")
+        with pytest.raises(ValidationError, match=r"E\*t is not finite"):
+            ipea.run_ipea(h, h2_config(tau=2.0))
+
 
 class TestResidualBelowZero:
     """Runs whose residual goes below zero. With the clip clamped at zero

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from molphase import molham, qcore
+from molphase import cli, ipea, molham, nmrpulse, qcore
 from molphase.errors import DegeneracyError, ParseError, TauRangeError, ValidationError
 
 from conftest import H2_EXCITED_ENERGY, H2_GROUND_ENERGY, H2_TAU, MATRIX_4X4, random_hermitian
@@ -90,12 +90,7 @@ class TestChooseTau:
             expected = np.pi / spread
             assert expected > 0.0
             for h in (base, shifted):
-                try:
-                    tau = molham.choose_tau(h)
-                    assert tau > 0.0
-                    assert tau == pytest.approx(expected, rel=1e-12)
-                except TauRangeError:
-                    pass  # the range validation may differ under the shift
+                assert molham.choose_tau(h) == pytest.approx(expected, rel=1e-12)
 
     def test_near_degenerate_system_gets_its_tau(self):
         # gap 5e-10 <= GAP_TOL: spectrum() refuses the system, choose_tau does not
@@ -104,18 +99,46 @@ class TestChooseTau:
         with pytest.raises(DegeneracyError):
             molham.spectrum(h)
 
-    def test_phase_range_validation(self):
-        h = molham.MolecularHamiltonian(np.diag([-10.0, -10.0 + np.pi]), label="deep")
-        with pytest.raises(TauRangeError, match="supply tau"):
-            molham.choose_tau(h)
+    # Ground phases -E0 tau / 2 pi outside the window at the automatic tau:
+    # -0.005 for E0 = 0.01 > 0, exactly 0 for E0 = 0, and 5 / pi, past a
+    # whole turn, for E0 = -10 with spread pi.
+    OUTSIDE_THE_WINDOW = [[0.01, 1.01], [0.0, 1.0], [-10.0, -10.0 + np.pi]]
 
-    def test_positive_ground_energy_rejected(self):
-        # the spread gives tau = pi, but -E0 tau / 2 pi = -0.005, or exactly 0
-        # at E0 = 0, names no phase in (0, 1)
-        for diagonal in ([0.01, 1.01], [0.0, 1.0]):
-            h = molham.MolecularHamiltonian(np.diag(diagonal), label="E0 >= 0")
-            with pytest.raises(TauRangeError, match="outside the window"):
-                molham.choose_tau(h)
+    @pytest.mark.parametrize("diagonal", OUTSIDE_THE_WINDOW)
+    def test_tau_is_pi_over_the_spread(self, diagonal):
+        # choose_tau judges no ground phase; the runs do
+        h = molham.MolecularHamiltonian(np.diag(diagonal))
+        assert molham.choose_tau(h) == np.pi / abs(diagonal[0] - diagonal[1])
+
+    @pytest.mark.parametrize("diagonal", OUTSIDE_THE_WINDOW)
+    def test_runs_reject_the_ground_phase_at_that_tau(self, diagonal, tmp_path, capsys):
+        h = molham.MolecularHamiltonian(np.diag(diagonal), label="outside")
+        config = ipea.IterationConfig(tau=molham.choose_tau(h))
+        with pytest.raises(TauRangeError, match="outside the window"):
+            ipea.run_ipea(h, config)
+        with pytest.raises(TauRangeError, match="outside the window"):
+            nmrpulse.run_pulse_backend(h, config)
+        doc = tmp_path / "outside.json"
+        doc.write_text(json.dumps({"dim": 2, "matrix_re": np.diag(diagonal).tolist()}))
+        out = tmp_path / "out"
+        assert cli.main(["ipea", "--hamiltonian", str(doc), "--out", str(out)]) == 2
+        assert "outside the window" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_subnormal_spread_gives_an_infinite_tau(self):
+        # numpy warned "overflow encountered in scalar divide"; IterationConfig
+        # rejects the tau
+        h = molham.MolecularHamiltonian(np.diag([5e-324, 0.0]))
+        assert molham.choose_tau(h) == np.inf
+        with pytest.raises(ValidationError, match="tau must be positive and finite"):
+            ipea.IterationConfig(tau=molham.choose_tau(h))
+
+    def test_multiple_of_the_identity_is_degenerate(self):
+        # no spread sets a tau; it raised TauRangeError
+        h = molham.MolecularHamiltonian(np.diag([1.0, 1.0]), label="id")
+        with pytest.raises(DegeneracyError, match="'id' is degenerate"):
+            molham.choose_tau(h)
 
     def test_requires_two_by_two(self):
         h = molham.MolecularHamiltonian(np.diag([-3.0, -2.0, -1.0]), label="3d")

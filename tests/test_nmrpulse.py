@@ -71,6 +71,12 @@ class TestEventUnitary:
             got = nmrpulse.evolve_sequence([nmrpulse.DelayEvent(float(duration))])
             assert (got == qcore.expm_herm(KRON_HAMILTONIAN, duration)).all()
 
+    @pytest.mark.filterwarnings("error")
+    def test_delay_whose_phase_overflows_rejected(self):
+        # numpy warned of an overflow and returned nan entries
+        with pytest.raises(ValidationError, match=r"E\*t is not finite"):
+            nmrpulse.evolve_sequence([nmrpulse.DelayEvent(1e308)])
+
     def test_non_finite_rotation_rejected(self):
         event = nmrpulse.PulseEvent("probe", 0.0, np.pi)
         for over_rotation in (np.nan, np.inf, 1e308):
@@ -325,6 +331,13 @@ class TestRunPulseBackend:
         h = molham.MolecularHamiltonian(np.diag([0.01, 1.01]), label="E0 > 0")
         with pytest.raises(TauRangeError, match="window"):
             nmrpulse.run_pulse_backend(h, ipea.IterationConfig(tau=molham.choose_tau(h)))
+
+    @pytest.mark.filterwarnings("error")
+    def test_rejects_an_energy_whose_phase_overflows(self):
+        # the ground phase 1 / pi is inside the window, but E1 tau = 2e308
+        h = molham.MolecularHamiltonian(np.diag([-1.0, 1e308]), label="huge")
+        with pytest.raises(ValidationError, match=r"E\*t is not finite"):
+            nmrpulse.run_pulse_backend(h, ipea.IterationConfig(tau=2.0))
 
     @pytest.mark.filterwarnings("error")
     def test_rejects_a_tau_past_the_window_before_compiling(self, h2):

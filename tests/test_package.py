@@ -71,8 +71,8 @@ PUBLIC_NAMES = {
     "molphase.qcore": [
         "EIG_CACHE_SIZE", "EigenDecomposition", "HERMITIAN_TOL", "KET_MINUS", "KET_PLUS", "MAX_DIM",
         "SIGMA_X", "SIGMA_Z", "STATE_NORM_TOL", "UNITARY_TOL", "as_complex_matrix", "expm_herm",
-        "hermitian_eig", "power_chain", "require_hermitian", "require_integer", "require_pure_state",
-        "require_unitary",
+        "hermitian_eig", "phase_factors", "power_chain", "require_hermitian", "require_integer",
+        "require_pure_state", "require_unitary",
     ],
 }
 
@@ -149,7 +149,8 @@ def test_mutant_old_texts_occur_once():
 
 def test_readme_is_the_one_list_of_commands_and_demos():
     # tools/outputs.sh runs README's `molphase ...` and `python demos/...`
-    # lines, and CI calls that script, so the workflow names neither
+    # lines and its ```python example, and CI calls that script, so the
+    # workflow names none of them
     subcommands = ["eig", "ipea", "asp", "noise-sweep", "spectra"]
     lines = README.read_text().splitlines()
     commands = [i for i, line in enumerate(lines) if line.startswith("molphase ")]
@@ -160,5 +161,6 @@ def test_readme_is_the_one_list_of_commands_and_demos():
     assert demos == sorted(f"demos/{path.name}" for path in (ROOT / "demos").glob("*.py"))
     workflow = WORKFLOW.read_text()
     assert "demos/" not in workflow
+    assert "```python" not in workflow
     for name in subcommands + [Path(d).stem for d in demos]:
         assert not re.search(rf"(?<![\w-]){re.escape(name)}(?![\w-])", workflow), name

@@ -153,6 +153,38 @@ class TestExpmHerm:
         with pytest.raises(ValidationError):
             qcore.expm_herm(H2_MATRIX, np.inf)
 
+    @pytest.mark.filterwarnings("error")
+    def test_rejects_a_time_whose_phase_overflows(self):
+        # numpy warned of an overflow and returned nan entries
+        with pytest.raises(ValidationError, match=r"E\*t is not finite"):
+            qcore.expm_herm(np.diag([-2.0, 1.0]), 1e308)
+
+
+class TestPhaseFactors:
+    def test_equals_exp_of_minus_i_e_t(self):
+        rng = np.random.default_rng(3)
+        energies, times = rng.uniform(-5, 5, size=(4, 1)), rng.uniform(0, 50, size=7)
+        got = qcore.phase_factors(energies, times)
+        assert got.shape == (4, 7)
+        assert got.tobytes() == np.exp(-1j * (energies * times)).tobytes()
+        assert qcore.phase_factors(energies[:, 0], 2.5).tobytes() == np.exp(-1j * (energies[:, 0] * 2.5)).tobytes()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "energies, t",
+        [
+            ([-2.0, 1.0], 1e308),
+            ([-2.0, 1.0], np.inf),
+            ([0.0, 0.0], np.nan),
+            ([-1.0, 1e308], 2.0),
+            ([[-1.0], [1e10]], np.array([1.0, 1e299])),
+            ([-1.0, np.inf], 1.0),
+        ],
+    )
+    def test_rejects_a_product_that_is_not_finite(self, energies, t):
+        with pytest.raises(ValidationError, match=r"E\*t is not finite"):
+            qcore.phase_factors(np.array(energies), t)
+
 
 # The chain's two forms: a matrix, and the diagonal of a diagonal matrix.
 FORMS = {"matrix": lambda m: m, "diagonal": np.diagonal}

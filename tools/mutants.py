@@ -117,11 +117,11 @@ MUTANTS = (
         "guaranteed_bits ignore float64 rounding and can exceed 48",
     ),
     Mutant(
-        "choose-tau-admits-zero-phase",
-        "src/molphase/molham.py",
-        "if not 0.0 < theta0 < 1.0:",
-        "if not 0.0 <= theta0 < 1.0:",
-        "choose_tau accepts E0 = 0, whose phase cannot name the energy",
+        "window-admits-zero-phase",
+        "src/molphase/ipea.py",
+        "if not margin <= theta0 <= 1.0 - margin:",
+        "if not 0.0 <= theta0 <= 1.0 - margin:",
+        "the runs accept E0 = 0 at the automatic tau, whose phase cannot name the energy",
     ),
     Mutant(
         "near-z-tilt-zeroed",
@@ -227,6 +227,20 @@ MUTANTS = (
         "min(start + (int(intervals) + 0.5) * step, sys.float_info.max)",
         "start + (int(intervals) + 0.5) * step",
         "a scan whose half-step stop passes the largest float fails in np.arange (exit 1)",
+    ),
+    Mutant(
+        "phase-factor-check-dropped",
+        "src/molphase/qcore.py",
+        "if not math.isfinite(e_max * t_max):",
+        "if False:",
+        "an E*t past the largest float makes the evolution phase NaN (asp exits 0 with fidelity nan)",
+    ),
+    Mutant(
+        "scan-start-sign-unchecked",
+        "src/molphase/cli.py",
+        "if start <= 0:  # so that stop - start below cannot overflow",
+        "if False:",
+        "a scan of non-positive times whose span overflows is said to have too many points",
     ),
 )
 

@@ -1,10 +1,11 @@
 #!/bin/sh
-# Run the demos and the molphase commands that README.md lists, and
-# tools/record_digest.py, under python -W error, each tree importing
-# molphase from its own src/. Given REV, do the same in a git worktree of
-# REV and diff the two trees' files and stdout byte for byte. Both trees run
-# this checkout's README lists and digest script (which uses only API that
-# older trees also have), and each its own demos.
+# Run the demos, the molphase commands and the ```python example that
+# README.md lists, and tools/record_digest.py, under python -W error, each
+# tree importing molphase from its own src/. Given REV, do the same in a git
+# worktree of REV and diff the two trees' files and stdout byte for byte.
+# Both trees run this checkout's README lists, example and digest script
+# (which use only API that older trees also have), and each its own demos.
+# The Python and numpy versions come first in the output.
 #
 #     sh tools/outputs.sh          # every run must succeed
 #     sh tools/outputs.sh HEAD~1   # and print the same bytes as HEAD~1
@@ -28,8 +29,13 @@ run() (  # source tree, output directory
         # shellcheck disable=SC2086  # the README line splits into arguments
         python -W error -m molphase.cli $args < /dev/null >> stdout.txt
     done
+    example=$(awk '/^```python$/ {on = 1; next} /^```/ {on = 0} on' "$root/README.md")
+    test -n "$example"
+    python -W error -c "$example" > example.stdout
     python -W error "$root/tools/record_digest.py" > digest.txt
 )
+
+python -c 'import sys, numpy; print("python", sys.version.split()[0], "numpy", numpy.__version__)'
 
 run "$root" "$work/head"
 if [ -n "${1:-}" ]; then
