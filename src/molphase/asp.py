@@ -16,12 +16,12 @@ array in sigma_x's eigenbasis. There each sigma_x half is the elementwise
 phase exp(-i E_x d (1-s)/2), and the middle factor is
 B† diag(exp(-i E_H s d)) B with B = V_H† V_x fixed for the sweep, each
 phase from ``qcore.phase_factors``; every 2x2 product is written out
-elementwise, so a column rounds the same way whatever the batch. Sigma_x
-and the target are diagonalised through ``qcore.hermitian_eig``, which
-keeps their decompositions; the M interpolated H(s_m), whose ground
-states and gaps do not depend on the total time, are decomposed in one
-batched call per sweep. ``run_asp`` is the sweep over one time,
-``scan_total_time`` the sweep over a grid, and ``trotter_step`` one slice.
+elementwise, so a column rounds the same way whatever the batch. A sweep
+asks ``qcore.hermitian_eig`` for sigma_x and the target once and decomposes
+the M interpolated H(s_m) in one batched call, checking every gap before
+the first slice. ``run_asp`` is the sweep over one time, reading every
+slice, ``scan_total_time`` the sweep over a grid, reading the last, and
+``trotter_step`` one slice.
 
 Times are in inverse hartree; the hardware's millisecond clock is a
 rescaling of the same dimensionless schedule, and ``scan_total_time``
@@ -40,8 +40,8 @@ from .errors import DegeneracyError, ValidationError
 from .molham import MolecularHamiltonian
 
 # The most slices in a schedule, and total times in a CLI scan. Peaks under
-# tracemalloc: 11 MB for a 2^16-step scan (20 MB for run_asp, which keeps
-# every step's state), 14 MB for a 6-step scan of 2^16 times.
+# tracemalloc: 9.5 MiB for a 2^16-step scan (15 MiB for run_asp, which keeps
+# every step's state), 13 MiB for a 6-step scan of 2^16 times.
 MAX_POINTS = 2**16
 
 
@@ -105,13 +105,13 @@ def trotter_step(target: MolecularHamiltonian, s_m: float, delta: float) -> np.n
         raise ValidationError(f"step duration must be finite and positive, got {delta}")
     if not 0.0 <= s_m <= 1.0:
         raise ValidationError(f"interpolation parameter must lie in [0, 1], got {s_m}")
-    energies, b, b_adj = _slice_inputs(target, np.array([s_m]))
-    vx = qcore.hermitian_eig(qcore.SIGMA_X).eigenvectors
+    vx, energies, b, b_adj = _slice_inputs(target, np.array([s_m]))
     return _mix(vx, _slice(vx.conj().T, energies[0], delta, b, b_adj))
 
 
 def _slice_inputs(target: MolecularHamiltonian, s_values: np.ndarray):
-    """Phase energies of every slice, shape (M, 4, 1), and B = V_H† V_x with B†.
+    """Sigma_x's eigenvectors V_x, the phase energies of every slice, shape
+    (M, 4, 1), and B = V_H† V_x with B†.
 
     Slice m's energies are (E_x (1-s_m)/2, E_H s_m): a slice of duration d
     has the sigma_x half phases exp(-i energies[:2] d) and the middle
@@ -121,7 +121,7 @@ def _slice_inputs(target: MolecularHamiltonian, s_values: np.ndarray):
     s = s_values[:, None]
     energies = np.concatenate([0.5 * (1.0 - s) * x_dec.energies, s * h_dec.energies], axis=1)
     b = h_dec.eigenvectors.conj().T @ x_dec.eigenvectors
-    return energies[:, :, None], b, b.conj().T
+    return x_dec.eigenvectors, energies[:, :, None], b, b.conj().T
 
 
 def _mix(m: np.ndarray, states: np.ndarray) -> np.ndarray:
@@ -142,69 +142,52 @@ def _slice(states: np.ndarray, energies: np.ndarray, deltas, b, b_adj) -> np.nda
     return half * _mix(b_adj, middle * _mix(b, half * states))
 
 
-def _ground_states(target: MolecularHamiltonian, s_values: np.ndarray) -> np.ndarray:
-    """The ground state of each H(s_m), shape (M, 2).
+def _sweep(
+    target: MolecularHamiltonian, s_values: np.ndarray, total_times: np.ndarray, read: slice
+) -> Iterator:
+    """Check every slice's gap, then evolve |-> through the slices at
+    ``s_values`` for every total time at once.
 
-    The M interpolated Hamiltonians are decomposed in one batched call and
-    their gaps checked together. They need no Hermiticity check of their
-    own: both terms already passed it.
+    The M interpolated H(s_m) are decomposed in one batched ``eigh`` (both
+    terms already passed the Hermiticity check), so a closed gap raises
+    before any slice. The first item yielded is V_x and the weights
+    conj(V_x† g_m) of the ground states of the slices that ``read``
+    selects, one column each: a state psi held in sigma_x's eigenbasis has
+    fidelity |sum weights psi|^2. Then come the states after each slice,
+    shape (2, T), in that basis; nothing is kept between slices.
     """
-    energies, vectors = np.linalg.eigh(interpolated_hamiltonian(target, s_values))
-    gaps = energies[:, 1] - energies[:, 0]
+    levels, vectors = np.linalg.eigh(interpolated_hamiltonian(target, s_values))
+    gaps = levels[:, 1] - levels[:, 0]
     degenerate = np.flatnonzero(gaps <= molham.GAP_TOL)
     if degenerate.size:
         m = degenerate[0]
         raise DegeneracyError(
             f"interpolated Hamiltonian is degenerate at s = {s_values[m]:.6f} (gap {gaps[m]:.3e})"
         )
-    return vectors[:, :, 0]
-
-
-def _sweep(
-    target: MolecularHamiltonian, s_values: np.ndarray, total_times: np.ndarray
-) -> Iterator[np.ndarray]:
-    """Evolve |-> through the slices at ``s_values`` for every total time at once.
-
-    Yields the states after each slice, shape (2, T), in sigma_x's
-    eigenbasis; nothing is kept between slices, so a caller keeps only what
-    it reads. Callers take the slices' ground states from
-    ``_ground_states`` first, so every gap is checked before the first
-    slice, and read fidelities with ``_fidelities``.
-    """
-    energies, b, b_adj = _slice_inputs(target, s_values)
+    del levels, gaps  # freed, with vectors below, so that the batched eigh stays the peak
+    vx, energies, b, b_adj = _slice_inputs(target, s_values)
+    yield vx, _mix(vx.conj().T, vectors[read, :, 0].T).conj()
+    del vectors
     deltas = total_times / len(s_values)
-    start = qcore.hermitian_eig(qcore.SIGMA_X).eigenvectors.conj().T @ qcore.KET_MINUS
-    states = np.repeat(start[:, None], len(total_times), axis=1)
+    states = np.repeat((vx.conj().T @ qcore.KET_MINUS)[:, None], len(total_times), axis=1)
     for slice_energies in energies:
         states = _slice(states, slice_energies, deltas, b, b_adj)
         yield states
-
-
-def _fidelities(grounds: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """|<g|psi>|^2 = |sum conj(V_x† g) psi|^2 per column, for states in sigma_x's eigenbasis.
-
-    ``grounds`` holds one ground state per row, for one column of ``states``
-    each or for all of them. Like the slice kernel this works column by
-    column, so every number equals that of a sweep over its time alone.
-    """
-    weights = _mix(qcore.hermitian_eig(qcore.SIGMA_X).eigenvectors.conj().T, grounds.T).conj()
-    return np.abs(weights[0] * states[0] + weights[1] * states[1]) ** 2
 
 
 def run_asp(schedule: AdiabaticSchedule) -> ASPResult:
     """Evolve |-> through the discrete sweep, tracking instantaneous fidelity.
 
     This is the sweep of ``scan_total_time`` over the one total time of the
-    schedule, with one batched decomposition of its M = ``steps`` slices;
-    the final state is rotated back from sigma_x's eigenbasis with V_x.
+    schedule, reading the fidelity after every slice; the final state is
+    rotated back from sigma_x's eigenbasis with V_x.
     """
-    s_values = schedule.s_values()
-    grounds = _ground_states(schedule.target, s_values)
-    sweep = _sweep(schedule.target, s_values, np.array([schedule.total_time]))
+    sweep = _sweep(schedule.target, schedule.s_values(), np.array([schedule.total_time]), slice(None))
+    vx, weights = next(sweep)
     states = np.concatenate(list(sweep), axis=1)  # (2, M): the state after each slice
-    fidelities = _fidelities(grounds, states)
+    fidelities = np.abs(weights[0] * states[0] + weights[1] * states[1]) ** 2
     return ASPResult(
-        final_state=_mix(qcore.hermitian_eig(qcore.SIGMA_X).eigenvectors, states[:, -1:])[:, 0].copy(),
+        final_state=_mix(vx, states[:, -1:])[:, 0].copy(),
         fidelity=float(fidelities[-1]),
         per_step_fidelities=fidelities,
     )
@@ -233,8 +216,9 @@ def scan_total_time(
         raise ValidationError("time grid must be strictly ascending")
     # the schedule validates steps and the target's dimension
     schedule = AdiabaticSchedule(steps=steps, total_time=float(grid[0]), target=target)
-    s_values = schedule.s_values()
-    grounds = _ground_states(target, s_values)
-    for states in _sweep(target, s_values, grid):
+    sweep = _sweep(target, schedule.s_values(), grid, slice(-1, None))
+    _, weights = next(sweep)
+    for states in sweep:
         pass
-    return [(float(t), float(f)) for t, f in zip(grid, _fidelities(grounds[-1:], states))]
+    fidelities = np.abs(weights[0] * states[0] + weights[1] * states[1]) ** 2
+    return [(float(t), float(f)) for t, f in zip(grid, fidelities)]

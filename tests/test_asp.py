@@ -291,8 +291,12 @@ class TestComplexTargets:
             assert np.abs(got - half @ middle @ half).max() <= 4 * np.finfo(float).eps
 
     def test_stacked_ground_states_equal_single_ones(self):
+        # the sweep's weights conj(V_x† g_m) come from one batched eigh; they
+        # equal those of the ground states of single decompositions bit for bit
         for target in h2_like_targets(20, complex_coupling=True):
             s_values = asp.AdiabaticSchedule(steps=12, total_time=1.0, target=target).s_values()
-            for s, ground in zip(s_values, asp._ground_states(target, s_values)):
-                single = qcore.hermitian_eig(asp.interpolated_hamiltonian(target, s)).ground_state
-                assert np.array_equal(ground, single)
+            vx, weights = next(asp._sweep(target, s_values, np.array([1.0]), slice(None)))
+            singles = np.array(
+                [qcore.hermitian_eig(asp.interpolated_hamiltonian(target, s)).ground_state for s in s_values]
+            )
+            assert np.array_equal(weights, asp._mix(vx.conj().T, singles.T).conj())

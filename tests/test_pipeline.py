@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from molphase import asp, ipea, molham, probe
+from molphase import asp, ipea, molham, probe, qcore
 
 from conftest import ERRBD_5DEG, H2_PHASE, H2_TAU, JITTER_FINAL_BOUND
 
@@ -87,3 +87,26 @@ def test_prepared_chain_diagonalizes_the_target_once(eigh_calls, times):
         ipea.run_ipea(h, ipea.IterationConfig(tau=tau), prep=prepared.final_state)
     # sigma_x and the target once each, then one batched call per sweep (scan and run_asp)
     assert sorted(np.ndim(a[0]) for a in eigh_calls) == [2, 2, 3, 3]
+
+
+def test_prepared_chain_asks_for_five_decompositions(monkeypatch):
+    # wrapped by module attribute, as bench/spans.py wraps it, so calls the
+    # cache answers count too: sigma_x and the target once per sweep (in
+    # asp._slice_inputs), then the target once in run_ipea
+    h = molham.MolecularHamiltonian(np.array([[-1.9, 0.2], [0.2, -0.3]]), label="H2-like")
+    tau = molham.choose_tau(h)
+    calls = []
+    hermitian_eig = qcore.hermitian_eig
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return hermitian_eig(*args, **kwargs)
+
+    monkeypatch.setattr(qcore, "hermitian_eig", counted)
+    scan = asp.scan_total_time(h, 6, np.arange(1.0, 30.0 + 1e-9, 0.5))
+    best_t = max(scan, key=lambda p: p[1])[0]
+    prepared = asp.run_asp(asp.AdiabaticSchedule(steps=6, total_time=best_t, target=h))
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "prepared state overlaps", UserWarning)
+        ipea.run_ipea(h, ipea.IterationConfig(tau=tau), prep=prepared.final_state)
+    assert len(calls) == 5

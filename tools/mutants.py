@@ -77,9 +77,16 @@ MUTANTS = (
     Mutant(
         "fidelity-conjugate-dropped",
         "src/molphase/asp.py",
-        "grounds.T).conj()",
-        "grounds.T)",
+        "vectors[read, :, 0].T).conj()",
+        "vectors[read, :, 0].T)",
         "ASP fidelities use unconjugated ground-state weights (wrong for complex targets)",
+    ),
+    Mutant(
+        "sweep-gap-check-dropped",
+        "src/molphase/asp.py",
+        "gaps <= molham.GAP_TOL",
+        "gaps < 0.0",
+        "the sweep runs through a closed gap, where the ground state it reads is arbitrary",
     ),
     Mutant(
         "wrapped-seed-kept",

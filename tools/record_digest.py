@@ -15,11 +15,16 @@ matrices held by separate instances (H2 built twice, the 4x4 model
 loaded twice from one document) before and after more distinct systems
 than ``qcore.hermitian_eig`` keeps decompositions of, so that a shared
 decomposition, a fresh one and one evicted and made again must all give
-the same records. The script calls only
-``run_ipea``, ``run_pulse_backend``, ``run_asp`` and the model builders,
-and sets the +-bound draws by overriding ``NoiseModel.jitter_draws``, so
-it runs unchanged against an older source tree; comparing its output
-between two trees shows whether a change moved any estimate:
+the same records. A last family, ``sweep``, hashes the adiabatic sweep
+itself on H2 and H2-like targets with real and complex couplings, at 1,
+2, 6 and 37 steps over the README scan grid and an irregular one: every
+``scan_total_time`` fidelity, every ``run_asp`` final state and per-step
+fidelity, and every ``trotter_step`` unitary of those schedules. The
+script calls only ``run_ipea``, ``run_pulse_backend``, ``run_asp``,
+``scan_total_time``, ``trotter_step`` and the model builders, and sets
+the +-bound draws by overriding ``NoiseModel.jitter_draws``, so it runs
+unchanged against an older source tree; comparing its output between two
+trees shows whether a change moved any estimate or sweep:
 
     PYTHONPATH=src python -W error tools/record_digest.py
 """
@@ -43,6 +48,13 @@ TAU_4X4 = 1.9
 DOC_4X4 = json.dumps({"label": "4x4", "dim": 4, "matrix_re": MATRIX_4X4.tolist()})
 EVICTING_SYSTEMS = 300  # more than the 256 decompositions qcore.hermitian_eig keeps
 G_5DEG = BOUND_5DEG * 2.0 ** (-3 * 5)  # final error bound at n = 3, k = 6
+# (H11, H22, H12) of the H2-like sweep targets: three real couplings, three complex
+SWEEP_TARGETS = (
+    (-1.9, -0.3, 0.2), (-2.15, -0.05, 0.38), (-1.45, -0.55, 0.06),
+    (-1.9, -0.3, 0.16 + 0.12j), (-2.05, -0.4, -0.07 + 0.31j), (-1.6, -0.2, 0.05 - 0.09j),
+)
+SWEEP_STEPS = (1, 2, 6, 37)
+SWEEP_GRIDS = (np.arange(1.0, 30.0 + 1e-9, 0.5), np.array([0.3, 0.7, 2.5, 9.5, 12.3, 50.0]))
 
 
 class SignJitter(probe.NoiseModel):
@@ -72,6 +84,33 @@ def run_text(result):
         energy.energy.hex(), energy.abs_error.hex(),
     ]
     return ";".join(parts) + "\n"
+
+
+def hexes(values):
+    """``float.hex`` of every real and imaginary part, joined by colons."""
+    z = np.asarray(values, dtype=complex).ravel()
+    return ":".join(f"{float(v.real).hex()}:{float(v.imag).hex()}" for v in z)
+
+
+def sweep_texts():
+    """One text per scan, and one per run_asp with the trotter_step unitaries of its schedule."""
+    targets = [molham.build_h2()] + [
+        molham.MolecularHamiltonian(np.array([[h11, h12], [np.conj(h12), h22]]), label="H2-like")
+        for h11, h22, h12 in SWEEP_TARGETS
+    ]
+    for target in targets:
+        for steps in SWEEP_STEPS:
+            for grid in SWEEP_GRIDS:
+                scan = asp.scan_total_time(target, steps, grid)
+                yield "scan;" + ";".join(f"{t.hex()}:{f.hex()}" for t, f in scan) + "\n"
+                for total_time in grid:
+                    schedule = asp.AdiabaticSchedule(steps=steps, total_time=float(total_time), target=target)
+                    result = asp.run_asp(schedule)
+                    delta = schedule.total_time / steps
+                    yield ";".join(
+                        [hexes(result.final_state), result.fidelity.hex(), hexes(result.per_step_fidelities)]
+                        + [hexes(asp.trotter_step(target, s_m, delta)) for s_m in schedule.s_values()]
+                    ) + "\n"
 
 
 def families():
@@ -148,10 +187,14 @@ def families():
     )
 
 
+def print_digest(name, texts):
+    print(f"{name} {len(texts)} {hashlib.sha256(''.join(texts).encode()).hexdigest()}")
+
+
 def main():
     for name, results in families():
-        digest = hashlib.sha256("".join(run_text(r) for r in results).encode()).hexdigest()
-        print(f"{name} {len(results)} {digest}")
+        print_digest(name, [run_text(r) for r in results])
+    print_digest("sweep", list(sweep_texts()))
 
 
 if __name__ == "__main__":
