@@ -17,11 +17,12 @@ phase exp(-i E_x d (1-s)/2), and the middle factor is
 B† diag(exp(-i E_H s d)) B with B = V_H† V_x fixed for the sweep, each
 phase from ``qcore.phase_factors``; every 2x2 product is written out
 elementwise, so a column rounds the same way whatever the batch. A sweep
-asks ``qcore.hermitian_eig`` for sigma_x and the target once and decomposes
+asks ``qcore.hermitian_eig`` for sigma_x and the target once, decomposes
 the M interpolated H(s_m) in one batched call, checking every gap before
-the first slice. ``run_asp`` is the sweep over one time, reading every
-slice, ``scan_total_time`` the sweep over a grid, reading the last, and
-``trotter_step`` one slice.
+the first slice, and returns the fidelities after the slices its caller
+reads, keeping no other slice's states. ``run_asp`` is the sweep over one
+time, reading every slice, ``scan_total_time`` the sweep over a grid,
+reading the last, and ``trotter_step`` one slice.
 
 Times are in inverse hartree; the hardware's millisecond clock is a
 rescaling of the same dimensionless schedule, and ``scan_total_time``
@@ -30,7 +31,6 @@ locates the few-step high-fidelity regime directly.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,37 +142,42 @@ def _slice(states: np.ndarray, energies: np.ndarray, deltas, b, b_adj) -> np.nda
     return half * _mix(b_adj, middle * _mix(b, half * states))
 
 
-def _sweep(
-    target: MolecularHamiltonian, s_values: np.ndarray, total_times: np.ndarray, read: slice
-) -> Iterator:
-    """Check every slice's gap, then evolve |-> through the slices at
-    ``s_values`` for every total time at once.
+def _sweep(target: MolecularHamiltonian, s_values: np.ndarray, total_times: np.ndarray, read: slice):
+    """Evolve |-> through the slices at ``s_values`` for every total time at
+    once. Return V_x, the final states, shape (2, T), in sigma_x's
+    eigenbasis, and the fidelities after the slices that ``read`` selects.
 
-    The M interpolated H(s_m) are decomposed in one batched ``eigh`` (both
-    terms already passed the Hermiticity check), so a closed gap raises
-    before any slice. The first item yielded is V_x and the weights
-    conj(V_x† g_m) of the ground states of the slices that ``read``
-    selects, one column each: a state psi held in sigma_x's eigenbasis has
-    fidelity |sum weights psi|^2. Then come the states after each slice,
-    shape (2, T), in that basis; nothing is kept between slices.
+    The M interpolated H(s_m) are decomposed in one batched ``eigh``, so a
+    closed gap (``DegeneracyError``) or one past the largest float
+    (``ValidationError``) raises before any slice. A state psi in sigma_x's
+    eigenbasis has fidelity |w0 psi0 + w1 psi1|^2, w = conj(V_x† g_m). Only
+    the read slices' states are kept: a caller reads one slice (the scan)
+    or sweeps one total time (``run_asp``), so the kept states, side by
+    side, give their fidelities in one row.
     """
     levels, vectors = np.linalg.eigh(interpolated_hamiltonian(target, s_values))
-    gaps = levels[:, 1] - levels[:, 0]
-    degenerate = np.flatnonzero(gaps <= molham.GAP_TOL)
-    if degenerate.size:
-        m = degenerate[0]
-        raise DegeneracyError(
-            f"interpolated Hamiltonian is degenerate at s = {s_values[m]:.6f} (gap {gaps[m]:.3e})"
-        )
-    del levels, gaps  # freed, with vectors below, so that the batched eigh stays the peak
+    for m in range(len(s_values)):
+        lo, hi = levels[m].tolist()
+        gap = hi - lo  # Python floats: inf past the largest float, with no numpy warning
+        if not math.isfinite(gap):
+            raise ValidationError(f"interpolated Hamiltonian's gap is not finite at s = {s_values[m]:.6f}")
+        if gap <= molham.GAP_TOL:
+            raise DegeneracyError(f"interpolated Hamiltonian is degenerate at s = {s_values[m]:.6f} (gap {gap:.3e})")
+    del levels  # freed, with vectors below, so that the batched eigh stays the peak
     vx, energies, b, b_adj = _slice_inputs(target, s_values)
-    yield vx, _mix(vx.conj().T, vectors[read, :, 0].T).conj()
+    weights = _mix(vx.conj().T, vectors[read, :, 0].T).conj()
     del vectors
     deltas = total_times / len(s_values)
+    reads = range(len(s_values))[read]
     states = np.repeat((vx.conj().T @ qcore.KET_MINUS)[:, None], len(total_times), axis=1)
-    for slice_energies in energies:
+    kept = []
+    for m, slice_energies in enumerate(energies):
         states = _slice(states, slice_energies, deltas, b, b_adj)
-        yield states
+        if m in reads:
+            kept.append(states)
+    del s_values, energies, slice_energies  # freed before the kept states are joined
+    kept = np.concatenate(kept, axis=1)
+    return vx, states, np.abs(weights[0] * kept[0] + weights[1] * kept[1]) ** 2
 
 
 def run_asp(schedule: AdiabaticSchedule) -> ASPResult:
@@ -182,20 +187,15 @@ def run_asp(schedule: AdiabaticSchedule) -> ASPResult:
     schedule, reading the fidelity after every slice; the final state is
     rotated back from sigma_x's eigenbasis with V_x.
     """
-    sweep = _sweep(schedule.target, schedule.s_values(), np.array([schedule.total_time]), slice(None))
-    vx, weights = next(sweep)
-    states = np.concatenate(list(sweep), axis=1)  # (2, M): the state after each slice
-    fidelities = np.abs(weights[0] * states[0] + weights[1] * states[1]) ** 2
+    vx, states, fidelities = _sweep(schedule.target, schedule.s_values(), np.array([schedule.total_time]), slice(None))
     return ASPResult(
-        final_state=_mix(vx, states[:, -1:])[:, 0].copy(),
+        final_state=_mix(vx, states)[:, 0].copy(),
         fidelity=float(fidelities[-1]),
         per_step_fidelities=fidelities,
     )
 
 
-def scan_total_time(
-    target: MolecularHamiltonian, steps: int, t_grid
-) -> list[tuple[float, float]]:
+def scan_total_time(target: MolecularHamiltonian, steps: int, t_grid) -> list[tuple[float, float]]:
     """Fidelity of the ``steps``-slice sweep at each total time in the grid.
 
     One sweep evolves the states of every total time together, so a scan
@@ -216,9 +216,5 @@ def scan_total_time(
         raise ValidationError("time grid must be strictly ascending")
     # the schedule validates steps and the target's dimension
     schedule = AdiabaticSchedule(steps=steps, total_time=float(grid[0]), target=target)
-    sweep = _sweep(target, schedule.s_values(), grid, slice(-1, None))
-    _, weights = next(sweep)
-    for states in sweep:
-        pass
-    fidelities = np.abs(weights[0] * states[0] + weights[1] * states[1]) ** 2
+    _, _, fidelities = _sweep(target, schedule.s_values(), grid, slice(-1, None))
     return [(float(t), float(f)) for t, f in zip(grid, fidelities)]

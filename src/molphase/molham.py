@@ -8,6 +8,7 @@ two-configuration hydrogen-molecule matrix (STO-3G basis, bond length
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,13 +60,14 @@ def build_h2() -> MolecularHamiltonian:
 def spectrum(h: MolecularHamiltonian) -> qcore.EigenDecomposition:
     """Exact diagonalization, shared by every Hamiltonian with equal entries
     (``qcore.hermitian_eig``); fails, on every call, if the ground state is
-    degenerate."""
+    degenerate or the gap above it passes the largest float."""
     dec = qcore.hermitian_eig(h.matrix)
-    if h.dim >= 2 and dec.energies[1] - dec.energies[0] <= GAP_TOL:
-        raise DegeneracyError(
-            f"ground state of {h.label!r} is degenerate: gap "
-            f"{dec.energies[1] - dec.energies[0]:.3e} <= {GAP_TOL:.1e} hartree"
-        )
+    if h.dim >= 2:
+        gap = float(dec.energies[1]) - float(dec.energies[0])  # inf past the largest float, with no numpy warning
+        if gap <= GAP_TOL:
+            raise DegeneracyError(f"ground state of {h.label!r} is degenerate: gap {gap:.3e} <= {GAP_TOL:.1e} hartree")
+        if not math.isfinite(gap):
+            raise ValidationError(f"gap of {h.label!r} passes the largest float: E1 - E0 = inf")
     return dec
 
 
@@ -76,14 +78,18 @@ def choose_tau(h: MolecularHamiltonian) -> float:
     -E0*tau/2pi = -E0 / (2 (E1 - E0)) lies inside one turn when
     -2 (E1 - E0) < E0 < 0. Nothing here decomposes h or judges that phase:
     the runs check it in ``ipea.require_ground_window``. A zero spread
-    (h proportional to I) raises ``DegeneracyError``.
+    (h proportional to I) raises ``DegeneracyError``, and one past the
+    largest float ``ValidationError``.
     """
     if h.dim != 2:
         raise ValidationError(f"automatic tau is defined for 2x2 systems only, got dim {h.dim}")
     m = h.matrix
-    spread = np.hypot(2.0 * abs(m[0, 1]), (m[0, 0] - m[1, 1]).real)
+    with np.errstate(over="ignore"):  # a spread past the largest float is inf, rejected below
+        spread = np.hypot(2.0 * abs(m[0, 1]), (m[0, 0] - m[1, 1]).real)
     if spread == 0.0:
         raise DegeneracyError(f"ground state of {h.label!r} is degenerate: h is proportional to I, no spread sets tau")
+    if spread == np.inf:
+        raise ValidationError(f"spread of {h.label!r} passes the largest float, so no tau is defined")
     return np.pi / float(spread)  # inf, with no numpy overflow warning, for a subnormal spread
 
 
@@ -95,12 +101,12 @@ def load_hamiltonian(document: str) -> MolecularHamiltonian:
     and ``metadata`` optional; rows are row-major, dim rows of dim numbers.
     """
     try:
-        doc = json.loads(document)
+        doc = json.loads(document, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     except (RecursionError, ValueError) as exc:
-        # nesting past the parser's recursion limit, or an integer past
-        # Python's digit limit for int()
+        # nesting past the parser's recursion limit, an integer past
+        # Python's digit limit for int(), or a NaN or Infinity token
         raise ParseError(f"unreadable JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ParseError(f"document root must be an object, got {type(doc).__name__}")
@@ -124,6 +130,10 @@ def load_hamiltonian(document: str) -> MolecularHamiltonian:
         raise ParseError("field 'metadata' must map strings to strings")
 
     return MolecularHamiltonian(matrix=re_part + 1j * im_part, label=label, metadata=dict(metadata))
+
+
+def _reject_constant(token: str):
+    raise ParseError(f"{token} is not a number")
 
 
 def _parse_rows(doc: dict, key: str, dim: int, required: bool) -> np.ndarray:

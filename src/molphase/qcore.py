@@ -173,8 +173,8 @@ def hermitian_eig(h) -> EigenDecomposition:
     Equal matrices (same shape, same complex128 entries) share one
     read-only decomposition while it is among the ``EIG_CACHE_SIZE`` most
     recently used: a repeat is neither validated again nor decomposed
-    again. Input that fails validation is never kept, so it raises
-    ``ValidationError`` on every call.
+    again. Input that fails validation, or whose eigenvalues are not all
+    finite, is never kept, so it raises ``ValidationError`` on every call.
     """
     m = np.asarray(h, dtype=complex)
     return _decompose(m.shape, m.tobytes())
@@ -184,6 +184,8 @@ def hermitian_eig(h) -> EigenDecomposition:
 def _decompose(shape: tuple[int, ...], data: bytes) -> EigenDecomposition:
     m = require_hermitian(np.frombuffer(data, dtype=complex).reshape(shape), "matrix")
     vals, vecs = np.linalg.eigh(m)
+    if not np.isfinite(vals).all():
+        raise ValidationError(f"matrix eigenvalues are not all finite: {vals.tolist()}")
     vals.flags.writeable = False
     vecs.flags.writeable = False
     return EigenDecomposition(vals, vecs)

@@ -161,6 +161,23 @@ class TestRunASP:
         with pytest.raises(ValidationError, match=r"E\*t is not finite"):
             asp.scan_total_time(target, 6, [1e299, 4e299, 7e299, 1e300])
 
+    @pytest.mark.filterwarnings("error")
+    def test_gap_past_the_largest_float_rejected_before_any_slice(self, monkeypatch):
+        # numpy warned "overflow encountered in subtract"; without the warning
+        # the sweep ran and read fidelity 0.308 at total time 2
+        def no_slice(*args):
+            raise AssertionError("a slice ran")
+
+        monkeypatch.setattr(asp, "_slice", no_slice)
+        target = molham.MolecularHamiltonian(np.array([[-1e308, 0.1], [0.1, 1.7e308]]), label="wide")
+        for run in (
+            lambda: asp.run_asp(asp.AdiabaticSchedule(steps=6, total_time=2.0, target=target)),
+            lambda: asp.scan_total_time(target, 6, [1.0, 2.0]),
+        ):
+            with pytest.raises(ValidationError, match="gap is not finite at s = 0.8") as info:
+                run()
+            assert not isinstance(info.value, DegeneracyError)
+
     def test_schedule_validation(self, h2):
         with pytest.raises(ValidationError):
             asp.AdiabaticSchedule(steps=0, total_time=1.0, target=h2)
@@ -291,12 +308,12 @@ class TestComplexTargets:
             assert np.abs(got - half @ middle @ half).max() <= 4 * np.finfo(float).eps
 
     def test_stacked_ground_states_equal_single_ones(self):
-        # the sweep's weights conj(V_x† g_m) come from one batched eigh; they
-        # equal those of the ground states of single decompositions bit for bit
+        # the sweep's fidelity weights come from the ground states of one
+        # batched eigh; they equal those of single decompositions bit for bit
         for target in h2_like_targets(20, complex_coupling=True):
             s_values = asp.AdiabaticSchedule(steps=12, total_time=1.0, target=target).s_values()
-            vx, weights = next(asp._sweep(target, s_values, np.array([1.0]), slice(None)))
+            stacked = np.linalg.eigh(asp.interpolated_hamiltonian(target, s_values))[1][:, :, 0]
             singles = np.array(
                 [qcore.hermitian_eig(asp.interpolated_hamiltonian(target, s)).ground_state for s in s_values]
             )
-            assert np.array_equal(weights, asp._mix(vx.conj().T, singles.T).conj())
+            assert np.array_equal(stacked, singles)

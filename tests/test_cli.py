@@ -544,6 +544,70 @@ class TestOverflowingPhases:
         assert not out.exists()
 
 
+# Documents whose eigenvalues, JSON tokens, spread or gap leave float range.
+MAX = np.finfo(float).max
+NON_FINITE_EIGENVALUE = {"dim": 4, "matrix_re": [[1e308, -1e308, 0, 0], [-1e308, MAX, 0, 0], [0, 0, -1, 0], [0, 0, 0, 1]]}
+NON_FINITE_EIGENVALUES = {"dim": 4, "matrix_re": [[1e308, MAX, 0, 0], [MAX, MAX, 0, 0], [0, 0, -1, 0], [0, 0, 0, 1]]}
+INFINITY_TOKENS = '{"dim": 2, "matrix_re": [[-1, 0], [0, 1]], "matrix_im": [[0, Infinity], [-Infinity, 0]]}'
+WIDE_SPREAD = {"dim": 2, "matrix_re": [[-1, 1e308], [1e308, 1]]}
+WIDE_HYPOT = {"dim": 2, "matrix_re": [[-7.5e307, 6e307], [6e307, 7.5e307]]}
+WIDE_GAP = {"dim": 2, "matrix_re": [[-1e308, 0.1], [0.1, 1.7e308]]}
+
+
+def reject_constant(token):
+    raise AssertionError(f"the report holds {token}")
+
+
+@pytest.mark.filterwarnings("error")
+class TestNonFiniteInputs:
+    def run(self, tmp_path, capsys, document, args):
+        doc = tmp_path / "doc.json"
+        doc.write_text(document if isinstance(document, str) else json.dumps(document))
+        out = tmp_path / "o"
+        code = cli.main([*args, "--hamiltonian", str(doc), "--out", str(out)])
+        if code:
+            assert not out.exists()
+        else:
+            json.loads((out / "eig_report.json").read_text(), parse_constant=reject_constant)
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "document, args, code, cause",
+        [
+            # eig exited 0 and wrote Infinity; ipea blamed E*t
+            (NON_FINITE_EIGENVALUE, ["eig"], 2, "eigenvalues are not all finite"),
+            (NON_FINITE_EIGENVALUES, ["eig"], 2, "eigenvalues are not all finite"),
+            (NON_FINITE_EIGENVALUE, ["ipea", "--tau", "1"], 2, "eigenvalues are not all finite"),
+            # every command exited 1: "invalid value encountered in multiply"
+            (INFINITY_TOKENS, ["eig"], 2, "Infinity is not a number"),
+            (INFINITY_TOKENS, ["ipea"], 2, "Infinity is not a number"),
+            (INFINITY_TOKENS, ["asp", "--total-time", "2"], 2, "Infinity is not a number"),
+            (INFINITY_TOKENS, ["noise-sweep"], 2, "Infinity is not a number"),
+            (INFINITY_TOKENS, ["spectra"], 2, "Infinity is not a number"),
+            # choose_tau exited 1: "overflow encountered in scalar multiply", or in hypot
+            (WIDE_SPREAD, ["eig"], 0, ""),
+            (WIDE_SPREAD, ["ipea"], 2, "spread of '' passes the largest float"),
+            (WIDE_HYPOT, ["ipea"], 2, "spread of '' passes the largest float"),
+            # the gap exited 1: "overflow encountered in scalar subtract", or in subtract
+            (WIDE_SPREAD, ["ipea", "--tau", "1"], 2, "gap of '' passes the largest float"),
+            (WIDE_GAP, ["eig"], 0, ""),
+            (WIDE_GAP, ["asp", "--total-time", "2"], 2, "gap is not finite at s = 0.8"),
+            (WIDE_GAP, ["asp", "--scan", "1:2:1"], 2, "gap is not finite at s = 0.8"),
+        ],
+        ids=[
+            "eig-inf-eigenvalue", "eig-inf-eigenvalues", "ipea-inf-eigenvalue",
+            *(f"{command}-infinity-token" for command in ["eig", "ipea", "asp", "noise-sweep", "spectra"]),
+            "eig-wide-spread", "ipea-wide-spread", "ipea-wide-hypot", "ipea-tau-wide-gap",
+            "eig-wide-gap", "asp-wide-gap", "asp-scan-wide-gap",
+        ],
+    )
+    def test_exit_code_and_cause(self, tmp_path, capsys, document, args, code, cause):
+        got, err = self.run(tmp_path, capsys, document, args)
+        assert got == code
+        assert cause in err
+        assert "Traceback" not in err
+
+
 class TestOutDirectory:
     @pytest.mark.parametrize("command", ["eig", "ipea", "asp", "noise-sweep", "spectra"])
     @pytest.mark.parametrize("below", [False, True])

@@ -55,6 +55,16 @@ class TestSpectrum:
             with pytest.raises(DegeneracyError, match="degenerate"):
                 molham.spectrum(h)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("matrix", [[[-1.0, 1e308], [1e308, 1.0]], [[-1e308, 0.1], [0.1, 1.7e308]]])
+    def test_gap_past_the_largest_float_rejected(self, matrix):
+        # numpy warned "overflow encountered in scalar subtract" (exit 1)
+        h = molham.MolecularHamiltonian(np.array(matrix), label="wide")
+        for _ in range(2):
+            with pytest.raises(ValidationError, match="gap of 'wide' passes the largest float") as info:
+                molham.spectrum(h)
+            assert not isinstance(info.value, DegeneracyError)
+
     def test_decomposes_once_per_hamiltonian(self, h2):
         # instances with equal entries share one decomposition
         assert molham.spectrum(h2) is molham.spectrum(h2)
@@ -134,6 +144,19 @@ class TestChooseTau:
         with pytest.raises(ValidationError, match="tau must be positive and finite"):
             ipea.IterationConfig(tau=molham.choose_tau(h))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "matrix",
+        [[[-1.0, 1e308], [1e308, 1.0]], [[-7.5e307, 6e307], [6e307, 7.5e307]]],
+        ids=["overflowing-terms", "overflowing-hypot"],
+    )
+    def test_spread_past_the_largest_float_rejected(self, matrix):
+        # numpy warned "overflow encountered in scalar multiply" or "in hypot";
+        # without the warning the tau was 0.0
+        h = molham.MolecularHamiltonian(np.array(matrix), label="wide")
+        with pytest.raises(ValidationError, match="spread of 'wide' passes the largest float"):
+            molham.choose_tau(h)
+
     def test_multiple_of_the_identity_is_degenerate(self):
         # no spread sets a tau; it raised TauRangeError
         h = molham.MolecularHamiltonian(np.diag([1.0, 1.0]), label="id")
@@ -192,8 +215,18 @@ class TestLoadHamiltonian:
             # json.loads raised RecursionError, and ValueError past int()'s digit limit
             ('{"dim": 1, "matrix_re": ' + "[" * 100000 + "]" * 100000 + "}", "unreadable JSON"),
             ('{"dim": 1, "matrix_re": [[1' + "0" * 5000 + "]]}", "unreadable JSON"),
+            # json.loads read these tokens as floats; Infinity in matrix_im made
+            # numpy warn "invalid value encountered in multiply" (exit 1)
+            ('{"dim": 2, "matrix_re": [[-1, 0], [0, 1]], "matrix_im": [[0, Infinity], [-Infinity, 0]]}',
+             "unreadable JSON: Infinity is not a number"),
+            ('{"dim": 2, "matrix_re": [[-1, 0], [0, -Infinity]]}', "unreadable JSON: -Infinity is not a number"),
+            ('{"dim": 1, "matrix_re": [[NaN]]}', "unreadable JSON: NaN is not a number"),
+            ('{"label": NaN, "dim": 1, "matrix_re": [[0]]}', "unreadable JSON: NaN is not a number"),
         ],
-        ids=["huge-integer", "huge-imaginary-integer", "deep-nesting", "integer-past-digit-limit"],
+        ids=[
+            "huge-integer", "huge-imaginary-integer", "deep-nesting", "integer-past-digit-limit",
+            "infinity-in-matrix-im", "minus-infinity-in-matrix-re", "nan-in-matrix-re", "nan-label",
+        ],
     )
     def test_unreadable_numbers_and_nesting_raise_parse_error(self, document, message):
         with pytest.raises(ParseError, match=message):

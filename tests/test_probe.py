@@ -179,7 +179,11 @@ class TestNoisyReadout:
     def test_stream_equals_numpy_default_rng(self, bound):
         # the stream is molphase's own; today it is numpy's SeedSequence ->
         # PCG64 -> uniform bit for bit, multi-word seeds included
-        seeds = [*range(3000), 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**100 + 3, np.int64(7), np.uint64(2**64 - 1)]
+        seeds = [
+            *range(3000), 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**100 + 3,
+            2**128, 2**200 + 3,  # five and seven words: mixed in after the first four
+            np.int64(7), np.uint64(2**64 - 1),
+        ]
         for seed in seeds:
             noise = probe.NoiseModel(phase_jitter_bound=bound, rng_seed=seed)
             for count in (0, 1, 6, 52):

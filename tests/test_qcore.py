@@ -73,6 +73,12 @@ class TestHermitianEig:
             (np.array([[np.nan, 0.0], [0.0, 1.0]]), "non-finite"),
             (np.eye(16), "dimension 16 outside 1..8"),
             (np.ones((2, 2, 2)), "must be square"),
+            # eigh gives -1, 1, 3.2e307 and inf; the eig command wrote Infinity
+            (
+                np.block([[np.array([[1e308, -1e308], [-1e308, np.finfo(float).max]]), np.zeros((2, 2))],
+                          [np.zeros((2, 2)), np.diag([-1.0, 1.0])]]),
+                r"eigenvalues are not all finite: \[-1.0, 1.0, 3.2\d*e\+307, inf\]",
+            ),
         ],
     )
     def test_rejected_input_is_never_kept(self, matrix, message):

@@ -84,8 +84,8 @@ MUTANTS = (
     Mutant(
         "sweep-gap-check-dropped",
         "src/molphase/asp.py",
-        "gaps <= molham.GAP_TOL",
-        "gaps < 0.0",
+        "if gap <= molham.GAP_TOL:",
+        "if gap < 0.0:",
         "the sweep runs through a closed gap, where the ground state it reads is arbitrary",
     ),
     Mutant(
@@ -248,6 +248,48 @@ MUTANTS = (
         "if start <= 0:  # so that stop - start below cannot overflow",
         "if False:",
         "a scan of non-positive times whose span overflows is said to have too many points",
+    ),
+    Mutant(
+        "eigenvalue-finite-check-dropped",
+        "src/molphase/qcore.py",
+        "if not np.isfinite(vals).all():",
+        "if False:",
+        "an eigenvalue past float range is decomposed and kept (eig exits 0 and writes Infinity)",
+    ),
+    Mutant(
+        "json-constants-read",
+        "src/molphase/molham.py",
+        "json.loads(document, parse_constant=_reject_constant)",
+        "json.loads(document)",
+        "NaN and Infinity tokens read as floats (an Infinity in matrix_im exits 1 on a numpy warning)",
+    ),
+    Mutant(
+        "tau-spread-overflow-read",
+        "src/molphase/molham.py",
+        "if spread == np.inf:",
+        "if False:",
+        "a spread past the largest float gives tau 0.0, which IterationConfig blames instead",
+    ),
+    Mutant(
+        "spectrum-gap-overflow-read",
+        "src/molphase/molham.py",
+        "if not math.isfinite(gap):",
+        "if False:",
+        "a gap past the largest float passes spectrum, and the run blames the ground phase",
+    ),
+    Mutant(
+        "sweep-gap-overflow-read",
+        "src/molphase/asp.py",
+        "if not math.isfinite(gap):",
+        "if False:",
+        "the sweep runs through a gap past the largest float (asp exits 0 with a fidelity)",
+    ),
+    Mutant(
+        "seed-words-past-four-dropped",
+        "src/molphase/probe.py",
+        "for word in words[4:]:",
+        "for word in words[4:0]:",
+        "seeds of more than 128 bits lose their high words, and their streams leave numpy's",
     ),
 )
 
