@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,8 +72,7 @@ class AdiabaticSchedule:
         return np.arange(self.steps) / (self.steps - 1)
 
 
-@dataclass(frozen=True)
-class ASPResult:
+class ASPResult(NamedTuple):
     """Final state plus the fidelity against the instantaneous ground state
     recorded after every step (the last entry is the headline fidelity)."""
 

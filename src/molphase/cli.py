@@ -18,8 +18,9 @@ always produce byte-identical outputs.
 Exit codes: 0 success, 1 computation failure, 2 configuration or
 validation failure, including a tau at which the phase cannot name the
 ground energy (``errors.TauRangeError``), an E*t that overflows, a
-``NaN`` or ``Infinity`` token in a document, and an eigenvalue, spread or
-gap past the largest float.
+``NaN`` or ``Infinity`` token in a document, an eigenvalue, spread or
+gap past the largest float, an eigendecomposition that does not converge,
+a Hermiticity difference past the largest float, and an H + eps sz past it.
 """
 from __future__ import annotations
 

@@ -114,8 +114,7 @@ class IterationConfig:
             )
 
 
-@dataclass(frozen=True)
-class IterationRecord:
+class IterationRecord(NamedTuple):
     """One measured/clipped phase pair; U_k holds U to the power 2^(n k).
 
     ``clipped_phase`` is the signed clip of ``clip_phase``, negative for a
@@ -128,8 +127,7 @@ class IterationRecord:
     operator_power: int
 
 
-@dataclass(frozen=True)
-class PhaseEstimate:
+class PhaseEstimate(NamedTuple):
     """Rebuilt phase with the recursion trace (phi_c[k] down to phi_c[0])."""
 
     value: float
@@ -138,8 +136,7 @@ class PhaseEstimate:
     guaranteed_bits: int
 
 
-@dataclass(frozen=True)
-class EnergyResult:
+class EnergyResult(NamedTuple):
     """Energy E = -2 pi phi / tau in hartree, with its distance |E - E0| from the oracle."""
 
     energy: float

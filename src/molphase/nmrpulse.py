@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -69,8 +70,7 @@ class DelayEvent:
             raise ValidationError(f"delay duration must be finite and >= 0, got {self.duration}")
 
 
-@dataclass(frozen=True)
-class PulseSequence:
+class PulseSequence(NamedTuple):
     """Ordered events realizing the compiled controlled gate to
     ``achieved_fidelity``, as the compiler verified it without over-rotation."""
 

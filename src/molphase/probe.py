@@ -200,10 +200,15 @@ def noisy_readout(state, draw: float) -> float:
 
 
 def perturbed_hamiltonian(h: MolecularHamiltonian, noise: NoiseModel) -> np.ndarray:
-    """H + eps sz, the generator of the perturbed evolution of a 2x2 system."""
+    """H + eps sz, the generator of the perturbed evolution of a 2x2 system;
+    raises ``ValidationError`` when a diagonal entry passes the largest float."""
     if h.dim != 2:
         raise ValidationError(f"coherent error is defined on 2x2 systems, got dim {h.dim}")
-    return h.matrix + noise.coherent_epsilon * qcore.SIGMA_Z
+    with np.errstate(over="ignore"):
+        m = h.matrix + noise.coherent_epsilon * qcore.SIGMA_Z
+    if not np.isfinite(m).all():
+        raise ValidationError(f"H + eps*sz passes the largest float at coherent epsilon {noise.coherent_epsilon!r}")
+    return m
 
 
 def _require_spectrum(amplitudes) -> np.ndarray:

@@ -14,8 +14,8 @@ complex128, and eigenvalues are always sorted ascending.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,8 +61,9 @@ def require_integer(name: str, value, minimum: int) -> None:
 def require_hermitian(a, name: str) -> np.ndarray:
     """Validate Hermiticity to ``HERMITIAN_TOL`` (max-norm), naming the worst entry pair."""
     m = as_complex_matrix(a, name)
-    dev = np.abs(m - m.conj().T)
-    if dev.max() > HERMITIAN_TOL:
+    with np.errstate(over="ignore"):  # a difference past the largest float is inf
+        dev = np.abs(m - m.conj().T)
+    if not dev.max() <= HERMITIAN_TOL:
         i, j = np.unravel_index(np.argmax(dev), dev.shape)
         raise ValidationError(
             f"{name} is not Hermitian: |A[{i}][{j}] - conj(A[{j}][{i}])| = {dev[i, j]:.3e}"
@@ -72,10 +73,12 @@ def require_hermitian(a, name: str) -> np.ndarray:
 
 
 def require_unitary(a, name: str) -> np.ndarray:
-    """Validate unitarity, max-norm of U†U - I below ``UNITARY_TOL``."""
+    """Validate unitarity, max-norm of U†U - I below ``UNITARY_TOL``; a product
+    past float range, inf or NaN, fails."""
     m = as_complex_matrix(a, name)
-    dev = np.abs(m.conj().T @ m - np.eye(m.shape[0])).max()
-    if dev > UNITARY_TOL:
+    with np.errstate(over="ignore", invalid="ignore"):
+        dev = np.abs(m.conj().T @ m - np.eye(m.shape[0])).max()
+    if not dev <= UNITARY_TOL:
         raise ValidationError(f"{name} is not unitary: max|U†U - I| = {dev:.3e} > {UNITARY_TOL:.1e}")
     return m
 
@@ -136,8 +139,7 @@ def require_pure_state(v, name: str = "state", tol: float = STATE_NORM_TOL) -> n
     return s
 
 
-@dataclass(frozen=True)
-class EigenDecomposition:
+class EigenDecomposition(NamedTuple):
     """Ascending eigenvalues (``energies``, hartree for a Hamiltonian) and the
     unitary whose columns are the eigenvectors."""
 
@@ -173,8 +175,9 @@ def hermitian_eig(h) -> EigenDecomposition:
     Equal matrices (same shape, same complex128 entries) share one
     read-only decomposition while it is among the ``EIG_CACHE_SIZE`` most
     recently used: a repeat is neither validated again nor decomposed
-    again. Input that fails validation, or whose eigenvalues are not all
-    finite, is never kept, so it raises ``ValidationError`` on every call.
+    again. Input that fails validation, whose eigenvalues do not converge
+    or are not all finite, is never kept, so it raises ``ValidationError``
+    on every call.
     """
     m = np.asarray(h, dtype=complex)
     return _decompose(m.shape, m.tobytes())
@@ -183,7 +186,10 @@ def hermitian_eig(h) -> EigenDecomposition:
 @lru_cache(maxsize=EIG_CACHE_SIZE)
 def _decompose(shape: tuple[int, ...], data: bytes) -> EigenDecomposition:
     m = require_hermitian(np.frombuffer(data, dtype=complex).reshape(shape), "matrix")
-    vals, vecs = np.linalg.eigh(m)
+    try:
+        vals, vecs = np.linalg.eigh(m)
+    except np.linalg.LinAlgError as exc:
+        raise ValidationError(f"matrix eigendecomposition failed: {exc}") from None
     if not np.isfinite(vals).all():
         raise ValidationError(f"matrix eigenvalues are not all finite: {vals.tolist()}")
     vals.flags.writeable = False

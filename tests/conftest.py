@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from molphase import molham, probe, qcore
 
@@ -22,6 +23,10 @@ from molphase import molham, probe, qcore
 with warnings.catch_warnings(), contextlib.suppress(ImportError):
     warnings.simplefilter("ignore", DeprecationWarning)
     import hypothesis.extra._patching  # noqa: F401
+
+# the long run of tests/test_contract.py, outside tier-1; registered here,
+# before the Hypothesis plugin loads --hypothesis-profile
+settings.register_profile("contract", max_examples=2000)
 
 # closed-form oracle values for the built-in hydrogen system
 H2_GROUND_ENERGY = -1.8515709293511877

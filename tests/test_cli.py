@@ -543,6 +543,17 @@ class TestOverflowingPhases:
         assert "E*t is not finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_noise_sweep_perturbed_sum_fails_before_any_run(self, tmp_path, capsys, monkeypatch):
+        # H + eps sz overflowed with a numpy warning (exit 1); without one,
+        # the message blamed the matrix's non-finite entries
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(ipea, "run_ipea", no_run)
+        args = ["noise-sweep", "--epsilons", "0,1e308"]
+        assert self.run(tmp_path, {"dim": 2, "matrix_re": [[1, 0.1], [0.1, -1.7e308]]}, args) == 2
+        assert "passes the largest float at coherent epsilon 1e+308" in capsys.readouterr().err
+
 
 # Documents whose eigenvalues, JSON tokens, spread or gap leave float range.
 MAX = np.finfo(float).max
@@ -552,6 +563,10 @@ INFINITY_TOKENS = '{"dim": 2, "matrix_re": [[-1, 0], [0, 1]], "matrix_im": [[0, 
 WIDE_SPREAD = {"dim": 2, "matrix_re": [[-1, 1e308], [1e308, 1]]}
 WIDE_HYPOT = {"dim": 2, "matrix_re": [[-7.5e307, 6e307], [6e307, 7.5e307]]}
 WIDE_GAP = {"dim": 2, "matrix_re": [[-1e308, 0.1], [0.1, 1.7e308]]}
+# eigh does not converge on it with numpy's OpenBLAS LAPACK
+UNCONVERGED = {"dim": 4, "matrix_re": [[-1.8, -1.8, 1e300, -1.8], [-1.8, 1e8, -0.5, 1e16], [1e300, -0.5, -1.0, 1e8], [-1.8, 1e16, 1e8, 1e16]]}
+# Hermiticity's difference passes the largest float
+WIDE_ANTI_HERMITIAN = {"dim": 2, "matrix_re": [[0, 1.7e308], [-1.7e308, 0]]}
 
 
 def reject_constant(token):
@@ -593,12 +608,20 @@ class TestNonFiniteInputs:
             (WIDE_GAP, ["eig"], 0, ""),
             (WIDE_GAP, ["asp", "--total-time", "2"], 2, "gap is not finite at s = 0.8"),
             (WIDE_GAP, ["asp", "--scan", "1:2:1"], 2, "gap is not finite at s = 0.8"),
+            # exited 1 on numpy's LinAlgError
+            (UNCONVERGED, ["eig"], 2, "eigendecomposition failed: Eigenvalues did not converge"),
+            (UNCONVERGED, ["ipea", "--tau", "1"], 2, "eigendecomposition failed: Eigenvalues did not converge"),
+            # every command exited 1: "overflow encountered in subtract"
+            *((WIDE_ANTI_HERMITIAN, args, 2, "not Hermitian: |A[0][1] - conj(A[1][0])| = inf") for args in (
+                ["eig"], ["ipea"], ["asp", "--total-time", "2"], ["noise-sweep"], ["spectra"],
+            )),
         ],
         ids=[
             "eig-inf-eigenvalue", "eig-inf-eigenvalues", "ipea-inf-eigenvalue",
             *(f"{command}-infinity-token" for command in ["eig", "ipea", "asp", "noise-sweep", "spectra"]),
             "eig-wide-spread", "ipea-wide-spread", "ipea-wide-hypot", "ipea-tau-wide-gap",
-            "eig-wide-gap", "asp-wide-gap", "asp-scan-wide-gap",
+            "eig-wide-gap", "asp-wide-gap", "asp-scan-wide-gap", "eig-unconverged", "ipea-unconverged",
+            *(f"{command}-wide-anti-hermitian" for command in ["eig", "ipea", "asp", "noise-sweep", "spectra"]),
         ],
     )
     def test_exit_code_and_cause(self, tmp_path, capsys, document, args, code, cause):

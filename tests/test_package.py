@@ -1,6 +1,7 @@
 """The flat ``molphase`` namespace: the README example's names, the
 submodules, each module's public names, and the functions the benchmark's
 tracer wraps."""
+import dataclasses
 import importlib
 import importlib.util
 import inspect
@@ -88,6 +89,28 @@ def test_public_names_are_pinned():
             and (module is mp or getattr(v, "__module__", name) == name)
         )
         assert public == expected, name
+
+
+# The records that only carry results; every one is a NamedTuple.
+RESULT_RECORDS = {
+    "asp": ["ASPResult"],
+    "ipea": ["EnergyResult", "IpeaResult", "IterationRecord", "PhaseEstimate"],
+    "nmrpulse": ["PulseSequence"],
+    "qcore": ["EigenDecomposition"],
+}
+
+
+def test_result_records_are_named_tuples_and_every_dataclass_validates():
+    # a dataclass is kept only for an input whose __post_init__ validates it
+    for name in PUBLIC_NAMES:
+        module = importlib.import_module(name)
+        for cls in vars(module).values():
+            if inspect.isclass(cls) and cls.__module__ == name and dataclasses.is_dataclass(cls):
+                assert "__post_init__" in vars(cls), f"{name}.{cls.__name__}"
+    for module, names in RESULT_RECORDS.items():
+        for name in names:
+            cls = getattr(getattr(mp, module), name)
+            assert issubclass(cls, tuple) and cls._fields, f"{module}.{name}"
 
 
 def test_import_does_not_load_numpy_fft():

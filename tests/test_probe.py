@@ -270,6 +270,17 @@ class TestPerturbedU:
         with pytest.raises(ValidationError, match="2x2"):
             probe.perturbed_hamiltonian(h, probe.NoiseModel(coherent_epsilon=1e-4))
 
+    @pytest.mark.filterwarnings("error")
+    def test_sum_past_the_largest_float_names_epsilon(self):
+        # the sum overflowed with a numpy warning; without it the run blamed
+        # the matrix's non-finite entries
+        h = molham.MolecularHamiltonian(np.array([[1.0, 0.1], [0.1, -1.7e308]]))
+        noise = probe.NoiseModel(coherent_epsilon=1e308)
+        with pytest.raises(ValidationError, match=r"passes the largest float at coherent epsilon 1e\+308"):
+            probe.perturbed_hamiltonian(h, noise)
+        with pytest.raises(ValidationError, match=r"coherent epsilon 1e\+308"):
+            ipea.run_ipea(h, ipea.IterationConfig(tau=molham.choose_tau(h)), noise=noise)
+
 
 def line_integral(amplitudes):
     return amplitudes.sum() * (probe.FREQUENCIES_HZ[1] - probe.FREQUENCIES_HZ[0])

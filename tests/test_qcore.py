@@ -17,6 +17,12 @@ from conftest import (
 )
 
 
+# eigh does not converge on this matrix with numpy's OpenBLAS LAPACK
+UNCONVERGED = np.array([
+    [-1.8, -1.8, 1e300, -1.8], [-1.8, 1e8, -0.5, 1e16], [1e300, -0.5, -1.0, 1e8], [-1.8, 1e16, 1e8, 1e16],
+])
+
+
 class TestHermitianEig:
     def test_h2_ground_energy_matches_reported_value(self):
         dec = qcore.hermitian_eig(H2_MATRIX)
@@ -79,14 +85,30 @@ class TestHermitianEig:
                           [np.zeros((2, 2)), np.diag([-1.0, 1.0])]]),
                 r"eigenvalues are not all finite: \[-1.0, 1.0, 3.2\d*e\+307, inf\]",
             ),
+            # eig and ipea exited 1 on numpy's LinAlgError
+            (UNCONVERGED, "eigendecomposition failed: Eigenvalues did not converge"),
+            # the difference overflowed with a numpy warning (exit 1 under -W error)
+            (np.array([[0.0, 1.7e308], [-1.7e308, 0.0]]), r"not Hermitian: \|A\[0\]\[1\] - conj\(A\[1\]\[0\]\)\| = inf"),
         ],
     )
+    @pytest.mark.filterwarnings("error")
     def test_rejected_input_is_never_kept(self, matrix, message):
         before = qcore._decompose.cache_info().currsize
         for _ in range(3):
             with pytest.raises(ValidationError, match=message):
                 qcore.hermitian_eig(matrix)
         assert qcore._decompose.cache_info().currsize == before
+
+    def test_unconverged_eigensolver_is_bad_input_and_never_kept(self, monkeypatch):
+        def unconverged(m):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        qcore._decompose.cache_clear()
+        monkeypatch.setattr(np.linalg, "eigh", unconverged)
+        for _ in range(2):
+            with pytest.raises(ValidationError, match="eigendecomposition failed: Eigenvalues did not converge"):
+                qcore.hermitian_eig(H2_MATRIX)
+        assert qcore._decompose.cache_info().currsize == 0
 
     def test_equal_contents_share_one_decomposition(self):
         rng = np.random.default_rng(17)
@@ -116,6 +138,23 @@ class TestHermitianEig:
         assert again.energies.tobytes() == kept.energies.tobytes()
         assert again.eigenvectors.tobytes() == kept.eigenvectors.tobytes()
         assert qcore._decompose.cache_info().currsize == qcore.EIG_CACHE_SIZE
+
+
+@pytest.mark.filterwarnings("error")
+class TestRequireUnitary:
+    @pytest.mark.parametrize(
+        "matrix, deviation",
+        [
+            (random_unitary(np.random.default_rng(5)) * (1.0 + 1e-9), r"2.0\d*e-09"),
+            # U†U - I is NaN, which passed the check
+            (np.array([[1e200, 1e200], [1e200, 1e200j]]), "nan"),
+            # rejected only after numpy's overflow warning
+            (np.array([[1e200, 0.0], [0.0, 1.0]]), "inf"),
+        ],
+    )
+    def test_rejects_with_no_numpy_warning(self, matrix, deviation):
+        with pytest.raises(ValidationError, match=rf"u is not unitary: max\|U†U - I\| = {deviation} > 1.0e-10"):
+            qcore.require_unitary(matrix, "u")
 
 
 class TestExpmHerm:

@@ -291,6 +291,48 @@ MUTANTS = (
         "for word in words[4:0]:",
         "seeds of more than 128 bits lose their high words, and their streams leave numpy's",
     ),
+    Mutant(
+        "eigh-non-convergence-escapes",
+        "src/molphase/qcore.py",
+        "except np.linalg.LinAlgError as exc:",
+        "except ZeroDivisionError as exc:",
+        "a matrix whose eigenvalues do not converge is a traceback (eig and ipea exit 1)",
+    ),
+    Mutant(
+        "hermitian-difference-warns",
+        "src/molphase/qcore.py",
+        'with np.errstate(over="ignore"):',
+        'with np.errstate(over="warn"):',
+        "a Hermiticity difference past the largest float warns (every command exits 1 under -W error)",
+    ),
+    Mutant(
+        "unitary-product-warns",
+        "src/molphase/qcore.py",
+        'with np.errstate(over="ignore", invalid="ignore"):',
+        'with np.errstate(over="warn", invalid="warn"):',
+        "a U†U past float range warns before the matrix is rejected",
+    ),
+    Mutant(
+        "unitary-nan-deviation-accepted",
+        "src/molphase/qcore.py",
+        "if not dev <= UNITARY_TOL:",
+        "if dev > UNITARY_TOL:",
+        "a matrix whose U†U - I is NaN passes as unitary, and the compiler returns fidelity 1.3e184",
+    ),
+    Mutant(
+        "perturbed-sum-warns",
+        "src/molphase/probe.py",
+        'with np.errstate(over="ignore"):',
+        'with np.errstate(over="warn"):',
+        "an H + eps sz past the largest float warns (noise-sweep exits 1 under -W error)",
+    ),
+    Mutant(
+        "perturbed-sum-unchecked",
+        "src/molphase/probe.py",
+        "if not np.isfinite(m).all():",
+        "if False:",
+        "an H + eps sz past the largest float is blamed on the matrix's entries, not on epsilon",
+    ),
 )
 
 
