@@ -39,9 +39,9 @@ for w in caught:
 print("  the imperfect preparation is harmless here: tau puts the leaked")
 print("  configuration exactly half a turn away, so it re-phases onto the")
 print("  ground phase as soon as the operator is squared")
-for rec in records:
-    print(f"  k={rec.k}: measured {rec.measured_phase:.6f}, clipped {rec.clipped_phase:.6f}, "
-          f"operator power {rec.operator_power}")
+for k, rec in enumerate(records):
+    print(f"  k={k}: measured {rec.measured_phase:.6f}, clipped {rec.clipped_phase:.6f}, "
+          f"operator power {2 ** (config.bits_per_iteration * k)}")
 
 print("\n=== result ===")
 oracle = ipea.oracle_phase(h2, tau)

@@ -24,10 +24,10 @@ reference = probe.synthesize_spectrum(0.0)
 (out / "spectrum_reference.csv").write_text(probe.spectrum_csv(reference))
 print(f"reference trace (phase 0): {out / 'spectrum_reference.csv'}")
 
-for rec in records:
+for k, rec in enumerate(records):
     trace = probe.synthesize_spectrum(rec.measured_phase)
-    path = out / f"spectrum_k{rec.k}.csv"
+    path = out / f"spectrum_k{k}.csv"
     path.write_text(probe.spectrum_csv(trace))
     recovered = probe.extract_phase_from_spectrum(trace, reference)
-    print(f"k={rec.k}: wrote {path.name}; phase in {rec.measured_phase:.6f}, "
+    print(f"k={k}: wrote {path.name}; phase in {rec.measured_phase:.6f}, "
           f"out {recovered:.6f}, |delta| = {ipea.phase_distance(recovered, rec.measured_phase):.2e}")

@@ -44,6 +44,10 @@ from .molham import MolecularHamiltonian
 # tracemalloc: 9.5 MiB for a 2^16-step scan (15 MiB for run_asp, which keeps
 # every step's state), 13 MiB for a 6-step scan of 2^16 times.
 MAX_POINTS = 2**16
+# The most slice-times (slices x total times) in one sweep, whose work grows
+# with their product: 2^24 of them took 1.7-4.3 s on 2 shared CPUs, 2^16
+# slices x 256 times the slowest; 2^16 x 2^16 would take about 20 minutes.
+_MAX_SLICE_TIMES = 2**24
 
 
 @dataclass(frozen=True)
@@ -149,12 +153,18 @@ def _sweep(target: MolecularHamiltonian, s_values: np.ndarray, total_times: np.n
 
     The M interpolated H(s_m) are decomposed in one batched ``eigh``, so a
     closed gap (``DegeneracyError``) or one past the largest float
-    (``ValidationError``) raises before any slice. A state psi in sigma_x's
-    eigenbasis has fidelity |w0 psi0 + w1 psi1|^2, w = conj(V_x† g_m). Only
-    the read slices' states are kept: a caller reads one slice (the scan)
-    or sweeps one total time (``run_asp``), so the kept states, side by
-    side, give their fidelities in one row.
+    (``ValidationError``) raises before any slice, and more than
+    ``_MAX_SLICE_TIMES`` slices x times before the ``eigh``. A state psi
+    in sigma_x's eigenbasis has fidelity |w0 psi0 + w1 psi1|^2,
+    w = conj(V_x† g_m). Only the read slices' states are kept: a caller
+    reads one slice (the scan) or sweeps one total time (``run_asp``), so
+    the kept states, side by side, give their fidelities in one row.
     """
+    if len(s_values) * len(total_times) > _MAX_SLICE_TIMES:
+        raise ValidationError(
+            f"a sweep of {len(s_values)} slices x {len(total_times)} total times"
+            f" exceeds the {_MAX_SLICE_TIMES} slice-times one sweep may take"
+        )
     levels, vectors = np.linalg.eigh(interpolated_hamiltonian(target, s_values))
     for m in range(len(s_values)):
         lo, hi = levels[m].tolist()

@@ -171,9 +171,9 @@ def cmd_asp(args) -> int:
         intervals = (stop - start) / step + 1e-9
         if intervals >= asp.MAX_POINTS:
             raise ValidationError(f"scan {args.scan!r} has more than {asp.MAX_POINTS} points")
-        # np.arange's own points, with its stop half a step past the last one,
-        # or at the largest float where that half step overflows
-        grid = np.arange(start, min(start + (int(intervals) + 0.5) * step, sys.float_info.max), step)
+        # np.arange's own points start + i delta, delta = (start + step) - start,
+        # counted rather than stopped; start + step is held at the largest float
+        grid = start + np.arange(int(intervals) + 1) * (min(start + step, sys.float_info.max) - start)
     else:
         grid = np.array([args.total_time])
     pairs = asp.scan_total_time(h, args.steps, grid)
@@ -239,10 +239,10 @@ def cmd_spectra(args) -> int:
 
     reference = probe.synthesize_spectrum(0.0)
     traces = [("spectrum_k-1.csv", -1, reference, 0.0)]
-    for rec in result.records:
+    for k, rec in enumerate(result.records):
         trace = probe.synthesize_spectrum(rec.measured_phase)
         extracted = probe.extract_phase_from_spectrum(trace, reference)
-        traces.append((f"spectrum_k{rec.k}.csv", rec.k, trace, extracted))
+        traces.append((f"spectrum_k{k}.csv", k, trace, extracted))
     manifest = {
         f"k={k}": {"file": name, "extracted_phase": float(phase)}
         for name, k, _, phase in traces

@@ -115,16 +115,14 @@ class IterationConfig:
 
 
 class IterationRecord(NamedTuple):
-    """One measured/clipped phase pair; U_k holds U to the power 2^(n k).
+    """Round k's measured/clipped phase pair, ``records[k]``; U_k held U^(2^(n k)).
 
     ``clipped_phase`` is the signed clip of ``clip_phase``, negative for a
     reading below the bound or a wrapped one.
     """
 
-    k: int
     measured_phase: float
     clipped_phase: float
-    operator_power: int
 
 
 class PhaseEstimate(NamedTuple):
@@ -297,11 +295,7 @@ def estimate(
             raise ReadoutError(f"iteration {k}: {exc}") from exc
         measured = probe.reduce_phase(phase - offset + draw)
         clipped = clip_phase(measured, errbd, n if k > 0 else None)
-        records.append(
-            IterationRecord(
-                k=k, measured_phase=measured, clipped_phase=clipped, operator_power=2 ** (n * k)
-            )
-        )
+        records.append(IterationRecord(measured, clipped))
         offset = (2.0**n * (offset + clipped)) % 1.0
 
     phase_estimate = reconstruct(records, n, errbd)
@@ -323,9 +317,6 @@ def reconstruct(records: Sequence[IterationRecord], n: int, phase_error_bound: f
     """
     if not records:
         raise ValidationError("no iteration records to reconstruct from")
-    ks = [r.k for r in records]
-    if ks != list(range(len(records))):
-        raise ValidationError(f"records must be contiguous from 0, got indices {ks}")
     scale = 2.0**-n
     seed = records[-1].measured_phase
     if len(records) > 1 and is_wrapped(seed, phase_error_bound, n):
@@ -445,12 +436,13 @@ def trace_csv(result: IpeaResult, running: Sequence[PhaseEstimate]) -> str:
     )
     lines = [header]
     trace = result.phase.reconstruction_trace
-    for rec, prefix in zip(records, running):
+    n = len(running[0].binary_digits)  # the prefix of iteration 0 holds n digits
+    for k, (rec, prefix) in enumerate(zip(records, running)):
         energy = energy_from_phase(prefix, tau, oracle_energy)
-        phi_c = trace[len(records) - 1 - rec.k]
+        phi_c = trace[len(records) - 1 - k]
         lines.append(
-            f"{rec.k},{rec.measured_phase:.17g},{rec.clipped_phase:.17g},"
-            f"{rec.operator_power},{phi_c:.17g},{prefix.binary_digits},"
+            f"{k},{rec.measured_phase:.17g},{rec.clipped_phase:.17g},"
+            f"{2 ** (n * k)},{phi_c:.17g},{prefix.binary_digits},"
             f"{energy.energy:.17g},{energy.abs_error:.17g}"
         )
     lines.append(

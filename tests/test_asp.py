@@ -245,6 +245,17 @@ class TestScanTotalTime:
         with pytest.raises(DegeneracyError, match="s = 0.5"):
             asp.scan_total_time(target, 3, [1.0, 3.0, 5.0])
 
+    def test_slice_times_are_bounded_before_the_decomposition(self, h2, monkeypatch):
+        def no_slice(*args):
+            raise AssertionError("a slice ran")
+
+        monkeypatch.setattr(asp, "_slice", no_slice)
+        with pytest.raises(ValidationError, match="4097 slices x 4096 total times exceeds the 16777216"):
+            asp.scan_total_time(h2, 4097, np.linspace(1.0, 30.0, 4096))
+        # the limit itself is accepted, and the sweep reaches its first slice
+        with pytest.raises(AssertionError, match="a slice ran"):
+            asp.scan_total_time(h2, 2**16, np.linspace(1.0, 30.0, 256))
+
     def test_memory_does_not_grow_with_steps(self, h2):
         grid = np.linspace(1.0, 30.0, 2000)
         asp.scan_total_time(h2, 1, grid[:1])  # keeps the decompositions before tracing

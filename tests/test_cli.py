@@ -306,6 +306,27 @@ class TestAspCommand:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    def test_sweep_past_the_slice_time_limit_exits_2_without_output(self, tmp_path, capsys, monkeypatch, eigh_calls):
+        # 2^16 slices x 2^16 times passed validation and would run for about 20 minutes
+        def no_slice(*args):
+            raise AssertionError("a slice ran")
+
+        monkeypatch.setattr(asp, "_slice", no_slice)
+        out = tmp_path / "o"
+        assert cli.main(["asp", "--steps", "65536", "--scan", "1:65536:1", "--out", str(out)]) == 2
+        assert "65536 slices x 65536 total times exceeds the 16777216 slice-times" in capsys.readouterr().err
+        assert not out.exists()
+        assert eigh_calls == []
+
+    @pytest.mark.parametrize("t", ["5", "1e15", "1e16", "1e300"])
+    def test_one_point_scan_is_the_total_time_run(self, tmp_path, t):
+        # the half-step stop of 1e16:1e16:1 rounded to the start, and the
+        # scan was refused as "time grid is empty"
+        scan, single = tmp_path / "scan", tmp_path / "single"
+        assert cli.main(["asp", "--scan", f"{t}:{t}:1", "--out", str(scan)]) == 0
+        assert cli.main(["asp", "--total-time", t, "--out", str(single)]) == 0
+        assert (scan / "asp_scan.csv").read_bytes() == (single / "asp_scan.csv").read_bytes()
+
     def test_largest_scan_runs(self, tmp_path):
         # the grid ran to stop + 1e-12, which rounds to 65536 itself: 65535 rows
         assert cli.main(["asp", "--scan", "1:65536:1", "--out", str(tmp_path)]) == 0

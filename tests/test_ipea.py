@@ -163,9 +163,9 @@ class TestRunIdealReadout:
 
     def test_record_invariants(self, h2):
         records, _, _ = ipea.run_ipea(h2, h2_config())
-        for k, rec in enumerate(records):
-            assert rec.k == k
-            assert rec.operator_power == 2 ** (3 * k)
+        assert len(records) == 6
+        assert ipea.IterationRecord._fields == ("measured_phase", "clipped_phase")
+        for rec in records:
             assert rec.clipped_phase == pytest.approx(
                 max(rec.measured_phase - ERRBD_5DEG, 0.0), abs=1e-15
             )
@@ -299,7 +299,7 @@ class TestScalarChainMatchesDenseChain:
         coherences = [np.vdot(g, np.linalg.matrix_power(u, 8**k) @ g) / 2.0 for k in range(6)]
         hooked, _, _ = ipea.estimate(coherences, [0.0] * 6, h2_config(), H2_GROUND_ENERGY)
         exact, _, _ = ipea.run_ipea(h2, h2_config())
-        assert [rec.k for rec in hooked] == list(range(6))
+        assert len(hooked) == 6
         offset = 0.0
         for rec, z in zip(hooked, coherences):
             assert rec.measured_phase == probe.reduce_phase(probe.coherence_readout(z) - offset)
@@ -572,8 +572,8 @@ class TestResidualBelowZero:
         with pytest.raises(TauRangeError, match="window"):
             ipea.run_ipea(h, config, noise=probe.NoiseModel(phase_jitter_bound=bound))
         records = [
-            ipea.IterationRecord(0, float.fromhex("0x1.554c985f06f69p-4"), float.fromhex("-0x1.554c985f06f69p-4"), 1),
-            ipea.IterationRecord(1, float.fromhex("0x1.554c985f06f68p-3"), float.fromhex("-0x1.0p-55"), 2),
+            ipea.IterationRecord(float.fromhex("0x1.554c985f06f69p-4"), float.fromhex("-0x1.554c985f06f69p-4")),
+            ipea.IterationRecord(float.fromhex("0x1.554c985f06f68p-3"), float.fromhex("-0x1.0p-55")),
         ]
         phase = ipea.reconstruct(records, 1, phase_error_bound=bound)
         assert phase.reconstruction_trace[-1] < 0.0
@@ -636,15 +636,15 @@ class TestCoherentError:
 
 class TestReconstruct:
     def test_single_record(self):
-        rec = ipea.IterationRecord(k=0, measured_phase=0.3, clipped_phase=0.28, operator_power=1)
+        rec = ipea.IterationRecord(measured_phase=0.3, clipped_phase=0.28)
         estimate = ipea.reconstruct([rec], 3, 0.02)
         assert estimate.value == 0.3
         assert list(estimate.reconstruction_trace) == [0.3]
 
     def test_two_record_clipping_identity(self):
         records = [
-            ipea.IterationRecord(0, H2_PHASE, H2_CLIPPED_PHASE_0, 1),
-            ipea.IterationRecord(1, 8.0 * (H2_PHASE - H2_CLIPPED_PHASE_0), 0.0, 8),
+            ipea.IterationRecord(H2_PHASE, H2_CLIPPED_PHASE_0),
+            ipea.IterationRecord(8.0 * (H2_PHASE - H2_CLIPPED_PHASE_0), 0.0),
         ]
         estimate = ipea.reconstruct(records, 3, ERRBD_5DEG)
         assert estimate.value == pytest.approx(H2_PHASE, abs=1e-12)
@@ -662,7 +662,7 @@ class TestReconstruct:
             records = []
             for k in range(6):
                 clip = max(theta - rng.uniform(0.0, 2.0**-n), 0.0)
-                records.append(ipea.IterationRecord(k, theta, clip, 2 ** (n * k)))
+                records.append(ipea.IterationRecord(theta, clip))
                 theta = 2.0**n * (theta - clip)
                 assert theta < 1.0 + 1e-12
                 theta %= 1.0
@@ -672,15 +672,15 @@ class TestReconstruct:
 
     def test_reference_bitstring_round_trip(self):
         phi0 = int(REFERENCE_BITSTRING_K0, 2) * 2.0 ** -len(REFERENCE_BITSTRING_K0)
-        rec = ipea.IterationRecord(0, phi0, max(phi0 - ERRBD_5DEG, 0.0), 1)
+        rec = ipea.IterationRecord(phi0, max(phi0 - ERRBD_5DEG, 0.0))
         estimate = ipea.reconstruct([rec], 3, ERRBD_5DEG)
         assert ipea.to_binary(estimate.value, 25) == REFERENCE_BITSTRING_K0
 
     def test_wrapped_final_reading_is_unwound(self):
         # a near-turn final reading is a wrapped small phase, not a large one
         records = [
-            ipea.IterationRecord(0, 0.5, 0.5 - ERRBD_5DEG, 1),
-            ipea.IterationRecord(1, 0.999, 0.0, 8),
+            ipea.IterationRecord(0.5, 0.5 - ERRBD_5DEG),
+            ipea.IterationRecord(0.999, 0.0),
         ]
         estimate = ipea.reconstruct(records, 3, ERRBD_5DEG)
         assert estimate.reconstruction_trace[0] == pytest.approx(-0.001, abs=1e-12)
@@ -691,19 +691,14 @@ class TestReconstruct:
         # turn off, and every digit was still claimed
         b = ERRBD_5DEG
         records = [
-            ipea.IterationRecord(0, 0.5, 0.5 - b, 1),
-            ipea.IterationRecord(1, 0.999, 0.999 - 1.0 - b, 8),
+            ipea.IterationRecord(0.5, 0.5 - b),
+            ipea.IterationRecord(0.999, 0.999 - 1.0 - b),
         ]
         with pytest.raises(TypeError):
             ipea.reconstruct(records, 3)
         estimate = ipea.reconstruct(records, 3, b)
         assert estimate.value == pytest.approx(0.5 - b - 0.001 / 8.0, abs=1e-12)
         assert estimate.guaranteed_bits == 6
-
-    def test_contiguity_required(self):
-        records = [ipea.IterationRecord(1, 0.1, 0.0, 8)]
-        with pytest.raises(ValidationError, match="contiguous"):
-            ipea.reconstruct(records, 3, ERRBD_5DEG)
 
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
@@ -815,13 +810,13 @@ class TestLeadingBits:
 
 class TestEnergyFromPhase:
     def test_zero_phase(self):
-        estimate = ipea.reconstruct([ipea.IterationRecord(0, 0.0, 0.0, 1)], 3, 0.0)
+        estimate = ipea.reconstruct([ipea.IterationRecord(0.0, 0.0)], 3, 0.0)
         result = ipea.energy_from_phase(estimate, 2.0, 0.0)
         assert result.energy == 0.0
         assert result.abs_error == 0.0
 
     def test_h2_arithmetic(self):
-        estimate = ipea.reconstruct([ipea.IterationRecord(0, H2_PHASE, H2_PHASE, 1)], 3, 0.0)
+        estimate = ipea.reconstruct([ipea.IterationRecord(H2_PHASE, H2_PHASE)], 3, 0.0)
         result = ipea.energy_from_phase(estimate, H2_TAU, H2_GROUND_ENERGY)
         assert result.energy == pytest.approx(-1.851571, abs=1e-5)
         assert result.abs_error <= 1e-12
@@ -833,7 +828,7 @@ class TestEnergyFromPhase:
         assert abs(-1.851569 - H2_GROUND_ENERGY) <= seventeen_bit_window
 
     def test_tau_validation(self):
-        estimate = ipea.reconstruct([ipea.IterationRecord(0, 0.1, 0.1, 1)], 3, 0.0)
+        estimate = ipea.reconstruct([ipea.IterationRecord(0.1, 0.1)], 3, 0.0)
         with pytest.raises(ValidationError):
             ipea.energy_from_phase(estimate, 0.0, H2_GROUND_ENERGY)
 
@@ -844,21 +839,21 @@ class TestEnergyFromPhase:
 
 class TestPrecisionReport:
     def test_exact_match_hits_cap(self):
-        estimate = ipea.reconstruct([ipea.IterationRecord(0, H2_PHASE, H2_PHASE, 1)], 3, 0.0)
+        estimate = ipea.reconstruct([ipea.IterationRecord(H2_PHASE, H2_PHASE)], 3, 0.0)
         assert ipea.precision_report(estimate, H2_PHASE) >= 52
 
     def test_three_microturn_error_is_18_bits(self):
-        estimate = ipea.reconstruct([ipea.IterationRecord(0, 0.25 + 3e-6, 0.25 + 3e-6, 1)], 3, 0.0)
+        estimate = ipea.reconstruct([ipea.IterationRecord(0.25 + 3e-6, 0.25 + 3e-6)], 3, 0.0)
         assert ipea.precision_report(estimate, 0.25) == 18
 
     def test_oracle_validation(self):
-        estimate = ipea.reconstruct([ipea.IterationRecord(0, 0.25, 0.25, 1)], 3, 0.0)
+        estimate = ipea.reconstruct([ipea.IterationRecord(0.25, 0.25)], 3, 0.0)
         for oracle in (1.5, 1.0, -0.25):
             with pytest.raises(ValidationError, match="oracle phase"):
                 ipea.precision_report(estimate, oracle)
 
     def test_oracle_phase_zero_accepted(self):
-        estimate = ipea.reconstruct([ipea.IterationRecord(0, 0.25, 0.25, 1)], 3, 0.0)
+        estimate = ipea.reconstruct([ipea.IterationRecord(0.25, 0.25)], 3, 0.0)
         assert ipea.precision_report(estimate, 0.0) == 1
 
 
@@ -946,6 +941,11 @@ class TestTraceCsv:
         rows = ipea.trace_csv(result, prefixes(result)).strip().split("\n")[1:-1]
         powers = [int(r.split(",")[3]) for r in rows]
         assert powers == [8**k for k in range(6)]
+        # the power follows the run's n, read from the first prefix's digits
+        result = ipea.run_ipea(h2, h2_config(bits_per_iteration=2, iterations=4))
+        running = ipea.running_estimates(result.records, 2, ERRBD_5DEG)
+        rows = ipea.trace_csv(result, running).strip().split("\n")[1:-1]
+        assert [int(r.split(",")[3]) for r in rows] == [4**k for k in range(4)]
 
     def test_last_row_reads_as_final_when_the_last_reading_wraps(self, h2):
         # seed 106 leaves a wrapped last reading; the last row's rebuild must

@@ -229,11 +229,25 @@ MUTANTS = (
         "a document integer beyond float range is a traceback (exit 1)",
     ),
     Mutant(
-        "scan-stop-overflows",
+        "scan-step-overflows",
         "src/molphase/cli.py",
-        "min(start + (int(intervals) + 0.5) * step, sys.float_info.max)",
-        "start + (int(intervals) + 0.5) * step",
-        "a scan whose half-step stop passes the largest float fails in np.arange (exit 1)",
+        "(min(start + step, sys.float_info.max) - start)",
+        "(start + step - start)",
+        "a one-point scan whose start + step passes the largest float gets a NaN time (exit 2)",
+    ),
+    Mutant(
+        "scan-half-step-stop",
+        "src/molphase/cli.py",
+        "start + np.arange(int(intervals) + 1) * (min(start + step, sys.float_info.max) - start)",
+        "np.arange(start, min(start + (int(intervals) + 0.5) * step, sys.float_info.max), step)",
+        "a one-point scan whose half step is below the float spacing at its start is refused as empty (exit 2)",
+    ),
+    Mutant(
+        "sweep-slice-times-unbounded",
+        "src/molphase/asp.py",
+        "if len(s_values) * len(total_times) > _MAX_SLICE_TIMES:",
+        "if False:",
+        "asp --steps 65536 --scan 1:65536:1 passes validation and runs for about 20 minutes",
     ),
     Mutant(
         "phase-factor-check-dropped",

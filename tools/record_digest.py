@@ -78,7 +78,8 @@ def ground_phase_system(theta0):
 
 def run_text(result):
     records, phase, energy = result
-    parts = [f"{r.k}:{r.measured_phase.hex()}:{r.clipped_phase.hex()}:{r.operator_power}" for r in records]
+    n = len(phase.binary_digits) // len(records)
+    parts = [f"{k}:{r.measured_phase.hex()}:{r.clipped_phase.hex()}:{2 ** (n * k)}" for k, r in enumerate(records)]
     parts += [
         phase.value.hex(), phase.binary_digits, str(phase.guaranteed_bits),
         energy.energy.hex(), energy.abs_error.hex(),
