@@ -37,7 +37,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import molham, qcore
-from .errors import DegeneracyError, ValidationError
+from .errors import ValidationError
 from .molham import MolecularHamiltonian
 
 # The most slices in a schedule, and total times in a CLI scan. Peaks under
@@ -151,10 +151,9 @@ def _sweep(target: MolecularHamiltonian, s_values: np.ndarray, total_times: np.n
     once. Return V_x, the final states, shape (2, T), in sigma_x's
     eigenbasis, and the fidelities after the slices that ``read`` selects.
 
-    The M interpolated H(s_m) are decomposed in one batched ``eigh``, so a
-    closed gap (``DegeneracyError``) or one past the largest float
-    (``ValidationError``) raises before any slice, and more than
-    ``_MAX_SLICE_TIMES`` slices x times before the ``eigh``. A state psi
+    The M interpolated H(s_m) are decomposed in one batched ``eigh``, so
+    ``molham.require_gap`` judges every gap before any slice; more than
+    ``_MAX_SLICE_TIMES`` slices x times raise before the ``eigh``. A state psi
     in sigma_x's eigenbasis has fidelity |w0 psi0 + w1 psi1|^2,
     w = conj(V_x† g_m). Only the read slices' states are kept: a caller
     reads one slice (the scan) or sweeps one total time (``run_asp``), so
@@ -168,11 +167,7 @@ def _sweep(target: MolecularHamiltonian, s_values: np.ndarray, total_times: np.n
     levels, vectors = np.linalg.eigh(interpolated_hamiltonian(target, s_values))
     for m in range(len(s_values)):
         lo, hi = levels[m].tolist()
-        gap = hi - lo  # Python floats: inf past the largest float, with no numpy warning
-        if not math.isfinite(gap):
-            raise ValidationError(f"interpolated Hamiltonian's gap is not finite at s = {s_values[m]:.6f}")
-        if gap <= molham.GAP_TOL:
-            raise DegeneracyError(f"interpolated Hamiltonian is degenerate at s = {s_values[m]:.6f} (gap {gap:.3e})")
+        molham.require_gap(lo, hi, "H(s) at s = %.6f", s_values[m])
     del levels  # freed, with vectors below, so that the batched eigh stays the peak
     vx, energies, b, b_adj = _slice_inputs(target, s_values)
     weights = _mix(vx.conj().T, vectors[read, :, 0].T).conj()

@@ -4,8 +4,8 @@ Two broad families: ``ValidationError`` for bad inputs or configuration
 (caught before any computation starts) and ``ComputationError`` for
 failures arising during a run. The CLI maps them to exit codes 2 and 1.
 A degenerate ground state is bad input: it depends on the Hamiltonian
-alone and is found before any run work, by ``molham.spectrum`` (or
-``choose_tau``, for h proportional to I) or before the sweep's first slice.
+alone and is found before any run work, by ``molham.require_gap`` (in
+``spectrum`` and the sweep) or ``choose_tau`` (h proportional to I).
 """
 
 

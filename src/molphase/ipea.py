@@ -355,12 +355,11 @@ def running_estimates(
 
 def to_binary(value: float, digits: int) -> str:
     """Binary expansion of a phase in [0, 1) truncated to floor(value 2^digits), most significant first."""
-    if digits < 1:
-        raise ValidationError(f"digit count must be >= 1, got {digits}")
+    qcore.require_integer("digit count", digits, 1)
     if not 0.0 <= value < 1.0:
         raise ValidationError(f"value must lie in [0, 1), got {value}")
     p, q = value.as_integer_ratio()
-    return format((p << digits) // q, f"0{digits}b")
+    return format((p << int(digits)) // q, f"0{digits}b")
 
 
 def energy_from_phase(phase: PhaseEstimate, tau: float, oracle_energy: float) -> EnergyResult:

@@ -57,17 +57,22 @@ def build_h2() -> MolecularHamiltonian:
     )
 
 
+def require_gap(e0: float, e1: float, name: str, *args) -> None:
+    """Require a finite gap E1 - E0 above ``GAP_TOL`` for ``name % args``, formatted only to raise, as in
+    ``logging``. The difference is of Python floats: inf, with no numpy warning, past the largest float."""
+    gap = float(e1) - float(e0)
+    if not math.isfinite(gap):
+        raise ValidationError(f"gap of {name % args} passes the largest float: E1 - E0 = {gap}")
+    if gap <= GAP_TOL:
+        raise DegeneracyError(f"ground state of {name % args} is degenerate: gap {gap:.3e} <= {GAP_TOL:.1e} hartree")
+
+
 def spectrum(h: MolecularHamiltonian) -> qcore.EigenDecomposition:
     """Exact diagonalization, shared by every Hamiltonian with equal entries
-    (``qcore.hermitian_eig``); fails, on every call, if the ground state is
-    degenerate or the gap above it passes the largest float."""
+    (``qcore.hermitian_eig``); ``require_gap`` judges its gap on every call."""
     dec = qcore.hermitian_eig(h.matrix)
     if h.dim >= 2:
-        gap = float(dec.energies[1]) - float(dec.energies[0])  # inf past the largest float, with no numpy warning
-        if gap <= GAP_TOL:
-            raise DegeneracyError(f"ground state of {h.label!r} is degenerate: gap {gap:.3e} <= {GAP_TOL:.1e} hartree")
-        if not math.isfinite(gap):
-            raise ValidationError(f"gap of {h.label!r} passes the largest float: E1 - E0 = inf")
+        require_gap(dec.energies[0], dec.energies[1], "%r", h.label)
     return dec
 
 

@@ -95,11 +95,12 @@ def evolve_sequence(events, over_rotation: float = 0.0) -> np.ndarray:
     along the probe axis, as (2, 8), or the system axis, as (2, 2, 4).
     """
     u = np.eye(4, dtype=complex)
+    scale = 1.0 + float(over_rotation)  # Python floats: an angle past the largest float is inf, with no numpy warning
     for event in events:
         if isinstance(event, DelayEvent):
             u = qcore.phase_factors(_ZZ_ENERGIES, event.duration)[:, None] * u
         elif isinstance(event, PulseEvent):
-            r = transverse_rotation(event.phase, event.angle * (1.0 + over_rotation))
+            r = transverse_rotation(event.phase, float(event.angle) * scale)
             if event.spin == "probe":
                 u = (r @ u.reshape(2, 8)).reshape(4, 4)
             else:

@@ -215,11 +215,18 @@ def _require_spectrum(amplitudes) -> np.ndarray:
     a = np.asarray(amplitudes, dtype=complex)
     if a.shape != FREQUENCIES_HZ.shape:
         raise ValidationError(f"a spectrum holds {SPECTRUM_POINTS} amplitudes, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValidationError("spectrum amplitudes must be finite")
     return a
 
 
 def _line_integral(amplitudes) -> complex:
-    return complex(_require_spectrum(amplitudes).sum() * float(FREQUENCIES_HZ[1] - FREQUENCIES_HZ[0]))
+    a = _require_spectrum(amplitudes)
+    with np.errstate(over="ignore", invalid="ignore"):  # a sum past the largest float is inf or nan, rejected below
+        total = complex(a.sum() * float(FREQUENCIES_HZ[1] - FREQUENCIES_HZ[0]))
+    if not cmath.isfinite(total):
+        raise ValidationError("a spectrum's line integral passes the largest float")
+    return total
 
 
 @functools.cache
@@ -241,10 +248,13 @@ def synthesize_spectrum(phase_fraction: float) -> np.ndarray:
     A decaying quadrature oscillation is Fourier-transformed so the complex
     line integral's argument recovers 2 pi phi; phi = 0 gives pure
     absorption, phi = 0.25 pure dispersion. Each line is ``LINE_WIDTH_HZ`` wide.
+    A finite phi is reduced to [0, 1) turns first; a non-finite one is rejected.
     """
+    if not math.isfinite(phase_fraction):
+        raise ValidationError(f"phase fraction must be finite, got {phase_fraction}")
     t = np.arange(SPECTRUM_POINTS) / SPECTRAL_WIDTH_HZ
     fid = (
-        np.exp(2j * np.pi * phase_fraction)
+        np.exp(2j * np.pi * reduce_phase(phase_fraction))
         * (np.exp(1j * np.pi * J_COUPLING_HZ * t) + np.exp(-1j * np.pi * J_COUPLING_HZ * t))
         * np.exp(-np.pi * LINE_WIDTH_HZ * t)
     )

@@ -174,7 +174,7 @@ class TestRunASP:
             lambda: asp.run_asp(asp.AdiabaticSchedule(steps=6, total_time=2.0, target=target)),
             lambda: asp.scan_total_time(target, 6, [1.0, 2.0]),
         ):
-            with pytest.raises(ValidationError, match="gap is not finite at s = 0.8") as info:
+            with pytest.raises(ValidationError, match=r"gap of H\(s\) at s = 0\.800000 passes") as info:
                 run()
             assert not isinstance(info.value, DegeneracyError)
 

@@ -6,7 +6,7 @@ import pytest
 
 from molphase import asp, cli, ipea, molham, qcore
 
-from conftest import H2_GROUND_ENERGY, H2_PHASE
+from conftest import H2_GROUND_ENERGY, H2_PHASE, MATRIX_4X4
 
 
 def read_csv(path):
@@ -256,14 +256,20 @@ class TestAspCommand:
         assert all(float(r[1]) == pytest.approx(1.0, abs=1e-12) for r in rows)
 
     def test_requires_time_argument(self, tmp_path, capsys):
-        assert cli.main(["asp", "--out", str(tmp_path)]) == 2
-        assert "exactly one of --total-time and --scan" in capsys.readouterr().err
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["asp", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "one of the arguments --total-time --scan is required" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_scan_and_total_time_exit_2_without_output(self, tmp_path, capsys):
         # --total-time was silently ignored next to --scan (exit 0)
         out = tmp_path / "o"
-        assert cli.main(["asp", "--scan", "1:3:1", "--total-time", "5", "--out", str(out)]) == 2
-        assert "exactly one of --total-time and --scan" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["asp", "--scan", "1:3:1", "--total-time", "5", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "argument --total-time: not allowed with argument --scan" in capsys.readouterr().err
         assert not out.exists()
 
     def test_bad_scan_spec(self, tmp_path):
@@ -292,7 +298,7 @@ class TestAspCommand:
     @pytest.mark.parametrize(
         "args, message",
         [
-            (["asp", "--scan", "1:10:1"], "degenerate at s = 1.000000"),
+            (["asp", "--scan", "1:10:1"], "ground state of H(s) at s = 1.000000 is degenerate"),
             (["ipea", "--tau", "1.0"], "'id' is degenerate"),
             (["spectra", "--tau", "1.0"], "'id' is degenerate"),
         ],
@@ -427,35 +433,13 @@ class TestNoiseSweepCommand:
         assert not out.exists()
 
     def test_coherent_error_needs_a_2x2_system(self, tmp_path, capsys):
-        doc = tmp_path / "diag4.json"
-        doc.write_text(
-            json.dumps({"label": "diag4", "dim": 4,
-                        "matrix_re": np.diag([-4.0, -2.5, -1.0, -0.5]).tolist()})
-        )
+        # a 4x4 system whose ground phase lies in the window, so only the 2x2 rule fails
+        doc = tmp_path / "m4.json"
+        doc.write_text(json.dumps({"label": "m4", "dim": 4, "matrix_re": MATRIX_4X4.tolist()}))
         out = tmp_path / "out"
         args = ["noise-sweep", "--hamiltonian", str(doc), "--tau", "1.9", "--epsilons", "0,1e-4"]
         assert cli.main(args + ["--out", str(out)]) == 2
-        assert "2x2" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_coherent_error_on_a_larger_system_fails_before_any_run(self, tmp_path, monkeypatch):
-        calls = []
-        run = ipea.run_ipea
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return run(*args, **kwargs)
-
-        monkeypatch.setattr(ipea, "run_ipea", counted)
-        doc = tmp_path / "diag4.json"
-        doc.write_text(
-            json.dumps({"label": "diag4", "dim": 4,
-                        "matrix_re": np.diag([-4.0, -2.5, -1.0, -0.5]).tolist()})
-        )
-        out = tmp_path / "out"
-        args = ["noise-sweep", "--hamiltonian", str(doc), "--tau", "1.9", "--epsilons", "0,0,1e-4"]
-        assert cli.main(args + ["--out", str(out)]) == 2
-        assert calls == []
+        assert "coherent error is defined on 2x2 systems, got dim 4" in capsys.readouterr().err
         assert not out.exists()
 
     def test_byte_identical_reruns(self, tmp_path):
@@ -515,7 +499,7 @@ class TestFlags:
     )
     def test_each_command_takes_only_the_flags_it_reads(self, command, flag, read, capsys):
         parser = cli.build_parser()
-        argv = [command, flag, "3"]
+        argv = [command, flag, "3"] + (["--total-time", "1"] if command == "asp" else [])
         if read:
             assert str(getattr(parser.parse_args(argv), flag[2:])) == "3"
         else:
@@ -553,24 +537,17 @@ class TestOverflowingPhases:
         assert self.run(tmp_path, HUGE, [command, "--tau", "2"]) == 2
         assert "E*t is not finite" in capsys.readouterr().err
 
-    def test_noise_sweep_epsilon_fails_before_any_run(self, tmp_path, capsys, monkeypatch):
-        # exited 1 in the run at epsilon 1e308, after the one at 0
-        def no_run(*args, **kwargs):
-            raise AssertionError("a run started")
-
-        monkeypatch.setattr(ipea, "run_ipea", no_run)
+    def test_noise_sweep_epsilon_fails_before_any_run(self, tmp_path, capsys):
+        # exited 1 in the run at epsilon 1e308, after the one at 0; that run
+        # now fails before any output (run_ipea judges each epsilon)
         out = tmp_path / "o"
         assert cli.main(["noise-sweep", "--epsilons", "0,1e308", "--out", str(out)]) == 2
         assert "E*t is not finite" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_noise_sweep_perturbed_sum_fails_before_any_run(self, tmp_path, capsys, monkeypatch):
+    def test_noise_sweep_perturbed_sum_fails_before_any_run(self, tmp_path, capsys):
         # H + eps sz overflowed with a numpy warning (exit 1); without one,
         # the message blamed the matrix's non-finite entries
-        def no_run(*args, **kwargs):
-            raise AssertionError("a run started")
-
-        monkeypatch.setattr(ipea, "run_ipea", no_run)
         args = ["noise-sweep", "--epsilons", "0,1e308"]
         assert self.run(tmp_path, {"dim": 2, "matrix_re": [[1, 0.1], [0.1, -1.7e308]]}, args) == 2
         assert "passes the largest float at coherent epsilon 1e+308" in capsys.readouterr().err
@@ -627,8 +604,8 @@ class TestNonFiniteInputs:
             # the gap exited 1: "overflow encountered in scalar subtract", or in subtract
             (WIDE_SPREAD, ["ipea", "--tau", "1"], 2, "gap of '' passes the largest float"),
             (WIDE_GAP, ["eig"], 0, ""),
-            (WIDE_GAP, ["asp", "--total-time", "2"], 2, "gap is not finite at s = 0.8"),
-            (WIDE_GAP, ["asp", "--scan", "1:2:1"], 2, "gap is not finite at s = 0.8"),
+            (WIDE_GAP, ["asp", "--total-time", "2"], 2, "gap of H(s) at s = 0.800000 passes the largest float"),
+            (WIDE_GAP, ["asp", "--scan", "1:2:1"], 2, "gap of H(s) at s = 0.800000 passes the largest float"),
             # exited 1 on numpy's LinAlgError
             (UNCONVERGED, ["eig"], 2, "eigendecomposition failed: Eigenvalues did not converge"),
             (UNCONVERGED, ["ipea", "--tau", "1"], 2, "eigendecomposition failed: Eigenvalues did not converge"),

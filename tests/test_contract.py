@@ -15,7 +15,10 @@ float range or past ``int()``'s digit limit. Each example runs
 
 The library twin draws the same kinds of matrices and operating points into
 ``run_ipea``, ``scan_total_time``, ``run_asp``, ``run_pulse_backend`` and
-``compile_controlled_u``.
+``compile_controlled_u``, and extreme phases, amplitudes and digit counts
+into ``synthesize_spectrum``, ``extract_phase_from_spectrum`` and
+``to_binary``; a spectrum or phase it returns is finite, and a bit string
+holds only binary digits.
 
 Every drawn value is a plausible one or an extreme one, so that runs pass
 validation often enough to reach the computation. A matrix's plain entries
@@ -59,6 +62,7 @@ EXTREME_NUMBERS = [
     "nan", "inf", "-inf", "x", "",
 ]
 EXTREME_COUNTS = [-1, 0, 52, 53, asp.MAX_POINTS + 1, 2**63]
+NON_FINITE = [math.inf, -math.inf, math.nan]
 NON_FINITE_TEXT = re.compile(r"(?<![a-z])(nan|inf|infinity)(?![a-z])", re.IGNORECASE)
 # what cli.main calls that may raise: every subcommand and the --out check
 RAISING = ("cmd_eig", "cmd_ipea", "cmd_asp", "cmd_noise_sweep", "cmd_spectra", "_require_out_dir")
@@ -255,13 +259,42 @@ def matrices(draw):
     return m
 
 
+def phases():
+    return mostly(st.floats(0.0, 1.0, exclude_max=True), st.one_of(extreme_floats(), st.sampled_from(NON_FINITE)))
+
+
+@st.composite
+def spectra(draw):
+    """A synthesized spectrum, up to three of its amplitudes replaced by
+    complex numbers of extreme, infinite or NaN parts."""
+    amplitudes = probe.synthesize_spectrum(draw(st.floats(0.0, 1.0, exclude_max=True)))
+    part = st.one_of(extreme_floats(), st.sampled_from(NON_FINITE))
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2, 3]))):
+        amplitudes[draw(st.integers(0, amplitudes.size - 1))] = complex(draw(part), draw(part))
+    return amplitudes
+
+
 @st.composite
 def library_calls(draw):
     """(name, thunk) of one library call on drawn inputs; building the
     inputs is part of the call."""
     real = mostly(st.floats(-4.0, 4.0), extreme_floats())
-    names = ["run_ipea", "scan_total_time", "run_asp", "run_pulse_backend", "compile_controlled_u"]
+    names = [
+        "run_ipea", "scan_total_time", "run_asp", "run_pulse_backend", "compile_controlled_u",
+        "synthesize_spectrum", "extract_phase_from_spectrum", "to_binary",
+    ]
     name = draw(st.sampled_from(names))
+    if name == "synthesize_spectrum":
+        phase = draw(phases())
+        return name, lambda: probe.synthesize_spectrum(phase)
+    if name == "extract_phase_from_spectrum":
+        trace, reference = draw(spectra()), draw(spectra())
+        return name, lambda: probe.extract_phase_from_spectrum(trace, reference)
+    if name == "to_binary":
+        value = draw(phases())
+        counts = (st.integers(-2, 64), st.integers(1, 64).map(np.int64), st.booleans(), st.floats(-2.0, 64.0))
+        digits = draw(st.one_of(*counts))
+        return name, lambda: ipea.to_binary(value, digits)
     if name == "compile_controlled_u":
         matrix = draw(mostly(unitaries(), matrices()))
         return name, lambda: nmrpulse.compile_controlled_u(matrix)
@@ -293,8 +326,13 @@ def library_calls(draw):
 @FUZZ
 @given(library_calls())
 def test_library_raises_only_molphase_errors(case):
-    _, call = case
+    name, call = case
+    result = None
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with contextlib.suppress(MolphaseError):
-            call()
+            result = call()
+    if isinstance(result, (float, np.ndarray)):
+        assert np.isfinite(result).all(), (name, result)
+    if isinstance(result, str):
+        assert re.fullmatch("[01]+", result), (name, result)

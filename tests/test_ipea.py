@@ -749,6 +749,14 @@ class TestToBinary:
                 ipea.to_binary(value, 3)
         with pytest.raises(ValidationError, match="digit count"):
             ipea.to_binary(0.5, 0)
+        # True formatted as "01b" failed with ValueError, and 2.0 with TypeError
+        for digits in (True, 2.0, "3"):
+            with pytest.raises(ValidationError, match="digit count must be an integer"):
+                ipea.to_binary(0.5, digits)
+
+    def test_numpy_digit_count(self):
+        # np.int64(60) shifted the phase's numerator past 64 bits and read "-000...1100000"
+        assert ipea.to_binary(0.1, np.int64(60)) == ipea.to_binary(0.1, 60)
 
     @settings(max_examples=300, deadline=None)
     @given(st.floats(min_value=0.0, max_value=1.0, exclude_max=True), st.integers(1, 1200))

@@ -54,6 +54,9 @@ class TestSpectrum:
         for _ in range(2):  # the decomposition is kept, the failure is not
             with pytest.raises(DegeneracyError, match="degenerate"):
                 molham.spectrum(h)
+        # the label is an argument of require_gap's name template, never the template
+        with pytest.raises(DegeneracyError, match="^ground state of '50%s' is degenerate: gap 0.000e"):
+            molham.spectrum(molham.MolecularHamiltonian(np.eye(2), label="50%s"))
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("matrix", [[[-1.0, 1e308], [1e308, 1.0]], [[-1e308, 0.1], [0.1, 1.7e308]]])

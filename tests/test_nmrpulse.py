@@ -293,6 +293,14 @@ class TestRunPulseBackend:
         assert calls == [0.0, over_rotation]
         assert [math.copysign(1.0, x) for x in calls] == [1.0, math.copysign(1.0, over_rotation)]
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("over_rotation", [1e308, -1e308, 1.7976931348623157e308])
+    def test_huge_over_rotation_rejected_without_a_warning(self, h2, over_rotation):
+        # the compiler's np.float64 angles times 1 + over_rotation warned
+        # "overflow encountered in scalar multiply" before the angle check raised
+        with pytest.raises(ValidationError, match="rotation angle must be finite"):
+            nmrpulse.run_pulse_backend(h2, ipea.IterationConfig(tau=H2_TAU), over_rotation=over_rotation)
+
     def test_diagonalizes_once_per_solve(self, eigh_calls):
         h = molham.MolecularHamiltonian(np.array([[-1.9, 0.2], [0.2, -0.3]]), label="H2-like")
         nmrpulse.run_pulse_backend(h, ipea.IterationConfig(tau=molham.choose_tau(h)))

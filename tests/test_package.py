@@ -57,7 +57,7 @@ PUBLIC_NAMES = {
     ],
     "molphase.molham": [
         "GAP_TOL", "H2_MATRIX", "MolecularHamiltonian", "build_h2", "choose_tau", "load_hamiltonian",
-        "spectrum",
+        "require_gap", "spectrum",
     ],
     "molphase.nmrpulse": [
         "COMPILE_FIDELITY_FLOOR", "DelayEvent", "PulseEvent", "PulseSequence", "SPINS",

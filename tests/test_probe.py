@@ -345,6 +345,44 @@ class TestSpectra:
                 with pytest.raises(ValidationError, match=f"{probe.SPECTRUM_POINTS} amplitudes, got shape"):
                     call()
 
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_phase_rejected(self):
+        # inf warned "invalid value encountered in exp", and nan gave NaN amplitudes
+        for phase in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValidationError, match="phase fraction must be finite"):
+                probe.synthesize_spectrum(phase)
+
+    @pytest.mark.filterwarnings("error")
+    def test_phase_is_reduced_to_one_turn(self):
+        # 1e308 warned "invalid value encountered in exp"
+        for phase, reduced in ((1e308, 0.0), (-1e308, 0.0), (1.25, 0.25), (-0.75, 0.25)):
+            assert probe.synthesize_spectrum(phase).tobytes() == probe.synthesize_spectrum(reduced).tobytes()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("value", [math.nan, math.inf, complex(0.0, -math.inf), complex(math.nan, 1.0)])
+    def test_non_finite_amplitude_rejected(self, value):
+        # an all-NaN trace extracted phase nan
+        good = probe.synthesize_spectrum(0.1)
+        bad = good.copy()
+        bad[7] = value
+        for call in (
+            lambda: probe.extract_phase_from_spectrum(good, bad),
+            lambda: probe.extract_phase_from_spectrum(bad, good),
+            lambda: probe.spectrum_csv(bad),
+        ):
+            with pytest.raises(ValidationError, match="spectrum amplitudes must be finite"):
+                call()
+
+    @pytest.mark.filterwarnings("error")
+    def test_line_integral_past_the_largest_float_rejected(self):
+        # numpy warned "overflow encountered in reduce"
+        good = probe.synthesize_spectrum(0.1)
+        wide = good.copy()
+        wide[:2] = 1.7e308
+        for trace, reference in ((good, wide), (wide, good)):
+            with pytest.raises(ValidationError, match="line integral passes the largest float"):
+                probe.extract_phase_from_spectrum(trace, reference)
+
     def test_weak_reference_rejected(self):
         a = probe.synthesize_spectrum(0.1)
         with pytest.raises(ReadoutError, match="reference"):
@@ -362,6 +400,6 @@ class TestSpectra:
 
     def test_csv_equals_per_row_formatting(self):
         trace = probe.synthesize_spectrum(0.37)
-        trace[:4] = [complex(-0.0, 0.0), complex(math.nan, -math.inf), 1e-300j, 5e-324]
+        trace[:4] = [complex(-0.0, 0.0), complex(-1.7976931348623157e308, 2.2250738585072014e-308), 1e-300j, 5e-324]
         rows = [f"{f:.17g},{a.real:.17g},{a.imag:.17g}" for f, a in zip(probe.FREQUENCIES_HZ, trace)]
         assert probe.spectrum_csv(trace) == "frequency_hz,amplitude_re,amplitude_im\n" + "\n".join(rows) + "\n"

@@ -82,11 +82,11 @@ MUTANTS = (
         "ASP fidelities use unconjugated ground-state weights (wrong for complex targets)",
     ),
     Mutant(
-        "sweep-gap-check-dropped",
-        "src/molphase/asp.py",
-        "if gap <= molham.GAP_TOL:",
+        "gap-check-dropped",
+        "src/molphase/molham.py",
+        "if gap <= GAP_TOL:",
         "if gap < 0.0:",
-        "the sweep runs through a closed gap, where the ground state it reads is arbitrary",
+        "spectrum and the sweep run through a closed gap, where the ground state they read is arbitrary",
     ),
     Mutant(
         "wrapped-seed-kept",
@@ -175,8 +175,8 @@ MUTANTS = (
     Mutant(
         "asp-accepts-both-time-flags",
         "src/molphase/cli.py",
-        "if (args.scan is None) == (args.total_time is None):",
-        "if args.scan is None and args.total_time is None:",
+        "add_mutually_exclusive_group(required=True)",
+        "add_argument_group()",
         "asp --scan with --total-time runs the scan and silently ignores the total time",
     ),
     Mutant(
@@ -285,18 +285,11 @@ MUTANTS = (
         "a spread past the largest float gives tau 0.0, which IterationConfig blames instead",
     ),
     Mutant(
-        "spectrum-gap-overflow-read",
+        "gap-overflow-read",
         "src/molphase/molham.py",
         "if not math.isfinite(gap):",
         "if False:",
-        "a gap past the largest float passes spectrum, and the run blames the ground phase",
-    ),
-    Mutant(
-        "sweep-gap-overflow-read",
-        "src/molphase/asp.py",
-        "if not math.isfinite(gap):",
-        "if False:",
-        "the sweep runs through a gap past the largest float (asp exits 0 with a fidelity)",
+        "a gap past the largest float passes spectrum and the sweep (asp exits 0 with a fidelity)",
     ),
     Mutant(
         "seed-words-past-four-dropped",
@@ -346,6 +339,62 @@ MUTANTS = (
         "if not np.isfinite(m).all():",
         "if False:",
         "an H + eps sz past the largest float is blamed on the matrix's entries, not on epsilon",
+    ),
+    Mutant(
+        "pulse-angle-scaled-in-numpy",
+        "src/molphase/nmrpulse.py",
+        "float(event.angle) * scale",
+        "event.angle * scale",
+        "a pulse angle times 1 + over-rotation past the largest float warns before it is rejected",
+    ),
+    Mutant(
+        "spectrum-phase-unchecked",
+        "src/molphase/probe.py",
+        "if not math.isfinite(phase_fraction):",
+        "if False:",
+        "a NaN phase fraction synthesizes NaN amplitudes, and an infinite one warns",
+    ),
+    Mutant(
+        "spectrum-phase-unreduced",
+        "src/molphase/probe.py",
+        "np.exp(2j * np.pi * reduce_phase(phase_fraction))",
+        "np.exp(2j * np.pi * phase_fraction)",
+        "a phase fraction of 1e308 warns and synthesizes NaN amplitudes",
+    ),
+    Mutant(
+        "spectrum-amplitudes-unchecked",
+        "src/molphase/probe.py",
+        "if not np.isfinite(a).all():",
+        "if False:",
+        "a NaN or infinite amplitude extracts phase NaN and is written to a spectrum CSV",
+    ),
+    Mutant(
+        "line-integral-overflow-warns",
+        "src/molphase/probe.py",
+        'with np.errstate(over="ignore", invalid="ignore"):  # a sum past',
+        'with np.errstate(over="warn", invalid="warn"):  # a sum past',
+        "a line integral past the largest float warns before it is rejected",
+    ),
+    Mutant(
+        "line-integral-overflow-read",
+        "src/molphase/probe.py",
+        "if not cmath.isfinite(total):",
+        "if False:",
+        "a line integral past the largest float extracts phase NaN",
+    ),
+    Mutant(
+        "digit-count-unchecked",
+        "src/molphase/ipea.py",
+        'qcore.require_integer("digit count", digits, 1)',
+        "pass",
+        "to_binary takes a bool or float digit count and fails with ValueError or TypeError",
+    ),
+    Mutant(
+        "digit-count-kept-numpy",
+        "src/molphase/ipea.py",
+        "(p << int(digits)) // q",
+        "(p << digits) // q",
+        "a numpy digit count overflows the shift and reads a negative bit string",
     ),
 )
 
