@@ -30,7 +30,6 @@ locates the few-step high-fidelity regime directly.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -62,8 +61,7 @@ class AdiabaticSchedule:
         qcore.require_integer("steps", self.steps, 1)
         if self.steps > MAX_POINTS:
             raise ValidationError(f"steps must lie in 1..{MAX_POINTS}, got {self.steps}")
-        if not math.isfinite(self.total_time):
-            raise ValidationError(f"total time must be finite, got {self.total_time}")
+        qcore.require_magnitude("total time", self.total_time)
         if not self.total_time > 0:
             raise ValidationError(f"total time must be positive, got {self.total_time}")
         if self.target.dim != 2:
@@ -105,8 +103,9 @@ def trotter_step(target: MolecularHamiltonian, s_m: float, delta: float) -> np.n
     """
     if target.dim != 2:
         raise ValidationError(f"trotter step targets 2x2 systems, got dim {target.dim}")
-    if not (math.isfinite(delta) and delta > 0):
-        raise ValidationError(f"step duration must be finite and positive, got {delta}")
+    qcore.require_magnitude("step duration", delta)
+    if not delta > 0:
+        raise ValidationError(f"step duration must be positive, got {delta}")
     if not 0.0 <= s_m <= 1.0:
         raise ValidationError(f"interpolation parameter must lie in [0, 1], got {s_m}")
     vx, energies, b, b_adj = _slice_inputs(target, np.array([s_m]))
@@ -213,8 +212,7 @@ def scan_total_time(target: MolecularHamiltonian, steps: int, t_grid) -> list[tu
         raise ValidationError(f"time grid must be one-dimensional, got shape {grid.shape}")
     if grid.size == 0:
         raise ValidationError("time grid is empty")
-    if not np.all(np.isfinite(grid)):
-        raise ValidationError("time grid values must be finite")
+    qcore.require_magnitude("time grid values", np.abs(grid).max())
     if np.any(grid <= 0):
         raise ValidationError("time grid values must be positive")
     if np.any(np.diff(grid) <= 0):

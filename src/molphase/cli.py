@@ -17,10 +17,9 @@ configuration and seed always produce byte-identical outputs.
 
 Exit codes: 0 success, 1 computation failure, 2 configuration or
 validation failure, including a tau at which the phase cannot name the
-ground energy (``errors.TauRangeError``), an E*t that overflows, a
-``NaN`` or ``Infinity`` token in a document, an eigenvalue, spread or
-gap past the largest float, an eigendecomposition that does not converge,
-a Hermiticity difference past the largest float, and an H + eps sz past it.
+ground energy (``errors.TauRangeError``), a ``NaN`` or ``Infinity`` token
+in a document, a number that is not finite with magnitude at most 2^500
+(``qcore.MAX_MAGNITUDE``), and an eigendecomposition that does not converge.
 """
 from __future__ import annotations
 
@@ -158,10 +157,8 @@ def cmd_asp(args) -> int:
             start, stop, step = (float(p) for p in parts)
         except ValueError:
             raise ValidationError(f"scan bounds must be numbers, got {args.scan!r}") from None
-        if not np.all(np.isfinite([start, stop, step])):
-            raise ValidationError(f"scan bounds must be finite, got {args.scan!r}")
-        if start <= 0:  # so that stop - start below cannot overflow
-            raise ValidationError("time grid values must be positive")
+        for bound in (start, stop, step):
+            qcore.require_magnitude("scan bound", bound)
         if step <= 0 or stop < start:
             raise ValidationError(f"scan range is empty or descending: {args.scan!r}")
         # the points start + i step up to the stop, which counts as a point
@@ -170,8 +167,8 @@ def cmd_asp(args) -> int:
         if intervals >= asp.MAX_POINTS:
             raise ValidationError(f"scan {args.scan!r} has more than {asp.MAX_POINTS} points")
         # np.arange's own points start + i delta, delta = (start + step) - start,
-        # counted rather than stopped; start + step is held at the largest float
-        grid = start + np.arange(int(intervals) + 1) * (min(start + step, sys.float_info.max) - start)
+        # counted rather than stopped
+        grid = start + np.arange(int(intervals) + 1) * (start + step - start)
     else:
         grid = np.array([args.total_time])
     pairs = asp.scan_total_time(h, args.steps, grid)

@@ -98,12 +98,12 @@ class IterationConfig:
                 f"{self.bits_per_iteration} bits x {self.iterations} iterations = {bits} bits"
                 f" exceeds the {MAX_REPORT_BITS} a float64 phase holds"
             )
-        if not (math.isfinite(self.phase_error_bound) and self.phase_error_bound >= 0):
-            raise ValidationError(
-                f"phase error bound must be finite and >= 0, got {self.phase_error_bound}"
-            )
-        if not (math.isfinite(self.tau) and self.tau > 0):
-            raise ValidationError(f"tau must be positive and finite, got {self.tau}")
+        qcore.require_magnitude("phase error bound", self.phase_error_bound)
+        if not self.phase_error_bound >= 0:
+            raise ValidationError(f"phase error bound must be >= 0, got {self.phase_error_bound}")
+        qcore.require_magnitude("tau", self.tau)
+        if not self.tau > 0:
+            raise ValidationError(f"tau must be positive, got {self.tau}")
         n = self.bits_per_iteration
         limit = 1.0 - (2.0 ** (n - 48) if self.iterations > 1 else 0.0)
         if not (2.0 ** (n + 1) + 2.0) * self.phase_error_bound < limit:
@@ -354,8 +354,11 @@ def running_estimates(
 
 
 def to_binary(value: float, digits: int) -> str:
-    """Binary expansion of a phase in [0, 1) truncated to floor(value 2^digits), most significant first."""
+    """Binary expansion of a phase in [0, 1) truncated to floor(value 2^digits), most significant first,
+    to at most ``MAX_REPORT_BITS`` digits."""
     qcore.require_integer("digit count", digits, 1)
+    if digits > MAX_REPORT_BITS:
+        raise ValidationError(f"digit count must be <= {MAX_REPORT_BITS}, got {digits}")
     if not 0.0 <= value < 1.0:
         raise ValidationError(f"value must lie in [0, 1), got {value}")
     p, q = value.as_integer_ratio()

@@ -38,11 +38,6 @@ COMPILE_FIDELITY_FLOOR = 1.0 - 1e-9
 _ZZ_ENERGIES = 0.5 * np.pi * probe.J_COUPLING_HZ * np.array([1.0, -1.0, -1.0, 1.0])
 
 
-def _require_finite(name: str, value: float) -> None:
-    if not math.isfinite(value):
-        raise ValidationError(f"{name} must be finite, got {value}")
-
-
 @dataclass(frozen=True)
 class PulseEvent:
     """Instantaneous rotation exp(-i (angle/2) (cos(phase) sx + sin(phase) sy))
@@ -55,8 +50,8 @@ class PulseEvent:
     def __post_init__(self):
         if self.spin not in SPINS:
             raise ValidationError(f"spin must be one of {SPINS}, got {self.spin!r}")
-        _require_finite("pulse phase", self.phase)
-        _require_finite("pulse angle", self.angle)
+        qcore.require_magnitude("pulse phase", self.phase)
+        qcore.require_magnitude("pulse angle", self.angle)
 
 
 @dataclass(frozen=True)
@@ -66,8 +61,9 @@ class DelayEvent:
     duration: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.duration) and self.duration >= 0):
-            raise ValidationError(f"delay duration must be finite and >= 0, got {self.duration}")
+        qcore.require_magnitude("delay duration", self.duration)
+        if not self.duration >= 0:
+            raise ValidationError(f"delay duration must be >= 0, got {self.duration}")
 
 
 class PulseSequence(NamedTuple):
@@ -80,8 +76,8 @@ class PulseSequence(NamedTuple):
 
 def transverse_rotation(phase: float, angle: float) -> np.ndarray:
     """Single-spin rotation about the transverse axis at azimuth ``phase``."""
-    _require_finite("rotation phase", phase)
-    _require_finite("rotation angle", angle)
+    qcore.require_magnitude("rotation phase", phase)
+    qcore.require_magnitude("rotation angle", angle)
     c, s = math.cos(phase), math.sin(phase)
     ch, sh = math.cos(angle / 2.0), math.sin(angle / 2.0)
     return np.array([[ch, complex(-sh * s, -sh * c)], [complex(sh * s, -sh * c), ch]], dtype=complex)
@@ -94,13 +90,14 @@ def evolve_sequence(events, over_rotation: float = 0.0) -> np.ndarray:
     a pulse's rotation (angle scaled by 1 + ``over_rotation``) multiplies u
     along the probe axis, as (2, 8), or the system axis, as (2, 2, 4).
     """
+    qcore.require_magnitude("over_rotation", over_rotation)
     u = np.eye(4, dtype=complex)
-    scale = 1.0 + float(over_rotation)  # Python floats: an angle past the largest float is inf, with no numpy warning
+    scale = 1.0 + over_rotation
     for event in events:
         if isinstance(event, DelayEvent):
             u = qcore.phase_factors(_ZZ_ENERGIES, event.duration)[:, None] * u
         elif isinstance(event, PulseEvent):
-            r = transverse_rotation(event.phase, float(event.angle) * scale)
+            r = transverse_rotation(event.phase, event.angle * scale)
             if event.spin == "probe":
                 u = (r @ u.reshape(2, 8)).reshape(4, 4)
             else:
@@ -208,7 +205,7 @@ def run_pulse_backend(
     """
     if h.dim != 2:
         raise ValidationError(f"pulse backend handles 2x2 systems, got dim {h.dim}")
-    _require_finite("over_rotation", over_rotation)
+    qcore.require_magnitude("over_rotation", over_rotation)
     spec = molham.spectrum(h)
     ipea.require_ground_window(config, spec.ground_energy)
     joint = np.outer(qcore.KET_PLUS, spec.ground_state).ravel()

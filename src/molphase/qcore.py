@@ -13,7 +13,6 @@ complex128, and eigenvalues are always sorted ascending.
 """
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -36,16 +35,31 @@ STATE_NORM_TOL = 1e-12
 # Decompositions ``hermitian_eig`` keeps; 256 at dim 8 hold under 1 MB.
 EIG_CACHE_SIZE = 256
 
+# The largest magnitude of every real input, or part of a complex one, checked
+# where it enters (NaN and +-inf fail it too). Every value formed inside is then
+# finite: an eigenvalue at MAX_DIM is below 2^504, so E t < 2^1004, and so is a
+# sum of MAX_DIM products of two entries.
+MAX_MAGNITUDE = 2.0**500
+
+
+def require_magnitude(name: str, value) -> None:
+    """Reject a real ``value`` unless it is finite with magnitude at most ``MAX_MAGNITUDE``."""
+    if not abs(value) <= MAX_MAGNITUDE:
+        raise ValidationError(f"{name} must be finite with magnitude at most 2^500, got {value}")
+
 
 def as_complex_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Coerce to a square complex matrix of dim <= 8 with finite entries."""
-    m = np.asarray(a, dtype=complex)
+    """Coerce to a square complex matrix of dim <= 8 whose entries' parts are
+    finite with magnitude at most ``MAX_MAGNITUDE``."""
+    m = np.ascontiguousarray(a, dtype=complex)  # so that a transpose has a float view
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValidationError(f"{name} must be square, got shape {m.shape}")
     if not 1 <= m.shape[0] <= MAX_DIM:
         raise ValidationError(f"{name} dimension {m.shape[0]} outside 1..{MAX_DIM}")
-    if not np.isfinite(m.view(float)).all():
-        raise ValidationError(f"{name} contains non-finite entries")
+    parts = np.abs(m.view(float))
+    if not parts.max() <= MAX_MAGNITUDE:
+        i, j = np.argwhere(~(parts <= MAX_MAGNITUDE))[0] // (1, 2)
+        raise ValidationError(f"{name} has a non-finite entry or one past 2^500 in magnitude: {m[i, j]} at [{i}][{j}]")
     return m
 
 
@@ -61,9 +75,8 @@ def require_integer(name: str, value, minimum: int) -> None:
 def require_hermitian(a, name: str) -> np.ndarray:
     """Validate Hermiticity to ``HERMITIAN_TOL`` (max-norm), naming the worst entry pair."""
     m = as_complex_matrix(a, name)
-    with np.errstate(over="ignore"):  # a difference past the largest float is inf
-        dev = np.abs(m - m.conj().T)
-    if not dev.max() <= HERMITIAN_TOL:
+    dev = np.abs(m - m.conj().T)
+    if dev.max() > HERMITIAN_TOL:
         i, j = np.unravel_index(np.argmax(dev), dev.shape)
         raise ValidationError(
             f"{name} is not Hermitian: |A[{i}][{j}] - conj(A[{j}][{i}])| = {dev[i, j]:.3e}"
@@ -73,12 +86,10 @@ def require_hermitian(a, name: str) -> np.ndarray:
 
 
 def require_unitary(a, name: str) -> np.ndarray:
-    """Validate unitarity, max-norm of U†U - I below ``UNITARY_TOL``; a product
-    past float range, inf or NaN, fails."""
+    """Validate unitarity, max-norm of U†U - I below ``UNITARY_TOL``."""
     m = as_complex_matrix(a, name)
-    with np.errstate(over="ignore", invalid="ignore"):
-        dev = np.abs(m.conj().T @ m - np.eye(m.shape[0])).max()
-    if not dev <= UNITARY_TOL:
+    dev = np.abs(m.conj().T @ m - np.eye(m.shape[0])).max()
+    if dev > UNITARY_TOL:
         raise ValidationError(f"{name} is not unitary: max|U†U - I| = {dev:.3e} > {UNITARY_TOL:.1e}")
     return m
 
@@ -156,16 +167,15 @@ class EigenDecomposition(NamedTuple):
 
     def propagator(self, t: float) -> np.ndarray:
         """exp(-i h t) = V diag(exp(-i lambda t)) V† for the decomposed h."""
+        require_magnitude("evolution time", t)
         v = self.eigenvectors
         return (v * phase_factors(self.energies, t)) @ v.conj().T
 
 
 def phase_factors(energies, t) -> np.ndarray:
-    """Evolution phases exp(-i E t) of real energies and times, broadcast; raises
-    ``ValidationError`` unless max|E| max|t|, in Python floats, is finite."""
-    e_max, t_max = float(np.abs(energies).max()), float(np.abs(t).max())
-    if not math.isfinite(e_max * t_max):
-        raise ValidationError(f"evolution phase E*t is not finite: max|E| = {e_max:.6g}, max|t| = {t_max:.6g}")
+    """Evolution phases exp(-i E t) of real energies and times, broadcast. Every
+    caller's E and t derive from inputs within ``MAX_MAGNITUDE``, so E t is
+    below 2^1004 and finite."""
     return np.exp(-1j * (energies * t))
 
 
@@ -175,9 +185,9 @@ def hermitian_eig(h) -> EigenDecomposition:
     Equal matrices (same shape, same complex128 entries) share one
     read-only decomposition while it is among the ``EIG_CACHE_SIZE`` most
     recently used: a repeat is neither validated again nor decomposed
-    again. Input that fails validation, whose eigenvalues do not converge
-    or are not all finite, is never kept, so it raises ``ValidationError``
-    on every call.
+    again. Input that fails validation, or whose eigenvalues do not
+    converge, is never kept, so it raises ``ValidationError`` on every call.
+    Entries within ``MAX_MAGNITUDE`` keep every eigenvalue below 2^504.
     """
     m = np.asarray(h, dtype=complex)
     return _decompose(m.shape, m.tobytes())
@@ -190,8 +200,6 @@ def _decompose(shape: tuple[int, ...], data: bytes) -> EigenDecomposition:
         vals, vecs = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
         raise ValidationError(f"matrix eigendecomposition failed: {exc}") from None
-    if not np.isfinite(vals).all():
-        raise ValidationError(f"matrix eigenvalues are not all finite: {vals.tolist()}")
     vals.flags.writeable = False
     vecs.flags.writeable = False
     return EigenDecomposition(vals, vecs)

@@ -171,10 +171,11 @@ class TestIpeaCommand:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("command", ["ipea", "spectra", "noise-sweep"])
     def test_overflowing_tau_exits_2_without_output(self, tmp_path, capsys, command):
-        # ipea exited 1 after numpy overflow warnings ("left the unitary group: ... nan")
+        # ipea exited 1 after numpy overflow warnings ("left the unitary group: ... nan"),
+        # then 2 with "outside the window"; the tau is now refused where it enters
         out = tmp_path / "o"
         assert cli.main([command, "--tau", "1.7e308", "--out", str(out)]) == 2
-        assert "outside the window" in capsys.readouterr().err
+        assert "tau must be finite with magnitude at most 2^500, got 1.7e+308" in capsys.readouterr().err
         assert not out.exists()
 
     def test_jitter_above_the_error_bound_exits_2_without_output(self, tmp_path, capsys):
@@ -324,7 +325,7 @@ class TestAspCommand:
         assert not out.exists()
         assert eigh_calls == []
 
-    @pytest.mark.parametrize("t", ["5", "1e15", "1e16", "1e300"])
+    @pytest.mark.parametrize("t", ["5", "1e15", "1e16", repr(qcore.MAX_MAGNITUDE)])
     def test_one_point_scan_is_the_total_time_run(self, tmp_path, t):
         # the half-step stop of 1e16:1e16:1 rounded to the start, and the
         # scan was refused as "time grid is empty"
@@ -352,33 +353,10 @@ class TestAspCommand:
         assert [float(r[0]) for r in rows] == list(np.arange(0.1, 0.3 + 1e-12, 0.1)) == [0.1, 0.2, 0.30000000000000004]
 
     @pytest.mark.parametrize(
-        "scan, points",
-        [
-            # arange's stop, start + 1.5 step, overflowed to inf: numpy's
-            # ValueError "Maximum allowed size exceeded" (exit 1)
-            ("1.79e308:1.79e308:1e308", [1.79e308]),
-            ("1.5e308:1.7e308:0.2e308", [1.5e308, 1.5e308 + 0.2e308]),
-        ],
-    )
-    def test_scan_near_the_largest_float_runs(self, tmp_path, scan, points):
-        assert cli.main(["asp", "--scan", scan, "--out", str(tmp_path)]) == 0
-        _, rows = read_csv(tmp_path / "asp_scan.csv")
-        assert [float(r[0]) for r in rows] == points
-
-    @pytest.mark.parametrize(
         "args", [["--scan", "1:inf:0.5"], ["--scan", "nan:3:0.5"], ["--scan", "1:3:nan"], ["--total-time", "inf"]]
     )
     def test_non_finite_times_are_bad_input(self, tmp_path, args):
         assert cli.main(["asp", *args, "--out", str(tmp_path)]) == 2
-
-    @pytest.mark.parametrize("scan", ["-1.7e308:1.7e308:1e308", "0:1:0.5", "-1:1:0.5"])
-    def test_scan_start_is_checked_before_the_points_are_counted(self, tmp_path, capsys, scan):
-        # the span of the first overflowed, and its 4 points were said to be
-        # "more than 65536"
-        out = tmp_path / "o"
-        assert cli.main(["asp", f"--scan={scan}", "--out", str(out)]) == 2
-        assert "time grid values must be positive" in capsys.readouterr().err
-        assert not out.exists()
 
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -509,10 +487,11 @@ class TestFlags:
             assert "unrecognized arguments" in capsys.readouterr().err
 
 
-# Entries whose E*t passes the largest float: E0 = -1e10 over ASP slices of
-# 1e299 / 6 and more, and E1 = 1e308 at tau = 2.
+# Entries whose E*t would pass the largest float, now refused where they
+# enter: E0 = -1e10 over ASP slices of 1e299 / 6 and more, and E1 = 1e308 at tau = 2.
 BIG = {"dim": 2, "matrix_re": [[-1e10, 0.1], [0.1, 1.0]]}
 HUGE = {"dim": 2, "matrix_re": [[-1.0, 0.0], [0.0, 1e308]]}
+TOP = qcore.MAX_MAGNITUDE
 
 
 @pytest.mark.filterwarnings("error")
@@ -529,31 +508,32 @@ class TestOverflowingPhases:
     def test_asp_exits_2_without_output(self, tmp_path, capsys, args):
         # exited 0 with fidelity nan; the scan wrote one real row and three nan rows
         assert self.run(tmp_path, BIG, ["asp", *args]) == 2
-        assert "E*t is not finite" in capsys.readouterr().err
+        assert "must be finite with magnitude at most 2^500, got " in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["ipea", "spectra"])
     def test_estimation_exits_2_without_output(self, tmp_path, capsys, command):
         # exited 1: the power chain "left the unitary group" with nan drift
         assert self.run(tmp_path, HUGE, [command, "--tau", "2"]) == 2
-        assert "E*t is not finite" in capsys.readouterr().err
+        assert "past 2^500 in magnitude: (1e+308+0j) at [1][1]" in capsys.readouterr().err
 
     def test_noise_sweep_epsilon_fails_before_any_run(self, tmp_path, capsys):
-        # exited 1 in the run at epsilon 1e308, after the one at 0; that run
-        # now fails before any output (run_ipea judges each epsilon)
+        # exited 1 in the run at epsilon 1e308, after the one at 0; the epsilon
+        # is now refused with the other tokens, before any run
         out = tmp_path / "o"
         assert cli.main(["noise-sweep", "--epsilons", "0,1e308", "--out", str(out)]) == 2
-        assert "E*t is not finite" in capsys.readouterr().err
+        assert "coherent epsilon must be finite with magnitude at most 2^500, got 1e+308" in capsys.readouterr().err
         assert not out.exists()
 
     def test_noise_sweep_perturbed_sum_fails_before_any_run(self, tmp_path, capsys):
-        # H + eps sz overflowed with a numpy warning (exit 1); without one,
-        # the message blamed the matrix's non-finite entries
-        args = ["noise-sweep", "--epsilons", "0,1e308"]
-        assert self.run(tmp_path, {"dim": 2, "matrix_re": [[1, 0.1], [0.1, -1.7e308]]}, args) == 2
-        assert "passes the largest float at coherent epsilon 1e+308" in capsys.readouterr().err
+        # H + eps sz overflowed with a numpy warning (exit 1). Both terms now lie
+        # within the bound, and their sum, -2^501, is refused as a matrix entry
+        args = ["noise-sweep", "--epsilons", f"0,{TOP!r}"]
+        assert self.run(tmp_path, {"dim": 2, "matrix_re": [[1, 0.1], [0.1, -TOP]]}, args) == 2
+        assert "matrix has a non-finite entry or one past 2^500 in magnitude: (-6.5" in capsys.readouterr().err
 
 
-# Documents whose eigenvalues, JSON tokens, spread or gap leave float range.
+# Documents whose eigenvalues, JSON tokens, spread or gap left float range,
+# and scans whose times did; each past 2^500 is refused where it enters.
 MAX = np.finfo(float).max
 NON_FINITE_EIGENVALUE = {"dim": 4, "matrix_re": [[1e308, -1e308, 0, 0], [-1e308, MAX, 0, 0], [0, 0, -1, 0], [0, 0, 0, 1]]}
 NON_FINITE_EIGENVALUES = {"dim": 4, "matrix_re": [[1e308, MAX, 0, 0], [MAX, MAX, 0, 0], [0, 0, -1, 0], [0, 0, 0, 1]]}
@@ -565,6 +545,9 @@ WIDE_GAP = {"dim": 2, "matrix_re": [[-1e308, 0.1], [0.1, 1.7e308]]}
 UNCONVERGED = {"dim": 4, "matrix_re": [[-1.8, -1.8, 1e300, -1.8], [-1.8, 1e8, -0.5, 1e16], [1e300, -0.5, -1.0, 1e8], [-1.8, 1e16, 1e8, 1e16]]}
 # Hermiticity's difference passes the largest float
 WIDE_ANTI_HERMITIAN = {"dim": 2, "matrix_re": [[0, 1.7e308], [-1.7e308, 0]]}
+H2_DOCUMENT = {"dim": 2, "matrix_re": molham.H2_MATRIX.real.tolist()}
+PAST_THE_BOUND = "'' has a non-finite entry or one past 2^500 in magnitude: "
+SCAN_PAST_THE_BOUND = "scan bound must be finite with magnitude at most 2^500, got "
 
 
 def reject_constant(token):
@@ -587,32 +570,51 @@ class TestNonFiniteInputs:
     @pytest.mark.parametrize(
         "document, args, code, cause",
         [
-            # eig exited 0 and wrote Infinity; ipea blamed E*t
-            (NON_FINITE_EIGENVALUE, ["eig"], 2, "eigenvalues are not all finite"),
-            (NON_FINITE_EIGENVALUES, ["eig"], 2, "eigenvalues are not all finite"),
-            (NON_FINITE_EIGENVALUE, ["ipea", "--tau", "1"], 2, "eigenvalues are not all finite"),
+            # eig exited 0 and wrote Infinity; ipea blamed E*t; then "eigenvalues are not all finite"
+            (NON_FINITE_EIGENVALUE, ["eig"], 2, PAST_THE_BOUND + "(1e+308+0j) at [0][0]"),
+            (NON_FINITE_EIGENVALUES, ["eig"], 2, PAST_THE_BOUND + "(1e+308+0j) at [0][0]"),
+            (NON_FINITE_EIGENVALUE, ["ipea", "--tau", "1"], 2, PAST_THE_BOUND + "(1e+308+0j) at [0][0]"),
             # every command exited 1: "invalid value encountered in multiply"
             (INFINITY_TOKENS, ["eig"], 2, "Infinity is not a number"),
             (INFINITY_TOKENS, ["ipea"], 2, "Infinity is not a number"),
             (INFINITY_TOKENS, ["asp", "--total-time", "2"], 2, "Infinity is not a number"),
             (INFINITY_TOKENS, ["noise-sweep"], 2, "Infinity is not a number"),
             (INFINITY_TOKENS, ["spectra"], 2, "Infinity is not a number"),
-            # choose_tau exited 1: "overflow encountered in scalar multiply", or in hypot
-            (WIDE_SPREAD, ["eig"], 0, ""),
-            (WIDE_SPREAD, ["ipea"], 2, "spread of '' passes the largest float"),
-            (WIDE_HYPOT, ["ipea"], 2, "spread of '' passes the largest float"),
-            # the gap exited 1: "overflow encountered in scalar subtract", or in subtract
-            (WIDE_SPREAD, ["ipea", "--tau", "1"], 2, "gap of '' passes the largest float"),
-            (WIDE_GAP, ["eig"], 0, ""),
-            (WIDE_GAP, ["asp", "--total-time", "2"], 2, "gap of H(s) at s = 0.800000 passes the largest float"),
-            (WIDE_GAP, ["asp", "--scan", "1:2:1"], 2, "gap of H(s) at s = 0.800000 passes the largest float"),
-            # exited 1 on numpy's LinAlgError
-            (UNCONVERGED, ["eig"], 2, "eigendecomposition failed: Eigenvalues did not converge"),
-            (UNCONVERGED, ["ipea", "--tau", "1"], 2, "eigendecomposition failed: Eigenvalues did not converge"),
-            # every command exited 1: "overflow encountered in subtract"
-            *((WIDE_ANTI_HERMITIAN, args, 2, "not Hermitian: |A[0][1] - conj(A[1][0])| = inf") for args in (
+            # choose_tau exited 1: "overflow encountered in scalar multiply", or
+            # in hypot; then "spread of '' passes the largest float" (eig exited 0)
+            (WIDE_SPREAD, ["eig"], 2, PAST_THE_BOUND + "(1e+308+0j) at [0][1]"),
+            (WIDE_SPREAD, ["ipea"], 2, PAST_THE_BOUND + "(1e+308+0j) at [0][1]"),
+            (WIDE_HYPOT, ["ipea"], 2, PAST_THE_BOUND + "(-7.5e+307+0j) at [0][0]"),
+            # the gap exited 1: "overflow encountered in scalar subtract", or in
+            # subtract; then "gap of '' passes the largest float" (eig exited 0)
+            (WIDE_SPREAD, ["ipea", "--tau", "1"], 2, PAST_THE_BOUND + "(1e+308+0j) at [0][1]"),
+            (WIDE_GAP, ["eig"], 2, PAST_THE_BOUND + "(-1e+308+0j) at [0][0]"),
+            (WIDE_GAP, ["asp", "--total-time", "2"], 2, PAST_THE_BOUND + "(-1e+308+0j) at [0][0]"),
+            (WIDE_GAP, ["asp", "--scan", "1:2:1"], 2, PAST_THE_BOUND + "(-1e+308+0j) at [0][0]"),
+            # exited 1 on numpy's LinAlgError, then 2 with "eigendecomposition failed";
+            # tests/test_qcore.py pins that catch with a failing eigh
+            (UNCONVERGED, ["eig"], 2, PAST_THE_BOUND + "(1e+300+0j) at [0][2]"),
+            (UNCONVERGED, ["ipea", "--tau", "1"], 2, PAST_THE_BOUND + "(1e+300+0j) at [0][2]"),
+            # every command exited 1: "overflow encountered in subtract"; then
+            # 2 with "not Hermitian: |A[0][1] - conj(A[1][0])| = inf"
+            *((WIDE_ANTI_HERMITIAN, args, 2, PAST_THE_BOUND + "(1.7e+308+0j) at [0][1]") for args in (
                 ["eig"], ["ipea"], ["asp", "--total-time", "2"], ["noise-sweep"], ["spectra"],
             )),
+            # at the bound the spread, the gap and the eigenvalues are finite
+            ({"dim": 2, "matrix_re": [[-1, TOP], [TOP, 1]]}, ["eig"], 0, ""),
+            ({"dim": 2, "matrix_re": [[-TOP, 0.1], [0.1, TOP]]}, ["eig"], 0, ""),
+            # a one-point run at 1e300 exited 0 with a fidelity that is noise
+            (H2_DOCUMENT, ["asp", "--total-time", "1e300"], 2,
+             "time grid values must be finite with magnitude at most 2^500, got 1e+300"),
+            (H2_DOCUMENT, ["asp", "--scan", "1e300:1e300:1"], 2, SCAN_PAST_THE_BOUND + "1e+300"),
+            # a scan near the largest float ran, its stop held at the largest float
+            (H2_DOCUMENT, ["asp", "--scan", "1.79e308:1.79e308:1e308"], 2, SCAN_PAST_THE_BOUND + "1.79e+308"),
+            (H2_DOCUMENT, ["asp", "--scan", "1.5e308:1.7e308:0.2e308"], 2, SCAN_PAST_THE_BOUND + "1.5e+308"),
+            # the span overflowed, and the 4 points were said to be "more than 65536"
+            (H2_DOCUMENT, ["asp", "--scan=-1.7e308:1.7e308:1e308"], 2, SCAN_PAST_THE_BOUND + "-1.7e+308"),
+            # a non-positive time is judged by scan_total_time alone
+            (H2_DOCUMENT, ["asp", "--scan=0:1:0.5"], 2, "time grid values must be positive"),
+            (H2_DOCUMENT, ["asp", "--scan=-1:1:0.5"], 2, "time grid values must be positive"),
         ],
         ids=[
             "eig-inf-eigenvalue", "eig-inf-eigenvalues", "ipea-inf-eigenvalue",
@@ -620,6 +622,10 @@ class TestNonFiniteInputs:
             "eig-wide-spread", "ipea-wide-spread", "ipea-wide-hypot", "ipea-tau-wide-gap",
             "eig-wide-gap", "asp-wide-gap", "asp-scan-wide-gap", "eig-unconverged", "ipea-unconverged",
             *(f"{command}-wide-anti-hermitian" for command in ["eig", "ipea", "asp", "noise-sweep", "spectra"]),
+            "eig-spread-at-the-bound", "eig-gap-at-the-bound",
+            "asp-total-time-past-the-bound", "asp-one-point-scan-past-the-bound",
+            "asp-scan-at-the-largest-float", "asp-scan-near-the-largest-float",
+            "asp-scan-span-past-the-largest-float", "asp-scan-from-zero", "asp-scan-from-below-zero",
         ],
     )
     def test_exit_code_and_cause(self, tmp_path, capsys, document, args, code, cause):

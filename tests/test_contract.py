@@ -2,10 +2,11 @@
 classifies the outcome by its exit code, and the library raises only
 ``MolphaseError``.
 
-Hypothesis draws a subcommand with flag values near the float limits and a
-JSON document of dim 1..9, Hermitian or not, with entries from subnormals
-to the largest float, ``NaN`` and ``Infinity`` tokens and integers past
-float range or past ``int()``'s digit limit. Each example runs
+Hypothesis draws a subcommand with flag values near the float limits and on
+both sides of the input bound 2^500 (``qcore.MAX_MAGNITUDE``), and a JSON
+document of dim 1..9, Hermitian or not, with entries from subnormals to the
+largest float, 2^500 and the next float past it, ``NaN`` and ``Infinity``
+tokens and integers past float range or past ``int()``'s digit limit. Each example runs
 ``cli.main`` in a fresh temporary directory with warnings as errors, and
 - returns 0, 1 or 2, or exits 2 in argparse, and raises nothing else;
 - returns 2 only on a ``ValidationError``, 1 only on another
@@ -53,13 +54,16 @@ FUZZ = settings(
 )
 
 MAX = sys.float_info.max
+# the largest accepted magnitude, qcore.MAX_MAGNITUDE, and the next float past it
+AT_BOUND = [2.0**500, -(2.0**500), math.nextafter(2.0**500, math.inf), -math.nextafter(2.0**500, math.inf)]
 EXTREME_FLOATS = [
     0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-300, 1e300, -1e300, 1e308, -1e308, 1.7e308, MAX, -MAX,
+    *AT_BOUND,
 ]
 EXTREME_ENTRIES = [repr(x) for x in EXTREME_FLOATS] + ["NaN", "Infinity", "-Infinity", "1" + "0" * 400, "9" * 5000]
 EXTREME_NUMBERS = [
     "0", "-0", "-1", "1e-300", "5e-324", "1e300", "-1e300", "1e308", "-1e308", "1.7976931348623157e308", "1e999",
-    "nan", "inf", "-inf", "x", "",
+    "nan", "inf", "-inf", "x", "", *map(repr, AT_BOUND),
 ]
 EXTREME_COUNTS = [-1, 0, 52, 53, asp.MAX_POINTS + 1, 2**63]
 NON_FINITE = [math.inf, -math.inf, math.nan]

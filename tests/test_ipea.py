@@ -513,21 +513,25 @@ class TestJitterProperty:
 
     @pytest.mark.filterwarnings("error")
     def test_window_checked_before_the_operator_overflows(self, h2, monkeypatch):
-        # exp(-i tau E) overflowed to nan here, and the run failed in the power chain
+        # exp(-i tau E) overflowed to nan at tau 1.7e308, and the run failed in
+        # the power chain; such a tau is now refused by the config, and at the
+        # bound the window still rejects it before any operator is built
         def no_chain(*args):
             raise AssertionError("operator built for a ground phase outside the window")
 
         monkeypatch.setattr(qcore, "power_chain", no_chain)
         with pytest.raises(TauRangeError, match="window"):
-            ipea.run_ipea(h2, h2_config(tau=1.7e308))
+            ipea.run_ipea(h2, h2_config(tau=qcore.MAX_MAGNITUDE))
 
     @pytest.mark.filterwarnings("error")
     def test_energy_whose_phase_overflows_rejected(self):
         # the ground phase 1 / pi is inside the window, but E1 tau = 2e308
-        # made the power chain "leave the unitary group" with nan drift
-        h = molham.MolecularHamiltonian(np.diag([-1.0, 1e308]), label="huge")
-        with pytest.raises(ValidationError, match=r"E\*t is not finite"):
-            ipea.run_ipea(h, h2_config(tau=2.0))
+        # made the power chain "leave the unitary group" with nan drift. The
+        # energy is now refused where it enters; at the bound E1 tau is finite
+        with pytest.raises(ValidationError, match=r"'huge' has .* past 2\^500 in magnitude: \(1e\+308\+0j\) at \[1\]\[1\]"):
+            molham.MolecularHamiltonian(np.diag([-1.0, 1e308]), label="huge")
+        h = molham.MolecularHamiltonian(np.diag([-1.0, qcore.MAX_MAGNITUDE]), label="huge")
+        assert ipea.precision_report(ipea.run_ipea(h, h2_config(tau=2.0)).phase, 1.0 / np.pi) >= 18
 
 
 class TestResidualBelowZero:
@@ -753,19 +757,23 @@ class TestToBinary:
         for digits in (True, 2.0, "3"):
             with pytest.raises(ValidationError, match="digit count must be an integer"):
                 ipea.to_binary(0.5, digits)
+        # a count's time and memory grew with it: 10^10 digits would take about 11 GB
+        for digits in (ipea.MAX_REPORT_BITS + 1, np.int64(10**10)):
+            with pytest.raises(ValidationError, match=f"digit count must be <= 52, got {digits}"):
+                ipea.to_binary(0.5, digits)
 
     def test_numpy_digit_count(self):
-        # np.int64(60) shifted the phase's numerator past 64 bits and read "-000...1100000"
-        assert ipea.to_binary(0.1, np.int64(60)) == ipea.to_binary(0.1, 60)
+        # an np.int64 count shifted the phase's numerator in 64 bits: np.int64(60)
+        # read "-000...1100000", and np.int64(52) reads -103 in 52 digits
+        assert ipea.to_binary(0.1, np.int64(52)) == ipea.to_binary(0.1, 52)
 
     @settings(max_examples=300, deadline=None)
-    @given(st.floats(min_value=0.0, max_value=1.0, exclude_max=True), st.integers(1, 1200))
-    @example(0.0, 1100)
-    @example(5e-324, 1100)
-    @example(5e-324, 1073)
-    @example(2.2250738585072014e-308, 1100)
-    @example(math.nextafter(1.0, 0.0), 1100)
-    @example(H2_PHASE, 1200)
+    @given(st.floats(min_value=0.0, max_value=1.0, exclude_max=True), st.integers(1, ipea.MAX_REPORT_BITS))
+    @example(0.0, 52)
+    @example(5e-324, 52)
+    @example(2.2250738585072014e-308, 52)
+    @example(math.nextafter(1.0, 0.0), 52)
+    @example(H2_PHASE, 52)
     def test_equals_the_doubling_loop(self, value, digits):
         assert ipea.to_binary(value, digits) == to_binary_loop(value, digits)
 

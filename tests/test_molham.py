@@ -61,12 +61,13 @@ class TestSpectrum:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("matrix", [[[-1.0, 1e308], [1e308, 1.0]], [[-1e308, 0.1], [0.1, 1.7e308]]])
     def test_gap_past_the_largest_float_rejected(self, matrix):
-        # numpy warned "overflow encountered in scalar subtract" (exit 1)
-        h = molham.MolecularHamiltonian(np.array(matrix), label="wide")
-        for _ in range(2):
-            with pytest.raises(ValidationError, match="gap of 'wide' passes the largest float") as info:
-                molham.spectrum(h)
-            assert not isinstance(info.value, DegeneracyError)
+        # numpy warned "overflow encountered in scalar subtract" (exit 1). Such
+        # entries are refused where the Hamiltonian is built; at the bound the gap is finite
+        with pytest.raises(ValidationError, match=r"'wide' has a non-finite entry or one past 2\^500 in magnitude"):
+            molham.MolecularHamiltonian(np.array(matrix), label="wide")
+        at_bound = np.clip(matrix, -qcore.MAX_MAGNITUDE, qcore.MAX_MAGNITUDE)
+        energies = molham.spectrum(molham.MolecularHamiltonian(at_bound, label="wide")).energies
+        assert 2.0**500 <= energies[1] - energies[0] < np.inf
 
     def test_decomposes_once_per_hamiltonian(self, h2):
         # instances with equal entries share one decomposition
@@ -144,7 +145,7 @@ class TestChooseTau:
         # rejects the tau
         h = molham.MolecularHamiltonian(np.diag([5e-324, 0.0]))
         assert molham.choose_tau(h) == np.inf
-        with pytest.raises(ValidationError, match="tau must be positive and finite"):
+        with pytest.raises(ValidationError, match=r"tau must be finite with magnitude at most 2\^500, got inf"):
             ipea.IterationConfig(tau=molham.choose_tau(h))
 
     @pytest.mark.filterwarnings("error")
@@ -155,10 +156,12 @@ class TestChooseTau:
     )
     def test_spread_past_the_largest_float_rejected(self, matrix):
         # numpy warned "overflow encountered in scalar multiply" or "in hypot";
-        # without the warning the tau was 0.0
-        h = molham.MolecularHamiltonian(np.array(matrix), label="wide")
-        with pytest.raises(ValidationError, match="spread of 'wide' passes the largest float"):
-            molham.choose_tau(h)
+        # without the warning the tau was 0.0. Such entries are refused where
+        # the Hamiltonian is built; at the bound the spread is finite
+        with pytest.raises(ValidationError, match=r"'wide' has a non-finite entry or one past 2\^500 in magnitude"):
+            molham.MolecularHamiltonian(np.array(matrix), label="wide")
+        at_bound = np.clip(matrix, -qcore.MAX_MAGNITUDE, qcore.MAX_MAGNITUDE)
+        assert 0.0 < molham.choose_tau(molham.MolecularHamiltonian(at_bound, label="wide")) < 2.0**-499
 
     def test_multiple_of_the_identity_is_degenerate(self):
         # no spread sets a tau; it raised TauRangeError

@@ -73,15 +73,22 @@ class TestEventUnitary:
 
     @pytest.mark.filterwarnings("error")
     def test_delay_whose_phase_overflows_rejected(self):
-        # numpy warned of an overflow and returned nan entries
-        with pytest.raises(ValidationError, match=r"E\*t is not finite"):
-            nmrpulse.evolve_sequence([nmrpulse.DelayEvent(1e308)])
+        # numpy warned of an overflow and returned nan entries; such a delay is
+        # now refused when it is built, and at the bound its phases are finite
+        with pytest.raises(ValidationError, match=r"delay duration must be finite with magnitude at most 2\^500, got 1e\+308"):
+            nmrpulse.DelayEvent(1e308)
+        u = nmrpulse.evolve_sequence([nmrpulse.DelayEvent(qcore.MAX_MAGNITUDE)])
+        assert np.abs(np.abs(np.diagonal(u)) - 1.0).max() <= 1e-15
 
     def test_non_finite_rotation_rejected(self):
+        # an over-rotation past the bound is refused where it enters; within
+        # it, a scaled angle past the bound is refused by the rotation
         event = nmrpulse.PulseEvent("probe", 0.0, np.pi)
         for over_rotation in (np.nan, np.inf, 1e308):
-            with pytest.raises(ValidationError, match="rotation angle must be finite"):
+            with pytest.raises(ValidationError, match="over_rotation must be finite with magnitude at most 2\\^500"):
                 nmrpulse.evolve_sequence([event], over_rotation=over_rotation)
+        with pytest.raises(ValidationError, match="rotation angle must be finite with magnitude at most 2\\^500"):
+            nmrpulse.evolve_sequence([event], over_rotation=qcore.MAX_MAGNITUDE)
 
 
 class TestEvolveSequence:
@@ -172,9 +179,13 @@ class TestCompileControlledU:
 
     @pytest.mark.filterwarnings("error")
     def test_matrix_whose_product_is_nan_is_rejected(self):
-        # U†U - I is NaN: this compiled to 9 events at fidelity 1.3e184
-        with pytest.raises(ValidationError, match="controlled operator is not unitary"):
+        # U†U - I is NaN: this compiled to 9 events at fidelity 1.3e184. Such
+        # entries are now refused, and at the bound U†U - I is finite
+        with pytest.raises(ValidationError, match=r"controlled operator has .* past 2\^500 in magnitude: \(1e\+200\+0j\)"):
             nmrpulse.compile_controlled_u(np.array([[1e200, 1e200], [1e200, 1e200j]]))
+        top = qcore.MAX_MAGNITUDE
+        with pytest.raises(ValidationError, match=r"controlled operator is not unitary: max\|U†U - I\| = 2\.143e\+301"):
+            nmrpulse.compile_controlled_u(np.array([[top, top], [top, top * 1j]]))
 
     def test_hundred_random_unitaries(self):
         rng = np.random.default_rng(37)
@@ -298,7 +309,7 @@ class TestRunPulseBackend:
     def test_huge_over_rotation_rejected_without_a_warning(self, h2, over_rotation):
         # the compiler's np.float64 angles times 1 + over_rotation warned
         # "overflow encountered in scalar multiply" before the angle check raised
-        with pytest.raises(ValidationError, match="rotation angle must be finite"):
+        with pytest.raises(ValidationError, match="over_rotation must be finite with magnitude at most 2\\^500"):
             nmrpulse.run_pulse_backend(h2, ipea.IterationConfig(tau=H2_TAU), over_rotation=over_rotation)
 
     def test_diagonalizes_once_per_solve(self, eigh_calls):
@@ -348,16 +359,22 @@ class TestRunPulseBackend:
 
     @pytest.mark.filterwarnings("error")
     def test_rejects_an_energy_whose_phase_overflows(self):
-        # the ground phase 1 / pi is inside the window, but E1 tau = 2e308
-        h = molham.MolecularHamiltonian(np.diag([-1.0, 1e308]), label="huge")
-        with pytest.raises(ValidationError, match=r"E\*t is not finite"):
-            nmrpulse.run_pulse_backend(h, ipea.IterationConfig(tau=2.0))
+        # the ground phase 1 / pi is inside the window, but E1 tau = 2e308;
+        # such an energy is now refused where the Hamiltonian is built
+        with pytest.raises(ValidationError, match=r"'huge' has .* past 2\^500 in magnitude: \(1e\+308\+0j\) at \[1\]\[1\]"):
+            molham.MolecularHamiltonian(np.diag([-1.0, 1e308]), label="huge")
 
     @pytest.mark.filterwarnings("error")
-    def test_rejects_a_tau_past_the_window_before_compiling(self, h2):
-        # raised "controlled operator contains non-finite entries" from the compiler
+    def test_rejects_a_tau_past_the_window_before_compiling(self, h2, monkeypatch):
+        # tau 1.7e308 raised "controlled operator contains non-finite entries"
+        # from the compiler; it is now refused by the config, and the window
+        # rejects a tau at the bound before anything is compiled
+        def no_compile(*args, **kwargs):
+            raise AssertionError("compiled for a ground phase outside the window")
+
+        monkeypatch.setattr(nmrpulse, "compile_controlled_u", no_compile)
         with pytest.raises(TauRangeError, match="window"):
-            nmrpulse.run_pulse_backend(h2, ipea.IterationConfig(tau=1.7e308))
+            nmrpulse.run_pulse_backend(h2, ipea.IterationConfig(tau=qcore.MAX_MAGNITUDE))
 
 
 class TestLongRuns:

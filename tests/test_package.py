@@ -71,9 +71,9 @@ PUBLIC_NAMES = {
     ],
     "molphase.qcore": [
         "EIG_CACHE_SIZE", "EigenDecomposition", "HERMITIAN_TOL", "KET_MINUS", "KET_PLUS", "MAX_DIM",
-        "SIGMA_X", "SIGMA_Z", "STATE_NORM_TOL", "UNITARY_TOL", "as_complex_matrix", "expm_herm",
-        "hermitian_eig", "phase_factors", "power_chain", "require_hermitian", "require_integer",
-        "require_pure_state", "require_unitary",
+        "MAX_MAGNITUDE", "SIGMA_X", "SIGMA_Z", "STATE_NORM_TOL", "UNITARY_TOL", "as_complex_matrix",
+        "expm_herm", "hermitian_eig", "phase_factors", "power_chain", "require_hermitian",
+        "require_integer", "require_magnitude", "require_pure_state", "require_unitary",
     ],
 }
 

@@ -1,5 +1,7 @@
 """Controlled gates, phase readout, noise model, and spectrum synthesis."""
+import cmath
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -271,14 +273,15 @@ class TestPerturbedU:
             probe.perturbed_hamiltonian(h, probe.NoiseModel(coherent_epsilon=1e-4))
 
     @pytest.mark.filterwarnings("error")
-    def test_sum_past_the_largest_float_names_epsilon(self):
-        # the sum overflowed with a numpy warning; without it the run blamed
-        # the matrix's non-finite entries
-        h = molham.MolecularHamiltonian(np.array([[1.0, 0.1], [0.1, -1.7e308]]))
-        noise = probe.NoiseModel(coherent_epsilon=1e308)
-        with pytest.raises(ValidationError, match=r"passes the largest float at coherent epsilon 1e\+308"):
-            probe.perturbed_hamiltonian(h, noise)
-        with pytest.raises(ValidationError, match=r"coherent epsilon 1e\+308"):
+    def test_sum_past_the_bound_is_refused_as_a_matrix_entry(self):
+        # H22 = -1.7e308 with epsilon 1e308 overflowed with a numpy warning.
+        # Both terms are now within the bound, so their sum -2^501 is finite,
+        # and the decomposition refuses it as it would any matrix entry
+        top = qcore.MAX_MAGNITUDE
+        h = molham.MolecularHamiltonian(np.array([[1.0, 0.1], [0.1, -top]]))
+        noise = probe.NoiseModel(coherent_epsilon=top)
+        assert probe.perturbed_hamiltonian(h, noise)[1, 1] == -2.0 * top
+        with pytest.raises(ValidationError, match=r"^matrix has .* past 2\^500 in magnitude: \(-6\.5\d*e\+150\+0j\) at \[1\]\[1\]$"):
             ipea.run_ipea(h, ipea.IterationConfig(tau=molham.choose_tau(h)), noise=noise)
 
 
@@ -348,14 +351,15 @@ class TestSpectra:
     @pytest.mark.filterwarnings("error")
     def test_non_finite_phase_rejected(self):
         # inf warned "invalid value encountered in exp", and nan gave NaN amplitudes
-        for phase in (math.inf, -math.inf, math.nan):
-            with pytest.raises(ValidationError, match="phase fraction must be finite"):
+        for phase in (math.inf, -math.inf, math.nan, 1e308):
+            with pytest.raises(ValidationError, match="phase fraction must be finite with magnitude at most 2\\^500"):
                 probe.synthesize_spectrum(phase)
 
     @pytest.mark.filterwarnings("error")
     def test_phase_is_reduced_to_one_turn(self):
-        # 1e308 warned "invalid value encountered in exp"
-        for phase, reduced in ((1e308, 0.0), (-1e308, 0.0), (1.25, 0.25), (-0.75, 0.25)):
+        # 1e308 warned "invalid value encountered in exp"; 2^500 is the largest accepted
+        top = qcore.MAX_MAGNITUDE
+        for phase, reduced in ((top, 0.0), (-top, 0.0), (1.25, 0.25), (-0.75, 0.25)):
             assert probe.synthesize_spectrum(phase).tobytes() == probe.synthesize_spectrum(reduced).tobytes()
 
     @pytest.mark.filterwarnings("error")
@@ -375,13 +379,33 @@ class TestSpectra:
 
     @pytest.mark.filterwarnings("error")
     def test_line_integral_past_the_largest_float_rejected(self):
-        # numpy warned "overflow encountered in reduce"
+        # numpy warned "overflow encountered in reduce"; such amplitudes are now
+        # refused, and at the bound every line integral is finite
         good = probe.synthesize_spectrum(0.1)
         wide = good.copy()
         wide[:2] = 1.7e308
         for trace, reference in ((good, wide), (wide, good)):
-            with pytest.raises(ValidationError, match="line integral passes the largest float"):
+            with pytest.raises(ValidationError, match=r"spectrum amplitudes must be finite with magnitude at most 2\^500, got 1\.7e\+308"):
                 probe.extract_phase_from_spectrum(trace, reference)
+        wide[:] = complex(qcore.MAX_MAGNITUDE, -qcore.MAX_MAGNITUDE)
+        for trace, reference in ((good, wide), (wide, good)):
+            assert 0.0 <= probe.extract_phase_from_spectrum(trace, reference) < 1.0
+
+    @pytest.mark.filterwarnings("error")
+    def test_wide_trace_over_a_weak_reference(self):
+        # one amplitude complex(MAX, MAX / 2) over a reference integral of about
+        # 1e-9 made the ratio's parts inf, and the phase read 0.125, not 0.0738
+        top = qcore.MAX_MAGNITUDE
+        reference = np.zeros(probe.SPECTRUM_POINTS, dtype=complex)
+        reference[0] = cmath.rect(1.1e-9 / (probe.FREQUENCIES_HZ[1] - probe.FREQUENCIES_HZ[0]), 0.3)
+        trace = np.zeros(probe.SPECTRUM_POINTS, dtype=complex)
+        trace[0] = complex(sys.float_info.max, sys.float_info.max / 2)
+        with pytest.raises(ValidationError, match="spectrum amplitudes must be finite with magnitude at most 2\\^500"):
+            probe.extract_phase_from_spectrum(trace, reference)
+        trace[:] = complex(top, top / 2)
+        expected = (cmath.phase(line_integral(trace)) - cmath.phase(line_integral(reference))) / (2.0 * math.pi)
+        assert abs(line_integral(reference)) > 1e-9
+        assert ipea.phase_distance(probe.extract_phase_from_spectrum(trace, reference), expected % 1.0) <= 1e-12
 
     def test_weak_reference_rejected(self):
         a = probe.synthesize_spectrum(0.1)
@@ -400,6 +424,6 @@ class TestSpectra:
 
     def test_csv_equals_per_row_formatting(self):
         trace = probe.synthesize_spectrum(0.37)
-        trace[:4] = [complex(-0.0, 0.0), complex(-1.7976931348623157e308, 2.2250738585072014e-308), 1e-300j, 5e-324]
+        trace[:4] = [complex(-0.0, 0.0), complex(-qcore.MAX_MAGNITUDE, 2.2250738585072014e-308), 1e-300j, 5e-324]
         rows = [f"{f:.17g},{a.real:.17g},{a.imag:.17g}" for f, a in zip(probe.FREQUENCIES_HZ, trace)]
         assert probe.spectrum_csv(trace) == "frequency_hz,amplitude_re,amplitude_im\n" + "\n".join(rows) + "\n"

@@ -17,10 +17,12 @@ from conftest import (
 )
 
 
-# eigh does not converge on this matrix with numpy's OpenBLAS LAPACK
+# eigh did not converge on this matrix with numpy's OpenBLAS LAPACK; its
+# 1e300 entries are now refused
 UNCONVERGED = np.array([
     [-1.8, -1.8, 1e300, -1.8], [-1.8, 1e8, -0.5, 1e16], [1e300, -0.5, -1.0, 1e8], [-1.8, 1e16, 1e8, 1e16],
 ])
+PAST_THE_BOUND = r"matrix has a non-finite entry or one past 2\^500 in magnitude: "
 
 
 class TestHermitianEig:
@@ -79,16 +81,16 @@ class TestHermitianEig:
             (np.array([[np.nan, 0.0], [0.0, 1.0]]), "non-finite"),
             (np.eye(16), "dimension 16 outside 1..8"),
             (np.ones((2, 2, 2)), "must be square"),
-            # eigh gives -1, 1, 3.2e307 and inf; the eig command wrote Infinity
+            # eigh gave -1, 1, 3.2e307 and inf, and the eig command wrote Infinity
             (
                 np.block([[np.array([[1e308, -1e308], [-1e308, np.finfo(float).max]]), np.zeros((2, 2))],
                           [np.zeros((2, 2)), np.diag([-1.0, 1.0])]]),
-                r"eigenvalues are not all finite: \[-1.0, 1.0, 3.2\d*e\+307, inf\]",
+                PAST_THE_BOUND + r"\(1e\+308\+0j\) at \[0\]\[0\]",
             ),
             # eig and ipea exited 1 on numpy's LinAlgError
-            (UNCONVERGED, "eigendecomposition failed: Eigenvalues did not converge"),
+            (UNCONVERGED, PAST_THE_BOUND + r"\(1e\+300\+0j\) at \[0\]\[2\]"),
             # the difference overflowed with a numpy warning (exit 1 under -W error)
-            (np.array([[0.0, 1.7e308], [-1.7e308, 0.0]]), r"not Hermitian: \|A\[0\]\[1\] - conj\(A\[1\]\[0\]\)\| = inf"),
+            (np.array([[0.0, 1.7e308], [-1.7e308, 0.0]]), PAST_THE_BOUND + r"\(1\.7e\+308\+0j\) at \[0\]\[1\]"),
         ],
     )
     @pytest.mark.filterwarnings("error")
@@ -146,15 +148,20 @@ class TestRequireUnitary:
         "matrix, deviation",
         [
             (random_unitary(np.random.default_rng(5)) * (1.0 + 1e-9), r"2.0\d*e-09"),
-            # U†U - I is NaN, which passed the check
-            (np.array([[1e200, 1e200], [1e200, 1e200j]]), "nan"),
-            # rejected only after numpy's overflow warning
-            (np.array([[1e200, 0.0], [0.0, 1.0]]), "inf"),
+            # at 1e200, U†U - I was NaN, which passed the check, or was rejected
+            # only after numpy's overflow warning; at the bound it is finite
+            (np.array([[2.0**500, 2.0**500], [2.0**500, 2.0**500 * 1j]]), r"2.143e\+301"),
+            (np.array([[2.0**500, 0.0], [0.0, 1.0]]), r"1.072e\+301"),
         ],
     )
     def test_rejects_with_no_numpy_warning(self, matrix, deviation):
         with pytest.raises(ValidationError, match=rf"u is not unitary: max\|U†U - I\| = {deviation} > 1.0e-10"):
             qcore.require_unitary(matrix, "u")
+
+    def test_accepts_a_transposed_view(self):
+        # a complex transpose has no float view of its own: this raised numpy's ValueError
+        u = random_unitary(np.random.default_rng(11))
+        assert (qcore.require_unitary(u.T, "u") == u.T).all()
 
 
 class TestExpmHerm:
@@ -200,9 +207,12 @@ class TestExpmHerm:
 
     @pytest.mark.filterwarnings("error")
     def test_rejects_a_time_whose_phase_overflows(self):
-        # numpy warned of an overflow and returned nan entries
-        with pytest.raises(ValidationError, match=r"E\*t is not finite"):
+        # numpy warned of an overflow and returned nan entries; the time is now
+        # refused where it enters, and at the bound every phase is finite
+        with pytest.raises(ValidationError, match=r"evolution time must be finite with magnitude at most 2\^500, got 1e\+308"):
             qcore.expm_herm(np.diag([-2.0, 1.0]), 1e308)
+        u = qcore.expm_herm(np.diag([-2.0**500, 2.0**500]), 2.0**500)
+        assert np.abs(np.abs(np.diagonal(u)) - 1.0).max() <= 1e-15
 
 
 class TestPhaseFactors:
@@ -227,8 +237,10 @@ class TestPhaseFactors:
         ],
     )
     def test_rejects_a_product_that_is_not_finite(self, energies, t):
-        with pytest.raises(ValidationError, match=r"E\*t is not finite"):
-            qcore.phase_factors(np.array(energies), t)
+        # phase_factors checked max|E| max|t| on every call. It checks nothing
+        # now: each factor is refused where it enters, as a matrix entry or a time
+        with pytest.raises(ValidationError, match=r"past 2\^500 in magnitude|at most 2\^500"):
+            qcore.expm_herm(np.diag(np.ravel(energies)), np.max(t))
 
 
 # The chain's two forms: a matrix, and the diagonal of a diagonal matrix.
