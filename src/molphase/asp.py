@@ -26,7 +26,9 @@ reading the last, and ``trotter_step`` one slice.
 
 Times are in inverse hartree; the hardware's millisecond clock is a
 rescaling of the same dimensionless schedule, and ``scan_total_time``
-locates the few-step high-fidelity regime directly.
+locates the few-step high-fidelity regime directly. A sweep whose phase
+scale max|E_slice| * max(T) passes 2^24 (T above about 9.06e6 for H2)
+raises ``ValidationError``: float64 resolves its fidelity to 1e-9 only below.
 """
 from __future__ import annotations
 
@@ -47,6 +49,10 @@ MAX_POINTS = 2**16
 # with their product: 2^24 of them took 1.7-4.3 s on 2 shared CPUs, 2^16
 # slices x 256 times the slowest; 2^16 x 2^16 would take about 20 minutes.
 _MAX_SLICE_TIMES = 2**24
+# The largest phase scale max|E_slice| * max(T) of a sweep. Against an 80-digit
+# reference of the same sweep (2x2 targets, 1-200 slices) the fidelity's
+# float64 error stayed below 3.1e-17 E T, so up to 2^24 it is below 1e-9.
+_MAX_ENERGY_TIME = 2.0**24
 
 
 @dataclass(frozen=True)
@@ -61,9 +67,7 @@ class AdiabaticSchedule:
         qcore.require_integer("steps", self.steps, 1)
         if self.steps > MAX_POINTS:
             raise ValidationError(f"steps must lie in 1..{MAX_POINTS}, got {self.steps}")
-        qcore.require_magnitude("total time", self.total_time)
-        if not self.total_time > 0:
-            raise ValidationError(f"total time must be positive, got {self.total_time}")
+        qcore.require_positive("total time", self.total_time)
         if self.target.dim != 2:
             raise ValidationError(f"adiabatic sweep targets 2x2 systems, got dim {self.target.dim}")
 
@@ -103,9 +107,7 @@ def trotter_step(target: MolecularHamiltonian, s_m: float, delta: float) -> np.n
     """
     if target.dim != 2:
         raise ValidationError(f"trotter step targets 2x2 systems, got dim {target.dim}")
-    qcore.require_magnitude("step duration", delta)
-    if not delta > 0:
-        raise ValidationError(f"step duration must be positive, got {delta}")
+    qcore.require_positive("step duration", delta)
     if not 0.0 <= s_m <= 1.0:
         raise ValidationError(f"interpolation parameter must lie in [0, 1], got {s_m}")
     vx, energies, b, b_adj = _slice_inputs(target, np.array([s_m]))
@@ -156,7 +158,9 @@ def _sweep(target: MolecularHamiltonian, s_values: np.ndarray, total_times: np.n
     in sigma_x's eigenbasis has fidelity |w0 psi0 + w1 psi1|^2,
     w = conj(V_x† g_m). Only the read slices' states are kept: a caller
     reads one slice (the scan) or sweeps one total time (``run_asp``), so
-    the kept states, side by side, give their fidelities in one row.
+    the kept states, side by side, give their fidelities in one row. A
+    phase scale max|E_slice| * max(T) past ``_MAX_ENERGY_TIME`` raises
+    before any slice.
     """
     if len(s_values) * len(total_times) > _MAX_SLICE_TIMES:
         raise ValidationError(
@@ -169,6 +173,12 @@ def _sweep(target: MolecularHamiltonian, s_values: np.ndarray, total_times: np.n
         molham.require_gap(lo, hi, "H(s) at s = %.6f", s_values[m])
     del levels  # freed, with vectors below, so that the batched eigh stays the peak
     vx, energies, b, b_adj = _slice_inputs(target, s_values)
+    energy_time = max(energies.max(), -energies.min()) * total_times.max()
+    if not energy_time <= _MAX_ENERGY_TIME:
+        raise ValidationError(
+            f"a sweep's max|E|*T = {energy_time:.6g} exceeds 2^24, past which float64"
+            " cannot resolve its fidelity to 1e-9"
+        )
     weights = _mix(vx.conj().T, vectors[read, :, 0].T).conj()
     del vectors
     deltas = total_times / len(s_values)

@@ -19,7 +19,8 @@ Exit codes: 0 success, 1 computation failure, 2 configuration or
 validation failure, including a tau at which the phase cannot name the
 ground energy (``errors.TauRangeError``), a ``NaN`` or ``Infinity`` token
 in a document, a number that is not finite with magnitude at most 2^500
-(``qcore.MAX_MAGNITUDE``), and an eigendecomposition that does not converge.
+(``qcore.MAX_MAGNITUDE``), an eigendecomposition that does not converge,
+and an ``asp`` sweep whose phase scale max|E|*T passes 2^24.
 """
 from __future__ import annotations
 
@@ -133,7 +134,7 @@ def cmd_ipea(args) -> int:
     config = _iteration_config(args, h)
     result = ipea.run_ipea(h, config, noise=_jitter_noise(args))
     oracle_e = result.energy.oracle_energy
-    oracle_ph = ipea.energy_phase(oracle_e, config.tau)
+    oracle_ph = ipea.oracle_phase(h, config.tau)
     running = ipea.running_estimates(result.records, args.bits, config.phase_error_bound)
 
     trace_path = _write(args.out, "ipea_trace.csv", ipea.trace_csv(result, running))

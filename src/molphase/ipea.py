@@ -98,12 +98,8 @@ class IterationConfig:
                 f"{self.bits_per_iteration} bits x {self.iterations} iterations = {bits} bits"
                 f" exceeds the {MAX_REPORT_BITS} a float64 phase holds"
             )
-        qcore.require_magnitude("phase error bound", self.phase_error_bound)
-        if not self.phase_error_bound >= 0:
-            raise ValidationError(f"phase error bound must be >= 0, got {self.phase_error_bound}")
-        qcore.require_magnitude("tau", self.tau)
-        if not self.tau > 0:
-            raise ValidationError(f"tau must be positive, got {self.tau}")
+        qcore.require_nonnegative("phase error bound", self.phase_error_bound)
+        qcore.require_positive("tau", self.tau)
         n = self.bits_per_iteration
         limit = 1.0 - (2.0 ** (n - 48) if self.iterations > 1 else 0.0)
         if not (2.0 ** (n + 1) + 2.0) * self.phase_error_bound < limit:
@@ -155,8 +151,7 @@ def next_operator(u_k: np.ndarray, clipped_phase: float, n: int) -> np.ndarray:
     One round of the dense operator chain, with the clip phase folded into
     the matrix; ``run_ipea`` carries the same chain as a scalar and a power.
     """
-    if n < 1:
-        raise ValidationError(f"n must be >= 1, got {n}")
+    qcore.require_integer("n", n, 1)
     m = qcore.require_unitary(u_k, name="iteration operator")
     m = np.exp(-2j * np.pi * clipped_phase) * m
     for _ in range(n):
@@ -174,7 +169,7 @@ def is_wrapped(measured: float, error_bound: float, n: int) -> bool:
     which leaves the widest margin on both sides for rounding.
     ``IterationConfig`` admissibility keeps the gap open.
     """
-    return measured > 0.5 * (1.0 + 2.0 ** (n + 1) * error_bound)
+    return measured > _wrap_split(n, error_bound)
 
 
 def clip_phase(measured: float, error_bound: float, n: int | None = None) -> float:
@@ -183,9 +178,33 @@ def clip_phase(measured: float, error_bound: float, n: int | None = None) -> flo
     passed. With no clamp at zero the next residual is 2^n (bound - jitter),
     so a residual below zero is removed rather than carried on.
     """
-    if n is not None and is_wrapped(measured, error_bound, n):
+    qcore.require_magnitude("measured phase", measured)
+    qcore.require_nonnegative("phase error bound", error_bound)
+    return _clip(measured, error_bound, math.inf if n is None else _wrap_split(n, error_bound))
+
+
+def _require_bits(n: int) -> None:
+    """A report helper's bits per iteration: an integer in 1..``MAX_REPORT_BITS``."""
+    qcore.require_integer("n", n, 1, MAX_REPORT_BITS)
+
+
+def _wrap_split(n: int, error_bound: float) -> float:
+    """The reading above which ``is_wrapped`` holds, once n and the bound pass their rules."""
+    _require_bits(n)
+    qcore.require_nonnegative("phase error bound", error_bound)
+    return 0.5 * (1.0 + 2.0 ** (n + 1) * error_bound)
+
+
+def _clip(measured: float, error_bound: float, split: float) -> float:
+    """``clip_phase`` for checked inputs, wrapping readings above ``split``."""
+    if measured > split:
         return measured - 1.0 - error_bound
     return measured - error_bound
+
+
+def _final_bound(n: int, iterations: int, error_bound: float) -> float:
+    """The contracted bound g = bound * 2^(-n (k-1)) of a rebuilt phase, plus ``PHASE_FLOOR``."""
+    return error_bound * 2.0 ** (-n * (iterations - 1)) + PHASE_FLOOR
 
 
 def require_ground_window(config: IterationConfig, oracle_energy: float) -> None:
@@ -197,8 +216,7 @@ def require_ground_window(config: IterationConfig, oracle_energy: float) -> None
     the window it can alias by a whole turn and report a wrong energy. Every
     run checks this before it builds an operator, and nothing else judges it.
     """
-    n = config.bits_per_iteration
-    margin = config.phase_error_bound * 2.0 ** (-n * (config.iterations - 1)) + PHASE_FLOOR
+    margin = _final_bound(config.bits_per_iteration, config.iterations, config.phase_error_bound)
     theta0 = -oracle_energy * config.tau / (2.0 * math.pi)
     if not margin <= theta0 <= 1.0 - margin:
         raise TauRangeError(
@@ -287,6 +305,7 @@ def estimate(
             raise ValidationError(f"iteration {k}: jitter draw {draw!r} outside the phase error bound {errbd!r}")
     require_ground_window(config, oracle_energy)
     offset = 0.0
+    split = _wrap_split(n, errbd)
     records: list[IterationRecord] = []
     for k, (coherence, draw) in enumerate(zip(coherences, jitter)):
         try:
@@ -294,7 +313,7 @@ def estimate(
         except ReadoutError as exc:
             raise ReadoutError(f"iteration {k}: {exc}") from exc
         measured = probe.reduce_phase(phase - offset + draw)
-        clipped = clip_phase(measured, errbd, n if k > 0 else None)
+        clipped = _clip(measured, errbd, split if k > 0 else math.inf)
         records.append(IterationRecord(measured, clipped))
         offset = (2.0**n * (offset + clipped)) % 1.0
 
@@ -317,9 +336,10 @@ def reconstruct(records: Sequence[IterationRecord], n: int, phase_error_bound: f
     """
     if not records:
         raise ValidationError("no iteration records to reconstruct from")
+    split = _wrap_split(n, phase_error_bound)
     scale = 2.0**-n
     seed = records[-1].measured_phase
-    if len(records) > 1 and is_wrapped(seed, phase_error_bound, n):
+    if len(records) > 1 and seed > split:
         seed -= 1.0
     trace = [seed]
     for rec in reversed(records[:-1]):
@@ -327,13 +347,11 @@ def reconstruct(records: Sequence[IterationRecord], n: int, phase_error_bound: f
     value = probe.reduce_phase(trace[-1])
 
     digits = n * len(records)
-    bound = phase_error_bound * 2.0 ** (-n * (len(records) - 1)) + PHASE_FLOOR
-
     return PhaseEstimate(
         value=value,
         reconstruction_trace=np.array(trace),
         binary_digits=to_binary(value, digits),
-        guaranteed_bits=min(_leading_bits(bound), digits),
+        guaranteed_bits=min(_leading_bits(_final_bound(n, len(records), phase_error_bound)), digits),
     )
 
 
@@ -356,9 +374,7 @@ def running_estimates(
 def to_binary(value: float, digits: int) -> str:
     """Binary expansion of a phase in [0, 1) truncated to floor(value 2^digits), most significant first,
     to at most ``MAX_REPORT_BITS`` digits."""
-    qcore.require_integer("digit count", digits, 1)
-    if digits > MAX_REPORT_BITS:
-        raise ValidationError(f"digit count must be <= {MAX_REPORT_BITS}, got {digits}")
+    qcore.require_integer("digit count", digits, 1, MAX_REPORT_BITS)
     if not 0.0 <= value < 1.0:
         raise ValidationError(f"value must lie in [0, 1), got {value}")
     p, q = value.as_integer_ratio()
@@ -371,8 +387,7 @@ def energy_from_phase(phase: PhaseEstimate, tau: float, oracle_energy: float) ->
     The error is a difference of energies, not of phases, so an estimate a
     whole turn away from the oracle's phase shows as 2 pi / tau.
     """
-    if not tau > 0:
-        raise ValidationError(f"tau must be positive, got {tau}")
+    qcore.require_positive("tau", tau)
     energy = float(-2.0 * np.pi * phase.value / tau)
     return EnergyResult(
         energy=energy, tau=float(tau), oracle_energy=oracle_energy, abs_error=abs(energy - oracle_energy)
@@ -386,38 +401,30 @@ def precision_report(estimate: PhaseEstimate, oracle_phase: float) -> int:
     return _leading_bits(phase_distance(estimate.value, oracle_phase))
 
 
-def energy_phase(energy: float, tau: float) -> float:
-    """Phase fraction -E tau / 2 pi of an energy in hartree, reduced mod 1."""
-    return probe.reduce_phase(-energy * tau / (2.0 * np.pi))
-
-
 def oracle_phase(h: MolecularHamiltonian, tau: float) -> float:
     """Exact ground-state phase fraction -E0 tau / 2 pi reduced mod 1."""
-    return energy_phase(molham.spectrum(h).ground_energy, tau)
-
-
-def reference_chain_phases(
-    records: Sequence[IterationRecord], oracle_phase_0: float, n: int
-) -> list[float]:
-    """Eigenphases an exact-U chain would carry under the same clip history."""
-    phases = []
-    theta = oracle_phase_0 % 1.0
-    for rec in records:
-        phases.append(theta)
-        theta = (2.0**n * (theta - rec.clipped_phase)) % 1.0
-    return phases
+    qcore.require_magnitude("tau", tau)
+    return probe.reduce_phase(-molham.spectrum(h).ground_energy * tau / (2.0 * np.pi))
 
 
 def iteration_phase_errors(
     records: Sequence[IterationRecord], oracle_phase_0: float, n: int
 ) -> list[float]:
-    """Per-iteration phase-shift error against the exact-U reference chain.
+    """Per-iteration phase-shift error against the exact-U reference chain,
+    the eigenphases theta_k an exact U would carry under the same clip
+    history: theta_0 = ``oracle_phase_0`` and theta_{k+1} = 2^n (theta_k - phi'_k).
 
     With a coherent operator error this grows by roughly 2^n per iteration
     (the operator contains the 2^(n k)-th power of U) until it saturates.
     """
-    refs = reference_chain_phases(records, oracle_phase_0, n)
-    return [phase_distance(rec.measured_phase, ref) for rec, ref in zip(records, refs)]
+    _require_bits(n)
+    qcore.require_magnitude("oracle phase", oracle_phase_0)
+    errors = []
+    theta = oracle_phase_0 % 1.0
+    for rec in records:
+        errors.append(phase_distance(rec.measured_phase, theta))
+        theta = (2.0**n * (theta - rec.clipped_phase)) % 1.0
+    return errors
 
 
 def trace_csv(result: IpeaResult, running: Sequence[PhaseEstimate]) -> str:

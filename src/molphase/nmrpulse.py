@@ -61,9 +61,7 @@ class DelayEvent:
     duration: float
 
     def __post_init__(self):
-        qcore.require_magnitude("delay duration", self.duration)
-        if not self.duration >= 0:
-            raise ValidationError(f"delay duration must be >= 0, got {self.duration}")
+        qcore.require_nonnegative("delay duration", self.duration)
 
 
 class PulseSequence(NamedTuple):

@@ -71,12 +71,8 @@ class NoiseModel:
     rng_seed: int = 0
 
     def __post_init__(self):
-        qcore.require_magnitude("jitter bound", self.phase_jitter_bound)
-        if not self.phase_jitter_bound >= 0:
-            raise ValidationError(f"jitter bound must be >= 0, got {self.phase_jitter_bound}")
-        qcore.require_magnitude("coherent epsilon", self.coherent_epsilon)
-        if not self.coherent_epsilon >= 0:
-            raise ValidationError(f"coherent epsilon must be >= 0, got {self.coherent_epsilon}")
+        qcore.require_nonnegative("jitter bound", self.phase_jitter_bound)
+        qcore.require_nonnegative("coherent epsilon", self.coherent_epsilon)
         qcore.require_integer("rng seed", self.rng_seed, 0)
 
     def jitter_draws(self, count: int) -> list[float]:

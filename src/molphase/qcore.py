@@ -45,7 +45,28 @@ MAX_MAGNITUDE = 2.0**500
 def require_magnitude(name: str, value) -> None:
     """Reject a real ``value`` unless it is finite with magnitude at most ``MAX_MAGNITUDE``."""
     if not abs(value) <= MAX_MAGNITUDE:
-        raise ValidationError(f"{name} must be finite with magnitude at most 2^500, got {value}")
+        raise ValidationError(f"{name} must be finite with magnitude at most 2^500, got {_shown(value)}")
+
+
+def require_positive(name: str, value) -> None:
+    """``require_magnitude``, then reject a ``value`` that is not > 0."""
+    require_magnitude(name, value)
+    if not value > 0:
+        raise ValidationError(f"{name} must be positive, got {value}")
+
+
+def require_nonnegative(name: str, value) -> None:
+    """``require_magnitude``, then reject a ``value`` that is not >= 0."""
+    require_magnitude(name, value)
+    if not value >= 0:
+        raise ValidationError(f"{name} must be >= 0, got {value}")
+
+
+def _shown(value) -> str:
+    """``value`` as a message shows it; an int past the bound by its size, never in full."""
+    if isinstance(value, int) and abs(value) > MAX_MAGNITUDE:
+        return f"an integer of {value.bit_length()} bits"
+    return str(value)
 
 
 def as_complex_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -63,13 +84,15 @@ def as_complex_matrix(a, name: str = "matrix") -> np.ndarray:
     return m
 
 
-def require_integer(name: str, value, minimum: int) -> None:
-    """Reject a count or seed that is not an integer >= ``minimum``; numpy
-    integers pass, bools do not."""
+def require_integer(name: str, value, minimum: int, maximum: int | None = None) -> None:
+    """Reject a count or seed that is not an integer in ``minimum``..``maximum``
+    (no upper end when ``maximum`` is None); numpy integers pass, bools do not."""
     if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
         raise ValidationError(f"{name} must be an integer, got {value!r}")
     if value < minimum:
-        raise ValidationError(f"{name} must be >= {minimum}, got {value}")
+        raise ValidationError(f"{name} must be >= {minimum}, got {_shown(value)}")
+    if maximum is not None and value > maximum:
+        raise ValidationError(f"{name} must be <= {maximum}, got {_shown(value)}")
 
 
 def require_hermitian(a, name: str) -> np.ndarray:

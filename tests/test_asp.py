@@ -154,28 +154,35 @@ class TestRunASP:
     @pytest.mark.filterwarnings("error")
     def test_slice_phase_overflow_rejected(self):
         # E0 = -1e10 over slices of 1e300 / 6: the fidelity was nan. A total
-        # time past 2^500 is refused where it enters, and at 2^500 every E t is finite.
+        # time past 2^500 is refused where it enters. At 2^500 every E t is
+        # finite, and the sweep refuses its phase scale, whose fidelity ran as noise.
         target = molham.MolecularHamiltonian(np.array([[-1e10, 0.1], [0.1, 1.0]]), label="big")
         with pytest.raises(ValidationError, match=r"total time must be finite with magnitude at most 2\^500, got 1e\+300"):
             asp.AdiabaticSchedule(steps=6, total_time=1e300, target=target)
         with pytest.raises(ValidationError, match=r"time grid values must be finite with magnitude at most 2\^500, got 1e\+300"):
             asp.scan_total_time(target, 6, [1.0, 1e299, 4e299, 7e299, 1e300])
         schedule = asp.AdiabaticSchedule(steps=6, total_time=qcore.MAX_MAGNITUDE, target=target)
-        assert 0.0 <= asp.run_asp(schedule).fidelity <= 1.0 + 1e-12
-        for _, fidelity in asp.scan_total_time(target, 6, [1.0, qcore.MAX_MAGNITUDE]):
-            assert 0.0 <= fidelity <= 1.0 + 1e-12
+        past_the_limit = r"max\|E\|\*T = 3\.27339e\+160 exceeds 2\^24"
+        with pytest.raises(ValidationError, match=past_the_limit):
+            asp.run_asp(schedule)
+        with pytest.raises(ValidationError, match=past_the_limit):
+            asp.scan_total_time(target, 6, [1.0, qcore.MAX_MAGNITUDE])
 
     @pytest.mark.filterwarnings("error")
     def test_gap_past_the_largest_float_rejected_before_any_slice(self):
         # numpy warned "overflow encountered in subtract"; without the warning
         # the sweep ran and read fidelity 0.308 at total time 2. Such a target
-        # is now refused where it is built; one at the bound has a finite gap.
+        # is now refused where it is built; one at the bound has a finite gap,
+        # and its sweep runs at a total time within the phase-scale limit.
         with pytest.raises(ValidationError, match=r"'wide' has .* past 2\^500 in magnitude: \(-1e\+308\+0j\) at \[0\]\[0\]"):
             molham.MolecularHamiltonian(np.array([[-1e308, 0.1], [0.1, 1.7e308]]), label="wide")
         top = qcore.MAX_MAGNITUDE
         target = molham.MolecularHamiltonian(np.array([[-top, 0.1], [0.1, top]]), label="wide")
-        assert 0.0 <= asp.run_asp(asp.AdiabaticSchedule(steps=6, total_time=2.0, target=target)).fidelity <= 1.0 + 1e-12
-        for _, fidelity in asp.scan_total_time(target, 6, [1.0, 2.0]):
+        with pytest.raises(ValidationError, match=r"max\|E\|\*T = 6\.54678e\+150 exceeds 2\^24"):
+            asp.run_asp(asp.AdiabaticSchedule(steps=6, total_time=2.0, target=target))
+        times = [2.0**-490, 2.0**-486]
+        assert 0.0 <= asp.run_asp(asp.AdiabaticSchedule(steps=6, total_time=times[1], target=target)).fidelity <= 1.0 + 1e-12
+        for _, fidelity in asp.scan_total_time(target, 6, times):
             assert 0.0 <= fidelity <= 1.0 + 1e-12
 
     def test_schedule_validation(self, h2):

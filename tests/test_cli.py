@@ -325,14 +325,33 @@ class TestAspCommand:
         assert not out.exists()
         assert eigh_calls == []
 
-    @pytest.mark.parametrize("t", ["5", "1e15", "1e16", repr(qcore.MAX_MAGNITUDE)])
-    def test_one_point_scan_is_the_total_time_run(self, tmp_path, t):
+    @pytest.mark.parametrize("t", ["5", "9.06e6", "9.07e6", "1e15", "1e16", repr(qcore.MAX_MAGNITUDE)])
+    def test_one_point_scan_is_the_total_time_run(self, tmp_path, capsys, t):
         # the half-step stop of 1e16:1e16:1 rounded to the start, and the
-        # scan was refused as "time grid is empty"
+        # scan was refused as "time grid is empty". Past H2's phase-scale
+        # limit, T = 2^24 / 1.8516 = 9.061e6, both runs exit 2; at 1e15, 1e16
+        # and 2^500 they exited 0 with a fidelity that is noise.
         scan, single = tmp_path / "scan", tmp_path / "single"
-        assert cli.main(["asp", "--scan", f"{t}:{t}:1", "--out", str(scan)]) == 0
-        assert cli.main(["asp", "--total-time", t, "--out", str(single)]) == 0
-        assert (scan / "asp_scan.csv").read_bytes() == (single / "asp_scan.csv").read_bytes()
+        code = 0 if float(t) < 9.061e6 else 2
+        assert cli.main(["asp", "--scan", f"{t}:{t}:1", "--out", str(scan)]) == code
+        assert cli.main(["asp", "--total-time", t, "--out", str(single)]) == code
+        if code:
+            assert capsys.readouterr().err.count(f"max|E|*T = {1.8515709293511877 * float(t):.6g} exceeds 2^24") == 2
+            assert not scan.exists() and not single.exists()
+        else:
+            assert (scan / "asp_scan.csv").read_bytes() == (single / "asp_scan.csv").read_bytes()
+
+    @pytest.mark.parametrize("stop, code", [("9.06e6", 0), ("9.07e6", 2)])
+    def test_scan_past_the_phase_scale_limit_exits_2_without_output(self, tmp_path, capsys, stop, code):
+        # the largest T of the scan sets its phase scale max|E|*T, against 2^24
+        out = tmp_path / "o"
+        assert cli.main(["asp", "--scan", f"9e6:{stop}:10000", "--out", str(out)]) == code
+        if code:
+            assert "exceeds 2^24, past which float64 cannot resolve its fidelity to 1e-9" in capsys.readouterr().err
+            assert not out.exists()
+        else:
+            _, rows = read_csv(out / "asp_scan.csv")
+            assert len(rows) == 7 and float(rows[-1][0]) == 9.06e6
 
     def test_largest_scan_runs(self, tmp_path):
         # the grid ran to stop + 1e-12, which rounds to 65536 itself: 65535 rows

@@ -16,10 +16,14 @@ tokens and integers past float range or past ``int()``'s digit limit. Each examp
 
 The library twin draws the same kinds of matrices and operating points into
 ``run_ipea``, ``scan_total_time``, ``run_asp``, ``run_pulse_backend`` and
-``compile_controlled_u``, and extreme phases, amplitudes and digit counts
+``compile_controlled_u``, extreme phases, amplitudes and digit counts
 into ``synthesize_spectrum``, ``extract_phase_from_spectrum`` and
-``to_binary``; a spectrum or phase it returns is finite, and a bit string
-holds only binary digits.
+``to_binary``, and extreme n, bounds, taus and phases, with records of the
+kind a run returns, into the report helpers ``reconstruct``,
+``running_estimates``, ``clip_phase``, ``is_wrapped``,
+``iteration_phase_errors``, ``oracle_phase`` and ``energy_from_phase``. A
+spectrum, phase, phase error or rebuilt estimate it returns is finite, and a
+bit string holds only binary digits.
 
 Every drawn value is a plausible one or an extreme one, so that runs pass
 validation often enough to reach the computation. A matrix's plain entries
@@ -66,6 +70,8 @@ EXTREME_NUMBERS = [
     "nan", "inf", "-inf", "x", "", *map(repr, AT_BOUND),
 ]
 EXTREME_COUNTS = [-1, 0, 52, 53, asp.MAX_POINTS + 1, 2**63]
+# bits per iteration past the cap, past 2^n's float range and of other types
+EXTREME_BITS = [-2000, -1, 0, 52, 53, 1023, 2000, 2**63, True, 3.0, np.int64(3)]
 NON_FINITE = [math.inf, -math.inf, math.nan]
 NON_FINITE_TEXT = re.compile(r"(?<![a-z])(nan|inf|infinity)(?![a-z])", re.IGNORECASE)
 # what cli.main calls that may raise: every subcommand and the --out check
@@ -278,6 +284,49 @@ def spectra(draw):
     return amplitudes
 
 
+def records():
+    """Iteration records as a run returns them: a reading in [0, 1) and its
+    signed clip, at most one bound and one turn below it."""
+    record = st.builds(ipea.IterationRecord, st.floats(0.0, 1.0, exclude_max=True), st.floats(-1.5, 1.0))
+    return st.lists(record, min_size=0, max_size=8)
+
+
+REPORT_HELPERS = [
+    "reconstruct", "running_estimates", "clip_phase", "is_wrapped", "iteration_phase_errors", "oracle_phase",
+    "energy_from_phase",
+]
+
+
+def report_call(draw, name, real, tau):
+    """(name, thunk) of one report helper on drawn records, n, bound, tau and phases."""
+    rows = draw(records())
+    n = draw(mostly(st.integers(1, 8), st.sampled_from(EXTREME_BITS)))
+    bound = draw(mostly(st.sampled_from([5.0 / 360.0, 0.0, 0.01]), real))
+    if name == "reconstruct":
+        return name, lambda: ipea.reconstruct(rows, n, bound)
+    if name == "running_estimates":
+        return name, lambda: ipea.running_estimates(rows, n, bound)
+    if name in ("clip_phase", "is_wrapped"):
+        measured = draw(phases())
+        if name == "is_wrapped":
+            return name, lambda: ipea.is_wrapped(measured, bound, n)
+        n = draw(st.one_of(st.none(), st.just(n)))
+        return name, lambda: ipea.clip_phase(measured, bound, n)
+    if name == "iteration_phase_errors":
+        theta0 = draw(phases())
+        return name, lambda: ipea.iteration_phase_errors(rows, theta0, n)
+    matrix = draw(st.one_of(st.just(molham.H2_MATRIX), matrices()))
+    if name == "oracle_phase":
+        return name, lambda: ipea.oracle_phase(molham.MolecularHamiltonian(matrix), tau)
+    value, oracle_energy = draw(phases()), draw(real)
+
+    def energy():
+        estimate = ipea.reconstruct([ipea.IterationRecord(value, value)], 3, 0.0)
+        return ipea.energy_from_phase(estimate, tau, oracle_energy)
+
+    return name, energy
+
+
 @st.composite
 def library_calls(draw):
     """(name, thunk) of one library call on drawn inputs; building the
@@ -285,9 +334,12 @@ def library_calls(draw):
     real = mostly(st.floats(-4.0, 4.0), extreme_floats())
     names = [
         "run_ipea", "scan_total_time", "run_asp", "run_pulse_backend", "compile_controlled_u",
-        "synthesize_spectrum", "extract_phase_from_spectrum", "to_binary",
+        "synthesize_spectrum", "extract_phase_from_spectrum", "to_binary", *REPORT_HELPERS,
     ]
     name = draw(st.sampled_from(names))
+    tau = draw(mostly(st.sampled_from([molham.choose_tau(molham.build_h2()), 1.0]), real))
+    if name in REPORT_HELPERS:
+        return report_call(draw, name, real, tau)
     if name == "synthesize_spectrum":
         phase = draw(phases())
         return name, lambda: probe.synthesize_spectrum(phase)
@@ -312,7 +364,6 @@ def library_calls(draw):
     n = draw(mostly(st.integers(1, 4), st.sampled_from(EXTREME_COUNTS[:-2])))
     k = draw(mostly(st.integers(1, 8), st.sampled_from(EXTREME_COUNTS[:-2])))
     bound = draw(mostly(st.sampled_from([5.0 / 360.0, 0.0]), real))
-    tau = draw(mostly(st.sampled_from([molham.choose_tau(molham.build_h2()), 1.0]), real))
     if name == "run_pulse_backend":
         over = draw(mostly(st.sampled_from([0.0, 1e-3]), real))
         return name, lambda: nmrpulse.run_pulse_backend(
@@ -336,6 +387,10 @@ def test_library_raises_only_molphase_errors(case):
         warnings.simplefilter("error")
         with contextlib.suppress(MolphaseError):
             result = call()
+    if isinstance(result, ipea.PhaseEstimate):
+        result = np.append(result.reconstruction_trace, result.value)
+    if isinstance(result, list) and all(isinstance(x, (float, ipea.PhaseEstimate)) for x in result):
+        result = np.array([x if isinstance(x, float) else x.value for x in result])
     if isinstance(result, (float, np.ndarray)):
         assert np.isfinite(result).all(), (name, result)
     if isinstance(result, str):

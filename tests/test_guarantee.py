@@ -96,7 +96,7 @@ def run_library(case):
     else:
         noise = FixedJitter(case.bound, draws=tuple(f * case.bound for f in case.fractions))
         result = ipea.run_ipea(h, config, noise=noise)
-    oracle = ipea.energy_phase(result.energy.oracle_energy, tau)
+    oracle = ipea.oracle_phase(h, tau)
     correct = ipea.precision_report(result.phase, oracle)
     return tau, result.energy.energy, result.energy.oracle_energy, result.phase.guaranteed_bits, correct
 

@@ -50,10 +50,9 @@ PUBLIC_NAMES = {
     "molphase.ipea": [
         "EnergyResult", "IpeaResult", "IterationConfig", "IterationRecord", "MAX_REPORT_BITS",
         "PHASE_FLOOR", "PREP_OVERLAP_FLOOR", "PREP_OVERLAP_WARN", "PhaseEstimate", "clip_phase",
-        "energy_from_phase", "energy_phase", "estimate", "is_wrapped", "iteration_phase_errors",
-        "next_operator", "oracle_phase", "phase_distance", "precision_report", "reconstruct",
-        "reference_chain_phases", "require_ground_window", "run_ipea", "running_estimates",
-        "to_binary", "trace_csv",
+        "energy_from_phase", "estimate", "is_wrapped", "iteration_phase_errors", "next_operator",
+        "oracle_phase", "phase_distance", "precision_report", "reconstruct", "require_ground_window",
+        "run_ipea", "running_estimates", "to_binary", "trace_csv",
     ],
     "molphase.molham": [
         "GAP_TOL", "H2_MATRIX", "MolecularHamiltonian", "build_h2", "choose_tau", "load_hamiltonian",
@@ -73,7 +72,8 @@ PUBLIC_NAMES = {
         "EIG_CACHE_SIZE", "EigenDecomposition", "HERMITIAN_TOL", "KET_MINUS", "KET_PLUS", "MAX_DIM",
         "MAX_MAGNITUDE", "SIGMA_X", "SIGMA_Z", "STATE_NORM_TOL", "UNITARY_TOL", "as_complex_matrix",
         "expm_herm", "hermitian_eig", "phase_factors", "power_chain", "require_hermitian",
-        "require_integer", "require_magnitude", "require_pure_state", "require_unitary",
+        "require_integer", "require_magnitude", "require_nonnegative", "require_positive",
+        "require_pure_state", "require_unitary",
     ],
 }
 

@@ -1,8 +1,10 @@
 """Linear-algebra core: eigensolver, matrix exponential, power chain, states."""
+import math
+
 import numpy as np
 import pytest
 
-from molphase import molham, qcore
+from molphase import asp, ipea, molham, nmrpulse, probe, qcore
 from molphase.errors import ComputationError, ValidationError
 from molphase.molham import H2_MATRIX
 
@@ -23,6 +25,59 @@ UNCONVERGED = np.array([
     [-1.8, -1.8, 1e300, -1.8], [-1.8, 1e8, -0.5, 1e16], [1e300, -0.5, -1.0, 1e8], [-1.8, 1e16, 1e8, 1e16],
 ])
 PAST_THE_BOUND = r"matrix has a non-finite entry or one past 2\^500 in magnitude: "
+
+
+H2 = molham.build_h2()
+ESTIMATE = ipea.reconstruct([ipea.IterationRecord(0.1, 0.1)], 3, 0.0)
+# Every entry point whose scalar goes through require_positive (zero refused)
+# or require_nonnegative (zero accepted): the name it reports and the call.
+SIGN_JUDGED = [
+    ("total time", True, lambda x: asp.AdiabaticSchedule(6, x, H2)),
+    ("step duration", True, lambda x: asp.trotter_step(H2, 0.5, x)),
+    ("tau", True, lambda x: ipea.IterationConfig(tau=x)),
+    ("tau", True, lambda x: ipea.energy_from_phase(ESTIMATE, x, -1.0)),
+    ("phase error bound", False, lambda x: ipea.IterationConfig(phase_error_bound=x)),
+    ("jitter bound", False, lambda x: probe.NoiseModel(phase_jitter_bound=x)),
+    ("coherent epsilon", False, lambda x: probe.NoiseModel(coherent_epsilon=x)),
+    ("delay duration", False, lambda x: nmrpulse.DelayEvent(x)),
+]
+
+
+class TestScalarJudges:
+    @pytest.mark.parametrize("name, positive, call", SIGN_JUDGED, ids=[f"{n}-{i}" for i, (n, _, _) in enumerate(SIGN_JUDGED)])
+    def test_each_entry_point_judges_magnitude_then_sign(self, name, positive, call):
+        rule = "must be positive" if positive else "must be >= 0"
+        for value in (-1e-300, -1.0):
+            with pytest.raises(ValidationError, match=f"^{name} {rule}, got {value}$"):
+                call(value)
+        for value in (0.0, -0.0):
+            if positive:
+                with pytest.raises(ValidationError, match=f"^{name} must be positive, got {value}$"):
+                    call(value)
+            else:
+                call(value)
+        call(1e-3)
+        for value in (math.nan, math.inf, -math.inf, -(2.0**501)):
+            with pytest.raises(ValidationError, match=f"^{name} must be finite with magnitude at most 2\\^500, got "):
+                call(value)
+
+    def test_an_int_past_the_digit_limit_is_refused_by_its_size(self):
+        # str() of such an int raised ValueError (the 4300-digit limit) in place of the message
+        huge = 10**5000
+        shown = "an integer of 16610 bits"
+        with pytest.raises(ValidationError, match=f"^tau must be finite with magnitude at most 2\\^500, got {shown}$"):
+            ipea.IterationConfig(tau=huge)
+        with pytest.raises(ValidationError, match=f"^coherent epsilon must be finite .* got {shown}$"):
+            probe.NoiseModel(coherent_epsilon=huge)
+        with pytest.raises(ValidationError, match=f"^x must be finite .* got {shown}$"):
+            qcore.require_nonnegative("x", -huge)
+        with pytest.raises(ValidationError, match=f"^rng seed must be >= 0, got {shown}$"):
+            probe.NoiseModel(rng_seed=-huge)
+        with pytest.raises(ValidationError, match=f"^digit count must be <= 52, got {shown}$"):
+            ipea.to_binary(0.5, huge)
+        # within the bound an int is shown in full
+        with pytest.raises(ValidationError, match=f"^x must be positive, got {-(2**500)}$"):
+            qcore.require_positive("x", -(2**500))
 
 
 class TestHermitianEig:

@@ -56,16 +56,17 @@ MUTANTS = (
     Mutant(
         "wrap-split-at-2^n",
         "src/molphase/ipea.py",
-        "return measured > 0.5 * (1.0 + 2.0 ** (n + 1) * error_bound)",
-        "return measured > 0.5 * (1.0 + 2.0 ** n * error_bound)",
+        "return 0.5 * (1.0 + 2.0 ** (n + 1) * error_bound)",
+        "return 0.5 * (1.0 + 2.0 ** n * error_bound)",
         "is_wrapped splits the window from the wrapped band in the wrong place",
     ),
     Mutant(
-        "window-floor-dropped",
+        "contracted-bound-floor-dropped",
         "src/molphase/ipea.py",
-        "margin = config.phase_error_bound * 2.0 ** (-n * (config.iterations - 1)) + PHASE_FLOOR",
-        "margin = config.phase_error_bound * 2.0 ** (-n * (config.iterations - 1))",
-        "the runs admit ground phases within float64 rounding of the window's edge",
+        "return error_bound * 2.0 ** (-n * (iterations - 1)) + PHASE_FLOOR",
+        "return error_bound * 2.0 ** (-n * (iterations - 1))",
+        "the runs admit ground phases within float64 rounding of the window's edge,"
+        " and guaranteed_bits ignore that rounding and can exceed 48",
     ),
     Mutant(
         "newton-schulz-dropped",
@@ -115,13 +116,6 @@ MUTANTS = (
         "COHERENCE_TOL = 1e-6",
         "COHERENCE_TOL = 0.0",
         "a vanishing probe coherence is read as a phase instead of raising",
-    ),
-    Mutant(
-        "guarantee-floor-dropped",
-        "src/molphase/ipea.py",
-        "bound = phase_error_bound * 2.0 ** (-n * (len(records) - 1)) + PHASE_FLOOR",
-        "bound = phase_error_bound * 2.0 ** (-n * (len(records) - 1))",
-        "guaranteed_bits ignore float64 rounding and can exceed 48",
     ),
     Mutant(
         "window-admits-zero-phase",
@@ -287,15 +281,15 @@ MUTANTS = (
     Mutant(
         "digit-count-unchecked",
         "src/molphase/ipea.py",
-        'qcore.require_integer("digit count", digits, 1)',
+        'qcore.require_integer("digit count", digits, 1, MAX_REPORT_BITS)',
         "pass",
         "to_binary takes a bool or float digit count and fails with ValueError or TypeError",
     ),
     Mutant(
         "digit-count-uncapped",
         "src/molphase/ipea.py",
-        "if digits > MAX_REPORT_BITS:",
-        "if False:",
+        '"digit count", digits, 1, MAX_REPORT_BITS)',
+        '"digit count", digits, 1)',
         "to_binary takes any digit count, and its time and memory grow with it (10^10 digits: about 11 GB)",
     ),
     Mutant(
@@ -318,6 +312,48 @@ MUTANTS = (
         "(p << int(digits)) // q",
         "(p << digits) // q",
         "a numpy digit count overflows the shift and reads a negative bit string",
+    ),
+    Mutant(
+        "positive-judge-admits-zero",
+        "src/molphase/qcore.py",
+        "if not value > 0:",
+        "if not value >= 0:",
+        "a zero tau, total time or step duration passes as positive",
+    ),
+    Mutant(
+        "nonnegative-judge-sign-dropped",
+        "src/molphase/qcore.py",
+        "if not value >= 0:",
+        "if not abs(value) >= 0:",
+        "a negative phase error bound, jitter bound, coherent epsilon or delay duration is accepted",
+    ),
+    Mutant(
+        "next-operator-admits-n-0",
+        "src/molphase/ipea.py",
+        'qcore.require_integer("n", n, 1)',
+        'qcore.require_integer("n", n, 0)',
+        "next_operator takes n = 0 and returns the clipped operator unsquared",
+    ),
+    Mutant(
+        "report-n-uncapped",
+        "src/molphase/ipea.py",
+        'qcore.require_integer("n", n, 1, MAX_REPORT_BITS)',
+        'qcore.require_integer("n", n, 1)',
+        "the report helpers take any n, and 2^n overflows (OverflowError) past about 1023",
+    ),
+    Mutant(
+        "huge-int-shown-in-full",
+        "src/molphase/qcore.py",
+        "if isinstance(value, int) and abs(value) > MAX_MAGNITUDE:",
+        "if False:",
+        "a refused int past the 4300-digit str limit raises ValueError in place of ValidationError",
+    ),
+    Mutant(
+        "asp-phase-scale-unbounded",
+        "src/molphase/asp.py",
+        "if not energy_time <= _MAX_ENERGY_TIME:",
+        "if False:",
+        "asp prints, with exit 0, fidelities whose float64 rounding error passes 1e-9 (1.8e-2 for H2 at T = 1e15)",
     ),
 )
 
