@@ -51,7 +51,8 @@ MAX_POINTS = 2**16
 _MAX_SLICE_TIMES = 2**24
 # The largest phase scale max|E_slice| * max(T) of a sweep. Against an 80-digit
 # reference of the same sweep (2x2 targets, 1-200 slices) the fidelity's
-# float64 error stayed below 3.1e-17 E T, so up to 2^24 it is below 1e-9.
+# float64 error stayed below 3.1e-17 E T, so up to 2^24 it is below 1e-9; at
+# 0.99 * 2^24 with 1000, 8192 and 2^16 slices it was at most 4.6e-11.
 _MAX_ENERGY_TIME = 2.0**24
 
 

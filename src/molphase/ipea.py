@@ -169,6 +169,7 @@ def is_wrapped(measured: float, error_bound: float, n: int) -> bool:
     which leaves the widest margin on both sides for rounding.
     ``IterationConfig`` admissibility keeps the gap open.
     """
+    qcore.require_nonnegative("phase error bound", error_bound)
     return measured > _wrap_split(n, error_bound)
 
 
@@ -189,9 +190,8 @@ def _require_bits(n: int) -> None:
 
 
 def _wrap_split(n: int, error_bound: float) -> float:
-    """The reading above which ``is_wrapped`` holds, once n and the bound pass their rules."""
+    """The reading above which ``is_wrapped`` holds; the caller checks the bound."""
     _require_bits(n)
-    qcore.require_nonnegative("phase error bound", error_bound)
     return 0.5 * (1.0 + 2.0 ** (n + 1) * error_bound)
 
 
@@ -336,6 +336,7 @@ def reconstruct(records: Sequence[IterationRecord], n: int, phase_error_bound: f
     """
     if not records:
         raise ValidationError("no iteration records to reconstruct from")
+    qcore.require_nonnegative("phase error bound", phase_error_bound)
     split = _wrap_split(n, phase_error_bound)
     scale = 2.0**-n
     seed = records[-1].measured_phase

@@ -294,9 +294,13 @@ class TestRunBoundedJitter:
         for sign in (+1.0, -1.0):
             noise = FixedJitter(ERRBD_5DEG, draws=(sign * ERRBD_5DEG,) * 6)
             records, phase, _ = ipea.run_ipea(h2, h2_config(), noise=noise)
-            for rec in records[1:]:
-                # distance of the reading from the admissible window
-                assert min(rec.measured_phase, 1.0 - rec.measured_phase) <= window + ERRBD_5DEG + 1e-9
+            # the exact-U eigenphase each round carries under this clip history
+            refs, theta = [], H2_PHASE
+            for rec in records:
+                refs.append(theta)
+                theta = (2**3 * (theta - rec.clipped_phase)) % 1.0
+            for ref in refs[1:]:
+                assert min(ref, 1.0 - ref) <= window + 1e-9
             for error in ipea.iteration_phase_errors(records, H2_PHASE, 3):
                 # the reference recursion amplifies rounding by 8^k, give it 1e-9
                 assert error <= ERRBD_5DEG + 1e-9
