@@ -15,14 +15,17 @@ One sweep evolves the states of many total times together, as a (2, T)
 array in sigma_x's eigenbasis. There each sigma_x half is the elementwise
 phase exp(-i E_x d (1-s)/2), and the middle factor is
 B† diag(exp(-i E_H s d)) B with B = V_H† V_x fixed for the sweep, each
-phase from ``qcore.phase_factors``; every 2x2 product is written out
-elementwise, so a column rounds the same way whatever the batch. A sweep
-asks ``qcore.hermitian_eig`` for sigma_x and the target once, decomposes
-the M interpolated H(s_m) in one batched call, checking every gap before
-the first slice, and returns the fidelities after the slices its caller
-reads, keeping no other slice's states. ``run_asp`` is the sweep over one
-time, reading every slice, ``scan_total_time`` the sweep over a grid,
-reading the last, and ``trotter_step`` one slice.
+phase from ``qcore.phase_factors``, one call per block of slices; every
+2x2 product is written out elementwise, so a column rounds the same way
+whatever the batch. What a sweep needs of its target and step count alone
+is planned once and kept for the next sweep of both: sigma_x and the target
+asked of ``qcore.hermitian_eig`` once, the M interpolated H(s_m) decomposed
+in one batched call, every gap checked before the first slice, and the
+ground-state weights. A sweep returns the fidelities after the slices its
+caller reads, keeping no other slice's states. ``run_asp`` is the sweep
+over one time, reading every slice, ``scan_total_time`` the sweep over a
+grid, reading the last (so a scan and the ``run_asp`` at one of its times
+share a plan), and ``trotter_step`` one slice.
 
 Times are in inverse hartree; the hardware's millisecond clock is a
 rescaling of the same dimensionless schedule, and ``scan_total_time``
@@ -33,6 +36,7 @@ raises ``ValidationError``: float64 resolves its fidelity to 1e-9 only below.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -42,8 +46,9 @@ from .errors import ValidationError
 from .molham import MolecularHamiltonian
 
 # The most slices in a schedule, and total times in a CLI scan. Peaks under
-# tracemalloc: 9.5 MiB for a 2^16-step scan (15 MiB for run_asp, which keeps
-# every step's state), 13 MiB for a 6-step scan of 2^16 times.
+# tracemalloc, each from a cleared plan: 9.5 MiB for a 2^16-step scan and
+# for run_asp, which keeps every step's state, 13 MiB for a 6-step scan of
+# 2^16 times.
 MAX_POINTS = 2**16
 # The most slice-times (slices x total times) in one sweep, whose work grows
 # with their product: 2^24 of them took 1.7-4.3 s on 2 shared CPUs, 2^16
@@ -54,6 +59,11 @@ _MAX_SLICE_TIMES = 2**24
 # float64 error stayed below 3.1e-17 E T, so up to 2^24 it is below 1e-9; at
 # 0.99 * 2^24 with 1000, 8192 and 2^16 slices it was at most 4.6e-11.
 _MAX_ENERGY_TIME = 2.0**24
+# Sweep plans ``_plan`` keeps: the last is enough for a scan and the run_asp after it.
+_PLAN_CACHE_SIZE = 1
+# The most slice-times whose phases one ``qcore.phase_factors`` call forms in
+# a sweep: 4 phases each, about 640 KiB with their temporaries.
+_BLOCK_SLICE_TIMES = 2**12
 
 
 @dataclass(frozen=True)
@@ -74,9 +84,14 @@ class AdiabaticSchedule:
 
     def s_values(self) -> np.ndarray:
         """Interpolation parameters per step; a single step jumps to s = 1."""
-        if self.steps == 1:
-            return np.array([1.0])
-        return np.arange(self.steps) / (self.steps - 1)
+        return _s_values(self.steps)
+
+
+def _s_values(steps: int) -> np.ndarray:
+    """s_m = m/(M-1) for m = 0..M-1, M = ``steps``; a single step is s = 1."""
+    if steps == 1:
+        return np.array([1.0])
+    return np.arange(steps) / (steps - 1)
 
 
 class ASPResult(NamedTuple):
@@ -96,7 +111,12 @@ def interpolated_hamiltonian(target: MolecularHamiltonian, s) -> np.ndarray:
         raise ValidationError(f"interpolation parameter must lie in [0, 1], got {outside[0]}")
     if target.dim != 2:
         raise ValidationError(f"interpolation targets 2x2 systems, got dim {target.dim}")
-    return (1.0 - s) * qcore.SIGMA_X + s * target.matrix
+    return _interpolated(target.matrix, s)
+
+
+def _interpolated(matrix: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """(1-s) sigma_x + s ``matrix``, for ``s`` shaped to broadcast against the 2x2 factors."""
+    return (1.0 - s) * qcore.SIGMA_X + s * matrix
 
 
 def trotter_step(target: MolecularHamiltonian, s_m: float, delta: float) -> np.ndarray:
@@ -111,11 +131,11 @@ def trotter_step(target: MolecularHamiltonian, s_m: float, delta: float) -> np.n
     qcore.require_positive("step duration", delta)
     if not 0.0 <= s_m <= 1.0:
         raise ValidationError(f"interpolation parameter must lie in [0, 1], got {s_m}")
-    vx, energies, b, b_adj = _slice_inputs(target, np.array([s_m]))
-    return _mix(vx, _slice(vx.conj().T, energies[0], delta, b, b_adj))
+    vx, energies, b, b_adj = _slice_inputs(target.matrix, np.array([s_m]))
+    return _mix(vx, _slice(vx.conj().T, qcore.phase_factors(energies[0], delta), b, b_adj))
 
 
-def _slice_inputs(target: MolecularHamiltonian, s_values: np.ndarray):
+def _slice_inputs(matrix: np.ndarray, s_values: np.ndarray):
     """Sigma_x's eigenvectors V_x, the phase energies of every slice, shape
     (M, 4, 1), and B = V_H† V_x with B†.
 
@@ -123,7 +143,7 @@ def _slice_inputs(target: MolecularHamiltonian, s_values: np.ndarray):
     has the sigma_x half phases exp(-i energies[:2] d) and the middle
     phases exp(-i energies[2:] d).
     """
-    x_dec, h_dec = qcore.hermitian_eig(qcore.SIGMA_X), qcore.hermitian_eig(target.matrix)
+    x_dec, h_dec = qcore.hermitian_eig(qcore.SIGMA_X), qcore.hermitian_eig(matrix)
     s = s_values[:, None]
     energies = np.concatenate([0.5 * (1.0 - s) * x_dec.energies, s * h_dec.energies], axis=1)
     b = h_dec.eigenvectors.conj().T @ x_dec.eigenvectors
@@ -135,64 +155,103 @@ def _mix(m: np.ndarray, states: np.ndarray) -> np.ndarray:
     return m[:, :1] * states[0] + m[:, 1:] * states[1]
 
 
-def _slice(states: np.ndarray, energies: np.ndarray, deltas, b, b_adj) -> np.ndarray:
-    """Apply one split slice to ``states``, with one step duration per column
-    in ``deltas`` or one for all.
+def _slice(states: np.ndarray, phases: np.ndarray, b, b_adj) -> np.ndarray:
+    """Apply one split slice to ``states`` given its phases, shape (4, T) or
+    (4, 1): the sigma_x halves exp(-i E_x d (1-s)/2) in rows 0-1 and the
+    middle exp(-i E_H s d) in rows 2-3, one step duration d per column.
 
     ``states`` has shape (2, T) and holds its columns in sigma_x's
-    eigenbasis. There each sigma_x half is the phase exp(-i E_x d (1-s)/2),
-    and the middle factor is B† diag(exp(-i E_H s d)) B.
+    eigenbasis. There each sigma_x half is an elementwise phase, and the
+    middle factor is B† diag(middle) B.
     """
-    phases = qcore.phase_factors(energies, deltas)
     half, middle = phases[:2], phases[2:]
     return half * _mix(b_adj, middle * _mix(b, half * states))
 
 
-def _sweep(target: MolecularHamiltonian, s_values: np.ndarray, total_times: np.ndarray, read: slice):
-    """Evolve |-> through the slices at ``s_values`` for every total time at
-    once. Return V_x, the final states, shape (2, T), in sigma_x's
-    eigenbasis, and the fidelities after the slices that ``read`` selects.
+class _Plan(NamedTuple):
+    """What a sweep of one target over M slices needs, whatever its total
+    times: V_x, the slice energies, shape (M, 4, 1), B and B†, the
+    ground-state weights w_m = conj(V_x† g_m), shape (2, M), the phase
+    scale max|E_slice| and the start state V_x† |->."""
+
+    vx: np.ndarray
+    energies: np.ndarray
+    b: np.ndarray
+    b_adj: np.ndarray
+    weights: np.ndarray
+    scale: float
+    start: np.ndarray
+
+
+@lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _plan(data: bytes, steps: int) -> _Plan:
+    """The read-only plan of the ``steps``-slice sweep of the 2x2 target
+    whose complex128 entries are ``data``.
 
     The M interpolated H(s_m) are decomposed in one batched ``eigh``, so
-    ``molham.require_gap`` judges every gap before any slice; more than
-    ``_MAX_SLICE_TIMES`` slices x times raise before the ``eigh``. A state psi
-    in sigma_x's eigenbasis has fidelity |w0 psi0 + w1 psi1|^2,
-    w = conj(V_x† g_m). Only the read slices' states are kept: a caller
-    reads one slice (the scan) or sweeps one total time (``run_asp``), so
-    the kept states, side by side, give their fidelities in one row. A
-    phase scale max|E_slice| * max(T) past ``_MAX_ENERGY_TIME`` raises
-    before any slice.
+    ``molham.require_gap`` judges every gap before any slice; a target it
+    refuses raises on every call and is never kept.
     """
-    if len(s_values) * len(total_times) > _MAX_SLICE_TIMES:
-        raise ValidationError(
-            f"a sweep of {len(s_values)} slices x {len(total_times)} total times"
-            f" exceeds the {_MAX_SLICE_TIMES} slice-times one sweep may take"
-        )
-    levels, vectors = np.linalg.eigh(interpolated_hamiltonian(target, s_values))
-    for m in range(len(s_values)):
+    matrix = np.frombuffer(data, dtype=complex).reshape(2, 2)
+    s_values = _s_values(steps)
+    levels, vectors = np.linalg.eigh(_interpolated(matrix, s_values[:, None, None]))
+    for m in range(steps):
         lo, hi = levels[m].tolist()
         molham.require_gap(lo, hi, "H(s) at s = %.6f", s_values[m])
-    del levels  # freed, with vectors below, so that the batched eigh stays the peak
-    vx, energies, b, b_adj = _slice_inputs(target, s_values)
-    energy_time = max(energies.max(), -energies.min()) * total_times.max()
+    ground = vectors[:, :, 0].copy()
+    del levels, vectors  # freed before the slice inputs, so that the batched eigh stays the peak
+    vx, energies, b, b_adj = _slice_inputs(matrix, s_values)
+    weights = _mix(vx.conj().T, ground.T).conj()
+    plan = _Plan(vx, energies, b, b_adj, weights, max(energies.max(), -energies.min()), vx.conj().T @ qcore.KET_MINUS)
+    for array in (plan.energies, plan.b, plan.b_adj, plan.weights, plan.start):
+        array.flags.writeable = False
+    return plan
+
+
+def _sweep(target: MolecularHamiltonian, steps: int, total_times: np.ndarray, read: slice):
+    """Evolve |-> through the ``steps`` slices for every total time at once.
+    Return V_x, the final states, shape (2, T), in sigma_x's eigenbasis, and
+    the fidelities after the slices that ``read`` selects.
+
+    More than ``_MAX_SLICE_TIMES`` slices x times raise before the plan
+    (``_plan``, shared by every sweep of the same target and step count)
+    is made, and a phase scale max|E_slice| * max(T) past
+    ``_MAX_ENERGY_TIME`` raises before any slice. The phases are formed
+    one ``qcore.phase_factors`` call per block of at most
+    ``_BLOCK_SLICE_TIMES`` slice-times (one slice when the times alone are
+    more), each block released before the next. A state psi in sigma_x's
+    eigenbasis has fidelity |w0 psi0 + w1 psi1|^2. Only the read slices'
+    states are kept: a caller reads one slice (the scan) or sweeps one
+    total time (``run_asp``), so the kept states, side by side, give their
+    fidelities in one row.
+    """
+    if steps * len(total_times) > _MAX_SLICE_TIMES:
+        raise ValidationError(
+            f"a sweep of {steps} slices x {len(total_times)} total times"
+            f" exceeds the {_MAX_SLICE_TIMES} slice-times one sweep may take"
+        )
+    vx, energies, b, b_adj, weights, scale, start = _plan(target.matrix.tobytes(), steps)
+    energy_time = scale * total_times.max()
     if not energy_time <= _MAX_ENERGY_TIME:
         raise ValidationError(
             f"a sweep's max|E|*T = {energy_time:.6g} exceeds 2^24, past which float64"
             " cannot resolve its fidelity to 1e-9"
         )
-    weights = _mix(vx.conj().T, vectors[read, :, 0].T).conj()
-    del vectors
-    deltas = total_times / len(s_values)
-    reads = range(len(s_values))[read]
-    states = np.repeat((vx.conj().T @ qcore.KET_MINUS)[:, None], len(total_times), axis=1)
-    kept = []
-    for m, slice_energies in enumerate(energies):
-        states = _slice(states, slice_energies, deltas, b, b_adj)
-        if m in reads:
-            kept.append(states)
-    del s_values, energies, slice_energies  # freed before the kept states are joined
-    kept = np.concatenate(kept, axis=1)
-    return vx, states, np.abs(weights[0] * kept[0] + weights[1] * kept[1]) ** 2
+    deltas = total_times / steps
+    reads = range(steps)[read]
+    block = max(1, _BLOCK_SLICE_TIMES // len(total_times))
+    states = np.repeat(start[:, None], len(total_times), axis=1)
+    for first in range(0, steps, block):
+        phases = qcore.phase_factors(energies[first : first + block], deltas)
+        for m, slice_phases in enumerate(phases, first):
+            states = _slice(states, slice_phases, b, b_adj)
+            if m == reads.start:  # not before, so that it adds nothing to the unread slices' peak
+                kept = np.empty((2, len(reads) * len(total_times)), dtype=complex)
+            if m in reads:
+                column = (m - reads.start) * len(total_times)
+                kept[:, column : column + len(total_times)] = states
+        del phases, slice_phases  # released before the next block is formed
+    return vx, states, np.abs(weights[0, read] * kept[0] + weights[1, read] * kept[1]) ** 2
 
 
 def run_asp(schedule: AdiabaticSchedule) -> ASPResult:
@@ -202,7 +261,7 @@ def run_asp(schedule: AdiabaticSchedule) -> ASPResult:
     schedule, reading the fidelity after every slice; the final state is
     rotated back from sigma_x's eigenbasis with V_x.
     """
-    vx, states, fidelities = _sweep(schedule.target, schedule.s_values(), np.array([schedule.total_time]), slice(None))
+    vx, states, fidelities = _sweep(schedule.target, schedule.steps, np.array([schedule.total_time]), slice(None))
     return ASPResult(
         final_state=_mix(vx, states)[:, 0].copy(),
         fidelity=float(fidelities[-1]),
@@ -216,7 +275,8 @@ def scan_total_time(target: MolecularHamiltonian, steps: int, t_grid) -> list[tu
     One sweep evolves the states of every total time together, so a scan
     makes one batched decomposition of its M = ``steps`` slices, whatever
     the grid's length, and reads the fidelities after the last slice only.
-    Each fidelity equals ``run_asp``'s at that time.
+    Each fidelity equals ``run_asp``'s at that time, and a ``run_asp`` of
+    the same target and steps after it reuses the scan's plan.
     """
     grid = np.asarray(t_grid, dtype=float)
     if grid.ndim != 1:
@@ -230,5 +290,5 @@ def scan_total_time(target: MolecularHamiltonian, steps: int, t_grid) -> list[tu
         raise ValidationError("time grid must be strictly ascending")
     # the schedule validates steps and the target's dimension
     schedule = AdiabaticSchedule(steps=steps, total_time=float(grid[0]), target=target)
-    _, _, fidelities = _sweep(target, schedule.s_values(), grid, slice(-1, None))
-    return [(float(t), float(f)) for t, f in zip(grid, fidelities)]
+    _, _, fidelities = _sweep(target, schedule.steps, grid, slice(-1, None))
+    return list(zip(grid.tolist(), fidelities.tolist()))

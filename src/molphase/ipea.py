@@ -345,6 +345,7 @@ def reconstruct(records: Sequence[IterationRecord], n: int, phase_error_bound: f
     trace = [seed]
     for rec in reversed(records[:-1]):
         trace.append(trace[-1] * scale + rec.clipped_phase)
+    _require_finite(trace[-1], records)
     value = probe.reduce_phase(trace[-1])
 
     digits = n * len(records)
@@ -354,6 +355,16 @@ def reconstruct(records: Sequence[IterationRecord], n: int, phase_error_bound: f
         binary_digits=to_binary(value, digits),
         guaranteed_bits=min(_leading_bits(_final_bound(n, len(records), phase_error_bound)), digits),
     )
+
+
+def _require_finite(result: float, records: Sequence[IterationRecord]) -> None:
+    """Raise ``ValidationError`` when ``result``, computed from ``records``,
+    is not finite, naming the first record with a phase that is not finite
+    or past ``qcore.MAX_MAGNITUDE`` in magnitude: phases within it give a
+    finite rebuild and finite phase errors, so there always is one."""
+    if not math.isfinite(result):
+        k = next(k for k, rec in enumerate(records) if not all(abs(p) <= qcore.MAX_MAGNITUDE for p in rec))
+        raise ValidationError(f"iteration record {k} has a phase that is not finite or past 2^500: {records[k]}")
 
 
 def _leading_bits(distance: float) -> int:
@@ -390,9 +401,13 @@ def energy_from_phase(phase: PhaseEstimate, tau: float, oracle_energy: float) ->
     """
     qcore.require_positive("tau", tau)
     energy = float(-2.0 * np.pi * phase.value / tau)
-    return EnergyResult(
-        energy=energy, tau=float(tau), oracle_energy=oracle_energy, abs_error=abs(energy - oracle_energy)
-    )
+    abs_error = abs(energy - oracle_energy)
+    if not math.isfinite(abs_error):
+        raise ValidationError(
+            f"energy -2 pi phi / tau = {energy} at tau = {tau}, or its distance from the oracle energy"
+            f" {oracle_energy}, is not finite"
+        )
+    return EnergyResult(energy=energy, tau=float(tau), oracle_energy=oracle_energy, abs_error=abs_error)
 
 
 def precision_report(estimate: PhaseEstimate, oracle_phase: float) -> int:
@@ -425,6 +440,7 @@ def iteration_phase_errors(
     for rec in records:
         errors.append(phase_distance(rec.measured_phase, theta))
         theta = (2.0**n * (theta - rec.clipped_phase)) % 1.0
+    _require_finite(sum(errors), records)
     return errors
 
 

@@ -138,15 +138,16 @@ def power_chain(u: np.ndarray, times: int, count: int) -> np.ndarray:
         mul, adjoint, eye = np.multiply, np.conj, 1.0
     else:
         mul, adjoint, eye = np.matmul, lambda m: m.conj().T, np.eye(u.shape[0])
-    m = u
-    powers, drifts = [u], []
-    for _ in range(1, count):
+    dtype = np.result_type(u, 0.5)
+    powers = np.empty((count,) + u.shape, dtype)
+    drifts = np.empty((count - 1,) + u.shape, dtype)
+    powers[0] = m = u
+    for r in range(1, count):
         for _ in range(times):
             m = mul(m, m)
-        drifts.append(mul(adjoint(m), m) - eye)
-        m = mul(m, eye - 0.5 * drifts[-1])
-        powers.append(m)
-    drifts = np.reshape(drifts, (count - 1,) + u.shape)
+        drifts[r - 1] = mul(adjoint(m), m) - eye
+        m = mul(m, eye - 0.5 * drifts[r - 1])
+        powers[r] = m
     axes = tuple(range(1, drifts.ndim))
     left = np.abs(mul(mul(drifts, drifts), drifts - 3.0 * eye)).max(axis=axes) / 4.0
     failed = np.flatnonzero(~(left <= UNITARY_TOL))
@@ -157,7 +158,7 @@ def power_chain(u: np.ndarray, times: int, count: int) -> np.ndarray:
             f" max|U†U - I| = {np.abs(drifts[r]).max():.3e},"
             f" {left[r]:.3e} > {UNITARY_TOL:.1e} after one Newton-Schulz step"
         )
-    return np.array(powers)
+    return powers
 
 
 def require_pure_state(v, name: str = "state", tol: float = STATE_NORM_TOL) -> np.ndarray:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from molphase import molham, probe, qcore
+from molphase import asp, molham, probe, qcore
 
 # Hypothesis imports libcst to write the patch of a failing example, and
 # that import warns DeprecationWarning (from mypy_extensions). Under
@@ -61,9 +61,10 @@ def h2():
 @pytest.fixture
 def eigh_calls(monkeypatch):
     """The arguments of every ``np.linalg.eigh`` call the test makes, from an
-    empty ``qcore.hermitian_eig`` cache, so that no decomposition an earlier
-    test left there is counted out."""
+    empty ``qcore.hermitian_eig`` cache and no kept sweep plan, so that no
+    decomposition an earlier test left there is counted out."""
     qcore._decompose.cache_clear()
+    asp._plan.cache_clear()
     calls = []
     eigh = np.linalg.eigh
 

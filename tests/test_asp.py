@@ -213,6 +213,66 @@ class TestRunASP:
         assert second.final_state.flags.owndata and second.per_step_fidelities.flags.owndata
 
 
+def hexes(result):
+    """``float.hex`` of every part of an ASP result's final state and fidelities."""
+    parts = np.concatenate([result.final_state.view(float), result.per_step_fidelities])
+    return [float(x).hex() for x in parts]
+
+
+class TestPlan:
+    """A sweep's plan (decompositions, gap checks, slice energies, weights)
+    is made once per target and step count and shared by the sweeps after."""
+
+    def test_run_asp_after_a_scan_equals_one_from_a_cleared_plan(self):
+        grid = np.arange(1.0, 30.0 + 1e-9, 0.5)
+        for target in h2_like_targets(3, complex_coupling=True):
+            scan = asp.scan_total_time(target, 6, grid)
+            for t, fidelity in scan:
+                shared = asp.run_asp(asp.AdiabaticSchedule(6, t, target))
+                asp._plan.cache_clear()
+                fresh = asp.run_asp(asp.AdiabaticSchedule(6, t, target))
+                assert hexes(shared) == hexes(fresh)
+                assert float(fidelity).hex() == float(fresh.fidelity).hex()
+
+    def test_a_degenerate_target_is_refused_on_every_call(self):
+        target = molham.MolecularHamiltonian(-qcore.SIGMA_X, label="minus_sx")
+        asp._plan.cache_clear()
+        for _ in range(3):
+            with pytest.raises(DegeneracyError, match="s = 0.5"):
+                asp.scan_total_time(target, 3, [1.0, 3.0])
+            with pytest.raises(DegeneracyError, match="s = 0.5"):
+                asp.run_asp(asp.AdiabaticSchedule(steps=3, total_time=3.0, target=target))
+        assert asp._plan.cache_info().currsize == 0
+
+    def test_the_step_count_is_part_of_the_key(self, h2):
+        asp.scan_total_time(h2, 6, [9.5])
+        after_scan = asp.run_asp(asp.AdiabaticSchedule(steps=7, total_time=9.5, target=h2))
+        asp._plan.cache_clear()
+        fresh = asp.run_asp(asp.AdiabaticSchedule(steps=7, total_time=9.5, target=h2))
+        assert len(after_scan.per_step_fidelities) == 7
+        assert hexes(after_scan) == hexes(fresh)
+
+    def test_plan_arrays_are_read_only(self, h2):
+        plan = asp._plan(h2.matrix.tobytes(), 6)
+        for array in (plan.vx, plan.energies, plan.b, plan.b_adj, plan.weights, plan.start):
+            assert not array.flags.writeable
+
+    @pytest.mark.parametrize("steps, times", [(6, 58), (100, 2000), (2**13, 1), (3, 2**13)])
+    def test_phases_are_formed_in_bounded_blocks(self, h2, monkeypatch, steps, times):
+        sizes = []
+        phase_factors = qcore.phase_factors
+
+        def counted(energies, t):
+            sizes.append(np.broadcast(energies, t).size)
+            return phase_factors(energies, t)
+
+        monkeypatch.setattr(qcore, "phase_factors", counted)
+        asp.scan_total_time(h2, steps, np.linspace(1.0, 30.0, times))
+        block = max(1, asp._BLOCK_SLICE_TIMES // times)
+        assert len(sizes) == -(-steps // block)
+        assert max(sizes) <= 4 * max(asp._BLOCK_SLICE_TIMES, times)
+
+
 class TestScanTotalTime:
     def test_output_length_matches_grid(self, h2):
         pairs = asp.scan_total_time(h2, 6, [1.0, 2.0, 3.0])

@@ -389,6 +389,8 @@ def test_library_raises_only_molphase_errors(case):
             result = call()
     if isinstance(result, ipea.PhaseEstimate):
         result = np.append(result.reconstruction_trace, result.value)
+    if isinstance(result, ipea.EnergyResult):
+        result = np.array(result)
     if isinstance(result, list) and all(isinstance(x, (float, ipea.PhaseEstimate)) for x in result):
         result = np.array([x if isinstance(x, float) else x.value for x in result])
     if isinstance(result, (float, np.ndarray)):

@@ -202,6 +202,47 @@ class TestReportHelperInputs:
         with pytest.raises(ValidationError, match="tau must be finite"):
             ipea.energy_from_phase(estimate, math.inf, -1.0)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "records, first",
+        [
+            ([ipea.IterationRecord(0.5, math.inf), ipea.IterationRecord(0.3, 0.3)], 0),
+            ([ipea.IterationRecord(0.5, 0.4), ipea.IterationRecord(0.2, math.nan), ipea.IterationRecord(0.3, 0.3)], 1),
+        ],
+    )
+    def test_a_record_whose_phase_is_not_finite_is_named(self, records, first):
+        # reconstruct raised "value must lie in [0, 1), got nan" from to_binary,
+        # and iteration_phase_errors returned nan
+        message = rf"iteration record {first} has a phase that is not finite or past 2\^500"
+        with pytest.raises(ValidationError, match=message):
+            ipea.reconstruct(records, 3, 0.01)
+        with pytest.raises(ValidationError, match=message):
+            ipea.iteration_phase_errors(records, 0.5, 3)
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_finite_phase_past_the_bound_that_overflows_is_named(self):
+        # 2^52 (theta - 1e300) is -inf, and the next error was nan
+        records = [ipea.IterationRecord(0.5, 1e300), ipea.IterationRecord(0.3, 0.3)]
+        with pytest.raises(ValidationError, match=r"iteration record 0 has a phase that is not finite or past 2\^500"):
+            ipea.iteration_phase_errors(records, 0.5, 52)
+        assert ipea.iteration_phase_errors(records, 0.5, 3) == [0.0, ipea.phase_distance(0.3, 0.0)]
+
+    def test_a_non_finite_phase_the_rebuild_does_not_read_is_left_alone(self):
+        # only the last reading and the earlier clips enter the rebuild
+        records = [ipea.IterationRecord(math.nan, 0.25), ipea.IterationRecord(0.5, math.inf)]
+        assert ipea.reconstruct(records, 3, 0.01).value == 0.5 / 8.0 + 0.25
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_non_finite_energy_is_refused(self):
+        # tau = 5e-324 gave energy=-inf and abs_error=inf
+        estimate = ipea.reconstruct([ipea.IterationRecord(0.9, 0.9)], 3, 0.0)
+        with pytest.raises(ValidationError, match=r"energy -2 pi phi / tau = -inf at tau = 5e-324"):
+            ipea.energy_from_phase(estimate, 5e-324, -1.0)
+        for oracle_energy in (math.nan, math.inf, 1.7e308):
+            with pytest.raises(ValidationError, match="from the oracle energy .* is not finite"):
+                ipea.energy_from_phase(estimate, 2.2250738585072014e-308, oracle_energy)
+        assert math.isfinite(ipea.energy_from_phase(estimate, 1e-300, -1.0).abs_error)
+
     def test_next_operator_n_is_an_integer(self):
         # 2.0 passed the hand-written n < 1 and failed in range() with TypeError
         with pytest.raises(ValidationError, match="n must be an integer, got 2.0"):

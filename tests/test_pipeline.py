@@ -85,14 +85,17 @@ def test_prepared_chain_diagonalizes_the_target_once(eigh_calls, times):
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "prepared state overlaps", UserWarning)
         ipea.run_ipea(h, ipea.IterationConfig(tau=tau), prep=prepared.final_state)
-    # sigma_x and the target once each, then one batched call per sweep (scan and run_asp)
-    assert sorted(np.ndim(a[0]) for a in eigh_calls) == [2, 2, 3, 3]
+    # sigma_x and the target once each, then one batched call for the plan
+    # that the scan makes and run_asp reuses
+    assert sorted(np.ndim(a[0]) for a in eigh_calls) == [2, 2, 3]
 
 
-def test_prepared_chain_asks_for_five_decompositions(monkeypatch):
+def test_prepared_chain_asks_for_three_decompositions(monkeypatch):
     # wrapped by module attribute, as bench/spans.py wraps it, so calls the
-    # cache answers count too: sigma_x and the target once per sweep (in
-    # asp._slice_inputs), then the target once in run_ipea
+    # cache answers count too: sigma_x and the target once for the sweep
+    # plan (in asp._slice_inputs) that the scan makes and run_asp reuses,
+    # then the target once in run_ipea
+    asp._plan.cache_clear()
     h = molham.MolecularHamiltonian(np.array([[-1.9, 0.2], [0.2, -0.3]]), label="H2-like")
     tau = molham.choose_tau(h)
     calls = []
@@ -109,4 +112,4 @@ def test_prepared_chain_asks_for_five_decompositions(monkeypatch):
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "prepared state overlaps", UserWarning)
         ipea.run_ipea(h, ipea.IterationConfig(tau=tau), prep=prepared.final_state)
-    assert len(calls) == 5
+    assert len(calls) == 3

@@ -315,7 +315,30 @@ def form_unitary(rng, form, dim=2):
     return random_unitary(rng, dim)
 
 
+def reference_power_chain(u, times, count):
+    """The chain built in lists, as ``power_chain`` did before it wrote into stacks."""
+    if u.ndim == 1:
+        mul, adjoint, eye = np.multiply, np.conj, 1.0
+    else:
+        mul, adjoint, eye = np.matmul, lambda m: m.conj().T, np.eye(u.shape[0])
+    powers = [u]
+    for _ in range(1, count):
+        m = powers[-1]
+        for _ in range(times):
+            m = mul(m, m)
+        powers.append(mul(m, eye - 0.5 * (mul(adjoint(m), m) - eye)))
+    return np.array(powers)
+
+
 class TestPowerChain:
+    @pytest.mark.parametrize("form", FORMS)
+    def test_equals_the_list_reference_bit_for_bit(self, form):
+        rng = np.random.default_rng(19)
+        for dim in (2, 4):
+            u = FORMS[form](form_unitary(rng, form, dim))
+            chain = qcore.power_chain(u, 3, 6)
+            assert chain.dtype == u.dtype and chain.tobytes() == reference_power_chain(u, 3, 6).tobytes()
+
     @pytest.mark.parametrize("form", FORMS)
     def test_matches_repeated_multiplication(self, form):
         rng = np.random.default_rng(13)

@@ -71,15 +71,15 @@ MUTANTS = (
     Mutant(
         "newton-schulz-dropped",
         "src/molphase/qcore.py",
-        "m = mul(m, eye - 0.5 * drifts[-1])",
+        "m = mul(m, eye - 0.5 * drifts[r - 1])",
         "m = m",
         "the power chain drifts off the unitary group",
     ),
     Mutant(
         "fidelity-conjugate-dropped",
         "src/molphase/asp.py",
-        "vectors[read, :, 0].T).conj()",
-        "vectors[read, :, 0].T)",
+        "weights = _mix(vx.conj().T, ground.T).conj()",
+        "weights = _mix(vx.conj().T, ground.T)",
         "ASP fidelities use unconjugated ground-state weights (wrong for complex targets)",
     ),
     Mutant(
@@ -232,7 +232,7 @@ MUTANTS = (
     Mutant(
         "sweep-slice-times-unbounded",
         "src/molphase/asp.py",
-        "if len(s_values) * len(total_times) > _MAX_SLICE_TIMES:",
+        "if steps * len(total_times) > _MAX_SLICE_TIMES:",
         "if False:",
         "asp --steps 65536 --scan 1:65536:1 passes validation and runs for about 20 minutes",
     ),
@@ -354,6 +354,22 @@ MUTANTS = (
         "if not energy_time <= _MAX_ENERGY_TIME:",
         "if False:",
         "asp prints, with exit 0, fidelities whose float64 rounding error passes 1e-9 (1.8e-2 for H2 at T = 1e15)",
+    ),
+    Mutant(
+        "plan-key-drops-steps",
+        "src/molphase/asp.py",
+        "@lru_cache(maxsize=_PLAN_CACHE_SIZE)",
+        "@lambda f: lru_cache(maxsize=1)(lambda data, steps, kept={}: kept.setdefault(data, f(data, steps)))",
+        "a sweep reuses the first plan made for its target whatever its step count, so run_asp after a"
+        " scan at another step count sweeps the scan's slices",
+    ),
+    Mutant(
+        "phase-block-unbounded",
+        "src/molphase/asp.py",
+        "block = max(1, _BLOCK_SLICE_TIMES // len(total_times))",
+        "block = steps",
+        "a sweep forms every slice's phases at once, so its memory grows with steps x times"
+        " (about 2.7 GB at 2^16 slices x 256 times)",
     ),
 )
 
