@@ -24,8 +24,12 @@ in one batched call, every gap checked before the first slice, and the
 ground-state weights. A sweep returns the fidelities after the slices its
 caller reads, keeping no other slice's states. ``run_asp`` is the sweep
 over one time, reading every slice, ``scan_total_time`` the sweep over a
-grid, reading the last (so a scan and the ``run_asp`` at one of its times
-share a plan), and ``trotter_step`` one slice.
+grid, and ``trotter_step`` one slice. A scan of at most
+``_BLOCK_SLICE_TIMES`` slice-times reads every slice and keeps its final
+states and fidelities in a read-only record, so the ``run_asp`` at one of
+its times after it is served from the record and sweeps nothing; a longer
+scan reads the last slice only, and shares its plan with the ``run_asp``
+after it.
 
 Times are in inverse hartree; the hardware's millisecond clock is a
 rescaling of the same dimensionless schedule, and ``scan_total_time``
@@ -35,6 +39,7 @@ raises ``ValidationError``: float64 resolves its fidelity to 1e-9 only below.
 """
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -46,9 +51,10 @@ from .errors import ValidationError
 from .molham import MolecularHamiltonian
 
 # The most slices in a schedule, and total times in a CLI scan. Peaks under
-# tracemalloc, each from a cleared plan: 9.5 MiB for a 2^16-step scan and
-# for run_asp, which keeps every step's state, 13 MiB for a 6-step scan of
-# 2^16 times.
+# tracemalloc, each from a cleared plan and record: 9.50 MiB for a 2^16-step
+# scan and for run_asp, which keeps every step's state, 13.0 MiB for a 6-step
+# scan of 2^16 times; both scans are past ``_BLOCK_SLICE_TIMES`` and keep
+# no record.
 MAX_POINTS = 2**16
 # The most slice-times (slices x total times) in one sweep, whose work grows
 # with their product: 2^24 of them took 1.7-4.3 s on 2 shared CPUs, 2^16
@@ -59,10 +65,13 @@ _MAX_SLICE_TIMES = 2**24
 # float64 error stayed below 3.1e-17 E T, so up to 2^24 it is below 1e-9; at
 # 0.99 * 2^24 with 1000, 8192 and 2^16 slices it was at most 4.6e-11.
 _MAX_ENERGY_TIME = 2.0**24
-# Sweep plans ``_plan`` keeps: the last is enough for a scan and the run_asp after it.
+# Sweep plans ``_plan`` keeps: the last is enough for a scan and a run_asp after it
+# that the scan's record does not serve.
 _PLAN_CACHE_SIZE = 1
 # The most slice-times whose phases one ``qcore.phase_factors`` call forms in
-# a sweep: 4 phases each, about 640 KiB with their temporaries.
+# a sweep: 4 phases each, about 640 KiB with their temporaries. A scan of at
+# most this many reads every slice and keeps them in ``_record``, at most
+# 192 KiB.
 _BLOCK_SLICE_TIMES = 2**12
 
 
@@ -81,6 +90,8 @@ class AdiabaticSchedule:
         qcore.require_positive("total time", self.total_time)
         if self.target.dim != 2:
             raise ValidationError(f"adiabatic sweep targets 2x2 systems, got dim {self.target.dim}")
+        # a float32 or float16 time would round its slice durations in its own precision
+        object.__setattr__(self, "total_time", float(self.total_time))
 
     def s_values(self) -> np.ndarray:
         """Interpolation parameters per step; a single step jumps to s = 1."""
@@ -208,10 +219,28 @@ def _plan(data: bytes, steps: int) -> _Plan:
     return plan
 
 
+class _Record(NamedTuple):
+    """What a scan that read every slice keeps for a ``run_asp`` at one of
+    its times: the target's complex128 bytes, the step count, the grid's
+    times, V_x, the final states in sigma_x's eigenbasis, shape (2, T), and
+    the fidelities after every slice, shape (M, T); the arrays are read-only."""
+
+    data: bytes
+    steps: int
+    times: tuple[float, ...]
+    vx: np.ndarray
+    states: np.ndarray
+    fidelities: np.ndarray
+
+
+# The record of the last scan that read every slice, replaced whole, never written.
+_record: _Record | None = None
+
+
 def _sweep(target: MolecularHamiltonian, steps: int, total_times: np.ndarray, read: slice):
     """Evolve |-> through the ``steps`` slices for every total time at once.
     Return V_x, the final states, shape (2, T), in sigma_x's eigenbasis, and
-    the fidelities after the slices that ``read`` selects.
+    the fidelities after the R slices that ``read`` selects, shape (R, T).
 
     More than ``_MAX_SLICE_TIMES`` slices x times raise before the plan
     (``_plan``, shared by every sweep of the same target and step count)
@@ -221,9 +250,8 @@ def _sweep(target: MolecularHamiltonian, steps: int, total_times: np.ndarray, re
     ``_BLOCK_SLICE_TIMES`` slice-times (one slice when the times alone are
     more), each block released before the next. A state psi in sigma_x's
     eigenbasis has fidelity |w0 psi0 + w1 psi1|^2. Only the read slices'
-    states are kept: a caller reads one slice (the scan) or sweeps one
-    total time (``run_asp``), so the kept states, side by side, give their
-    fidelities in one row.
+    states are kept, shape (2, R, T), and give their fidelities in one
+    expression.
     """
     if steps * len(total_times) > _MAX_SLICE_TIMES:
         raise ValidationError(
@@ -246,12 +274,29 @@ def _sweep(target: MolecularHamiltonian, steps: int, total_times: np.ndarray, re
         for m, slice_phases in enumerate(phases, first):
             states = _slice(states, slice_phases, b, b_adj)
             if m == reads.start:  # not before, so that it adds nothing to the unread slices' peak
-                kept = np.empty((2, len(reads) * len(total_times)), dtype=complex)
+                kept = np.empty((2, len(reads), len(total_times)), dtype=complex)
             if m in reads:
-                column = (m - reads.start) * len(total_times)
-                kept[:, column : column + len(total_times)] = states
+                kept[:, m - reads.start] = states
         del phases, slice_phases  # released before the next block is formed
-    return vx, states, np.abs(weights[0, read] * kept[0] + weights[1, read] * kept[1]) ** 2
+    return vx, states, np.abs(weights[0, read, None] * kept[0] + weights[1, read, None] * kept[1]) ** 2
+
+
+def _served(schedule: AdiabaticSchedule):
+    """The record's V_x, final state, shape (2, 1), and fidelities, shape
+    (M, 1), at the schedule's total time, or None unless the recorded scan
+    swept this target at this step count through exactly that time.
+
+    The scan passed every check the sweep would make: the same plan's gaps,
+    the phase scale at its largest time, at least the schedule's, and the
+    slice-time bound at M x T >= M.
+    """
+    record = _record
+    if record is None or record.steps != schedule.steps or record.data != schedule.target.matrix.tobytes():
+        return None
+    t = bisect.bisect_left(record.times, schedule.total_time)
+    if t == len(record.times) or record.times[t] != schedule.total_time:
+        return None
+    return record.vx, record.states[:, t : t + 1], record.fidelities[:, t : t + 1]
 
 
 def run_asp(schedule: AdiabaticSchedule) -> ASPResult:
@@ -259,13 +304,19 @@ def run_asp(schedule: AdiabaticSchedule) -> ASPResult:
 
     This is the sweep of ``scan_total_time`` over the one total time of the
     schedule, reading the fidelity after every slice; the final state is
-    rotated back from sigma_x's eigenbasis with V_x.
+    rotated back from sigma_x's eigenbasis with V_x. When the last scan
+    that read every slice had this target, step count and, exactly, this
+    total time, the result is copied from its record, bit for bit what
+    the sweep would give, and nothing is swept.
     """
-    vx, states, fidelities = _sweep(schedule.target, schedule.steps, np.array([schedule.total_time]), slice(None))
+    served = _served(schedule)
+    if served is None:
+        served = _sweep(schedule.target, schedule.steps, np.array([schedule.total_time]), slice(None))
+    vx, states, fidelities = served
     return ASPResult(
         final_state=_mix(vx, states)[:, 0].copy(),
-        fidelity=float(fidelities[-1]),
-        per_step_fidelities=fidelities,
+        fidelity=float(fidelities[-1, 0]),
+        per_step_fidelities=fidelities[:, 0].copy(),
     )
 
 
@@ -274,10 +325,15 @@ def scan_total_time(target: MolecularHamiltonian, steps: int, t_grid) -> list[tu
 
     One sweep evolves the states of every total time together, so a scan
     makes one batched decomposition of its M = ``steps`` slices, whatever
-    the grid's length, and reads the fidelities after the last slice only.
-    Each fidelity equals ``run_asp``'s at that time, and a ``run_asp`` of
-    the same target and steps after it reuses the scan's plan.
+    the grid's length. Each fidelity equals ``run_asp``'s at that time.
+    A scan of at most ``_BLOCK_SLICE_TIMES`` slice-times reads the
+    fidelities after every slice and records them with the final states,
+    replacing the last record, so that a ``run_asp`` of the same target and
+    steps at one of its times is served from them. A longer scan reads the
+    last slice only, records nothing, and a ``run_asp`` after it reuses its
+    plan. A refused scan leaves the record as it was.
     """
+    global _record
     grid = np.asarray(t_grid, dtype=float)
     if grid.ndim != 1:
         raise ValidationError(f"time grid must be one-dimensional, got shape {grid.shape}")
@@ -290,5 +346,10 @@ def scan_total_time(target: MolecularHamiltonian, steps: int, t_grid) -> list[tu
         raise ValidationError("time grid must be strictly ascending")
     # the schedule validates steps and the target's dimension
     schedule = AdiabaticSchedule(steps=steps, total_time=float(grid[0]), target=target)
-    _, _, fidelities = _sweep(target, schedule.steps, grid, slice(-1, None))
-    return list(zip(grid.tolist(), fidelities.tolist()))
+    every = schedule.steps * grid.size <= _BLOCK_SLICE_TIMES
+    vx, states, fidelities = _sweep(target, schedule.steps, grid, slice(None) if every else slice(-1, None))
+    times = grid.tolist()
+    if every:
+        states.flags.writeable = fidelities.flags.writeable = False
+        _record = _Record(target.matrix.tobytes(), schedule.steps, tuple(times), vx, states, fidelities)
+    return list(zip(times, fidelities[-1].tolist()))

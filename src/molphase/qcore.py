@@ -40,10 +40,15 @@ EIG_CACHE_SIZE = 256
 # finite: an eigenvalue at MAX_DIM is below 2^504, so E t < 2^1004, and so is a
 # sum of MAX_DIM products of two entries.
 MAX_MAGNITUDE = 2.0**500
+# Numpy floats in which MAX_MAGNITUDE overflows to inf, so they are judged as a
+# Python float, which holds them exactly.
+_NARROW_FLOATS = (np.float16, np.float32)
 
 
 def require_magnitude(name: str, value) -> None:
     """Reject a real ``value`` unless it is finite with magnitude at most ``MAX_MAGNITUDE``."""
+    if isinstance(value, _NARROW_FLOATS):
+        value = float(value)
     if not abs(value) <= MAX_MAGNITUDE:
         raise ValidationError(f"{name} must be finite with magnitude at most 2^500, got {_shown(value)}")
 

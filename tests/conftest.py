@@ -61,10 +61,12 @@ def h2():
 @pytest.fixture
 def eigh_calls(monkeypatch):
     """The arguments of every ``np.linalg.eigh`` call the test makes, from an
-    empty ``qcore.hermitian_eig`` cache and no kept sweep plan, so that no
-    decomposition an earlier test left there is counted out."""
+    empty ``qcore.hermitian_eig`` cache, no kept sweep plan and no scan
+    record, so that no decomposition or sweep an earlier test left there is
+    counted out."""
     qcore._decompose.cache_clear()
     asp._plan.cache_clear()
+    asp._record = None
     calls = []
     eigh = np.linalg.eigh
 

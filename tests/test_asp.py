@@ -1,4 +1,6 @@
 """Adiabatic preparation: interpolation family, split steps, sweep fidelity."""
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -224,15 +226,20 @@ class TestPlan:
     is made once per target and step count and shared by the sweeps after."""
 
     def test_run_asp_after_a_scan_equals_one_from_a_cleared_plan(self):
+        # at the grid times run_asp is served from the scan's record, between
+        # them it sweeps with the scan's plan; both equal a sweep from nothing kept
         grid = np.arange(1.0, 30.0 + 1e-9, 0.5)
+        times = np.concatenate([grid, grid[:-1] + 0.25])
         for target in h2_like_targets(3, complex_coupling=True):
             scan = asp.scan_total_time(target, 6, grid)
-            for t, fidelity in scan:
-                shared = asp.run_asp(asp.AdiabaticSchedule(6, t, target))
+            after_scan = [asp.run_asp(asp.AdiabaticSchedule(6, t, target)) for t in times]
+            for t, shared in zip(times, after_scan):
                 asp._plan.cache_clear()
+                asp._record = None
                 fresh = asp.run_asp(asp.AdiabaticSchedule(6, t, target))
                 assert hexes(shared) == hexes(fresh)
-                assert float(fidelity).hex() == float(fresh.fidelity).hex()
+            for (_, fidelity), shared in zip(scan, after_scan):
+                assert float(fidelity).hex() == float(shared.fidelity).hex()
 
     def test_a_degenerate_target_is_refused_on_every_call(self):
         target = molham.MolecularHamiltonian(-qcore.SIGMA_X, label="minus_sx")
@@ -248,6 +255,7 @@ class TestPlan:
         asp.scan_total_time(h2, 6, [9.5])
         after_scan = asp.run_asp(asp.AdiabaticSchedule(steps=7, total_time=9.5, target=h2))
         asp._plan.cache_clear()
+        asp._record = None
         fresh = asp.run_asp(asp.AdiabaticSchedule(steps=7, total_time=9.5, target=h2))
         assert len(after_scan.per_step_fidelities) == 7
         assert hexes(after_scan) == hexes(fresh)
@@ -271,6 +279,146 @@ class TestPlan:
         block = max(1, asp._BLOCK_SLICE_TIMES // times)
         assert len(sizes) == -(-steps // block)
         assert max(sizes) <= 4 * max(asp._BLOCK_SLICE_TIMES, times)
+
+
+class TestRecord:
+    """A scan of at most ``_BLOCK_SLICE_TIMES`` slice-times keeps every
+    slice's fidelities, and the ``run_asp`` at one of its times is served
+    from them, bit for bit what its own sweep gives."""
+
+    @pytest.fixture
+    def sweeps(self, monkeypatch):
+        """The total times of every sweep the test makes."""
+        calls = []
+        sweep = asp._sweep
+
+        def counted(target, steps, total_times, read):
+            calls.append(total_times.tolist())
+            return sweep(target, steps, total_times, read)
+
+        monkeypatch.setattr(asp, "_sweep", counted)
+        return calls
+
+    @pytest.mark.parametrize("steps", [1, 2, 6, 37])
+    @pytest.mark.parametrize("grid", [np.arange(1.0, 30.0 + 1e-9, 0.5), np.array([0.3, 0.7, 2.5, 9.5, 12.3, 50.0])])
+    def test_a_served_run_equals_a_swept_one(self, sweeps, steps, grid):
+        for target in h2_like_targets(2) + h2_like_targets(2, seed=7, complex_coupling=True)[1:]:
+            scan = asp.scan_total_time(target, steps, grid)
+            served = [asp.run_asp(asp.AdiabaticSchedule(steps, t, target)) for t in grid]
+            assert sweeps == [grid.tolist()]
+            asp._record = None
+            swept = [asp.run_asp(asp.AdiabaticSchedule(steps, t, target)) for t in grid]
+            assert sweeps[1:] == [[t] for t in grid]
+            sweeps.clear()
+            for (_, fidelity), a, b in zip(scan, served, swept):
+                assert hexes(a) == hexes(b)
+                assert float(fidelity).hex() == float(b.fidelity).hex() == float(b.per_step_fidelities[-1]).hex()
+
+    def test_a_run_off_the_record_sweeps(self, h2, sweeps):
+        grid = np.arange(1.0, 30.0 + 1e-9, 0.5)
+        other = molham.MolecularHamiltonian(h2.matrix + 1e-15 * qcore.SIGMA_Z, label="H2 shifted")
+        asp.scan_total_time(h2, 6, grid)
+        record = asp._record
+        for steps, total_time, target in [
+            (6, 9.6, h2), (6, np.nextafter(9.5, 10.0), h2), (6, 0.5, h2), (6, 30.5, h2),  # off the grid
+            (5, 9.5, h2), (7, 9.5, h2),  # another step count
+            (6, 9.5, other),  # another target
+        ]:
+            result = asp.run_asp(asp.AdiabaticSchedule(steps, total_time, target))
+            assert sweeps[-1] == [total_time] and len(result.per_step_fidelities) == steps
+        assert asp._record is record
+        assert len(sweeps) == 8
+
+    def test_a_scan_past_the_block_records_nothing(self, h2, sweeps):
+        asp._record = None
+        grid = np.linspace(1.0, 30.0, asp._BLOCK_SLICE_TIMES // 6 + 1)
+        asp.scan_total_time(h2, 6, grid)
+        assert asp._record is None
+        asp.run_asp(asp.AdiabaticSchedule(6, float(grid[7]), h2))
+        assert sweeps[-1] == [grid[7]]
+        asp.scan_total_time(h2, 6, grid[:-1])  # at the block exactly
+        assert asp._record.fidelities.shape == (6, grid.size - 1)
+
+    def test_a_refused_scan_leaves_the_record(self, h2):
+        asp.scan_total_time(h2, 6, [9.5])
+        record = asp._record
+        with pytest.raises(DegeneracyError):
+            asp.scan_total_time(molham.MolecularHamiltonian(-qcore.SIGMA_X, label="minus_sx"), 3, [1.0, 3.0])
+        with pytest.raises(ValidationError, match=r"exceeds 2\^24"):
+            asp.scan_total_time(h2, 6, [9.5, 9.1e6])
+        with pytest.raises(ValidationError, match="strictly ascending"):
+            asp.scan_total_time(h2, 6, [9.5, 9.5])
+        assert asp._record is record
+
+    def test_a_served_result_owns_its_arrays(self, h2):
+        asp.scan_total_time(h2, 6, np.arange(1.0, 30.0 + 1e-9, 0.5))
+        schedule = asp.AdiabaticSchedule(steps=6, total_time=9.5, target=h2)
+        first = asp.run_asp(schedule)
+        expected = hexes(first)
+        first.final_state[:] = 0.0
+        first.per_step_fidelities[:] = -1.0
+        assert hexes(asp.run_asp(schedule)) == expected
+        assert first.final_state.flags.owndata and first.per_step_fidelities.flags.owndata
+
+    def test_the_record_is_read_only(self, h2):
+        times = [1.0, 9.5]
+        asp.scan_total_time(h2, 6, np.array(times))
+        record = asp._record
+        assert record.times == tuple(times) and record.steps == 6 and record.data == h2.matrix.tobytes()
+        for array in (record.vx, record.states, record.fidelities):
+            assert not array.flags.writeable
+
+    def test_the_grid_is_kept_as_a_copy(self, h2, sweeps):
+        grid = np.array([1.0, 9.5])
+        asp.scan_total_time(h2, 6, grid)
+        grid[1] = 9.75
+        asp.run_asp(asp.AdiabaticSchedule(6, 9.75, h2))
+        assert sweeps[-1] == [9.75]
+
+    def test_threads_scanning_other_targets_are_served_their_own(self):
+        # each scan replaces the record whole and run_asp reads it once, so a
+        # run is served its own target's sweep or sweeps, whatever the others do
+        grid = np.arange(1.0, 30.0 + 1e-9, 0.5)
+        targets = h2_like_targets(3, seed=11, complex_coupling=True)
+        asp._record = None
+        expected = [[hexes(asp.run_asp(asp.AdiabaticSchedule(6, t, target))) for t in grid] for target in targets]
+        mismatches, finished = [], []
+
+        def work(target, wanted):
+            for _ in range(5):
+                asp.scan_total_time(target, 6, grid)
+                got = [hexes(asp.run_asp(asp.AdiabaticSchedule(6, t, target))) for t in grid]
+                mismatches.extend(i for i, (a, b) in enumerate(zip(got, wanted)) if a != b)
+            finished.append(target)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=pair) for pair in zip(targets, expected)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert mismatches == [] and len(finished) == len(threads)
+
+    def test_a_schedule_keeps_its_total_time_as_a_float(self, h2):
+        # a float32 time rounded its slice durations in float32: fidelity 0x1.fe4c5be301595p-1
+        asp._record = None
+        swept = asp.run_asp(asp.AdiabaticSchedule(6, 9.5, h2))
+        assert swept.fidelity.hex() == "0x1.fe4c5be0bfc52p-1"
+        asp.scan_total_time(h2, 6, [9.0, 9.5])
+        for total_time in (np.float32(9.5), np.float16(9.5), np.float64(9.5), 9, np.int64(9)):
+            schedule = asp.AdiabaticSchedule(6, total_time, h2)
+            assert type(schedule.total_time) is float and schedule.total_time == total_time
+            asp._record = None
+            expected = hexes(asp.run_asp(asp.AdiabaticSchedule(6, float(total_time), h2)))
+            assert hexes(asp.run_asp(schedule)) == expected
+            asp.scan_total_time(h2, 6, [9.0, 9.5])
+            assert hexes(asp.run_asp(schedule)) == expected
+        assert hexes(asp.run_asp(asp.AdiabaticSchedule(6, np.float32(9.5), h2))) == hexes(swept)
 
 
 class TestScanTotalTime:

@@ -93,9 +93,10 @@ def test_prepared_chain_diagonalizes_the_target_once(eigh_calls, times):
 def test_prepared_chain_asks_for_three_decompositions(monkeypatch):
     # wrapped by module attribute, as bench/spans.py wraps it, so calls the
     # cache answers count too: sigma_x and the target once for the sweep
-    # plan (in asp._slice_inputs) that the scan makes and run_asp reuses,
-    # then the target once in run_ipea
+    # plan (in asp._slice_inputs) that the scan makes, then the target once
+    # in run_ipea; run_asp is served from the scan's record
     asp._plan.cache_clear()
+    asp._record = None
     h = molham.MolecularHamiltonian(np.array([[-1.9, 0.2], [0.2, -0.3]]), label="H2-like")
     tau = molham.choose_tau(h)
     calls = []
@@ -113,3 +114,24 @@ def test_prepared_chain_asks_for_three_decompositions(monkeypatch):
         warnings.filterwarnings("ignore", "prepared state overlaps", UserWarning)
         ipea.run_ipea(h, ipea.IterationConfig(tau=tau), prep=prepared.final_state)
     assert len(calls) == 3
+
+
+def test_prepared_chain_sweeps_its_slices_once(monkeypatch):
+    # the scan sweeps the 6 slices for every grid time at once and keeps
+    # them, so the run_asp at its best time sweeps none
+    asp._record = None
+    h = molham.MolecularHamiltonian(np.array([[-1.9, 0.2], [0.2, -0.3]]), label="H2-like")
+    widths = []
+    one_slice = asp._slice
+
+    def counted(states, *args):
+        widths.append(states.shape[1])
+        return one_slice(states, *args)
+
+    monkeypatch.setattr(asp, "_slice", counted)
+    grid = np.arange(1.0, 30.0 + 1e-9, 0.5)
+    scan = asp.scan_total_time(h, 6, grid)
+    best_t = max(scan, key=lambda p: p[1])[0]
+    prepared = asp.run_asp(asp.AdiabaticSchedule(steps=6, total_time=best_t, target=h))
+    assert widths == [grid.size] * 6
+    assert prepared.fidelity == max(f for _, f in scan)

@@ -61,6 +61,19 @@ class TestScalarJudges:
             with pytest.raises(ValidationError, match=f"^{name} must be finite with magnitude at most 2\\^500, got "):
                 call(value)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32])
+    @pytest.mark.parametrize("name, positive, call", SIGN_JUDGED, ids=[f"{n}-{i}" for i, (n, _, _) in enumerate(SIGN_JUDGED)])
+    def test_a_narrow_numpy_float_is_judged_without_a_warning(self, name, positive, call, dtype):
+        # compared in its own type, 2^500 overflowed to inf: "overflow encountered in cast"
+        call(dtype(1e-3))
+        for value in ("nan", "inf", "-inf"):
+            with pytest.raises(ValidationError, match=f"^{name} must be finite with magnitude at most 2\\^500, got {value}$"):
+                call(dtype(value))
+        rule = "must be positive" if positive else "must be >= 0"
+        with pytest.raises(ValidationError, match=f"^{name} {rule}, got -0.5$"):
+            call(dtype(-0.5))
+
     def test_an_int_past_the_digit_limit_is_refused_by_its_size(self):
         # str() of such an int raised ValueError (the 4300-digit limit) in place of the message
         huge = 10**5000

@@ -371,6 +371,34 @@ MUTANTS = (
         "a sweep forms every slice's phases at once, so its memory grows with steps x times"
         " (about 2.7 GB at 2^16 slices x 256 times)",
     ),
+    Mutant(
+        "record-key-drops-steps",
+        "src/molphase/asp.py",
+        "if record is None or record.steps != schedule.steps or record.data != schedule.target.matrix.tobytes():",
+        "if record is None or record.data != schedule.target.matrix.tobytes():",
+        "run_asp after a scan at another step count is served the scan's slices",
+    ),
+    Mutant(
+        "record-lookup-nearest",
+        "src/molphase/asp.py",
+        "if t == len(record.times) or record.times[t] != schedule.total_time:",
+        "if t == len(record.times):",
+        "run_asp between two grid times is served the sweep at the next one",
+    ),
+    Mutant(
+        "served-fidelities-not-copied",
+        "src/molphase/asp.py",
+        "per_step_fidelities=fidelities[:, 0].copy(),",
+        "per_step_fidelities=fidelities[:, 0],",
+        "a served run's per-step fidelities are a read-only view of the record, which its caller cannot write",
+    ),
+    Mutant(
+        "record-uncapped",
+        "src/molphase/asp.py",
+        "every = schedule.steps * grid.size <= _BLOCK_SLICE_TIMES",
+        "every = True",
+        "every scan keeps every slice's states, up to 2^24 slice-times (512 MiB)",
+    ),
 )
 
 

@@ -18,8 +18,13 @@ decomposition, a fresh one and one evicted and made again must all give
 the same records. A last family, ``sweep``, hashes the adiabatic sweep
 itself on H2 and H2-like targets with real and complex couplings, at 1,
 2, 6 and 37 steps over the README scan grid and an irregular one: every
-``scan_total_time`` fidelity, every ``run_asp`` final state and per-step
-fidelity, and every ``trotter_step`` unitary of those schedules. The
+``scan_total_time`` fidelity, and every ``run_asp`` final state and
+per-step fidelity, with every ``trotter_step`` unitary of those schedules,
+at each grid time both before the scan and after it. The loops change the
+target, then the grid, then the step count, so no two scans in a row share
+a target and step count: a ``run_asp`` before its scan sweeps, and one
+after it may be served from what the scan kept, so equal digests on two
+trees show that the two agree bit for bit. The
 script calls only ``run_ipea``, ``run_pulse_backend``, ``run_asp``,
 ``scan_total_time``, ``trotter_step`` and the model builders, and sets
 the +-bound draws by overriding ``NoiseModel.jitter_draws``, so it runs
@@ -93,25 +98,32 @@ def hexes(values):
     return ":".join(f"{float(v.real).hex()}:{float(v.imag).hex()}" for v in z)
 
 
+def asp_text(target, steps, total_time):
+    """The run_asp at one total time, and the trotter_step unitaries of its schedule."""
+    schedule = asp.AdiabaticSchedule(steps=steps, total_time=float(total_time), target=target)
+    result = asp.run_asp(schedule)
+    delta = schedule.total_time / steps
+    return ";".join(
+        [hexes(result.final_state), result.fidelity.hex(), hexes(result.per_step_fidelities)]
+        + [hexes(asp.trotter_step(target, s_m, delta)) for s_m in schedule.s_values()]
+    ) + "\n"
+
+
 def sweep_texts():
-    """One text per scan, and one per run_asp with the trotter_step unitaries of its schedule."""
+    """One text per scan, and one per run_asp at each of its times, before the scan and after it."""
     targets = [molham.build_h2()] + [
         molham.MolecularHamiltonian(np.array([[h11, h12], [np.conj(h12), h22]]), label="H2-like")
         for h11, h22, h12 in SWEEP_TARGETS
     ]
     for target in targets:
-        for steps in SWEEP_STEPS:
-            for grid in SWEEP_GRIDS:
+        for grid in SWEEP_GRIDS:
+            for steps in SWEEP_STEPS:
+                for total_time in grid:
+                    yield asp_text(target, steps, total_time)
                 scan = asp.scan_total_time(target, steps, grid)
                 yield "scan;" + ";".join(f"{t.hex()}:{f.hex()}" for t, f in scan) + "\n"
                 for total_time in grid:
-                    schedule = asp.AdiabaticSchedule(steps=steps, total_time=float(total_time), target=target)
-                    result = asp.run_asp(schedule)
-                    delta = schedule.total_time / steps
-                    yield ";".join(
-                        [hexes(result.final_state), result.fidelity.hex(), hexes(result.per_step_fidelities)]
-                        + [hexes(asp.trotter_step(target, s_m, delta)) for s_m in schedule.s_values()]
-                    ) + "\n"
+                    yield asp_text(target, steps, total_time)
 
 
 def families():
